@@ -223,15 +223,14 @@ def cmd_spectrum(params, seed, out, jobs):
             g = add_diagonal_disorder(g, sigma, derive_seed(seed, "sigma", i))
         return g
 
-    first = make(0)
-    spectrum = eigendecompose(first)
+    graphs = _map_indexed(make, realizations, jobs)
+    spectra = [eigendecompose(g) for g in graphs]
+    ens = ensemble_spectrum(lambda i: spectra[i], realizations, bins)
     write_csv(
         os.path.join(out, "spectrum.csv"),
         ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(spectrum.eigenvalues)],
+        [(i, float(v)) for i, v in enumerate(spectra[0].eigenvalues)],
     )
-    graphs = _map_indexed(make, realizations, jobs)
-    ens = ensemble_spectrum(lambda i: graphs[i], realizations, bins)
     write_csv(
         os.path.join(out, "histogram.csv"),
         ["bin_left", "bin_right", "count"],

@@ -5,9 +5,13 @@ biases enter only through the phase transform), and the coupling term is
 attractive: theta_dot_i = eps_i + (K/N) sum_j |a_ij| sin(theta_j - theta_i),
 so equal phases are a stable fixed point and the network synchronizes.
 
-`phase_transform` conjugates the adjacency by the diagonal phase unitary,
-multiplying each edge bias by exp(i (theta_j - theta_i)); the spectrum is
-untouched while the eigenbasis rotates with the oscillators.
+`phase_transform` conjugates the adjacency by the diagonal phase unitary
+D = diag(exp(i theta)), multiplying each edge bias by
+exp(i (theta_j - theta_i)): A -> D* A D.  This is a unitary similarity, so
+the spectrum never changes and every eigenvector v of A becomes
+exp(-i theta) * v.  `run_sync_experiment` therefore diagonalizes each
+realization once, at time zero, and reads the emergent state at every
+record in closed form; `phase_transform` is kept as the explicit reference.
 """
 
 from __future__ import annotations
@@ -152,7 +156,6 @@ class SyncResult:
     order_parameter: np.ndarray
     purity: np.ndarray
     eigenvalue_top: np.ndarray
-    spectrum_drift: float
     config: SyncRunConfig = field(repr=False, default=None)
 
 
@@ -186,11 +189,20 @@ def _realization_graph(cfg: SyncRunConfig, r: int) -> BiasedGraph:
 def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     """Integrate the ensemble and record order parameter and emergent purity.
 
-    At every recorded step the adjacency is phase-transformed by the current
-    oscillator phases and diagonalized; the top eigenvector's density matrix
-    is averaged across realizations (a convex sum), and its purity tracks how
-    mixed the emergent state is.  Spectrum drift under the transform is
-    monitored and returned.
+    Each realization's graph is diagonalized once, at time zero, with the
+    residual check of `eigendecompose`.  At a record with phases theta the
+    phase-transformed adjacency D* A D, D = diag(exp(i theta)), is unitarily
+    similar to A, so its top eigenvalue is lambda_0 and its top eigenvector
+    is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  With
+    effective_purity, w is replaced by its normalized product-basis
+    projection.  The record vectors w_r of the R realizations define the
+    ensemble density matrix rho = (1/R) sum_r w_r w_r^*, accumulated per
+    record (records * dim^2 numbers); rho is Hermitian, so its purity
+    tr rho^2 is the sum of |rho_ij|^2, with no matrix product.
+
+    When lambda_0 of a realization is degenerate, the top eigenvector is one
+    fixed vector of its eigenspace, carried through every record (a
+    per-record solve would pick an arbitrary member each time).
     """
     sample = _realization_graph(cfg, 0)
     n = sample.n
@@ -201,52 +213,39 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         record_at.append(steps)
     times = np.array([k * dt for k in record_at])
 
-    nrec = len(record_at)
     if cfg.effective_purity:
         dim = len(product_basis_labels(sample))
     else:
         dim = n
-    rho = np.zeros((nrec, dim, dim), dtype=complex)
-    r_sum = np.zeros(nrec)
-    top_sum = np.zeros(nrec)
-    drift = 0.0
+    rho_sum = np.zeros((len(record_at), dim, dim), dtype=complex)
+    r_sum = np.zeros(len(record_at))
+    top_sum = 0.0
+    k_over_n = cfg.K / n
 
     for r in range(cfg.realizations):
-        g = _realization_graph(cfg, r)
+        g = sample if r == 0 else _realization_graph(cfg, r)
         m = coupling_matrix(g)
-        reference = eigendecompose(g).eigenvalues
+        spectrum = eigendecompose(g)
+        v0 = spectrum.eigenvectors[:, 0]
+        top_sum += spectrum.eigenvalues[0]
         state = initial_state(n, cfg, rng_from(cfg.seed, "init", r))
-        k_over_n = cfg.K / n
-        rec_idx = 0
-        for k in range(steps + 1):
-            if rec_idx < nrec and k == record_at[rec_idx]:
-                transformed = phase_transform(g, state)
-                spec = eigendecompose(transformed)
-                drift = max(
-                    drift, float(np.abs(spec.eigenvalues - reference).max())
-                )
-                w = spec.eigenvectors[:, 0].astype(complex)
-                if cfg.effective_purity:
-                    w = project_product_state(g, w).normalized()
-                rho[rec_idx] += np.outer(w, w.conj())
-                r_sum[rec_idx] += order_parameter(state.theta)
-                top_sum[rec_idx] += spec.eigenvalues[0]
-                rec_idx += 1
-            if k < steps:
-                theta = _advance(
-                    state.theta, state.epsilon, m, k_over_n, dt, cfg.integrator
-                )
-                state = OscillatorState(
-                    theta=theta, epsilon=state.epsilon, t=state.t + dt
-                )
+        theta, epsilon = state.theta, state.epsilon
+        done = 0
+        for i, target in enumerate(record_at):
+            for _ in range(target - done):
+                theta = _advance(theta, epsilon, m, k_over_n, dt, cfg.integrator)
+            done = target
+            w = np.exp(-1j * theta) * v0
+            if cfg.effective_purity:
+                w = project_product_state(g, w).normalized()
+            rho_sum[i] += np.outer(w, w.conj())
+            r_sum[i] += order_parameter(theta)
 
-    rho /= cfg.realizations
-    purity = np.array([float(np.trace(p @ p).real) for p in rho])
+    purity = (np.abs(rho_sum) ** 2).sum(axis=(1, 2)) / cfg.realizations**2
     return SyncResult(
         t=times,
         order_parameter=r_sum / cfg.realizations,
         purity=purity,
-        eigenvalue_top=top_sum / cfg.realizations,
-        spectrum_drift=drift,
+        eigenvalue_top=np.full(len(record_at), top_sum / cfg.realizations),
         config=cfg,
     )

@@ -181,6 +181,8 @@ def ensemble_spectrum(
 ) -> EnsembleSpectrum:
     """Histogram the spectra of make_graph(0..realizations-1).
 
+    make_graph(i) returns a graph, or a Spectrum already solved for it, so
+    a caller that needs the eigensystems itself diagonalizes each graph once.
     Eigenvalues outside an explicit value_range are clipped into the end
     bins so that the total count stays realizations * n.
     """
@@ -189,7 +191,8 @@ def ensemble_spectrum(
     collected = []
     for i in range(realizations):
         g = make_graph(i)
-        collected.append(eigendecompose(g).eigenvalues)
+        spectrum = g if isinstance(g, Spectrum) else eigendecompose(g)
+        collected.append(spectrum.eigenvalues)
     values = np.concatenate(collected)
     if value_range is None:
         lo, hi = float(values.min()), float(values.max())

@@ -175,6 +175,14 @@ class TestEnsembleSpectrum:
         ens = ensemble_spectrum(make, realizations=7, bins=15)
         assert ens.total == 7 * 20
 
+    def test_accepts_solved_spectra(self):
+        graphs = [gen_d_regular_random(12, 3, seed=(4, i)) for i in range(3)]
+        spectra = [eigendecompose(g) for g in graphs]
+        a = ensemble_spectrum(lambda i: graphs[i], 3, 9)
+        b = ensemble_spectrum(lambda i: spectra[i], 3, 9)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.bin_edges, b.bin_edges)
+
     def test_deterministic_under_master_seed(self):
         def make(i):
             return add_diagonal_disorder(
