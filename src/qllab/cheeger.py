@@ -60,7 +60,7 @@ def isoperimetric_exact(g: BiasedGraph) -> CheegerReport:
         return _with_bounds(g, CheegerReport(0.0, witness, 0, len(witness)))
 
     adj_mask = [0] * n
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     deg = [adj_mask[v].bit_count() for v in range(n)]
@@ -149,20 +149,22 @@ class ProfileRow:
 def expansion_profile(specs) -> list:
     """Per-graph expansion table for eyeballing family boundedness.
 
-    Graphs small enough for enumeration get the exact h; larger ones report
-    the spectral lower bound as a proxy with is_exact False.  No asymptotic
-    claim is made.
+    Graphs small enough for enumeration get the exact h with the bounds of
+    the exact report; larger ones report the spectral lower bound as a
+    proxy with is_exact False.  Bounds of an irregular graph are NaN.  Each
+    graph is diagonalized once.  No asymptotic claim is made.
     """
+    nan = float("nan")
     rows = []
     for spec in specs:
         g = build_graph(spec)
-        d = _regular_degree(g)
-        lower = upper = float("nan")
-        if d is not None and d > 0:
-            lower, upper = cheeger_bounds(g, d)
         if g.n <= _MAX_EXACT_N:
             report = isoperimetric_exact(g)
+            lower = nan if report.lower_bound is None else report.lower_bound
+            upper = nan if report.upper_bound is None else report.upper_bound
             rows.append(ProfileRow(g.n, report.h, lower, upper, True))
         else:
+            d = _regular_degree(g)
+            lower, upper = cheeger_bounds(g, d) if d else (nan, nan)
             rows.append(ProfileRow(g.n, lower, lower, upper, False))
     return rows

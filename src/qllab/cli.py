@@ -15,17 +15,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from ._csv import write_csv
-from .cheeger import expansion_profile, isoperimetric_exact
+from .cheeger import expansion_profile
 from .errors import ConfigError, QllabError
 from .graph import (
-    BiasedGraph,
     GraphGenSpec,
     add_diagonal_disorder,
     build_graph,
@@ -51,6 +49,7 @@ from .qlproduct import (
     ProductSpec,
     build_product,
     cartesian_product,
+    full_product_factors,
     label_adjacency,
     project_product_state,
     verify_spectrum_composition,
@@ -174,23 +173,30 @@ def load_config(path) -> dict:
     return doc
 
 
+def _int(value, key) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _count(params, key, default) -> int:
+    """A positive integer parameter such as a realization or trial count."""
+    value = _int(params.get(key, default), f"params.{key}")
+    if value < 1:
+        raise ConfigError(f"params.{key} must be >= 1")
+    return value
+
+
 def _resolve_seed(args, doc) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in doc:
-        return int(doc["seed"])
+        return _int(doc["seed"], "seed")
     env = os.environ.get("QLLAB_SEED")
     if env is not None:
-        return int(env)
+        return _int(env, "QLLAB_SEED")
     return 0
-
-
-def _map_indexed(fn, count, jobs):
-    """Evaluate fn(0..count-1) in order, optionally on a thread pool."""
-    if jobs <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +204,7 @@ def _map_indexed(fn, count, jobs):
 # ----------------------------------------------------------------------
 
 
-def cmd_spectrum(params, seed, out, jobs):
+def cmd_spectrum(params, seed, out):
     _check_keys(
         params,
         {"graph", "product_depth", "disorder_sigma", "realizations", "bins"},
@@ -208,7 +214,7 @@ def cmd_spectrum(params, seed, out, jobs):
     base = parse_graph_spec(params["graph"], "params.graph.", seed)
     depth = int(params.get("product_depth", 1))
     sigma = float(params.get("disorder_sigma", 0.0))
-    realizations = int(params.get("realizations", 1))
+    realizations = _count(params, "realizations", 1)
     bins = int(params.get("bins", 60))
     if depth < 1:
         raise ConfigError("params.product_depth must be >= 1")
@@ -223,8 +229,7 @@ def cmd_spectrum(params, seed, out, jobs):
             g = add_diagonal_disorder(g, sigma, derive_seed(seed, "sigma", i))
         return g
 
-    graphs = _map_indexed(make, realizations, jobs)
-    spectra = [eigendecompose(g) for g in graphs]
+    spectra = [eigendecompose(make(i)) for i in range(realizations)]
     ens = ensemble_spectrum(lambda i: spectra[i], realizations, bins)
     write_csv(
         os.path.join(out, "spectrum.csv"),
@@ -242,13 +247,13 @@ def cmd_spectrum(params, seed, out, jobs):
     return ["spectrum.csv", "histogram.csv"]
 
 
-def cmd_disorder_sweep(params, seed, out, jobs):
+def cmd_disorder_sweep(params, seed, out):
     _check_keys(
         params, {"n", "d", "retentions", "realizations"}, {"n", "d", "retentions"}, "params."
     )
     n, d = int(params["n"]), int(params["d"])
     retentions = [float(r) for r in params["retentions"]]
-    realizations = int(params.get("realizations", 20))
+    realizations = _count(params, "realizations", 20)
     rows = []
     for retention in retentions:
         if not 0.0 <= retention <= 1.0:
@@ -263,7 +268,7 @@ def cmd_disorder_sweep(params, seed, out, jobs):
             w = spec.eigenvectors[:, 0].astype(complex)
             return np.outer(w, w.conj()), float(spec.eigenvalues[0])
 
-        results = _map_indexed(one, realizations, jobs)
+        results = [one(i) for i in range(realizations)]
         rho = sum(r[0] for r in results) / realizations
         mean_top = sum(r[1] for r in results) / realizations
         rows.append((retention, float(np.trace(rho @ rho).real), mean_top))
@@ -275,7 +280,7 @@ def cmd_disorder_sweep(params, seed, out, jobs):
     return ["disorder_sweep.csv"]
 
 
-def cmd_qlbit(params, seed, out, jobs):
+def cmd_qlbit(params, seed, out):
     _check_keys(
         params,
         {
@@ -293,7 +298,7 @@ def cmd_qlbit(params, seed, out, jobs):
         "params.",
     )
     n, d = int(params["n"]), int(params["d"])
-    realizations = int(params.get("realizations", 1))
+    realizations = _count(params, "realizations", 1)
     table_row = params.get("table_row")
     rows = []
     for i in range(realizations):
@@ -353,7 +358,7 @@ def cmd_qlbit(params, seed, out, jobs):
     return ["qlbit.csv", "qlbit_summary.json"]
 
 
-def cmd_product(params, seed, out, jobs):
+def cmd_product(params, seed, out):
     _check_keys(params, {"product", "verify", "emergent_states"}, {"product"}, "params.")
     spec = parse_product(params["product"], "params.product.", seed)
     g = build_product(spec)
@@ -380,26 +385,20 @@ def cmd_product(params, seed, out, jobs):
         fh.write("\n")
 
     if params.get("verify", False):
-        if spec.mode == "full" and spec.q == 2:
-            names = ("a", "b")
-            factors = [
-                build_qlbit(bit, block_names=(f"{nm}1", f"{nm}2"))
-                for nm, bit in zip(names, spec.qlbits)
-            ]
-            if not verify_spectrum_composition(factors[0], factors[1], tol=1e-8):
+        if spec.mode == "full":
+            if not verify_spectrum_composition(*full_product_factors(spec)):
                 raise QllabError("spectrum composition check failed")
             print("spectrum composition OK")
         else:
             expected = spec.block_size() * (1 << spec.q)
-            pairs = label_adjacency(g)
             want = spec.q * (1 << (spec.q - 1))
-            if spec.mode == "contracted" and (g.n != expected or len(pairs) != want):
+            if g.n != expected or len(label_adjacency(g)) != want:
                 raise QllabError("contraction law check failed")
             print("contraction law OK")
     return ["product_spectrum.csv", "effective_states.json"]
 
 
-def cmd_witness(params, seed, out, jobs):
+def cmd_witness(params, seed, out):
     _check_keys(
         params,
         {"product", "bit_index", "strength", "density", "preparation", "trials"},
@@ -409,7 +408,7 @@ def cmd_witness(params, seed, out, jobs):
     preparation = params.get("preparation", "plus")
     if preparation not in ("plus", "minus"):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
-    trials = int(params.get("trials", 1))
+    trials = _count(params, "trials", 1)
     bit_index = int(params["bit_index"])
     strength = float(params["strength"])
     density = float(params.get("density", 0.1))
@@ -451,7 +450,7 @@ def cmd_witness(params, seed, out, jobs):
     return ["witness.csv", "witness_summary.json"]
 
 
-def cmd_kuramoto(params, seed, out, jobs):
+def cmd_kuramoto(params, seed, out):
     _check_keys(
         params,
         {
@@ -479,7 +478,7 @@ def cmd_kuramoto(params, seed, out, jobs):
         init=params.get("init", "uniform_phases"),
         init_width=float(params.get("init_width", 2.0 * np.pi)),
         sigma_eps=params.get("sigma_eps"),
-        realizations=int(params.get("realizations", 1)),
+        realizations=_count(params, "realizations", 1),
         seed=seed,
         record_every=int(params.get("record_every", 10)),
     )
@@ -499,7 +498,7 @@ def cmd_kuramoto(params, seed, out, jobs):
     return ["kuramoto.csv"]
 
 
-def cmd_cheeger(params, seed, out, jobs):
+def cmd_cheeger(params, seed, out):
     _check_keys(params, {"graph", "family"}, set(), "params.")
     if ("graph" in params) == ("family" in params):
         raise ConfigError("params must contain exactly one of 'graph' or 'family'")
@@ -510,23 +509,7 @@ def cmd_cheeger(params, seed, out, jobs):
             parse_graph_spec(doc, f"params.family[{i}].", derive_seed(seed, i))
             for i, doc in enumerate(params["family"])
         ]
-    rows = []
-    for spec in specs:
-        g = build_graph(spec)
-        if g.n <= 22:
-            report = isoperimetric_exact(g)
-            rows.append(
-                (
-                    g.n,
-                    report.h,
-                    report.lower_bound if report.lower_bound is not None else float("nan"),
-                    report.upper_bound if report.upper_bound is not None else float("nan"),
-                    True,
-                )
-            )
-        else:
-            row = expansion_profile([spec])[0]
-            rows.append((row.n, row.h, row.lower, row.upper, row.is_exact))
+    rows = [(r.n, r.h, r.lower, r.upper, r.is_exact) for r in expansion_profile(specs)]
     write_csv(
         os.path.join(out, "cheeger.csv"),
         ["n", "h", "lower", "upper", "is_exact"],
@@ -559,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("config", help="path to the experiment config (JSON)")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for ensembles")
     return parser
 
 
@@ -569,7 +551,7 @@ def run(args) -> int:
     out = args.out or doc.get("out") or "."
     os.makedirs(out, exist_ok=True)
     experiment = doc["experiment"]
-    files = _RUNNERS[experiment](doc["params"], seed, out, max(1, args.jobs))
+    files = _RUNNERS[experiment](doc["params"], seed, out)
     manifest = {
         "experiment": experiment,
         "version": __version__,

@@ -1,16 +1,23 @@
 """Complex-edge-biased graphs: containers, generators, and mutations.
 
-Edges are stored once per unordered pair with u < v; the stored bias is the
-adjacency entry A[u, v] and the conjugate entry is implied, so every graph is
-Hermitian by construction.  All randomized operations take an explicit seed
-and derive a private generator from it.
+A graph stores its edge set as two canonical arrays: `edges`, the (m, 2)
+vertex pairs with u < v on every row, sorted lexicographically, and `bias`,
+the adjacency entries A[u, v].  The conjugate entry A[v, u] is implied, so
+every graph is Hermitian by construction.  `BiasedGraph.from_edges` is the
+only place that orients, sorts and validates an edge list; generators and
+compositions hand it concatenated, offset arrays.  The arrays and the
+diagonal are read-only, so an operation that keeps or subsets a canonical
+edge set shares them through `dataclasses.replace` instead of copying.  All
+randomized operations take an explicit seed and derive a private generator
+from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +38,15 @@ def rng_from(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array; a writable input is copied first."""
+    a = np.asarray(values, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass
 class BiasedGraph:
     """Undirected graph with complex edge biases and a real diagonal.
@@ -39,104 +55,103 @@ class BiasedGraph:
     ----------
     n : int
         Number of vertices, indexed 0..n-1.
-    edges : dict[(int, int), complex]
-        Bias A[u, v] for each edge with u < v.  A[v, u] = conj(A[u, v]).
+    edges : ndarray, shape (m, 2), int64
+        Vertex pairs with u < v on every row, sorted lexicographically.
+    bias : ndarray, shape (m,), complex128
+        A[u, v] for each row of `edges`; A[v, u] = conj(A[u, v]).
     diagonal : ndarray, shape (n,)
         Real per-vertex offsets (frequency disorder, detuning).
     labels : dict[str, list[int]] or None
         Optional partition of the vertices into named blocks.
 
-    Graphs are treated as immutable after construction; every mutating
-    operation in this module returns a new instance.
+    `edges`, `bias` and `diagonal` are read-only arrays (writable inputs
+    are copied), so graphs may share them.  Build graphs with `from_edges`,
+    which puts any edge list into the canonical form above; derive a graph
+    that keeps or subsets a canonical edge set with `dataclasses.replace`.
     """
 
     n: int
-    edges: dict = field(default_factory=dict)
+    edges: np.ndarray = None
+    bias: np.ndarray = None
     diagonal: np.ndarray = None
     labels: dict = None
 
     def __post_init__(self):
         if self.n < 0:
             raise QllabError("vertex count must be nonnegative")
+        if self.edges is None:
+            self.edges = np.empty((0, 2), dtype=np.int64)
+        if self.bias is None:
+            self.bias = np.ones(len(self.edges), dtype=complex)
         if self.diagonal is None:
             self.diagonal = np.zeros(self.n)
-        else:
-            self.diagonal = np.asarray(self.diagonal, dtype=float)
-            if self.diagonal.shape != (self.n,):
-                raise QllabError("diagonal length must equal vertex count")
+        self.edges = _read_only(self.edges, np.int64)
+        self.bias = _read_only(self.bias, complex)
+        self.diagonal = _read_only(self.diagonal, float)
+        if self.edges.shape != (len(self.bias), 2):
+            raise QllabError("edges must be an (m, 2) array with one bias per row")
+        if self.diagonal.shape != (self.n,):
+            raise QllabError("diagonal length must equal vertex count")
         if self.labels is not None:
             _check_partition(self.n, self.labels)
 
     @classmethod
-    def from_edges(cls, n, edge_list, diagonal=None, labels=None):
-        """Build a graph from (u, v) or (u, v, bias) tuples.
+    def from_edges(cls, n, pairs, bias=None, diagonal=None, labels=None):
+        """Build a graph from (m, 2) vertex pairs and their biases A[u, v].
 
-        Pairs are normalized to u < v (conjugating the bias when the input
-        orientation is reversed).  Self loops and duplicate pairs raise.
+        bias defaults to all ones.  Each pair is oriented to u < v,
+        conjugating its bias when the input orientation is reversed, and the
+        rows are sorted.  Self loops, out-of-range vertices, duplicate pairs
+        and zero biases raise.
         """
-        edges = {}
-        for item in edge_list:
-            if len(item) == 2:
-                u, v = item
-                bias = 1.0 + 0.0j
-            else:
-                u, v, bias = item
-                bias = complex(bias)
-            if u == v:
-                raise QllabError(f"self loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise QllabError(f"edge ({u}, {v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-                bias = bias.conjugate()
-            if (u, v) in edges:
-                raise QllabError(f"duplicate edge ({u}, {v})")
-            if bias == 0:
-                raise QllabError(f"zero bias on edge ({u}, {v})")
-            edges[(u, v)] = bias
-        return cls(n=n, edges=edges, diagonal=diagonal, labels=labels)
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise QllabError(f"pairs must have shape (m, 2), got {pairs.shape}")
+        if bias is None:
+            bias = np.ones(len(pairs), dtype=complex)
+        bias = np.asarray(bias, dtype=complex)
+        if bias.shape != (len(pairs),):
+            raise QllabError(f"need one bias per pair, got shape {bias.shape}")
+        bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        if bad.size:
+            u, v = pairs[bad[0]]
+            raise QllabError(f"edge ({u}, {v}) out of range for n={n}")
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise QllabError(f"self loop at vertex {pairs[loops[0], 0]}")
+        flip = pairs[:, 0] > pairs[:, 1]
+        pairs = np.where(flip[:, None], pairs[:, ::-1], pairs)
+        bias = np.where(flip, bias.conj(), bias)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        pairs, bias = pairs[order], bias[order]
+        dup = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1))
+        if dup.size:
+            u, v = pairs[dup[0]]
+            raise QllabError(f"duplicate edge ({u}, {v})")
+        zero = np.flatnonzero(bias == 0)
+        if zero.size:
+            u, v = pairs[zero[0]]
+            raise QllabError(f"zero bias on edge ({u}, {v})")
+        return cls(n=n, edges=pairs, bias=bias, diagonal=diagonal, labels=labels)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self):
-        """Edges as a list of (u, v, bias), sorted by (u, v)."""
-        return [(u, v, self.edges[(u, v)]) for u, v in sorted(self.edges)]
-
     def degrees(self) -> np.ndarray:
         """Per-vertex edge count (bias values ignored)."""
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def adjacency(self) -> np.ndarray:
         """Dense Hermitian adjacency matrix, diagonal included."""
         a = np.zeros((self.n, self.n), dtype=complex)
-        for (u, v), bias in self.edges.items():
-            a[u, v] = bias
-            a[v, u] = bias.conjugate()
+        u, v = self.edges.T
+        a[u, v] = self.bias
+        a[v, u] = self.bias.conj()
         a[np.diag_indices(self.n)] = self.diagonal
         return a
-
-    def with_labels(self, labels) -> "BiasedGraph":
-        _check_partition(self.n, labels)
-        return BiasedGraph(self.n, dict(self.edges), self.diagonal.copy(), labels)
-
-    def replace_edges(self, edges) -> "BiasedGraph":
-        labels = None if self.labels is None else {k: list(v) for k, v in self.labels.items()}
-        return BiasedGraph(self.n, dict(edges), self.diagonal.copy(), labels)
-
-    def neighbors(self, v) -> list:
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return out
 
 
 def _check_partition(n, labels):
@@ -208,6 +223,18 @@ def build_graph(spec: GraphGenSpec) -> BiasedGraph:
 # ----------------------------------------------------------------------
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """A set of (a, b) tuples as an (m, 2) int64 array, in set order."""
+    flat = chain.from_iterable(pairs)
+    return np.fromiter(flat, dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+
+
+def _pairs_without(pairs, removed, width) -> np.ndarray:
+    """Rows of pairs not in removed; every second entry is below width."""
+    keys = pairs[:, 0] * width + pairs[:, 1]
+    return pairs[~np.isin(keys, removed[:, 0] * width + removed[:, 1])]
+
+
 def _pairing_attempt(n, d, rng):
     """One configuration-model attempt with stub repair; None on dead end."""
     edges = set()
@@ -242,25 +269,16 @@ def _pairing_attempt(n, d, rng):
     return edges
 
 
-def _sample_regular_pairs(n, d, rng):
-    """Edge set of a uniform-ish random d-regular simple graph on n vertices."""
-    if d == 0:
-        return set()
-    if d == n - 1:
-        return {(u, v) for u in range(n) for v in range(u + 1, n)}
+def _sample_regular_pairs(n, d, rng) -> np.ndarray:
+    """(m, 2) edges of a uniform-ish random d-regular simple graph."""
     if d > (n - 1) // 2:
-        # Dense regime: sample the complement instead.
-        comp = _sample_regular_pairs(n, n - 1 - d, rng)
-        return {
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in comp
-        }
+        # Dense regime: sample the complement (empty for d = n - 1) instead.
+        all_pairs = np.stack(np.triu_indices(n, 1), axis=1)
+        return _pairs_without(all_pairs, _sample_regular_pairs(n, n - 1 - d, rng), n)
     for _ in range(_MAX_RESTARTS):
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            return edges
+            return _pair_array(edges)
     raise RetryExhaustedError(
         f"pairing sampler failed after {_MAX_RESTARTS} restarts (n={n}, d={d})"
     )
@@ -288,15 +306,14 @@ def gen_d_regular_random(n, d, seed) -> BiasedGraph:
 def gen_cycle(n) -> BiasedGraph:
     if n < 3:
         raise InfeasibleDegreeError("cycle needs n >= 3")
-    return BiasedGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return BiasedGraph.from_edges(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def gen_complete(n) -> BiasedGraph:
     if n < 1:
         raise InfeasibleDegreeError("need at least one vertex")
-    return BiasedGraph.from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
+    return BiasedGraph.from_edges(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def _bipartite_attempt(n, k, rng):
@@ -330,19 +347,16 @@ def _bipartite_attempt(n, k, rng):
     return pairs
 
 
-def sample_biregular_pairs(n, k, rng):
-    """Pairs (i, j) of a random k-regular bipartite graph on n+n vertices."""
-    if k == 0:
-        return set()
-    if k == n:
-        return {(i, j) for i in range(n) for j in range(n)}
+def sample_biregular_pairs(n, k, rng) -> np.ndarray:
+    """(m, 2) pairs (i, j) of a random k-regular bipartite graph on n+n vertices."""
     if k > n // 2:
-        comp = sample_biregular_pairs(n, n - k, rng)
-        return {(i, j) for i in range(n) for j in range(n) if (i, j) not in comp}
+        # Sample the complement (empty for k = n) instead.
+        all_pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
+        return _pairs_without(all_pairs, sample_biregular_pairs(n, n - k, rng), n)
     for _ in range(_MAX_RESTARTS):
         pairs = _bipartite_attempt(n, k, rng)
         if pairs is not None:
-            return pairs
+            return _pair_array(pairs)
     raise RetryExhaustedError(
         f"bipartite sampler failed after {_MAX_RESTARTS} restarts (n={n}, k={k})"
     )
@@ -358,8 +372,7 @@ def gen_bipartite_d_regular(n_per_side, d, seed) -> BiasedGraph:
         )
     rng = rng_from(seed, "bipartite", n_per_side, d)
     pairs = sample_biregular_pairs(n_per_side, d, rng)
-    edges = [(i, n_per_side + j) for i, j in pairs]
-    return BiasedGraph.from_edges(2 * n_per_side, edges)
+    return BiasedGraph.from_edges(2 * n_per_side, pairs + [0, n_per_side])
 
 
 def two_lift(g: BiasedGraph, seed, force_parallel=False) -> BiasedGraph:
@@ -369,22 +382,19 @@ def two_lift(g: BiasedGraph, seed, force_parallel=False) -> BiasedGraph:
     disjoint double cover (a test hook).
     """
     n = g.n
-    items = g.sorted_edges()
     if force_parallel:
-        choices = np.zeros(len(items), dtype=int)
+        crossing = np.zeros(g.num_edges, dtype=bool)
     else:
         rng = rng_from(seed, "two_lift", n, g.num_edges)
-        choices = rng.integers(0, 2, size=len(items))
-    edges = []
-    for (u, v, bias), crossing in zip(items, choices):
-        if crossing:
-            edges.append((u, v + n, bias))
-            # A[u', v] keeps the original u->v orientation, so the stored
-            # (v, u') entry is the conjugate.
-            edges.append((v, u + n, bias.conjugate()))
-        else:
-            edges.append((u, v, bias))
-            edges.append((u + n, v + n, bias))
+        crossing = rng.integers(0, 2, size=g.num_edges).astype(bool)
+    u, v = g.edges.T
+    # Parallel: (u, v) and (u', v').  Crossing: (u, v') with the bias, and
+    # (v, u') with its conjugate, since A[u', v] keeps the u -> v orientation.
+    first = np.stack([u, np.where(crossing, v + n, v)], axis=1)
+    second = np.stack(
+        [np.where(crossing, v, u + n), np.where(crossing, u + n, v + n)], axis=1
+    )
+    bias = np.concatenate([g.bias, np.where(crossing, g.bias.conj(), g.bias)])
     diagonal = np.concatenate([g.diagonal, g.diagonal])
     labels = None
     if g.labels is not None:
@@ -392,7 +402,9 @@ def two_lift(g: BiasedGraph, seed, force_parallel=False) -> BiasedGraph:
             name: list(verts) + [v + n for v in verts]
             for name, verts in g.labels.items()
         }
-    return BiasedGraph.from_edges(2 * n, edges, diagonal=diagonal, labels=labels)
+    return BiasedGraph.from_edges(
+        2 * n, np.concatenate([first, second]), bias, diagonal=diagonal, labels=labels
+    )
 
 
 # ----------------------------------------------------------------------
@@ -407,12 +419,11 @@ def delete_random_edges(g: BiasedGraph, fraction, seed) -> BiasedGraph:
     m = g.num_edges
     k = int(round(fraction * m))
     if k == 0:
-        return g.replace_edges(g.edges)
+        return g
     rng = rng_from(seed, "delete", g.n, m, k)
-    keys = sorted(g.edges)
-    doomed = {keys[i] for i in rng.choice(m, size=k, replace=False)}
-    kept = {key: bias for key, bias in g.edges.items() if key not in doomed}
-    return g.replace_edges(kept)
+    keep = np.ones(m, dtype=bool)
+    keep[rng.choice(m, size=k, replace=False)] = False
+    return replace(g, edges=g.edges[keep], bias=g.bias[keep])
 
 
 def add_diagonal_disorder(g: BiasedGraph, sigma, seed) -> BiasedGraph:
@@ -421,9 +432,7 @@ def add_diagonal_disorder(g: BiasedGraph, sigma, seed) -> BiasedGraph:
         raise QllabError("sigma must be nonnegative")
     rng = rng_from(seed, "disorder", g.n)
     draws = rng.normal(0.0, sigma, size=g.n) if sigma > 0 else np.zeros(g.n)
-    out = g.replace_edges(g.edges)
-    out.diagonal = g.diagonal + draws
-    return out
+    return replace(g, diagonal=g.diagonal + draws)
 
 
 def average_degree(g: BiasedGraph) -> float:
@@ -435,8 +444,8 @@ def average_degree(g: BiasedGraph) -> float:
 
 def disjoint_union(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     """Side-by-side union; h's vertices are shifted by g.n."""
-    edges = list(g.sorted_edges())
-    edges += [(u + g.n, v + g.n, b) for u, v, b in h.sorted_edges()]
+    pairs = np.concatenate([g.edges, h.edges + g.n])
+    bias = np.concatenate([g.bias, h.bias])
     diagonal = np.concatenate([g.diagonal, h.diagonal])
     labels = None
     if g.labels is not None and h.labels is not None:
@@ -447,13 +456,13 @@ def disjoint_union(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
         labels.update(
             {name: [v + g.n for v in verts] for name, verts in h.labels.items()}
         )
-    return BiasedGraph.from_edges(g.n + h.n, edges, diagonal=diagonal, labels=labels)
+    return BiasedGraph.from_edges(g.n + h.n, pairs, bias, diagonal=diagonal, labels=labels)
 
 
 def connected_components(g: BiasedGraph) -> list:
     """Vertex sets of the connected components (sorted lists)."""
     adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * g.n
@@ -480,10 +489,13 @@ def connected_components(g: BiasedGraph) -> list:
 
 
 def graph_to_json(g: BiasedGraph) -> dict:
+    # An object array turns the int64 and float64 columns into Python ints
+    # and floats, which json can write.
+    columns = (g.edges[:, 0], g.edges[:, 1], g.bias.real, g.bias.imag)
     doc = {
         "n": g.n,
-        "edges": [[u, v, b.real, b.imag] for u, v, b in g.sorted_edges()],
-        "diagonal": list(g.diagonal),
+        "edges": np.array(columns, dtype=object).T.tolist(),
+        "diagonal": g.diagonal.tolist(),
     }
     if g.labels is not None:
         doc["labels"] = {name: list(verts) for name, verts in g.labels.items()}
@@ -491,13 +503,14 @@ def graph_to_json(g: BiasedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> BiasedGraph:
-    edges = [(int(u), int(v), complex(re, im)) for u, v, re, im in doc["edges"]]
+    rows = np.asarray(doc["edges"], dtype=float).reshape(-1, 4)
+    bias = np.empty(len(rows), dtype=complex)
+    bias.real, bias.imag = rows[:, 2], rows[:, 3]
     return BiasedGraph.from_edges(
         int(doc["n"]),
-        edges,
-        diagonal=np.asarray(doc.get("diagonal"), dtype=float)
-        if doc.get("diagonal") is not None
-        else None,
+        rows[:, :2].astype(np.int64),
+        bias,
+        diagonal=doc.get("diagonal"),
         labels=doc.get("labels"),
     )
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, QllabError
 from .graph import BiasedGraph, derive_seed, rng_from
-from .qlproduct import (
-    ProductSpec,
-    build_product,
-    product_basis_labels,
-    project_product_state,
-)
+from .qlproduct import ProductSpec, build_product
 from .spectral import eigendecompose
 
 
@@ -106,11 +101,8 @@ def phase_transform(g: BiasedGraph, state: OscillatorState) -> BiasedGraph:
     theta = state.theta
     if len(theta) != g.n:
         raise QllabError("state size does not match graph")
-    edges = {
-        (u, v): bias * np.exp(1j * (theta[v] - theta[u]))
-        for (u, v), bias in g.edges.items()
-    }
-    return g.replace_edges(edges)
+    u, v = g.edges.T
+    return replace(g, bias=g.bias * np.exp(1j * (theta[v] - theta[u])))
 
 
 @dataclass
@@ -133,7 +125,6 @@ class SyncRunConfig:
     realizations: int = 1
     seed: int = 0
     record_every: int = 10
-    effective_purity: bool = False
 
     def __post_init__(self):
         if self.K < 0:
@@ -193,12 +184,11 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     residual check of `eigendecompose`.  At a record with phases theta the
     phase-transformed adjacency D* A D, D = diag(exp(i theta)), is unitarily
     similar to A, so its top eigenvalue is lambda_0 and its top eigenvector
-    is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  With
-    effective_purity, w is replaced by its normalized product-basis
-    projection.  The record vectors w_r of the R realizations define the
-    ensemble density matrix rho = (1/R) sum_r w_r w_r^*, accumulated per
-    record (records * dim^2 numbers); rho is Hermitian, so its purity
-    tr rho^2 is the sum of |rho_ij|^2, with no matrix product.
+    is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  The
+    record vectors w_r of the R realizations define the ensemble density
+    matrix rho = (1/R) sum_r w_r w_r^*, accumulated per record (records * n^2
+    numbers); rho is Hermitian, so its purity tr rho^2 is the sum of
+    |rho_ij|^2, with no matrix product.
 
     When lambda_0 of a realization is degenerate, the top eigenvector is one
     fixed vector of its eigenspace, carried through every record (a
@@ -213,11 +203,7 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         record_at.append(steps)
     times = np.array([k * dt for k in record_at])
 
-    if cfg.effective_purity:
-        dim = len(product_basis_labels(sample))
-    else:
-        dim = n
-    rho_sum = np.zeros((len(record_at), dim, dim), dtype=complex)
+    rho_sum = np.zeros((len(record_at), n, n), dtype=complex)
     r_sum = np.zeros(len(record_at))
     top_sum = 0.0
     k_over_n = cfg.K / n
@@ -236,8 +222,6 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
                 theta = _advance(theta, epsilon, m, k_over_n, dt, cfg.integrator)
             done = target
             w = np.exp(-1j * theta) * v0
-            if cfg.effective_purity:
-                w = project_product_state(g, w).normalized()
             rho_sum[i] += np.outer(w, w.conj())
             r_sum[i] += order_parameter(theta)
 

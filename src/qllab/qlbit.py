@@ -80,11 +80,16 @@ class CrossRegular:
             raise QllabError("cross degree must be nonnegative")
 
 
-def sample_cross_pairs(policy, n1, n2, rng):
-    """Cross pairs (i in block1, j in block2) under the given policy."""
+def _pairs_from_flat(flat, n2) -> np.ndarray:
+    """(m, 2) pairs (i, j) of flat indices i * n2 + j."""
+    return np.stack(np.divmod(np.asarray(flat, dtype=np.int64), n2), axis=1)
+
+
+def sample_cross_pairs(policy, n1, n2, rng) -> np.ndarray:
+    """(m, 2) cross pairs (i in block1, j in block2) under the given policy."""
     if isinstance(policy, PairProbability):
         mask = rng.random(n1 * n2) < policy.p
-        return [divmod(int(t), n2) for t in np.flatnonzero(mask)]
+        return _pairs_from_flat(np.flatnonzero(mask), n2)
     if isinstance(policy, EdgeBudgetFraction):
         raise QllabError("budget policy needs block edge counts; use build_qlbit")
     if isinstance(policy, CrossRegular):
@@ -96,7 +101,7 @@ def sample_cross_pairs(policy, n1, n2, rng):
             raise PolicyInfeasibleError(
                 f"cross degree {policy.degree} exceeds block size {n1}"
             )
-        return sorted(sample_biregular_pairs(n1, policy.degree, rng))
+        return sample_biregular_pairs(n1, policy.degree, rng)
     raise QllabError(f"unknown connect policy {policy!r}")
 
 
@@ -106,7 +111,7 @@ def _budget_pairs(budget, n1, n2, rng):
             f"edge budget {budget} exceeds {n1 * n2} available cross pairs"
         )
     picks = rng.choice(n1 * n2, size=budget, replace=False)
-    return [divmod(int(t), n2) for t in sorted(picks)]
+    return _pairs_from_flat(picks, n2)
 
 
 # ----------------------------------------------------------------------
@@ -164,25 +169,28 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     if g1.n == 0 or g2.n == 0:
         raise EmptySubgraphError("QL bit blocks must be nonempty")
     n1, n2 = g1.n, g2.n
-    edges = [(u, v, b * spec.blue_bias) for u, v, b in g1.sorted_edges()]
-    edges += [(u + n1, v + n1, b * spec.red_bias) for u, v, b in g2.sorted_edges()]
+    pairs = [g1.edges, g2.edges + n1]
+    bias = [g1.bias * spec.blue_bias, g2.bias * spec.red_bias]
 
     conn = complex(spec.connect_bias)
     if conn != 0:
         rng = rng_from(spec.seed, "cross", n1, n2)
         if isinstance(spec.connect_policy, EdgeBudgetFraction):
             budget = int(round(spec.connect_policy.fraction * (g1.num_edges + g2.num_edges)))
-            pairs = _budget_pairs(budget, n1, n2, rng)
+            cross = _budget_pairs(budget, n1, n2, rng)
         else:
-            pairs = sample_cross_pairs(spec.connect_policy, n1, n2, rng)
-        edges += [(i, n1 + j, conn) for i, j in pairs]
+            cross = sample_cross_pairs(spec.connect_policy, n1, n2, rng)
+        pairs.append(cross + [0, n1])
+        bias.append(np.full(len(cross), conn))
 
     labels = {
         block_names[0]: list(range(n1)),
         block_names[1]: list(range(n1, n1 + n2)),
     }
     diagonal = np.concatenate([g1.diagonal, g2.diagonal])
-    return BiasedGraph.from_edges(n1 + n2, edges, diagonal=diagonal, labels=labels)
+    return BiasedGraph.from_edges(
+        n1 + n2, np.concatenate(pairs), np.concatenate(bias), diagonal=diagonal, labels=labels
+    )
 
 
 def build_type2_qlbit(n_per_side, d, seed, block_names=("a1", "a2")) -> BiasedGraph:
@@ -196,7 +204,7 @@ def build_type2_qlbit(n_per_side, d, seed, block_names=("a1", "a2")) -> BiasedGr
         block_names[0]: list(range(n_per_side)),
         block_names[1]: list(range(n_per_side, 2 * n_per_side)),
     }
-    return g.with_labels(labels)
+    return replace(g, labels=labels)
 
 
 def build_regular_qlbit(
@@ -376,19 +384,10 @@ def apply_bias_topology(g: BiasedGraph, topology: BiasTopology, block_names=None
     in_red[list(g.labels[names[1]])] = True
 
     conn = complex(topology.conn)
-    edges = {}
-    for (u, v), _ in g.edges.items():
-        if in_blue[u] and in_blue[v]:
-            edges[(u, v)] = complex(topology.blue)
-        elif in_red[u] and in_red[v]:
-            edges[(u, v)] = complex(topology.red)
-        else:
-            if conn == 0:
-                continue
-            edges[(u, v)] = conn if in_blue[u] else conn.conjugate()
-    return g.replace_edges(edges)
-
-
-def rotated_connecting_bias(spec: QLBitSpec, phi: float) -> QLBitSpec:
-    """Spec copy with connecting bias e^{i phi} (the Bloch-equator sweep)."""
-    return replace(spec, connect_bias=complex(np.cos(phi), np.sin(phi)))
+    u, v = g.edges.T
+    blue = in_blue[u] & in_blue[v]
+    red = in_red[u] & in_red[v]
+    cross = np.where(in_blue[u], conn, conn.conjugate())
+    bias = np.where(blue, complex(topology.blue), np.where(red, complex(topology.red), cross))
+    keep = blue | red | (conn != 0)
+    return replace(g, edges=g.edges[keep], bias=bias[keep])

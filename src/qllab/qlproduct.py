@@ -10,15 +10,15 @@ x * |g| + u.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
 
-from .errors import MissingLabelsError, PolicyInfeasibleError, QllabError
+from .errors import MissingLabelsError, QllabError
 from .graph import BiasedGraph, derive_seed, gen_d_regular_random, rng_from
-from .qlbit import EdgeBudgetFraction, build_qlbit, sample_cross_pairs
-from .spectral import eigendecompose
+from .qlbit import EdgeBudgetFraction, _budget_pairs, build_qlbit, sample_cross_pairs
+from .spectral import _dense_operator, eigendecompose
 
 BIT_NAMES = "abcdefgh"
 
@@ -40,13 +40,12 @@ def cartesian_product(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     if g.n == 0 or h.n == 0:
         raise QllabError("product factors must be nonempty")
     gn = g.n
-    edges = []
-    for x in range(h.n):
-        off = x * gn
-        edges += [(u + off, v + off, b) for u, v, b in g.sorted_edges()]
-    for x, y, b in h.sorted_edges():
-        xo, yo = x * gn, y * gn
-        edges += [(xo + u, yo + u, b) for u in range(gn)]
+    # One copy of g per vertex x of h, offset by x * gn, and one copy of each
+    # h edge (x, y) per vertex u of g, joining x * gn + u to y * gn + u.
+    g_copies = g.edges[None, :, :] + (np.arange(h.n) * gn)[:, None, None]
+    h_copies = h.edges[:, None, :] * gn + np.arange(gn)[None, :, None]
+    pairs = np.concatenate([g_copies.reshape(-1, 2), h_copies.reshape(-1, 2)])
+    bias = np.concatenate([np.tile(g.bias, h.n), np.repeat(h.bias, gn)])
     diagonal = np.add.outer(h.diagonal, g.diagonal).ravel()
     labels = None
     if g.labels is not None and h.labels is not None:
@@ -56,32 +55,27 @@ def cartesian_product(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
                 labels[gname + hname] = [
                     x * gn + u for x in hverts for u in gverts
                 ]
-    return BiasedGraph.from_edges(g.n * h.n, edges, diagonal=diagonal, labels=labels)
+    return BiasedGraph.from_edges(g.n * h.n, pairs, bias, diagonal=diagonal, labels=labels)
 
 
-def verify_spectrum_composition(g, h, tol=1e-8, n_samples=5, seed=0) -> bool:
-    """Check that spectrum(g [] h) is the multiset {lambda_i + mu_j}.
+def verify_spectrum_composition(*factors, tol=1e-8) -> bool:
+    """Check that the product f_1 [] ... [] f_q has the Kronecker-sum spectrum.
 
-    Also verifies, for n_samples random index pairs, that the tensor of the
-    factor eigenvectors satisfies the product eigen-equation within tol.
+    With factor eigensystems (V_k, Lambda_k), the columns of
+    W = V_q (x) ... (x) V_1 (first factor fastest, as in the vertex order)
+    must satisfy A W = W Lambda, where Lambda is the Kronecker sum of the
+    factor spectra.  The check runs on every column at once, each within
+    tol * max(1, |lambda|).  W is unitary, so this proves the spectrum and
+    eigenvectors of the product for all index tuples without solving it.
     """
-    sg, sh = eigendecompose(g), eigendecompose(h)
-    prod = cartesian_product(g, h)
-    sp = eigendecompose(prod)
-    expected = np.sort(np.add.outer(sg.eigenvalues, sh.eigenvalues).ravel())
-    actual = np.sort(sp.eigenvalues)
-    if not np.allclose(expected, actual, atol=tol, rtol=0.0):
-        return False
-    a = prod.adjacency()
-    rng = rng_from(seed, "spectrum_composition")
-    for _ in range(n_samples):
-        i = int(rng.integers(g.n))
-        j = int(rng.integers(h.n))
-        w = np.kron(sh.eigenvectors[:, j], sg.eigenvectors[:, i])
-        lam = sg.eigenvalues[i] + sh.eigenvalues[j]
-        if np.linalg.norm(a @ w - lam * w) > tol * max(1.0, abs(lam)):
-            return False
-    return True
+    spectra = [eigendecompose(f) for f in factors]
+    product = reduce(cartesian_product, factors)
+    w, lam = spectra[0].eigenvectors, spectra[0].eigenvalues
+    for s in spectra[1:]:
+        w = np.kron(s.eigenvectors, w)
+        lam = np.add.outer(s.eigenvalues, lam).ravel()
+    residual = np.linalg.norm(_dense_operator(product) @ w - w * lam, axis=0)
+    return bool(np.all(residual <= tol * np.maximum(1.0, np.abs(lam))))
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +143,17 @@ def parse_block_label(label: str):
     return names, values
 
 
+def full_product_factors(spec: ProductSpec) -> list:
+    """The QL bit graphs of a full product, bit j labeled with BIT_NAMES[j]."""
+    return [
+        build_qlbit(bit, block_names=(f"{name}1", f"{name}2"))
+        for name, bit in zip(BIT_NAMES, spec.qlbits)
+    ]
+
+
 def build_full_product(spec: ProductSpec) -> BiasedGraph:
     """Full Cartesian product of the QL bit graphs (N^q vertices)."""
-    graphs = []
-    for j, bit in enumerate(spec.qlbits):
-        name = BIT_NAMES[j]
-        graphs.append(build_qlbit(bit, block_names=(f"{name}1", f"{name}2")))
-    return reduce(cartesian_product, graphs)
+    return reduce(cartesian_product, full_product_factors(spec))
 
 
 def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
@@ -178,19 +176,19 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
         raise QllabError("contracted product needs block size and degree")
     nblocks = 1 << q
 
-    edges = []
+    pairs, bias = [], []
     labels = {}
     for k in range(nblocks):
         values = bit_values(k, q)
-        name = block_label(values)
         offset = k * n
-        labels[name] = list(range(offset, offset + n))
+        labels[block_label(values)] = list(range(offset, offset + n))
         block = gen_d_regular_random(n, d, derive_seed(spec.seed, "block", values))
         intra = 1.0
         for j, v in enumerate(values):
             bit = spec.qlbits[j]
             intra *= bit.blue_bias if v == 1 else bit.red_bias
-        edges += [(u + offset, v + offset, b * intra) for u, v, b in block.sorted_edges()]
+        pairs.append(block.edges + offset)
+        bias.append(block.bias * intra)
 
     for k in range(nblocks):
         values = bit_values(k, q)
@@ -206,19 +204,16 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
             rng = rng_from(spec.seed, "cross", j, others)
             policy = bit.connect_policy
             if isinstance(policy, EdgeBudgetFraction):
-                budget = int(round(policy.fraction * n * d))
-                if budget > n * n:
-                    raise PolicyInfeasibleError(
-                        f"edge budget {budget} exceeds {n * n} cross pairs"
-                    )
-                picks = rng.choice(n * n, size=budget, replace=False)
-                pairs = [divmod(int(t), n) for t in sorted(picks)]
+                cross = _budget_pairs(int(round(policy.fraction * n * d)), n, n, rng)
             else:
-                pairs = sample_cross_pairs(policy, n, n, rng)
+                cross = sample_cross_pairs(policy, n, n, rng)
             # Orientation: value-1 block -> value-2 block carries the bias.
-            edges += [(k * n + i, partner * n + jdx, conn) for i, jdx in pairs]
+            pairs.append(cross + [k * n, partner * n])
+            bias.append(np.full(len(cross), conn))
 
-    return BiasedGraph.from_edges(nblocks * n, edges, labels=labels)
+    return BiasedGraph.from_edges(
+        nblocks * n, np.concatenate(pairs), np.concatenate(bias), labels=labels
+    )
 
 
 def build_product(spec: ProductSpec) -> BiasedGraph:
@@ -229,16 +224,13 @@ def label_adjacency(g: BiasedGraph):
     """Set of unordered block-name pairs joined by at least one edge."""
     if g.labels is None:
         raise MissingLabelsError("graph has no block labels")
-    owner = {}
-    for name, verts in g.labels.items():
-        for v in verts:
-            owner[v] = name
-    pairs = set()
-    for u, v in g.edges:
-        a, b = owner[u], owner[v]
-        if a != b:
-            pairs.add(frozenset((a, b)))
-    return pairs
+    names = list(g.labels)
+    owner = np.zeros(g.n, dtype=np.int64)
+    for k, name in enumerate(names):
+        owner[list(g.labels[name])] = k
+    a, b = owner[g.edges].T
+    crossing = np.unique(np.sort(np.stack([a, b], axis=1)[a != b], axis=1), axis=0)
+    return {frozenset((names[i], names[j])) for i, j in crossing.tolist()}
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +336,7 @@ def apply_subgraph_detuning(g: BiasedGraph, omega1: float, omega2: float) -> Bia
         _, values = parse_block_label(label)
         shift = sum(omega1 if v == 1 else omega2 for v in values)
         diagonal[list(verts)] += shift
-    out = g.replace_edges(g.edges)
-    out.diagonal = diagonal
-    return out
+    return replace(g, diagonal=diagonal)
 
 
 def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> BiasedGraph:
@@ -368,6 +358,4 @@ def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> Bi
             diagonal[list(verts)] += omega1
         elif all(v == 2 for v in values):
             diagonal[list(verts)] += omega2
-    out = g.replace_edges(g.edges)
-    out.diagonal = diagonal
-    return out
+    return replace(g, diagonal=diagonal)

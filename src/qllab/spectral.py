@@ -7,7 +7,6 @@ beats iterative speed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +41,12 @@ class Spectrum:
         return DEGENERACY_TOL * scale
 
 
+def _dense_operator(g: BiasedGraph) -> np.ndarray:
+    """The adjacency matrix of g, real when no entry has an imaginary part."""
+    a = g.adjacency()
+    return a if np.any(a.imag) else a.real
+
+
 def eigendecompose(g: BiasedGraph) -> Spectrum:
     """Diagonalize the adjacency matrix of g.
 
@@ -50,9 +55,7 @@ def eigendecompose(g: BiasedGraph) -> Spectrum:
     """
     if g.n < 1:
         raise QllabError("cannot diagonalize an empty vertex set")
-    a = g.adjacency()
-    if not np.any(a.imag):
-        a = a.real
+    a = _dense_operator(g)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -161,15 +164,6 @@ class EnsembleSpectrum:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for left, right, count in zip(
-                self.bin_edges[:-1], self.bin_edges[1:], self.counts
-            ):
-                writer.writerow([f"{left:.12g}", f"{right:.12g}", int(count)])
 
 
 def ensemble_spectrum(

@@ -30,9 +30,10 @@ WITNESS_BLOCKS = ("x1", "x2")
 class WitnessAttachment:
     """Bookkeeping for one attached witness.
 
-    edge_groups maps (witness_block, product_block) to the list of edges
-    added between them; x1 only ever pairs with value-1 blocks of the
-    target bit and x2 with value-2 blocks.
+    edge_groups maps (witness_block, product_block) to the (k, 2) array of
+    (product vertex, witness vertex) pairs added between them, each with
+    bias `strength`; x1 only ever pairs with value-1 blocks of the target
+    bit and x2 with value-2 blocks.
     """
 
     target: int
@@ -80,9 +81,9 @@ def attach_witness(
         return combined, attachment
 
     offset = product.n
-    new_edges = list(combined.sorted_edges())
+    pairs = [combined.edges]
     for side, wname in enumerate(WITNESS_BLOCKS, start=1):
-        wverts = [v + offset for v in witness.labels[wname]]
+        wverts = np.asarray(witness.labels[wname]) + offset
         for pname, pverts in product.labels.items():
             _, values = parse_block_label(pname)
             if values[bit_index] != side:
@@ -94,17 +95,15 @@ def attach_witness(
                 continue
             rng = rng_from(seed, "attach", wname, pname)
             picks = rng.choice(len(wverts) * n_block, size=count, replace=False)
-            group = []
-            for t in sorted(int(p) for p in picks):
-                wi, pj = divmod(t, n_block)
-                edge = (pverts[pj], wverts[wi], strength)
-                new_edges.append(edge)
-                group.append(edge)
+            wi, pj = np.divmod(picks, n_block)
+            group = np.stack([np.asarray(pverts)[pj], wverts[wi]], axis=1)
+            pairs.append(group)
             attachment.edge_groups[(wname, pname)] = group
 
-    labels = {name: list(v) for name, v in combined.labels.items()}
+    pairs = np.concatenate(pairs)
+    bias = np.concatenate([combined.bias, np.full(len(pairs) - combined.num_edges, strength)])
     out = BiasedGraph.from_edges(
-        combined.n, new_edges, diagonal=combined.diagonal, labels=labels
+        combined.n, pairs, bias, diagonal=combined.diagonal, labels=combined.labels
     )
     return out, attachment
 

@@ -1,0 +1,52 @@
+import math
+
+import numpy as np
+import pytest
+
+import qllab.cheeger
+from qllab.cheeger import expansion_profile, isoperimetric_exact
+from qllab.graph import GraphGenSpec, gen_complete, gen_cycle
+from qllab.spectral import eigendecompose
+
+
+def assert_sandwich(report):
+    assert report.lower_bound is not None and report.upper_bound is not None
+    assert report.lower_bound <= report.h + 1e-12
+    assert report.h <= report.upper_bound + 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cycle_exact_h_and_bounds(n):
+    report = isoperimetric_exact(gen_cycle(n))
+    assert report.h == pytest.approx(2 / (n // 2), abs=1e-15)
+    assert_sandwich(report)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_complete_exact_h_and_bounds(n):
+    report = isoperimetric_exact(gen_complete(n))
+    assert report.h == math.ceil(n / 2)
+    assert_sandwich(report)
+
+
+def test_expansion_profile_solves_each_graph_once(monkeypatch):
+    solved = []
+
+    def counting(g):
+        solved.append(g.n)
+        return eigendecompose(g)
+
+    monkeypatch.setattr(qllab.cheeger, "eigendecompose", counting)
+    small, large = expansion_profile(
+        [GraphGenSpec("cycle", n=8), GraphGenSpec("complete", n=24)]
+    )
+    assert solved == [8, 24]
+    exact = isoperimetric_exact(gen_cycle(8))
+    assert (small.h, small.lower, small.upper, small.is_exact) == (
+        exact.h,
+        exact.lower_bound,
+        exact.upper_bound,
+        True,
+    )
+    assert not large.is_exact and large.h == large.lower
+    assert large.lower == pytest.approx(12.0) and np.isfinite(large.upper)

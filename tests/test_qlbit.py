@@ -25,12 +25,9 @@ from qllab.states import subspace_fidelity
 
 
 def cross_edges(g, names=("a1", "a2")):
-    blue = set(g.labels[names[0]])
-    return [
-        (u, v)
-        for u, v in g.edges
-        if (u in blue) != (v in blue)
-    ]
+    """Rows of g.edges joining the two blocks."""
+    in_blue = np.isin(g.edges, g.labels[names[0]])
+    return g.edges[in_blue[:, 0] != in_blue[:, 1]]
 
 
 class TestPolicies:
@@ -57,14 +54,9 @@ class TestPolicies:
 
     def test_cross_regular_degrees(self):
         g = build_qlbit(qlbit_spec(20, 6, policy=CrossRegular(2), seed=2))
-        blue = set(g.labels["a1"])
-        cross_deg = np.zeros(g.n, dtype=int)
-        for u, v in cross_edges(g):
-            cross_deg[u] += 1
-            cross_deg[v] += 1
+        cross_deg = np.bincount(cross_edges(g).ravel(), minlength=g.n)
         assert (cross_deg == 2).all()
         assert (g.degrees() == 8).all()
-        del blue
 
     def test_cross_regular_needs_equal_blocks(self):
         spec = QLBitSpec(
@@ -79,7 +71,7 @@ class TestPolicies:
 class TestBuildQLBit:
     def test_disconnected_when_bias_zero(self):
         g = build_qlbit(qlbit_spec(20, 6, connect_bias=0.0, seed=3))
-        assert not cross_edges(g)
+        assert len(cross_edges(g)) == 0
         spec = eigendecompose(g)
         # both block Perron states sit at d, exactly degenerate
         assert spec.eigenvalues[0] == pytest.approx(6.0, abs=1e-9)
@@ -226,7 +218,7 @@ class TestBiasTopology:
     def test_conn_zero_removes_cross_edges(self):
         base = build_regular_qlbit(12, 8, cross_degree=1, seed=2)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS["z+"])
-        assert not cross_edges(g)
+        assert len(cross_edges(g)) == 0
 
     def test_missing_labels_error(self):
         from qllab.graph import gen_cycle

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,8 @@ class TestCartesianProduct:
         assert np.array_equal(p.diagonal, [11.0, 12.0, 21.0, 22.0])
 
     def test_labels_combine_blockwise(self):
-        g = gen_complete(2).with_labels({"a1": [0], "a2": [1]})
-        h = gen_complete(2).with_labels({"b1": [0], "b2": [1]})
+        g = replace(gen_complete(2), labels={"a1": [0], "a2": [1]})
+        h = replace(gen_complete(2), labels={"b1": [0], "b2": [1]})
         p = cartesian_product(g, h)
         assert p.labels == {
             "a1b1": [0],
@@ -70,7 +72,7 @@ class TestCartesianProduct:
         }
 
     def test_complex_biases_propagate(self):
-        g = BiasedGraph.from_edges(3, [(0, 1, 1j), (1, 2, np.exp(0.4j))])
+        g = BiasedGraph.from_edges(3, [(0, 1), (1, 2)], [1j, np.exp(0.4j)])
         h = gen_cycle(4)
         assert verify_spectrum_composition(g, h, tol=1e-8)
 
@@ -85,6 +87,20 @@ class TestVerifySpectrumComposition:
             g = gen_d_regular_random(8, 3, seed=(seed, "g"))
             h = gen_d_regular_random(10, 3, seed=(seed, "h"))
             assert verify_spectrum_composition(g, h, tol=1e-8)
+
+    def test_three_factors_all_columns(self):
+        g = BiasedGraph.from_edges(3, [(0, 1), (1, 2)], [1j, np.exp(0.4j)], diagonal=[0.5, 0, -1])
+        assert verify_spectrum_composition(g, gen_cycle(4), gen_complete(3), tol=1e-8)
+
+    def test_rejects_a_product_that_is_not_cartesian(self, monkeypatch):
+        import qllab.qlproduct
+
+        def dropped_edge(g, h):
+            p = cartesian_product(g, h)
+            return replace(p, edges=p.edges[1:], bias=p.bias[1:])
+
+        monkeypatch.setattr(qllab.qlproduct, "cartesian_product", dropped_edge)
+        assert not verify_spectrum_composition(gen_cycle(4), gen_cycle(5), gen_complete(2))
 
     def test_detects_wrong_spectrum(self):
         # oracle sanity: a graph that is NOT a Cartesian product of the
@@ -112,18 +128,11 @@ class TestContractedProduct:
         g = build_contracted_product(spec)
         assert g.n == 28
         assert set(g.labels) == {"a1", "a2"}
-        blocks = [set(g.labels["a1"]), set(g.labels["a2"])]
-        intra = [0, 0]
-        cross = 0
-        for u, v in g.edges:
-            side_u = 0 if u in blocks[0] else 1
-            side_v = 0 if v in blocks[0] else 1
-            if side_u == side_v:
-                intra[side_u] += 1
-            else:
-                cross += 1
-        assert intra == [28, 28]  # 14 * 4 / 2 each
-        assert cross == round(0.2 * 14 * 4)
+        side = ~np.isin(g.edges, g.labels["a1"])  # 0 in a1, 1 in a2
+        same = side[:, 0] == side[:, 1]
+        intra = np.bincount(side[same, 0], minlength=2)
+        assert intra.tolist() == [28, 28]  # 14 * 4 / 2 each
+        assert np.count_nonzero(~same) == round(0.2 * 14 * 4)
 
     def test_q2_label_cycle(self):
         bits = tuple(qlbit_spec(10, 4, seed=t) for t in range(2))

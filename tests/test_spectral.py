@@ -15,7 +15,6 @@ from qllab.graph import (
 from qllab.qlbit import CrossRegular, qlbit_spec
 from qllab.qlproduct import ProductSpec, build_contracted_product
 from qllab.spectral import (
-    EnsembleSpectrum,
     eigendecompose,
     emergent_state,
     ensemble_spectrum,
@@ -27,13 +26,14 @@ from qllab.spectral import (
 def random_biased_graph(n, p, seed, disorder=0.0):
     """Random graph with random unit-modulus complex biases."""
     rng = rng_from(seed, "random_biased")
-    edges = []
+    pairs, bias = [], []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.append((u, v, np.exp(1j * rng.uniform(0, 2 * np.pi))))
+                pairs.append((u, v))
+                bias.append(np.exp(1j * rng.uniform(0, 2 * np.pi)))
     diag = rng.normal(0, disorder, n) if disorder else None
-    return BiasedGraph.from_edges(n, edges, diagonal=diag)
+    return BiasedGraph.from_edges(n, pairs, bias, diagonal=diag)
 
 
 class TestEigendecompose:
@@ -75,8 +75,7 @@ class TestEigendecompose:
         rng = rng_from(99)
         for _ in range(5):
             perm = rng.permutation(g.n)
-            edges = [(perm[u], perm[v], b) for (u, v), b in g.edges.items()]
-            permuted = BiasedGraph.from_edges(g.n, edges)
+            permuted = BiasedGraph.from_edges(g.n, perm[g.edges], g.bias)
             assert np.allclose(eigendecompose(permuted).eigenvalues, base, atol=1e-9)
 
     def test_trace_identity(self):
@@ -139,9 +138,8 @@ class TestEmergentState:
         assert not state.degenerate
 
     def test_highest_magnitude_prefers_extreme(self):
-        minus_k4 = BiasedGraph.from_edges(
-            4, [(u, v, -1.0) for u in range(4) for v in range(u + 1, 4)]
-        )
+        k4 = gen_complete(4)
+        minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
         state = emergent_state(eigendecompose(minus_k4), policy="highest_magnitude")
         assert state.eigenvalue == pytest.approx(-3.0)
 
@@ -193,18 +191,6 @@ class TestEnsembleSpectrum:
         b = ensemble_spectrum(make, 5, 12)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.bin_edges, b.bin_edges)
-
-    def test_csv_round_trip(self, tmp_path):
-        ens = EnsembleSpectrum(
-            bin_edges=np.array([0.0, 1.0, 2.0]),
-            counts=np.array([3, 4]),
-            realizations=1,
-        )
-        path = tmp_path / "h.csv"
-        ens.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bin_left,bin_right,count"
-        assert lines[1] == "0,1,3"
 
     def test_two_bit_product_shows_four_emergent_clusters(self):
         # emergent eigenvalues sit at d +- k(+-1 +-1): 22, 16 (x2), 10
