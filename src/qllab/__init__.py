@@ -73,6 +73,7 @@ from .spectral import (
     EnsembleSpectrum,
     Spectrum,
     eigendecompose,
+    eigenvalues,
     emergent_state,
     ensemble_spectrum,
     ramanujan_check,
@@ -86,6 +87,7 @@ from .states import (
     convex_sum,
     degenerate_mixture,
     density_from_state,
+    mixture_purity,
     permutation_operator,
     purity,
     state_fidelity,

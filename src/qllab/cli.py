@@ -54,8 +54,8 @@ from .qlproduct import (
     project_product_state,
     verify_spectrum_composition,
 )
-from .spectral import eigendecompose, emergent_state, ensemble_spectrum
-from .states import density_from_state, purity
+from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum
+from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
 EXPERIMENTS = (
@@ -85,6 +85,29 @@ def _check_keys(doc, allowed, required, path):
             raise ConfigError(f"missing key {path}{key}")
 
 
+def _int(value, key) -> int:
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if result is None or (isinstance(value, float) and value != result):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return result
+
+
+def _float(value, key) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _optional(convert, doc, key, path):
+    """doc[key] through convert (_int or _float), or None when absent or null."""
+    value = doc.get(key)
+    return None if value is None else convert(value, path + key)
+
+
 def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
     _check_keys(doc, {"kind", "n", "d", "seed", "base"}, {"kind"}, path)
     base = None
@@ -94,9 +117,9 @@ def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
         base = parse_graph_spec(doc["base"], path + "base.", default_seed)
     return GraphGenSpec(
         kind=doc["kind"],
-        n=int(doc.get("n", 0)),
-        d=doc.get("d"),
-        seed=int(doc.get("seed", default_seed)),
+        n=_int(doc.get("n", 0), f"{path}n"),
+        d=_optional(_int, doc, "d", path),
+        seed=_int(doc.get("seed", default_seed), f"{path}seed"),
         base=base,
     )
 
@@ -106,11 +129,11 @@ def parse_policy(doc, path):
     kind = doc["kind"]
     try:
         if kind == "pair_probability":
-            return PairProbability(float(doc["p"]))
+            return PairProbability(_float(doc["p"], f"{path}p"))
         if kind == "budget":
-            return EdgeBudgetFraction(float(doc["fraction"]))
+            return EdgeBudgetFraction(_float(doc["fraction"], f"{path}fraction"))
         if kind == "cross_regular":
-            return CrossRegular(int(doc["degree"]))
+            return CrossRegular(_int(doc["degree"], f"{path}degree"))
     except KeyError as exc:
         raise ConfigError(f"missing key {path}{exc.args[0]}") from None
     raise ConfigError(f"unknown policy kind at {path}kind: {kind!r}")
@@ -126,15 +149,19 @@ def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
     policy = None
     if "policy" in doc:
         policy = parse_policy(doc["policy"], path + "policy.")
+    n, d = _int(doc["n"], f"{path}n"), _int(doc["d"], f"{path}d")
+    red_bias = _float(doc.get("red_bias", 1.0), f"{path}red_bias")
+    blue_bias = _float(doc.get("blue_bias", 1.0), f"{path}blue_bias")
+    seed = _int(doc.get("seed", default_seed), f"{path}seed")
     try:
         return qlbit_spec(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
+            n=n,
+            d=d,
             policy=policy,
             connect_bias=bias_from_token(doc.get("connect_bias", "+1")),
-            red_bias=float(doc.get("red_bias", 1.0)),
-            blue_bias=float(doc.get("blue_bias", 1.0)),
-            seed=int(doc.get("seed", default_seed)),
+            red_bias=red_bias,
+            blue_bias=blue_bias,
+            seed=seed,
         )
     except QllabError as exc:
         raise ConfigError(f"bad QL bit at {path[:-1]}: {exc}") from exc
@@ -152,9 +179,9 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
     return ProductSpec(
         qlbits=tuple(specs),
         mode=doc.get("mode", "contracted"),
-        n=doc.get("n"),
-        d=doc.get("d"),
-        seed=int(doc.get("seed", default_seed)),
+        n=_optional(_int, doc, "n", path),
+        d=_optional(_int, doc, "d", path),
+        seed=_int(doc.get("seed", default_seed), f"{path}seed"),
     )
 
 
@@ -171,13 +198,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown key experiment: {doc['experiment']!r}")
     doc.setdefault("params", {})
     return doc
-
-
-def _int(value, key) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _count(params, key, default) -> int:
@@ -212,10 +232,10 @@ def cmd_spectrum(params, seed, out):
         "params.",
     )
     base = parse_graph_spec(params["graph"], "params.graph.", seed)
-    depth = int(params.get("product_depth", 1))
-    sigma = float(params.get("disorder_sigma", 0.0))
+    depth = _int(params.get("product_depth", 1), "params.product_depth")
+    sigma = _float(params.get("disorder_sigma", 0.0), "params.disorder_sigma")
     realizations = _count(params, "realizations", 1)
-    bins = int(params.get("bins", 60))
+    bins = _int(params.get("bins", 60), "params.bins")
     if depth < 1:
         raise ConfigError("params.product_depth must be >= 1")
 
@@ -229,12 +249,12 @@ def cmd_spectrum(params, seed, out):
             g = add_diagonal_disorder(g, sigma, derive_seed(seed, "sigma", i))
         return g
 
-    spectra = [eigendecompose(make(i)) for i in range(realizations)]
+    spectra = [eigenvalues(make(i)) for i in range(realizations)]
     ens = ensemble_spectrum(lambda i: spectra[i], realizations, bins)
     write_csv(
         os.path.join(out, "spectrum.csv"),
         ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(spectra[0].eigenvalues)],
+        [(i, float(v)) for i, v in enumerate(spectra[0])],
     )
     write_csv(
         os.path.join(out, "histogram.csv"),
@@ -251,8 +271,12 @@ def cmd_disorder_sweep(params, seed, out):
     _check_keys(
         params, {"n", "d", "retentions", "realizations"}, {"n", "d", "retentions"}, "params."
     )
-    n, d = int(params["n"]), int(params["d"])
-    retentions = [float(r) for r in params["retentions"]]
+    n, d = _int(params["n"], "params.n"), _int(params["d"], "params.d")
+    if not isinstance(params["retentions"], list):
+        raise ConfigError("params.retentions must be a list")
+    retentions = [
+        _float(r, f"params.retentions[{i}]") for i, r in enumerate(params["retentions"])
+    ]
     realizations = _count(params, "realizations", 20)
     rows = []
     for retention in retentions:
@@ -265,13 +289,12 @@ def cmd_disorder_sweep(params, seed, out):
                 g, 1.0 - retention, derive_seed(seed, "del", retention, i)
             )
             spec = eigendecompose(g)
-            w = spec.eigenvectors[:, 0].astype(complex)
-            return np.outer(w, w.conj()), float(spec.eigenvalues[0])
+            return spec.eigenvectors[:, 0], float(spec.eigenvalues[0])
 
         results = [one(i) for i in range(realizations)]
-        rho = sum(r[0] for r in results) / realizations
+        tops = np.column_stack([r[0] for r in results])
         mean_top = sum(r[1] for r in results) / realizations
-        rows.append((retention, float(np.trace(rho @ rho).real), mean_top))
+        rows.append((retention, mixture_purity(tops), mean_top))
     write_csv(
         os.path.join(out, "disorder_sweep.csv"),
         ["retention", "purity", "mean_top_eigenvalue"],
@@ -297,7 +320,7 @@ def cmd_qlbit(params, seed, out):
         {"n", "d"},
         "params.",
     )
-    n, d = int(params["n"]), int(params["d"])
+    n, d = _int(params["n"], "params.n"), _int(params["d"], "params.d")
     realizations = _count(params, "realizations", 1)
     table_row = params.get("table_row")
     rows = []
@@ -307,7 +330,10 @@ def cmd_qlbit(params, seed, out):
             _check_keys(table_row, {"red", "blue", "conn"}, {"red", "blue", "conn"}, "params.table_row.")
             topology = BiasTopology.from_config(table_row)
             g = build_regular_qlbit(
-                n, d, cross_degree=int(params.get("cross_degree", 1)), seed=bit_seed
+                n,
+                d,
+                cross_degree=_int(params.get("cross_degree", 1), "params.cross_degree"),
+                seed=bit_seed,
             )
             g = apply_bias_topology(g, topology)
             policy = "highest_magnitude"
@@ -368,7 +394,7 @@ def cmd_product(params, seed, out):
         ["index", "eigenvalue"],
         [(i, float(v)) for i, v in enumerate(spectrum.eigenvalues)],
     )
-    n_top = int(params.get("emergent_states", 1 << spec.q))
+    n_top = _int(params.get("emergent_states", 1 << spec.q), "params.emergent_states")
     states = []
     for i in range(min(n_top, spectrum.n)):
         eff = project_product_state(g, spectrum.eigenvectors[:, i])
@@ -409,9 +435,9 @@ def cmd_witness(params, seed, out):
     if preparation not in ("plus", "minus"):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
     trials = _count(params, "trials", 1)
-    bit_index = int(params["bit_index"])
-    strength = float(params["strength"])
-    density = float(params.get("density", 0.1))
+    bit_index = _int(params["bit_index"], "params.bit_index")
+    strength = _float(params["strength"], "params.strength")
+    density = _float(params.get("density", 0.1), "params.density")
     expected = "same" if preparation == "plus" else "inverted"
     rows = []
     agree = 0
@@ -471,16 +497,16 @@ def cmd_kuramoto(params, seed, out):
     spec = parse_product(params["product"], "params.product.", seed)
     cfg = SyncRunConfig(
         graph=spec,
-        K=float(params["K"]),
-        t_end=float(params["t_end"]),
-        dt=params.get("dt"),
+        K=_float(params["K"], "params.K"),
+        t_end=_float(params["t_end"], "params.t_end"),
+        dt=_optional(_float, params, "dt", "params."),
         integrator=params.get("integrator", "rk4"),
         init=params.get("init", "uniform_phases"),
-        init_width=float(params.get("init_width", 2.0 * np.pi)),
-        sigma_eps=params.get("sigma_eps"),
+        init_width=_float(params.get("init_width", 2.0 * np.pi), "params.init_width"),
+        sigma_eps=_optional(_float, params, "sigma_eps", "params."),
         realizations=_count(params, "realizations", 1),
         seed=seed,
-        record_every=int(params.get("record_every", 10)),
+        record_every=_int(params.get("record_every", 10), "params.record_every"),
     )
     result = run_sync_experiment(cfg)
     write_csv(

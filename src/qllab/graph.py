@@ -47,7 +47,7 @@ def _read_only(values, dtype) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(eq=False)
 class BiasedGraph:
     """Undirected graph with complex edge biases and a real diagonal.
 
@@ -68,6 +68,8 @@ class BiasedGraph:
     are copied), so graphs may share them.  Build graphs with `from_edges`,
     which puts any edge list into the canonical form above; derive a graph
     that keeps or subsets a canonical edge set with `dataclasses.replace`.
+    Graphs compare and hash by identity; compare their contents through
+    `graph_to_json`.
     """
 
     n: int

@@ -72,6 +72,18 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
+def mixture_purity(vectors) -> float:
+    """trace(rho^2) of the equal-weight mixture of the columns of `vectors`.
+
+    For unit columns w_1..w_R, rho = (1/R) sum_r w_r w_r^* has
+    trace(rho^2) = (1/R^2) sum_{r,s} |<w_r, w_s>|^2, read off the R x R
+    Gram matrix without forming the dim x dim rho.
+    """
+    w = np.asarray(vectors)
+    gram = w.conj().T @ w
+    return float((np.abs(gram) ** 2).sum()) / w.shape[1] ** 2
+
+
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters two-qubit concurrence.
 

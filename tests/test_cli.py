@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +10,7 @@ import qllab.cli
 import qllab.qlproduct
 import qllab.spectral
 from qllab.cli import main
-from qllab.spectral import eigendecompose
+from qllab.spectral import eigendecompose, eigenvalues
 
 
 def read_rows(path):
@@ -16,21 +20,28 @@ def read_rows(path):
 
 
 def test_spectrum_solves_each_realization_once(tmp_path, monkeypatch):
-    solved = []
+    solved, full = [], []
 
     def counting(g):
         solved.append(g.n)
+        return eigenvalues(g)
+
+    def counting_full(g):
+        full.append(g.n)
         return eigendecompose(g)
 
-    # the histogram must not solve again through the spectral module's name
-    monkeypatch.setattr(qllab.cli, "eigendecompose", counting)
-    monkeypatch.setattr(qllab.spectral, "eigendecompose", counting)
+    # the histogram must not solve again through the spectral module's name,
+    # and nothing in `spectrum` reads an eigenvector
+    for module in (qllab.cli, qllab.spectral):
+        monkeypatch.setattr(module, "eigenvalues", counting)
+        monkeypatch.setattr(module, "eigendecompose", counting_full)
     params = {"graph": {"kind": "d_regular_random", "n": 20, "d": 3}, "realizations": 3, "bins": 8}
     path = tmp_path / "spectrum.json"
     path.write_text(json.dumps({"experiment": "spectrum", "params": params}))
     out = tmp_path / "out"
     assert main([str(path), "--out", str(out), "--seed", "5"]) == 0
     assert solved == [20, 20, 20]
+    assert full == []
     assert len(read_rows(out / "spectrum.csv")) == 20
     assert sum(int(row["count"]) for row in read_rows(out / "histogram.csv")) == 3 * 20
 
@@ -43,6 +54,49 @@ def run_config(tmp_path, doc, *extra):
 
 QLBIT = {"experiment": "qlbit", "params": {"n": 10, "d": 3}}
 WITNESS_PRODUCT = {"qlbits": [{"n": 8, "d": 3}, {"n": 8, "d": 3}], "n": 8, "d": 3}
+SPECTRUM_GRAPH = {"kind": "d_regular_random", "n": 10, "d": 3}
+QLBIT_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "+1"}}
+KURAMOTO = {"product": WITNESS_PRODUCT, "K": 1.0, "t_end": 0.1}
+WITNESS = {"product": WITNESS_PRODUCT, "bit_index": 0, "strength": 1.0}
+
+
+def _with(experiment, params, key, value):
+    """An `experiment` config whose params carry `value` at `key`."""
+    return {"experiment": experiment, "params": {**params, key: value}}
+
+
+def _policy(kind, key):
+    return _with("qlbit", QLBIT["params"], "policy", {"kind": kind, key: "x"})
+
+
+# non-numeric values: (config, the key path the error must name)
+NON_NUMERIC = [
+    (_with("qlbit", QLBIT["params"], "n", "ten"), "params.n"),
+    (_with("qlbit", QLBIT["params"], "d", None), "params.d"),
+    (_with("qlbit", QLBIT["params"], "realizations", 1.5), "params.realizations"),
+    (_with("qlbit", QLBIT["params"], "red_bias", "red"), "params.red_bias"),
+    (_with("qlbit", QLBIT["params"], "blue_bias", [1]), "params.blue_bias"),
+    (_policy("pair_probability", "p"), "params.policy.p"),
+    (_policy("budget", "fraction"), "params.policy.fraction"),
+    (_policy("cross_regular", "degree"), "params.policy.degree"),
+    (_with("qlbit", QLBIT_ROW, "cross_degree", "one"), "params.cross_degree"),
+    (_with("spectrum", {"graph": {**SPECTRUM_GRAPH, "seed": "s"}}, "bins", 4), "params.graph.seed"),
+    (_with("spectrum", {"graph": {**SPECTRUM_GRAPH, "d": "three"}}, "bins", 4), "params.graph.d"),
+    (_with("spectrum", {"graph": SPECTRUM_GRAPH}, "bins", "many"), "params.bins"),
+    (_with("spectrum", {"graph": SPECTRUM_GRAPH}, "product_depth", "2x"), "params.product_depth"),
+    (_with("spectrum", {"graph": SPECTRUM_GRAPH}, "disorder_sigma", "s"), "params.disorder_sigma"),
+    (_with("disorder-sweep", {"n": 10, "d": 3}, "retentions", [1.0, "half"]), "params.retentions[1]"),
+    (_with("product", {"product": {**WITNESS_PRODUCT, "seed": "s"}}, "verify", False), "params.product.seed"),
+    (_with("product", {"product": WITNESS_PRODUCT}, "emergent_states", "all"), "params.emergent_states"),
+    (_with("witness", WITNESS, "bit_index", "first"), "params.bit_index"),
+    (_with("witness", WITNESS, "strength", "strong"), "params.strength"),
+    (_with("witness", WITNESS, "density", "dense"), "params.density"),
+    (_with("kuramoto", KURAMOTO, "K", "one"), "params.K"),
+    (_with("kuramoto", KURAMOTO, "t_end", "end"), "params.t_end"),
+    (_with("kuramoto", KURAMOTO, "init_width", "wide"), "params.init_width"),
+    (_with("kuramoto", KURAMOTO, "record_every", "often"), "params.record_every"),
+    (_with("kuramoto", KURAMOTO, "dt", "small"), "params.dt"),
+]
 
 
 @pytest.mark.parametrize(
@@ -64,12 +118,15 @@ WITNESS_PRODUCT = {"qlbits": [{"n": 8, "d": 3}, {"n": 8, "d": 3}], "n": 8, "d": 
             "params.realizations",
         ),
         ({**QLBIT, "seed": "seventeen"}, "seed"),
+        *NON_NUMERIC,
     ],
-    ids=["qlbit-realizations", "witness-trials", "sweep-realizations", "seed"],
+    ids=["qlbit-realizations", "witness-trials", "sweep-realizations", "seed"]
+    + [key.replace("[", "-").rstrip("]") for _, key in NON_NUMERIC],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
     assert run_config(tmp_path, doc) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
@@ -98,3 +155,30 @@ def test_full_product_verify_checks_every_bit_without_resolving(tmp_path, capsys
     assert run_config(tmp_path, doc, "--seed", "3") == 0
     assert "spectrum composition OK" in capsys.readouterr().out
     assert solved == [512, 8, 8, 8]
+
+
+# SHA-256 of the disorder_sweep.csv body (the '# generated=' line left out)
+# at seed 11, recorded before purity moved to the Gram matrix of the top
+# vectors; the sweep must stay byte-identical.
+SWEEP_GOLDEN = "ddd09ff77bc3f2fdb8f2eb050a93439813f14709742f48d059446c3c49d7ebcc"
+
+
+def test_disorder_sweep_body_is_golden(tmp_path):
+    params = {"n": 60, "d": 6, "retentions": [1.0, 0.8, 0.5, 0.3], "realizations": 4}
+    assert run_config(tmp_path, {"experiment": "disorder-sweep", "params": params}, "--seed", "11") == 0
+    text = (tmp_path / "out" / "disorder_sweep.csv").read_text()
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# generated="))
+    assert hashlib.sha256(body.encode()).hexdigest() == SWEEP_GOLDEN
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about 0.2 s to import, paid by every run of the tool
+    probe = "import qllab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
+    )
+    assert result.stdout.strip() == "False"

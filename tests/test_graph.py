@@ -82,6 +82,14 @@ class TestBiasedGraph:
         g = BiasedGraph.from_edges(3, [(0, 1)], labels={"a": [0, 1], "b": [2]})
         assert set(g.labels) == {"a", "b"}
 
+    def test_equality_is_identity_and_graphs_hash(self):
+        g, h = gen_cycle(4), gen_cycle(4)
+        assert g == g
+        assert g != h
+        assert graph_to_json(g) == graph_to_json(h)  # contents compare here
+        assert len({g, h, g}) == 2
+        assert {g: 1}[g] == 1
+
 
 class TestDRegularRandom:
     def test_k4_is_forced(self):

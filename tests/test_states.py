@@ -17,6 +17,7 @@ from qllab.states import (
     convex_sum,
     degenerate_mixture,
     density_from_state,
+    mixture_purity,
     permutation_operator,
     purity,
     state_fidelity,
@@ -130,6 +131,21 @@ class TestPurityAndConcurrence:
             float(np.trace(EXPECTED_MIXTURE @ EXPECTED_MIXTURE).real)
         )
         assert purity(rho) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "dim, count, complex_",
+        [(6, 3, True), (5, 9, True), (40, 4, False), (1, 2, False)],
+        ids=["complex-few", "complex-more-than-dim", "real", "dim-1"],
+    )
+    def test_mixture_purity_matches_outer_product_reference(self, dim, count, complex_):
+        rng = rng_from("mixture", dim, count)
+        w = rng.normal(size=(dim, count))
+        if complex_:
+            w = w + 1j * rng.normal(size=(dim, count))
+        w /= np.linalg.norm(w, axis=0)
+        rho = sum(np.outer(w[:, r], w[:, r].conj()) for r in range(count)) / count
+        assert abs(mixture_purity(w) - np.trace(rho @ rho).real) <= 1e-12
+        assert 1.0 / min(dim, count) - 1e-12 <= mixture_purity(w) <= 1.0 + 1e-12
 
     def test_bell_state_concurrence_one(self):
         rho = density_from_state(bell_states()["phi_plus"])
