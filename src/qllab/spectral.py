@@ -4,15 +4,14 @@ Eigenvalues are always reported in non-increasing order.  Two dense paths
 share one operator (`_dense_operator`):
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
-  residual.  Every caller that reads an eigenvector uses it.
+  residual.  Eigenvector readers use it, but `product` composes a full
+  Cartesian product from its factors (`qlproduct.verify_spectrum_composition`).
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead.  The ensemble histogram,
-  `spectrum.csv` and `ramanujan_check` read only eigenvalues and use it.  At
-  n = 512 it takes about 17 ms against 44 ms for `eigendecompose` (one x86
-  core, one BLAS thread).
+  `spectrum.csv` and `ramanujan_check` use it.  At n = 512 it takes about
+  17 ms against 44 ms for `eigendecompose` (one x86 core, one BLAS thread).
 
-Both are exact dense solvers: the graphs of interest stay small enough that
-exactness beats iterative speed.
+Graphs that reach these solvers are small enough for exact dense solves.
 """
 
 from __future__ import annotations

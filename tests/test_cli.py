@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -118,15 +119,17 @@ NON_NUMERIC = [
             "params.realizations",
         ),
         ({**QLBIT, "seed": "seventeen"}, "seed"),
+        (_with("product", {"product": WITNESS_PRODUCT}, "emergent_states", -1), "params.emergent_states"),
         *NON_NUMERIC,
     ],
-    ids=["qlbit-realizations", "witness-trials", "sweep-realizations", "seed"]
+    ids=["qlbit-realizations", "witness-trials", "sweep-realizations", "seed", "negative-emergent-states"]
     + [key.replace("[", "-").rstrip("]") for _, key in NON_NUMERIC],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
     assert run_config(tmp_path, doc) == 2
     assert key in capsys.readouterr().err
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
@@ -154,7 +157,32 @@ def test_full_product_verify_checks_every_bit_without_resolving(tmp_path, capsys
     doc = {"experiment": "product", "params": {"product": {"qlbits": bits, "mode": "full"}, "verify": True}}
     assert run_config(tmp_path, doc, "--seed", "3") == 0
     assert "spectrum composition OK" in capsys.readouterr().out
-    assert solved == [512, 8, 8, 8]
+    # each bit solved once; the 512-vertex product is composed, never solved
+    assert solved == [8, 8, 8]
+
+
+def test_full_product_that_is_not_cartesian_exits_3(tmp_path, capsys, monkeypatch):
+    cartesian_product = qllab.qlproduct.cartesian_product
+
+    def dropped_edge(g, h):
+        p = cartesian_product(g, h)
+        return replace(p, edges=p.edges[1:], bias=p.bias[1:])
+
+    monkeypatch.setattr(qllab.qlproduct, "cartesian_product", dropped_edge)
+    bits = [{"n": 4, "d": 2}] * 2
+    doc = {"experiment": "product", "params": {"product": {"qlbits": bits, "mode": "full"}}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 3
+    assert "residual" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def body_digest(out, names):
+    """SHA-256 over the artifacts `names`, each without its '# generated=' line."""
+    h = hashlib.sha256()
+    for name in names:
+        text = (out / name).read_text()
+        h.update("".join(line for line in text.splitlines(keepends=True) if not line.startswith("# generated=")).encode())
+    return h.hexdigest()
 
 
 # SHA-256 of the disorder_sweep.csv body (the '# generated=' line left out)
@@ -166,9 +194,37 @@ SWEEP_GOLDEN = "ddd09ff77bc3f2fdb8f2eb050a93439813f14709742f48d059446c3c49d7ebcc
 def test_disorder_sweep_body_is_golden(tmp_path):
     params = {"n": 60, "d": 6, "retentions": [1.0, 0.8, 0.5, 0.3], "realizations": 4}
     assert run_config(tmp_path, {"experiment": "disorder-sweep", "params": params}, "--seed", "11") == 0
-    text = (tmp_path / "out" / "disorder_sweep.csv").read_text()
-    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# generated="))
-    assert hashlib.sha256(body.encode()).hexdigest() == SWEEP_GOLDEN
+    assert body_digest(tmp_path / "out", ["disorder_sweep.csv"]) == SWEEP_GOLDEN
+
+
+CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}, {"n": 8, "d": 3}]
+
+# (config, artifacts, SHA-256 of their bodies at seed 7), recorded before full
+# products were solved from their factors; these paths must not move.
+GOLDEN = {
+    "product-contracted": (
+        {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
+        ["product_spectrum.csv", "effective_states.json"],
+        "afc025c27559fe263f71c740b055d0a3057a7f53c6e33d4332bf687882de9aeb",
+    ),
+    "qlbit": (
+        {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
+        ["qlbit.csv", "qlbit_summary.json"],
+        "aba43757bfaa9f879d7624ff84059a5fd4be25bc96bddfab612a5dca82ab3d03",
+    ),
+    "cheeger": (
+        {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},
+        ["cheeger.csv"],
+        "0bf59ac04220b6ca861162107dbbfa8305e1c24360d5ab7bbd7b021bd0b25989",
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(GOLDEN))
+def test_unchanged_paths_are_golden(tmp_path, tag):
+    doc, names, digest = GOLDEN[tag]
+    assert run_config(tmp_path, doc, "--seed", "7") == 0
+    assert body_digest(tmp_path / "out", names) == digest
 
 
 def test_cli_import_loads_no_scipy():

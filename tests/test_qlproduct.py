@@ -1,10 +1,19 @@
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qllab.errors import MissingLabelsError, QllabError
-from qllab.graph import BiasedGraph, gen_complete, gen_cycle, gen_d_regular_random, rng_from
+from qllab.errors import MissingLabelsError, NumericalError, QllabError
+from qllab.graph import (
+    BiasedGraph,
+    add_diagonal_disorder,
+    gen_complete,
+    gen_cycle,
+    gen_d_regular_random,
+    graph_to_json,
+    rng_from,
+)
 from qllab.qlbit import CrossRegular, EdgeBudgetFraction, qlbit_spec
 from qllab.qlproduct import (
     ProductSpec,
@@ -14,6 +23,7 @@ from qllab.qlproduct import (
     build_contracted_product,
     build_full_product,
     cartesian_product,
+    full_product_factors,
     label_adjacency,
     parse_block_label,
     product_basis_labels,
@@ -74,23 +84,42 @@ class TestCartesianProduct:
     def test_complex_biases_propagate(self):
         g = BiasedGraph.from_edges(3, [(0, 1), (1, 2)], [1j, np.exp(0.4j)])
         h = gen_cycle(4)
-        assert verify_spectrum_composition(g, h, tol=1e-8)
+        _, spectrum = verify_spectrum_composition(g, h)
+        assert np.iscomplexobj(spectrum.eigenvectors)
+
+
+def composed_sum(*factors):
+    """The Kronecker-sum eigenvalues of the factors, non-increasing."""
+    lam = eigendecompose(factors[0]).eigenvalues
+    for f in factors[1:]:
+        lam = np.add.outer(eigendecompose(f).eigenvalues, lam).ravel()
+    return np.sort(lam)[::-1]
 
 
 class TestVerifySpectrumComposition:
+    """`verify_spectrum_composition` checks the Kronecker-sum law on every column."""
+
     def test_c5_pair(self):
         c5 = gen_cycle(5)
-        assert verify_spectrum_composition(c5, c5, tol=1e-8)
+        product, spectrum = verify_spectrum_composition(c5, c5)
+        assert product.n == 25
+        assert np.allclose(spectrum.eigenvalues, composed_sum(c5, c5), atol=1e-12)
 
     def test_random_small_pairs(self):
         for seed in range(5):
             g = gen_d_regular_random(8, 3, seed=(seed, "g"))
             h = gen_d_regular_random(10, 3, seed=(seed, "h"))
-            assert verify_spectrum_composition(g, h, tol=1e-8)
+            _, spectrum = verify_spectrum_composition(g, h)
+            assert np.allclose(spectrum.eigenvalues, composed_sum(g, h), atol=1e-12)
 
     def test_three_factors_all_columns(self):
         g = BiasedGraph.from_edges(3, [(0, 1), (1, 2)], [1j, np.exp(0.4j)], diagonal=[0.5, 0, -1])
-        assert verify_spectrum_composition(g, gen_cycle(4), gen_complete(3), tol=1e-8)
+        factors = (g, gen_cycle(4), gen_complete(3))
+        product, spectrum = verify_spectrum_composition(*factors)
+        a = product.adjacency()
+        w, lam = spectrum.eigenvectors, spectrum.eigenvalues
+        assert np.linalg.norm(a @ w - w * lam, axis=0).max() <= 1e-12
+        assert np.allclose(w.conj().T @ w, np.eye(product.n), atol=1e-12)
 
     def test_rejects_a_product_that_is_not_cartesian(self, monkeypatch):
         import qllab.qlproduct
@@ -100,7 +129,8 @@ class TestVerifySpectrumComposition:
             return replace(p, edges=p.edges[1:], bias=p.bias[1:])
 
         monkeypatch.setattr(qllab.qlproduct, "cartesian_product", dropped_edge)
-        assert not verify_spectrum_composition(gen_cycle(4), gen_cycle(5), gen_complete(2))
+        with pytest.raises(NumericalError, match="residual"):
+            verify_spectrum_composition(gen_cycle(4), gen_cycle(5), gen_complete(2))
 
     def test_detects_wrong_spectrum(self):
         # oracle sanity: a graph that is NOT a Cartesian product of the
@@ -119,6 +149,69 @@ class TestVerifySpectrumComposition:
         tampered = gen_d_regular_random(20, 4, seed=0)
         wrong = np.sort(eigendecompose(tampered).eigenvalues)
         assert not np.allclose(expected, wrong, atol=1e-8)
+
+
+def _clusters(spectrum):
+    """Index ranges of eigenvalue clusters split at gaps wider than DEGENERACY_TOL."""
+    split = np.flatnonzero(-np.diff(spectrum.eigenvalues) > spectrum.degeneracy_window()) + 1
+    return list(zip(np.r_[0, split], np.r_[split, spectrum.n]))
+
+
+def _full_factors(q, connect_bias, sigma):
+    bits = tuple(qlbit_spec(4, 3, connect_bias=connect_bias, seed=20 + j) for j in range(q))
+    factors = full_product_factors(ProductSpec(qlbits=bits, mode="full"))
+    if sigma:
+        factors = [add_diagonal_disorder(f, sigma, seed=j) for j, f in enumerate(factors)]
+    return factors
+
+
+class TestComposedAgainstDense:
+    """The dense solve of the built product is the oracle of the composed route."""
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            _full_factors(2, 1.0, 0.0),
+            _full_factors(2, 1j, 0.0),
+            _full_factors(2, np.exp(0.7j), 0.3),
+            _full_factors(3, 1.0, 0.0),
+            _full_factors(3, -1j, 0.2),
+            [gen_cycle(6), gen_cycle(6)],
+            _full_factors(1, 1.0, 0.0) * 2,
+        ],
+        ids=["q2-real", "q2-complex", "q2-complex-diagonal", "q3-real", "q3-complex-diagonal",
+             "identical-cycles", "identical-bits"],
+    )
+    def test_eigenvalues_and_cluster_projectors_match(self, factors):
+        product, composed = verify_spectrum_composition(*factors)
+        dense = eigendecompose(reduce(cartesian_product, factors))
+        scale = np.maximum(1.0, np.abs(dense.eigenvalues))
+        assert np.all(np.abs(composed.eigenvalues - dense.eigenvalues) <= 1e-12 * scale)
+        clusters = _clusters(dense)
+        assert _clusters(composed) == clusters
+        for lo, hi in clusters:
+            v, w = dense.eigenvectors[:, lo:hi], composed.eigenvectors[:, lo:hi]
+            assert np.abs(v @ v.conj().T - w @ w.conj().T).max() <= 1e-10
+
+    def test_tied_sums_keep_composition_order(self):
+        n = 30
+        path = BiasedGraph.from_edges(n, [(u, u + 1) for u in range(n - 1)])  # simple spectrum
+        _, spectrum = verify_spectrum_composition(path, path)
+        factor = eigendecompose(path)
+        lam, v = factor.eigenvalues, factor.eigenvectors
+        # lambda_i + lambda_j and lambda_j + lambda_i are one float; ties keep
+        # the composition index k = j * n + i (column v_j (x) v_i), as
+        # Python's stable sort orders them
+        order = sorted(range(n * n), key=lambda k: -(lam[k // n] + lam[k % n]))
+        assert np.array_equal(spectrum.eigenvalues, [lam[k // n] + lam[k % n] for k in order])
+        expected = np.stack([np.kron(v[:, k // n], v[:, k % n]) for k in order], axis=1)
+        assert np.array_equal(spectrum.eigenvectors, expected)
+
+    def test_product_is_the_built_full_product(self):
+        bits = (qlbit_spec(4, 3, seed=1), qlbit_spec(4, 3, connect_bias=1j, seed=2))
+        spec = ProductSpec(qlbits=bits, mode="full")
+        product, _ = verify_spectrum_composition(*full_product_factors(spec))
+        assert graph_to_json(product) == graph_to_json(build_full_product(spec))
 
 
 class TestContractedProduct:
