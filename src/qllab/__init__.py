@@ -1,9 +1,11 @@
 """qllab: quantum-like state spaces from classical graph topologies.
 
-Builds QL bits from coupled regular random subgraphs, multi-bit state
-spaces from graph Cartesian products (full or contracted), and verifies
-their spectral, robustness, synchronization, and entanglement properties
-numerically.
+Builds QL bits from coupled regular random subgraphs (`qlbit`) and
+multi-bit state spaces from their full or contracted Cartesian products
+(`qlproduct`), then reads effective states, synchronization (`kuramoto`),
+witness readout (`witness`) and expansion (`cheeger`) off the spectra of
+these graphs (`spectral`, `states`).  `qllab.cli` runs each reading as a
+named experiment over a JSON config.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +16,6 @@ from .graph import (
     BiasedGraph,
     GraphGenSpec,
     add_diagonal_disorder,
-    average_degree,
     build_graph,
     delete_random_edges,
     disjoint_union,
@@ -22,10 +23,7 @@ from .graph import (
     gen_complete,
     gen_cycle,
     gen_d_regular_random,
-    graph_from_json,
     graph_to_json,
-    load_graph,
-    save_graph,
     two_lift,
 )
 from .kuramoto import (
@@ -48,7 +46,6 @@ from .qlbit import (
     apply_bias_topology,
     build_qlbit,
     build_regular_qlbit,
-    build_type2_qlbit,
     j_vectors,
     project_two_state,
     qlbit_spec,
@@ -57,7 +54,6 @@ from .qlproduct import (
     EffectiveProductState,
     ProductSpec,
     apply_alignment_detuning,
-    apply_subgraph_detuning,
     build_contracted_product,
     build_full_product,
     build_product,
@@ -76,23 +72,16 @@ from .spectral import (
     eigenvalues,
     emergent_state,
     ensemble_spectrum,
-    ramanujan_check,
     spectral_gap,
 )
 from .states import (
     DensityMatrix,
     alternator,
-    bell_states,
     concurrence,
-    convex_sum,
-    degenerate_mixture,
     density_from_state,
     mixture_purity,
     permutation_operator,
-    purity,
-    state_fidelity,
-    subspace_fidelity,
     symmetrizer,
     tensor_inner,
 )
-from .witness import WitnessAttachment, attach_witness, witness_readout
+from .witness import attach_witness, witness_readout

@@ -13,16 +13,15 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, stamp=True):
+def write_csv(path, header, rows):
     """Write rows with a '# generated=' comment line before the header.
 
     Bodies are deterministic for identical inputs; only the comment line
     varies between runs.
     """
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "w") as fh:
-        if stamp:
-            now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            fh.write(f"# generated={now}\n")
+        fh.write(f"# generated={now}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")

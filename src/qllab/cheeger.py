@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import NotRegularError, TooLargeError
 from .graph import BiasedGraph, build_graph, connected_components
-from .spectral import _degree_scan, eigendecompose
+from .spectral import eigendecompose
 
 _MAX_EXACT_N = 22
 
@@ -130,8 +130,14 @@ def _with_bounds(g, report: CheegerReport) -> CheegerReport:
 
 
 def cheeger_bounds(g: BiasedGraph, d: int):
-    """Spectral sandwich ((d - lambda_1)/2, sqrt(2d(d - lambda_1)))."""
-    _degree_scan(g, d)
+    """Spectral sandwich ((d - lambda_1)/2, sqrt(2d(d - lambda_1))).
+
+    Raises NotRegularError when some vertex does not have degree d.
+    """
+    deg = g.degrees()
+    if not np.all(deg == d):
+        bad = int(np.argmax(deg != d))
+        raise NotRegularError(f"vertex {bad} has degree {int(deg[bad])}, expected {d}")
     lam1 = float(eigendecompose(g).eigenvalues[1])
     gap = d - lam1
     return gap / 2.0, float(np.sqrt(max(0.0, 2.0 * d * gap)))

@@ -115,13 +115,18 @@ def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
         if "base" not in doc:
             raise ConfigError(f"missing key {path}base")
         base = parse_graph_spec(doc["base"], path + "base.", default_seed)
-    return GraphGenSpec(
+    spec = GraphGenSpec(
         kind=doc["kind"],
         n=_int(doc.get("n", 0), f"{path}n"),
         d=_optional(_int, doc, "d", path),
         seed=_int(doc.get("seed", default_seed), f"{path}seed"),
         base=base,
     )
+    try:
+        spec.implied_degree()  # raises on a kind build_graph does not know
+    except QllabError as exc:
+        raise ConfigError(f"{path}kind: {exc}") from None
+    return spec
 
 
 def parse_policy(doc, path):
@@ -176,13 +181,17 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
         parse_qlbit(b, f"{path}qlbits[{i}].", derive_seed(default_seed, "bit", i))
         for i, b in enumerate(bits)
     ]
-    return ProductSpec(
+    fields = dict(
         qlbits=tuple(specs),
         mode=doc.get("mode", "contracted"),
         n=_optional(_int, doc, "n", path),
         d=_optional(_int, doc, "d", path),
         seed=_int(doc.get("seed", default_seed), f"{path}seed"),
     )
+    try:
+        return ProductSpec(**fields)
+    except QllabError as exc:  # the message starts with the field name
+        raise ConfigError(f"{path}{exc}") from None
 
 
 def load_config(path) -> dict:
@@ -205,6 +214,14 @@ def _count(params, key, default, low=1) -> int:
     value = _int(params.get(key, default), f"params.{key}")
     if value < low:
         raise ConfigError(f"params.{key} must be >= {low}")
+    return value
+
+
+def _nonnegative(params, key, default) -> float:
+    """A number parameter >= 0, such as a coupling strength."""
+    value = _float(params.get(key, default), f"params.{key}")
+    if value < 0:
+        raise ConfigError(f"params.{key} must be >= 0")
     return value
 
 
@@ -232,12 +249,10 @@ def cmd_spectrum(params, seed, out):
         "params.",
     )
     base = parse_graph_spec(params["graph"], "params.graph.", seed)
-    depth = _int(params.get("product_depth", 1), "params.product_depth")
-    sigma = _float(params.get("disorder_sigma", 0.0), "params.disorder_sigma")
+    depth = _count(params, "product_depth", 1)
+    sigma = _nonnegative(params, "disorder_sigma", 0.0)
     realizations = _count(params, "realizations", 1)
-    bins = _int(params.get("bins", 60), "params.bins")
-    if depth < 1:
-        raise ConfigError("params.product_depth must be >= 1")
+    bins = _count(params, "bins", 60)
 
     def make(i):
         spec = replace(base, seed=derive_seed(seed, "real", i)) if realizations > 1 else base
@@ -250,7 +265,7 @@ def cmd_spectrum(params, seed, out):
         return g
 
     spectra = [eigenvalues(make(i)) for i in range(realizations)]
-    ens = ensemble_spectrum(lambda i: spectra[i], realizations, bins)
+    ens = ensemble_spectrum(spectra, bins)
     write_csv(
         os.path.join(out, "spectrum.csv"),
         ["index", "eigenvalue"],
@@ -323,18 +338,27 @@ def cmd_qlbit(params, seed, out):
     n, d = _int(params["n"], "params.n"), _int(params["d"], "params.d")
     realizations = _count(params, "realizations", 1)
     table_row = params.get("table_row")
+    # A table row sets every bias and the cross edges itself; a bit without
+    # one is built from its policy and biases and has no cross degree.
+    if table_row is None:
+        ignored, context = ("cross_degree",), "without"
+    else:
+        ignored, context = ("policy", "connect_bias", "red_bias", "blue_bias"), "with"
+    for key in ignored:
+        if key in params:
+            raise ConfigError(f"params.{key} has no effect {context} params.table_row")
+    if table_row is not None:
+        _check_keys(table_row, {"red", "blue", "conn"}, {"red", "blue", "conn"}, "params.table_row.")
+        try:
+            topology = BiasTopology.from_config(table_row)
+        except QllabError as exc:
+            raise ConfigError(f"params.table_row: {exc}") from None
+        cross_degree = _int(params.get("cross_degree", 1), "params.cross_degree")
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
         if table_row is not None:
-            _check_keys(table_row, {"red", "blue", "conn"}, {"red", "blue", "conn"}, "params.table_row.")
-            topology = BiasTopology.from_config(table_row)
-            g = build_regular_qlbit(
-                n,
-                d,
-                cross_degree=_int(params.get("cross_degree", 1), "params.cross_degree"),
-                seed=bit_seed,
-            )
+            g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
             g = apply_bias_topology(g, topology)
             policy = "highest_magnitude"
         else:
@@ -436,8 +460,8 @@ def cmd_witness(params, seed, out):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
     trials = _count(params, "trials", 1)
     bit_index = _int(params["bit_index"], "params.bit_index")
-    strength = _float(params["strength"], "params.strength")
-    density = _float(params.get("density", 0.1), "params.density")
+    strength = _nonnegative(params, "strength", None)
+    density = _nonnegative(params, "density", 0.1)
     expected = "same" if preparation == "plus" else "inverted"
     rows = []
     agree = 0
@@ -451,9 +475,7 @@ def cmd_witness(params, seed, out):
         bits[bit_index] = replace(bits[bit_index], connect_bias=complex(bias))
         spec = replace(spec, qlbits=tuple(bits))
         g = build_product(spec)
-        combined, _ = attach_witness(
-            g, spec, bit_index, strength, density=density, seed=trial_seed
-        )
+        combined = attach_witness(g, spec, bit_index, strength, density=density, seed=trial_seed)
         verdict = witness_readout(combined)
         ok = verdict == expected
         agree += ok
@@ -494,9 +516,8 @@ def cmd_kuramoto(params, seed, out):
         {"product", "K", "t_end"},
         "params.",
     )
-    spec = parse_product(params["product"], "params.product.", seed)
-    cfg = SyncRunConfig(
-        graph=spec,
+    fields = dict(
+        graph=parse_product(params["product"], "params.product.", seed),
         K=_float(params["K"], "params.K"),
         t_end=_float(params["t_end"], "params.t_end"),
         dt=_optional(_float, params, "dt", "params."),
@@ -506,8 +527,12 @@ def cmd_kuramoto(params, seed, out):
         sigma_eps=_optional(_float, params, "sigma_eps", "params."),
         realizations=_count(params, "realizations", 1),
         seed=seed,
-        record_every=_int(params.get("record_every", 10), "params.record_every"),
+        record_every=_count(params, "record_every", 10),
     )
+    try:
+        cfg = SyncRunConfig(**fields)
+    except QllabError as exc:  # the message starts with the field name
+        raise ConfigError(f"params.{exc}") from None
     result = run_sync_experiment(cfg)
     write_csv(
         os.path.join(out, "kuramoto.csv"),

@@ -29,10 +29,6 @@ class PolicyInfeasibleError(QllabError):
     """Connection policy asks for more edges than the block pair admits."""
 
 
-class DegeneracyError(QllabError):
-    """No degenerate eigenvalue cluster where one was required."""
-
-
 class AmbiguousReadoutError(QllabError):
     """Witness projections too small to determine a phase."""
 

@@ -15,7 +15,6 @@ from it.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -196,13 +195,6 @@ class GraphGenSpec:
         if self.kind == "two_lift":
             return self.base.implied_degree()
         raise QllabError(f"unknown graph kind {self.kind!r}")
-
-    def num_vertices(self) -> int:
-        if self.kind == "bipartite_d_regular":
-            return 2 * self.n
-        if self.kind == "two_lift":
-            return 2 * self.base.num_vertices()
-        return self.n
 
 
 def build_graph(spec: GraphGenSpec) -> BiasedGraph:
@@ -437,13 +429,6 @@ def add_diagonal_disorder(g: BiasedGraph, sigma, seed) -> BiasedGraph:
     return replace(g, diagonal=g.diagonal + draws)
 
 
-def average_degree(g: BiasedGraph) -> float:
-    """2m/n; bias magnitudes ignored."""
-    if g.n == 0:
-        return 0.0
-    return 2.0 * g.num_edges / g.n
-
-
 def disjoint_union(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     """Side-by-side union; h's vertices are shifted by g.n."""
     pairs = np.concatenate([g.edges, h.edges + g.n])
@@ -502,27 +487,3 @@ def graph_to_json(g: BiasedGraph) -> dict:
     if g.labels is not None:
         doc["labels"] = {name: list(verts) for name, verts in g.labels.items()}
     return doc
-
-
-def graph_from_json(doc: dict) -> BiasedGraph:
-    rows = np.asarray(doc["edges"], dtype=float).reshape(-1, 4)
-    bias = np.empty(len(rows), dtype=complex)
-    bias.real, bias.imag = rows[:, 2], rows[:, 3]
-    return BiasedGraph.from_edges(
-        int(doc["n"]),
-        rows[:, :2].astype(np.int64),
-        bias,
-        diagonal=doc.get("diagonal"),
-        labels=doc.get("labels"),
-    )
-
-
-def save_graph(g: BiasedGraph, path):
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, indent=1)
-        fh.write("\n")
-
-
-def load_graph(path) -> BiasedGraph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))

@@ -42,9 +42,6 @@ class OscillatorState:
         if self.epsilon.size and abs(self.epsilon.mean()) > 1e-12:
             raise QllabError("epsilon must be mean-free (rotating frame)")
 
-    def theta_wrapped(self) -> np.ndarray:
-        return np.mod(self.theta, 2.0 * np.pi)
-
 
 def coupling_matrix(g: BiasedGraph) -> np.ndarray:
     """|a_ij| with zero diagonal; the real Kuramoto coupling weights."""
@@ -127,16 +124,20 @@ class SyncRunConfig:
     record_every: int = 10
 
     def __post_init__(self):
+        # Each message starts with the field it names, so the CLI can
+        # prefix the config path.
         if self.K < 0:
-            raise QllabError("coupling K must be nonnegative")
+            raise QllabError("K must be nonnegative")
         if self.dt is not None and self.dt <= 0:
             raise QllabError("dt must be positive")
         if self.t_end <= 0:
             raise QllabError("t_end must be positive")
+        if self.integrator not in ("euler", "rk4"):
+            raise QllabError(f"integrator must be 'euler' or 'rk4', got {self.integrator!r}")
         if self.init not in ("uniform_phases", "normal"):
-            raise QllabError(f"unknown init {self.init!r}")
+            raise QllabError(f"init must be 'uniform_phases' or 'normal', got {self.init!r}")
         if self.realizations < 1:
-            raise QllabError("need at least one realization")
+            raise QllabError("realizations must be >= 1")
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .graph import (
     GraphGenSpec,
     build_graph,
     derive_seed,
-    gen_bipartite_d_regular,
     rng_from,
     sample_biregular_pairs,
 )
@@ -191,20 +190,6 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     return BiasedGraph.from_edges(
         n1 + n2, np.concatenate(pairs), np.concatenate(bias), diagonal=diagonal, labels=labels
     )
-
-
-def build_type2_qlbit(n_per_side, d, seed, block_names=("a1", "a2")) -> BiasedGraph:
-    """Bipartite d-regular QL bit; the two sides are the two levels.
-
-    The emergent states sit at the spectrum extremes +-d and project to
-    perfect superpositions (1, +-1)/sqrt(2).
-    """
-    g = gen_bipartite_d_regular(n_per_side, d, seed)
-    labels = {
-        block_names[0]: list(range(n_per_side)),
-        block_names[1]: list(range(n_per_side, 2 * n_per_side)),
-    }
-    return replace(g, labels=labels)
 
 
 def build_regular_qlbit(

@@ -120,13 +120,15 @@ class ProductSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the field it names, so the CLI can
+        # prefix the config path.
         object.__setattr__(self, "qlbits", tuple(self.qlbits))
         if len(self.qlbits) < 1:
-            raise QllabError("need at least one QL bit")
+            raise QllabError("qlbits must hold at least one QL bit")
         if self.mode not in ("full", "contracted"):
-            raise QllabError(f"unknown product mode {self.mode!r}")
+            raise QllabError(f"mode must be 'full' or 'contracted', got {self.mode!r}")
         if len(self.qlbits) > len(BIT_NAMES):
-            raise QllabError(f"at most {len(BIT_NAMES)} bits supported")
+            raise QllabError(f"qlbits must hold at most {len(BIT_NAMES)} QL bits")
 
     @property
     def q(self) -> int:
@@ -142,10 +144,6 @@ class ProductSpec:
 def bit_values(k: int, q: int):
     """Label values (1 or 2 per bit) of basis index k; first bit fastest."""
     return tuple(1 + ((k >> j) & 1) for j in range(q))
-
-
-def basis_index(values) -> int:
-    return sum((v - 1) << j for j, v in enumerate(values))
 
 
 def block_label(values, names=BIT_NAMES) -> str:
@@ -341,32 +339,15 @@ def sign_pattern_states(q: int = 2) -> dict:
     return out
 
 
-def apply_subgraph_detuning(g: BiasedGraph, omega1: float, omega2: float) -> BiasedGraph:
-    """Add per-bit level frequencies to the diagonal.
-
-    Every vertex gains omega1 for each bit whose label value is 1 and
-    omega2 for each value-2 bit, so in a two-bit product the a1b1 block
-    shifts by 2*omega1 and the a1b2 block by omega1 + omega2.
-    """
-    if g.labels is None:
-        raise MissingLabelsError("graph has no block labels")
-    diagonal = g.diagonal.copy()
-    for label, verts in g.labels.items():
-        _, values = parse_block_label(label)
-        shift = sum(omega1 if v == 1 else omega2 for v in values)
-        diagonal[list(verts)] += shift
-    return replace(g, diagonal=diagonal)
-
-
 def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> BiasedGraph:
     """Shift only the aligned blocks: all-1 blocks by omega1, all-2 by omega2.
 
-    Unlike the per-bit additive rule, this moves the aligned product states
-    as a pair relative to the mixed ones, which couples the bits (the
-    effective Hamiltonian gains an interaction term) and lets the emergent
-    state acquire partial entanglement.  The per-bit additive rule keeps
-    the effective Hamiltonian a sum of single-bit terms, so its emergent
-    state stays a product state.
+    This moves the aligned product states as a pair relative to the mixed
+    ones, which couples the bits (the effective Hamiltonian gains an
+    interaction term) and lets the emergent state acquire partial
+    entanglement.  A per-bit additive shift would keep the effective
+    Hamiltonian a sum of single-bit terms, and its emergent state a product
+    state.
     """
     if g.labels is None:
         raise MissingLabelsError("graph has no block labels")

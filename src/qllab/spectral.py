@@ -1,4 +1,4 @@
-"""Dense Hermitian eigensolvers and spectral diagnostics.
+"""Dense Hermitian eigensolvers and the readings taken off a spectrum.
 
 Eigenvalues are always reported in non-increasing order.  Two dense paths
 share one operator (`_dense_operator`):
@@ -7,21 +7,23 @@ share one operator (`_dense_operator`):
   residual.  Eigenvector readers use it, but `product` composes a full
   Cartesian product from its factors (`qlproduct.verify_spectrum_composition`).
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
-  trace and Frobenius-norm identities instead.  The ensemble histogram,
-  `spectrum.csv` and `ramanujan_check` use it.  At n = 512 it takes about
-  17 ms against 44 ms for `eigendecompose` (one x86 core, one BLAS thread).
+  trace and Frobenius-norm identities instead.  `spectrum` uses it.  At
+  n = 512 it takes about 17 ms against 44 ms for `eigendecompose` (one x86
+  core, one BLAS thread).
 
-Graphs that reach these solvers are small enough for exact dense solves.
+Off a solved spectrum, `emergent_state` picks the emergent eigenpair,
+`spectral_gap` reads lambda_0 - lambda_1, and `ensemble_spectrum`
+histograms the eigenvalues of many realizations.  Graphs that reach these
+solvers are small enough for exact dense solves.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRegularError, NumericalError, QllabError
+from .errors import NumericalError, QllabError
 from .graph import BiasedGraph
 
 # Eigenvalues closer than this (times max(1, |lambda_0|)) count as degenerate.
@@ -117,42 +119,6 @@ def spectral_gap(spectrum: Spectrum) -> float:
     return float(spectrum.eigenvalues[0] - spectrum.eigenvalues[1])
 
 
-def _degree_scan(g: BiasedGraph, d: int):
-    deg = g.degrees()
-    if not np.all(deg == d):
-        bad = int(np.argmax(deg != d))
-        raise NotRegularError(
-            f"vertex {bad} has degree {int(deg[bad])}, expected {d}"
-        )
-
-
-@dataclass
-class RamanujanReport:
-    is_ramanujan: bool
-    max_nontrivial: float
-    bound: float
-
-
-def ramanujan_check(g: BiasedGraph, d: int, bipartite: bool = False) -> RamanujanReport:
-    """Test |lambda_j| <= 2 sqrt(d-1) for the nontrivial eigenvalues.
-
-    j runs over 1..n-1, or 1..n-2 when the bipartite flag is set (the
-    mirrored -d eigenvalue of a bipartite graph is also trivial).
-    """
-    _degree_scan(g, d)
-    vals = eigenvalues(g)
-    nontrivial = vals[1:-1] if bipartite else vals[1:]
-    if len(nontrivial) == 0:
-        raise QllabError("no nontrivial eigenvalues to test")
-    bound = 2.0 * math.sqrt(d - 1)
-    biggest = float(np.abs(nontrivial).max())
-    return RamanujanReport(
-        is_ramanujan=biggest <= bound + 1e-9,
-        max_nontrivial=biggest,
-        bound=bound,
-    )
-
-
 @dataclass
 class EmergentState:
     eigenvalue: float
@@ -193,51 +159,23 @@ def emergent_state(spectrum: Spectrum, policy: str = "highest") -> EmergentState
 
 @dataclass
 class EnsembleSpectrum:
-    """Histogram of eigenvalues accumulated across graph realizations."""
+    """Histogram of the eigenvalues of an ensemble of graphs."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    realizations: int
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
-def ensemble_spectrum(
-    make_graph,
-    realizations: int,
-    bins: int,
-    value_range=None,
-    metadata=None,
-) -> EnsembleSpectrum:
-    """Histogram the spectra of make_graph(0..realizations-1).
+def ensemble_spectrum(spectra, bins: int) -> EnsembleSpectrum:
+    """Histogram the solved spectra of an ensemble, one 1-D array per graph.
 
-    make_graph(i) returns a graph, or its eigenvalues already solved as a
-    1-D array, so a caller that needs the values itself solves each graph
-    once.
-    Eigenvalues outside an explicit value_range are clipped into the end
-    bins so that the total count stays realizations * n.
+    The bins span the smallest to the largest eigenvalue (a unit interval
+    around them when all are equal), so every eigenvalue is counted.
     """
-    if realizations < 1:
+    if len(spectra) < 1:
         raise QllabError("need at least one realization")
-    collected = []
-    for i in range(realizations):
-        g = make_graph(i)
-        collected.append(g if isinstance(g, np.ndarray) else eigenvalues(g))
-    values = np.concatenate(collected)
-    if value_range is None:
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = value_range
-        values = np.clip(values, lo, hi)
+    values = np.concatenate(spectra)
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    return EnsembleSpectrum(
-        bin_edges=edges,
-        counts=counts,
-        realizations=realizations,
-        metadata=dict(metadata or {}),
-    )
+    return EnsembleSpectrum(bin_edges=edges, counts=counts)

@@ -1,22 +1,23 @@
-"""Density-matrix analytics over effective states.
+"""Density matrices of effective states and the quantities read off them.
 
-Covers purity, the two-qubit Wootters concurrence, Bell combinations in the
-product basis, mixtures built from degenerate eigenvalue clusters, tensor
-inner products, and the symmetrizer/alternator operators on n-fold tensor
-powers of a two-dimensional space.
+`mixture_purity` gives the purity of an equal-weight ensemble of state
+vectors from their Gram matrix; `disorder-sweep` reports it.  `DensityMatrix`
+checks the density-matrix axioms, and `concurrence` is the Wootters
+two-qubit entanglement measure of a 4 x 4 density matrix, the quantity the
+two-bit product states are tested against.  `tensor_inner` and the
+permutation operators on n-fold tensor powers of a two-dimensional space
+(`permutation_operator`, `symmetrizer`, `alternator`) fix the tensor-basis
+conventions of multi-bit products, first factor fastest.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, QllabError, TooLargeError
-from .qlproduct import project_product_state
-from .spectral import Spectrum
+from .errors import QllabError, TooLargeError
 
 _TOL = 1e-10
 
@@ -56,22 +57,6 @@ def density_from_state(c) -> DensityMatrix:
     return DensityMatrix(np.outer(c, c.conj()))
 
 
-def convex_sum(rhos, weights) -> DensityMatrix:
-    """Weighted mixture of density matrices; weights must sum to one."""
-    weights = np.asarray(weights, dtype=float)
-    if len(rhos) != len(weights) or len(rhos) == 0:
-        raise QllabError("need matching, nonempty lists of states and weights")
-    if weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-12:
-        raise QllabError("weights must be nonnegative and sum to 1")
-    total = sum(w * r.matrix for w, r in zip(weights, rhos))
-    return DensityMatrix(total)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """trace(rho^2), between 1/dim and 1."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
 def mixture_purity(vectors) -> float:
     """trace(rho^2) of the equal-weight mixture of the columns of `vectors`.
 
@@ -101,75 +86,12 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
 
 
-def bell_states() -> dict:
-    """The four Bell coefficient vectors in the canonical product basis.
-
-    Basis order (a1b1, a2b1, a1b2, a2b2), first bit fastest.
-    """
-    s = 1.0 / math.sqrt(2.0)
-    return {
-        "phi_plus": np.array([s, 0, 0, s], dtype=complex),
-        "phi_minus": np.array([s, 0, 0, -s], dtype=complex),
-        "psi_plus": np.array([0, s, s, 0], dtype=complex),
-        "psi_minus": np.array([0, -s, s, 0], dtype=complex),
-    }
-
-
-def degenerate_mixture(g, spectrum: Spectrum, window=None, index=1) -> DensityMatrix:
-    """Equal-weight mixture of the projected states of a degenerate cluster.
-
-    The cluster is every eigenvalue within `window` of eigenvalue `index`
-    (default: the second eigenvalue, which is the middle pair of a
-    symmetric two-bit product).  Each member eigenvector is projected onto
-    the product basis, renormalized with the residual discarded, and the
-    pure densities are mixed with equal weights.
-    """
-    if window is None:
-        window = spectrum.degeneracy_window()
-    vals = spectrum.eigenvalues
-    if not 0 <= index < spectrum.n:
-        raise QllabError(f"eigenvalue index {index} out of range")
-    members = np.flatnonzero(np.abs(vals - vals[index]) <= window)
-    if len(members) < 2:
-        raise DegeneracyError(
-            f"eigenvalue {vals[index]:.6g} has no degenerate partner "
-            f"within window {window:.3g}"
-        )
-    rhos = []
-    for i in members:
-        eff = project_product_state(g, spectrum.eigenvectors[:, i])
-        rhos.append(density_from_state(eff.normalized()))
-    return convex_sum(rhos, np.full(len(rhos), 1.0 / len(rhos)))
-
-
 def tensor_inner(u, x, v, y) -> complex:
     """<u (x) x, v (x) y> = <u, v> <x, y>."""
     u, x, v, y = (np.asarray(z, dtype=complex) for z in (u, x, v, y))
     if u.shape != v.shape or x.shape != y.shape:
         raise QllabError("mismatched factor dimensions")
     return complex(np.vdot(u, v) * np.vdot(x, y))
-
-
-def state_fidelity(u, v) -> float:
-    """|<u, v>|^2 after normalizing both vectors (global-phase blind)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return float(
-        abs(np.vdot(u, v)) ** 2 / (np.vdot(u, u).real * np.vdot(v, v).real)
-    )
-
-
-def subspace_fidelity(vectors, target) -> float:
-    """Largest |<s, target>|^2 over unit s in span(vectors).
-
-    Used for degenerate eigenspaces where the solver's basis choice is
-    arbitrary.
-    """
-    cols = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    q, _ = np.linalg.qr(cols)
-    t = np.asarray(target, dtype=complex)
-    t = t / np.linalg.norm(t)
-    return float(np.linalg.norm(q.T.conj() @ t) ** 2)
 
 
 # ----------------------------------------------------------------------

