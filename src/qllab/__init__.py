@@ -73,6 +73,7 @@ from .spectral import (
     emergent_state,
     ensemble_spectrum,
     spectral_gap,
+    top_pair,
 )
 from .states import (
     DensityMatrix,

@@ -44,6 +44,7 @@ from .qlbit import (
     build_regular_qlbit,
     project_two_state,
     qlbit_spec,
+    regular_qlbit_spec,
 )
 from .qlproduct import (
     ProductSpec,
@@ -54,7 +55,7 @@ from .qlproduct import (
     project_product_state,
     verify_spectrum_composition,
 )
-from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum
+from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
@@ -115,7 +116,7 @@ def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
         if "base" not in doc:
             raise ConfigError(f"missing key {path}base")
         base = parse_graph_spec(doc["base"], path + "base.", default_seed)
-    spec = GraphGenSpec(
+    fields = dict(
         kind=doc["kind"],
         n=_int(doc.get("n", 0), f"{path}n"),
         d=_optional(_int, doc, "d", path),
@@ -123,25 +124,30 @@ def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
         base=base,
     )
     try:
-        spec.implied_degree()  # raises on a kind build_graph does not know
-    except QllabError as exc:
-        raise ConfigError(f"{path}kind: {exc}") from None
-    return spec
+        return GraphGenSpec(**fields)
+    except QllabError as exc:  # the message starts with the field name
+        raise ConfigError(f"{path}{exc}") from None
+
+
+_POLICIES = {
+    "pair_probability": (PairProbability, "p", _float),
+    "budget": (EdgeBudgetFraction, "fraction", _float),
+    "cross_regular": (CrossRegular, "degree", _int),
+}
 
 
 def parse_policy(doc, path):
     _check_keys(doc, {"kind", "p", "fraction", "degree"}, {"kind"}, path)
-    kind = doc["kind"]
+    if doc["kind"] not in _POLICIES:
+        raise ConfigError(f"unknown policy kind at {path}kind: {doc['kind']!r}")
+    policy, key, convert = _POLICIES[doc["kind"]]
+    if key not in doc:
+        raise ConfigError(f"missing key {path}{key}")
+    value = convert(doc[key], path + key)
     try:
-        if kind == "pair_probability":
-            return PairProbability(_float(doc["p"], f"{path}p"))
-        if kind == "budget":
-            return EdgeBudgetFraction(_float(doc["fraction"], f"{path}fraction"))
-        if kind == "cross_regular":
-            return CrossRegular(_int(doc["degree"], f"{path}degree"))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {path}{exc.args[0]}") from None
-    raise ConfigError(f"unknown policy kind at {path}kind: {kind!r}")
+        return policy(value)
+    except QllabError as exc:  # the message starts with the field name
+        raise ConfigError(f"{path}{exc}") from None
 
 
 def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
@@ -159,17 +165,13 @@ def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
     blue_bias = _float(doc.get("blue_bias", 1.0), f"{path}blue_bias")
     seed = _int(doc.get("seed", default_seed), f"{path}seed")
     try:
-        return qlbit_spec(
-            n=n,
-            d=d,
-            policy=policy,
-            connect_bias=bias_from_token(doc.get("connect_bias", "+1")),
-            red_bias=red_bias,
-            blue_bias=blue_bias,
-            seed=seed,
-        )
+        connect_bias = bias_from_token(doc.get("connect_bias", "+1"))
     except QllabError as exc:
-        raise ConfigError(f"bad QL bit at {path[:-1]}: {exc}") from exc
+        raise ConfigError(f"{path}connect_bias: {exc}") from None
+    try:
+        return qlbit_spec(n, d, policy, connect_bias, red_bias, blue_bias, seed)
+    except QllabError as exc:  # the message starts with the field name
+        raise ConfigError(f"{path}{exc}") from None
 
 
 def parse_product(doc, path, default_seed=0) -> ProductSpec:
@@ -215,6 +217,12 @@ def _count(params, key, default, low=1) -> int:
     if value < low:
         raise ConfigError(f"params.{key} must be >= {low}")
     return value
+
+
+def _list(params, key) -> list:
+    if not isinstance(params[key], list):
+        raise ConfigError(f"params.{key} must be a list")
+    return params[key]
 
 
 def _nonnegative(params, key, default) -> float:
@@ -286,12 +294,8 @@ def cmd_disorder_sweep(params, seed, out):
     _check_keys(
         params, {"n", "d", "retentions", "realizations"}, {"n", "d", "retentions"}, "params."
     )
-    n, d = _int(params["n"], "params.n"), _int(params["d"], "params.d")
-    if not isinstance(params["retentions"], list):
-        raise ConfigError("params.retentions must be a list")
-    retentions = [
-        _float(r, f"params.retentions[{i}]") for i, r in enumerate(params["retentions"])
-    ]
+    graph = parse_graph_spec({"kind": "d_regular_random", "n": params["n"], "d": params["d"]}, "params.")
+    retentions = [_float(r, f"params.retentions[{i}]") for i, r in enumerate(_list(params, "retentions"))]
     realizations = _count(params, "realizations", 20)
     rows = []
     for retention in retentions:
@@ -299,16 +303,15 @@ def cmd_disorder_sweep(params, seed, out):
             raise ConfigError("params.retentions entries must lie in [0, 1]")
 
         def one(i, retention=retention):
-            g = gen_d_regular_random(n, d, derive_seed(seed, "g", retention, i))
+            g = gen_d_regular_random(graph.n, graph.d, derive_seed(seed, "g", retention, i))
             g = delete_random_edges(
                 g, 1.0 - retention, derive_seed(seed, "del", retention, i)
             )
-            spec = eigendecompose(g)
-            return spec.eigenvectors[:, 0], float(spec.eigenvalues[0])
+            return top_pair(g)
 
-        results = [one(i) for i in range(realizations)]
-        tops = np.column_stack([r[0] for r in results])
-        mean_top = sum(r[1] for r in results) / realizations
+        pairs = [one(i) for i in range(realizations)]
+        tops = np.column_stack([x for _, x in pairs])
+        mean_top = sum(value for value, _ in pairs) / realizations
         rows.append((retention, mixture_purity(tops), mean_top))
     write_csv(
         os.path.join(out, "disorder_sweep.csv"),
@@ -354,6 +357,10 @@ def cmd_qlbit(params, seed, out):
         except QllabError as exc:
             raise ConfigError(f"params.table_row: {exc}") from None
         cross_degree = _int(params.get("cross_degree", 1), "params.cross_degree")
+        try:
+            regular_qlbit_spec(n, d, cross_degree)
+        except QllabError as exc:  # the message starts with the field name
+            raise ConfigError(f"params.{exc}") from None
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
@@ -558,7 +565,7 @@ def cmd_cheeger(params, seed, out):
     else:
         specs = [
             parse_graph_spec(doc, f"params.family[{i}].", derive_seed(seed, i))
-            for i, doc in enumerate(params["family"])
+            for i, doc in enumerate(_list(params, "family"))
         ]
     rows = [(r.n, r.h, r.lower, r.upper, r.is_exact) for r in expansion_profile(specs)]
     write_csv(

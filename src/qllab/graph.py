@@ -185,6 +185,17 @@ class GraphGenSpec:
     seed: int = 0
     base: "GraphGenSpec" = None
 
+    def __post_init__(self):
+        # Each message starts with the field it names, so the CLI can
+        # prefix the config path.
+        if self.kind == "two_lift":
+            if self.base is None:
+                raise QllabError("base: a two_lift needs a base graph")
+        elif self.kind in _KINDS:
+            _check_size(self.kind, self.n, self.d)
+        else:
+            raise QllabError(f"kind: unknown graph kind {self.kind!r}")
+
     def implied_degree(self) -> int:
         if self.kind in ("d_regular_random", "bipartite_d_regular"):
             return self.d
@@ -192,9 +203,25 @@ class GraphGenSpec:
             return 2
         if self.kind == "complete":
             return self.n - 1
-        if self.kind == "two_lift":
-            return self.base.implied_degree()
-        raise QllabError(f"unknown graph kind {self.kind!r}")
+        return self.base.implied_degree()
+
+
+_KINDS = ("d_regular_random", "cycle", "complete", "bipartite_d_regular")
+
+
+def _check_size(kind, n, d=None):
+    """Raise InfeasibleDegreeError unless a `kind` graph on n vertices (per
+    side, when bipartite) of degree d exists; the message starts with the
+    field at fault."""
+    if n < 1:
+        raise InfeasibleDegreeError(f"n: need at least one vertex, got {n}")
+    if kind == "cycle" and n < 3:
+        raise InfeasibleDegreeError(f"n: a cycle needs n >= 3, got {n}")
+    high = n if kind == "bipartite_d_regular" else n - 1
+    if kind in ("d_regular_random", "bipartite_d_regular") and (d is None or not 1 <= d <= high):
+        raise InfeasibleDegreeError(f"d: degree {d} infeasible for {n} vertices")
+    if kind == "d_regular_random" and n * d % 2:
+        raise InfeasibleDegreeError(f"d: n*d = {n * d} must be even")
 
 
 def build_graph(spec: GraphGenSpec) -> BiasedGraph:
@@ -207,9 +234,7 @@ def build_graph(spec: GraphGenSpec) -> BiasedGraph:
         return gen_complete(spec.n)
     if spec.kind == "bipartite_d_regular":
         return gen_bipartite_d_regular(spec.n, spec.d, spec.seed)
-    if spec.kind == "two_lift":
-        return two_lift(build_graph(spec.base), spec.seed)
-    raise QllabError(f"unknown graph kind {spec.kind!r}")
+    return two_lift(build_graph(spec.base), spec.seed)
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +310,7 @@ def gen_d_regular_random(n, d, seed) -> BiasedGraph:
     complement graph is sampled instead.  Identical (n, d, seed) inputs
     reproduce the same edge set bit for bit.
     """
-    if n <= 0:
-        raise InfeasibleDegreeError("need at least one vertex")
-    if d < 1 or d >= n:
-        raise InfeasibleDegreeError(f"degree d={d} infeasible for n={n}")
-    if (n * d) % 2 != 0:
-        raise InfeasibleDegreeError(f"n*d = {n * d} must be even")
+    _check_size("d_regular_random", n, d)
     rng = rng_from(seed, "d_regular", n, d)
     pairs = _sample_regular_pairs(n, d, rng)
     assert len(pairs) == n * d // 2
@@ -298,15 +318,13 @@ def gen_d_regular_random(n, d, seed) -> BiasedGraph:
 
 
 def gen_cycle(n) -> BiasedGraph:
-    if n < 3:
-        raise InfeasibleDegreeError("cycle needs n >= 3")
+    _check_size("cycle", n)
     i = np.arange(n)
     return BiasedGraph.from_edges(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def gen_complete(n) -> BiasedGraph:
-    if n < 1:
-        raise InfeasibleDegreeError("need at least one vertex")
+    _check_size("complete", n)
     return BiasedGraph.from_edges(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
@@ -358,12 +376,7 @@ def sample_biregular_pairs(n, k, rng) -> np.ndarray:
 
 def gen_bipartite_d_regular(n_per_side, d, seed) -> BiasedGraph:
     """Random bipartite d-regular graph; sides are 0..n-1 and n..2n-1."""
-    if n_per_side <= 0:
-        raise InfeasibleDegreeError("need at least one vertex per side")
-    if d < 1 or d > n_per_side:
-        raise InfeasibleDegreeError(
-            f"degree d={d} infeasible for n_per_side={n_per_side}"
-        )
+    _check_size("bipartite_d_regular", n_per_side, d)
     rng = rng_from(seed, "bipartite", n_per_side, d)
     pairs = sample_biregular_pairs(n_per_side, d, rng)
     return BiasedGraph.from_edges(2 * n_per_side, pairs + [0, n_per_side])

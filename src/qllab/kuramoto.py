@@ -9,9 +9,10 @@ so equal phases are a stable fixed point and the network synchronizes.
 D = diag(exp(i theta)), multiplying each edge bias by
 exp(i (theta_j - theta_i)): A -> D* A D.  This is a unitary similarity, so
 the spectrum never changes and every eigenvector v of A becomes
-exp(-i theta) * v.  `run_sync_experiment` therefore diagonalizes each
-realization once, at time zero, and reads the emergent state at every
-record in closed form; `phase_transform` is kept as the explicit reference.
+exp(-i theta) * v.  `run_sync_experiment` therefore solves the top
+eigenpair of each realization once, at time zero, and reads the emergent
+state at every record in closed form; `phase_transform` is kept as the
+explicit reference.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import NumericalError, QllabError
 from .graph import BiasedGraph, derive_seed, rng_from
 from .qlproduct import ProductSpec, build_product
-from .spectral import eigendecompose
+from .spectral import top_pair
 
 
 @dataclass
@@ -181,8 +182,10 @@ def _realization_graph(cfg: SyncRunConfig, r: int) -> BiasedGraph:
 def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     """Integrate the ensemble and record order parameter and emergent purity.
 
-    Each realization's graph is diagonalized once, at time zero, with the
-    residual check of `eigendecompose`.  At a record with phases theta the
+    Only the top eigenpair (lambda_0, v_0) of each realization's graph is
+    solved, once, at time zero, by `top_pair`: Lanczos, gated on the pair's
+    residual and on a Cholesky proof that no eigenvalue lies above lambda_0,
+    with the full solve as fallback.  At a record with phases theta the
     phase-transformed adjacency D* A D, D = diag(exp(i theta)), is unitarily
     similar to A, so its top eigenvalue is lambda_0 and its top eigenvector
     is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  The
@@ -191,9 +194,10 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     numbers); rho is Hermitian, so its purity tr rho^2 is the sum of
     |rho_ij|^2, with no matrix product.
 
-    When lambda_0 of a realization is degenerate, the top eigenvector is one
-    fixed vector of its eigenspace, carried through every record (a
-    per-record solve would pick an arbitrary member each time).
+    When lambda_0 of a realization is degenerate, the top eigenvector is the
+    projection of 1/sqrt(n) onto its eigenspace, one fixed vector carried
+    through every record (a per-record solve would pick an arbitrary member
+    each time).
     """
     sample = _realization_graph(cfg, 0)
     n = sample.n
@@ -212,9 +216,8 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     for r in range(cfg.realizations):
         g = sample if r == 0 else _realization_graph(cfg, r)
         m = coupling_matrix(g)
-        spectrum = eigendecompose(g)
-        v0 = spectrum.eigenvectors[:, 0]
-        top_sum += spectrum.eigenvalues[0]
+        top, v0 = top_pair(g)
+        top_sum += top
         state = initial_state(n, cfg, rng_from(cfg.seed, "init", r))
         theta, epsilon = state.theta, state.epsilon
         done = 0

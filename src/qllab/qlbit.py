@@ -45,7 +45,7 @@ class PairProbability:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise QllabError(f"pair probability {self.p} outside [0, 1]")
+            raise QllabError(f"p: pair probability {self.p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class EdgeBudgetFraction:
 
     def __post_init__(self):
         if self.fraction < 0.0:
-            raise QllabError("budget fraction must be nonnegative")
+            raise QllabError("fraction: budget fraction must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class CrossRegular:
 
     def __post_init__(self):
         if self.degree < 0:
-            raise QllabError("cross degree must be nonnegative")
+            raise QllabError("degree: cross degree must be nonnegative")
 
 
 def _pairs_from_flat(flat, n2) -> np.ndarray:
@@ -92,16 +92,20 @@ def sample_cross_pairs(policy, n1, n2, rng) -> np.ndarray:
     if isinstance(policy, EdgeBudgetFraction):
         raise QllabError("budget policy needs block edge counts; use build_qlbit")
     if isinstance(policy, CrossRegular):
-        if n1 != n2:
-            raise PolicyInfeasibleError(
-                "cross-regular policy needs equal block sizes"
-            )
-        if policy.degree > n1:
-            raise PolicyInfeasibleError(
-                f"cross degree {policy.degree} exceeds block size {n1}"
-            )
+        _check_cross_regular(policy, n1, n2)
         return sample_biregular_pairs(n1, policy.degree, rng)
     raise QllabError(f"unknown connect policy {policy!r}")
+
+
+def _check_cross_regular(policy, n1, n2):
+    """Raise PolicyInfeasibleError unless the cross-regular policy can join
+    blocks of n1 and n2 vertices; the message starts with the field at fault."""
+    if n1 != n2:
+        raise PolicyInfeasibleError("policy: cross-regular policy needs equal block sizes")
+    if policy.degree > n1:
+        raise PolicyInfeasibleError(
+            f"policy.degree: cross degree {policy.degree} exceeds block size {n1}"
+        )
 
 
 def _budget_pairs(budget, n1, n2, rng):
@@ -136,15 +140,24 @@ class QLBitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the field it names, so the CLI can
+        # prefix the config path.
         mag = abs(complex(self.connect_bias))
         if mag != 0.0 and abs(mag - 1.0) > 1e-12:
-            raise QllabError("connect bias must be unit modulus or zero")
-        if abs(self.red_bias) != 1.0 or abs(self.blue_bias) != 1.0:
-            raise QllabError("red/blue biases must be +1 or -1")
+            raise QllabError("connect_bias: must be unit modulus or zero")
+        for name in ("red_bias", "blue_bias"):
+            if abs(getattr(self, name)) != 1.0:
+                raise QllabError(f"{name}: must be +1 or -1")
 
 
 def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
-    """Convenience constructor: two d-regular random blocks of n vertices each."""
+    """Convenience constructor: two d-regular random blocks of n vertices each.
+
+    Sizes the blocks cannot have, and a cross-regular degree above n, raise
+    at once, with messages that start with the field at fault.
+    """
+    if isinstance(policy, CrossRegular):
+        _check_cross_regular(policy, n, n)
     return QLBitSpec(
         sub1=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub1")),
         sub2=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub2")),
@@ -201,10 +214,19 @@ def build_regular_qlbit(
     bipartite cross_degree-regular graph, so every vertex has total degree
     d.  This is the topology the Bloch-axis bias rows act on.
     """
-    if cross_degree < 1 or cross_degree >= d:
-        raise QllabError("need 1 <= cross_degree < d")
+    return build_qlbit(regular_qlbit_spec(n_per_side, d, cross_degree, seed), block_names)
+
+
+def regular_qlbit_spec(n_per_side, d, cross_degree, seed=0) -> QLBitSpec:
+    """The spec `build_regular_qlbit` builds; infeasible sizes raise here,
+    with messages that start with the field at fault."""
+    if not 1 <= cross_degree < d or cross_degree > n_per_side:
+        raise QllabError(
+            f"cross_degree: need 1 <= cross_degree < d = {d} and cross_degree <= n = "
+            f"{n_per_side}, got {cross_degree}"
+        )
     intra = d - cross_degree
-    spec = QLBitSpec(
+    return QLBitSpec(
         sub1=GraphGenSpec(
             "d_regular_random", n=n_per_side, d=intra, seed=derive_seed(seed, "blue")
         ),
@@ -214,7 +236,6 @@ def build_regular_qlbit(
         connect_policy=CrossRegular(cross_degree),
         seed=seed,
     )
-    return build_qlbit(spec, block_names=block_names)
 
 
 # ----------------------------------------------------------------------

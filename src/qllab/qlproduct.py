@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import MissingLabelsError, NumericalError, QllabError
-from .graph import BiasedGraph, derive_seed, gen_d_regular_random, rng_from
+from .graph import BiasedGraph, _check_size, derive_seed, gen_d_regular_random, rng_from
 from .qlbit import EdgeBudgetFraction, _budget_pairs, build_qlbit, sample_cross_pairs
 from .spectral import _RESIDUAL_TOL, Spectrum, _dense_operator, eigendecompose
 
@@ -129,6 +129,8 @@ class ProductSpec:
             raise QllabError(f"mode must be 'full' or 'contracted', got {self.mode!r}")
         if len(self.qlbits) > len(BIT_NAMES):
             raise QllabError(f"qlbits must hold at most {len(BIT_NAMES)} QL bits")
+        if self.mode == "contracted":
+            _check_size("d_regular_random", self.block_size(), self.block_degree())
 
     @property
     def q(self) -> int:
@@ -188,9 +190,7 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
         raise QllabError("spec mode is not 'contracted'")
     q = spec.q
     n = spec.block_size()
-    d = spec.block_degree()
-    if n is None or d is None:
-        raise QllabError("contracted product needs block size and degree")
+    d = spec.block_degree()  # ProductSpec checked that (n, d) is feasible
     nblocks = 1 << q
 
     pairs, bias = [], []

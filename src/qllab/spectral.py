@@ -1,15 +1,24 @@
 """Dense Hermitian eigensolvers and the readings taken off a spectrum.
 
-Eigenvalues are always reported in non-increasing order.  Two dense paths
+Eigenvalues are always reported in non-increasing order.  Three paths
 share one operator (`_dense_operator`):
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
-  residual.  Eigenvector readers use it, but `product` composes a full
-  Cartesian product from its factors (`qlproduct.verify_spectrum_composition`).
+  residual.  `qlbit` (which reads both extreme states), contracted
+  `product` and `cheeger` use it; a full `product` composes its eigensystem
+  from the factors' (`qlproduct.verify_spectrum_composition`).
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead.  `spectrum` uses it.  At
-  n = 512 it takes about 17 ms against 44 ms for `eigendecompose` (one x86
-  core, one BLAS thread).
+  n = 512 it takes about 17 ms against 44 ms for `eigendecompose`.
+- `top_pair` returns only the top eigenvalue and one unit eigenvector, by
+  Lanczos, and proves both before returning them; when a proof fails it
+  returns the top pair of `eigendecompose`.  `disorder-sweep`, the witness
+  readout and the Kuramoto records read nothing else and use it.  At
+  n = 256 (random 6-regular graphs, edges kept with probability r) it takes
+  about 1.2 ms at r = 1 (one step), 3 ms at r = 0.7 and 3.7 ms at r = 0.4,
+  against 7.5 ms for `eigendecompose`.
+
+Times are for one x86 core and one BLAS thread.
 
 Off a solved spectrum, `emergent_state` picks the emergent eigenpair,
 `spectral_gap` reads lambda_0 - lambda_1, and `ensemble_spectrum`
@@ -19,6 +28,7 @@ solvers are small enough for exact dense solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,13 @@ from .graph import BiasedGraph
 DEGENERACY_TOL = 1e-6
 
 _RESIDUAL_TOL = 1e-8
+
+# Lanczos stops once its Ritz residual estimate is this small (times
+# max(1, |theta|)); far below _RESIDUAL_TOL, so every printed digit holds.
+_LANCZOS_TOL = 1e-13
+# Lanczos steps between two solves of its tridiagonal Ritz problem: the
+# first stride, and the cap on the strides extrapolated after it.
+_FIRST_STRIDE, _MAX_STRIDE = 8, 32
 
 
 @dataclass
@@ -53,9 +70,13 @@ class Spectrum:
 
 
 def _dense_operator(g: BiasedGraph) -> np.ndarray:
-    """The adjacency matrix of g, real when no entry has an imaginary part."""
+    """The adjacency matrix of g, real when no entry has an imaginary part.
+
+    The real matrix is a contiguous copy: a matrix-vector product on the
+    strided view `a.real` takes about five times as long.
+    """
     a = g.adjacency()
-    return a if np.any(a.imag) else a.real
+    return a if np.any(a.imag) else np.ascontiguousarray(a.real)
 
 
 def eigendecompose(g: BiasedGraph) -> Spectrum:
@@ -110,6 +131,97 @@ def eigenvalues(g: BiasedGraph) -> np.ndarray:
             f"eigenvalue square-sum error {square_error:.3e} exceeds tolerance"
         )
     return vals
+
+
+def top_pair(g: BiasedGraph):
+    """The top eigenvalue of the adjacency matrix of g and a unit eigenvector.
+
+    Lanczos with full reorthogonalization (Parlett, The Symmetric Eigenvalue
+    Problem) runs from the fixed start 1/sqrt(n) until the Ritz residual
+    estimate falls to 1e-13 * max(1, |theta|).  The Ritz pair (theta, x) is
+    returned only when two gates pass, with tau = 1e-8 * max(1, |theta|):
+    ||A x - theta x|| <= tau (the residual check of `eigendecompose`), and a
+    Cholesky factorization of (theta + tau) I - A succeeds, which proves
+    lambda_max < theta + tau (Ritz values are only lower bounds, so a small
+    residual alone cannot show that theta is the top).  When either gate
+    fails, the top pair of `eigendecompose(g)` is returned instead.
+
+    On a tied top level the vector is the projection of 1/sqrt(n) onto the
+    top eigenspace, normalized: one fixed member of it.
+    """
+    if g.n < 1:
+        raise QllabError("cannot diagonalize an empty vertex set")
+    a = _dense_operator(g)
+    x = _lanczos_top(a)
+    ax = a @ x
+    theta = float(np.vdot(x, ax).real)
+    tau = _RESIDUAL_TOL * max(1.0, abs(theta))
+    if np.linalg.norm(ax - theta * x) <= tau and _all_below(a, theta + tau):
+        return theta, x
+    spectrum = eigendecompose(g)
+    return float(spectrum.eigenvalues[0]), spectrum.eigenvectors[:, 0]
+
+
+def _all_below(a: np.ndarray, bound: float) -> bool:
+    """Whether every eigenvalue of the Hermitian `a` is below bound, proved
+    by a Cholesky factorization of bound * I - a."""
+    shifted = -a
+    shifted.flat[:: len(a) + 1] += bound
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _lanczos_top(a: np.ndarray) -> np.ndarray:
+    """The unit top Ritz vector of `a` from the start 1/sqrt(n), once its
+    residual estimate is below _LANCZOS_TOL * max(1, |theta|)."""
+    n = a.shape[0]
+    complex_ = np.iscomplexobj(a)
+    basis = np.empty((n, n), dtype=a.dtype)  # row k is the Lanczos vector q_k
+    alpha, beta = np.empty(n), np.empty(n)
+    q = np.full(n, 1.0 / np.sqrt(n), dtype=a.dtype)
+    check, previous = 0, None
+    for k in range(n):
+        basis[k] = q
+        done = basis[: k + 1]
+        adjoint = done.conj() if complex_ else done
+        w = a @ q
+        h = adjoint @ w
+        alpha[k] = h[k].real
+        w -= h @ done
+        w -= (adjoint @ w) @ done  # "twice is enough" (Kahan, in Parlett)
+        beta[k] = np.linalg.norm(w)
+        # Solving the tridiagonal Ritz problem costs more than a step, so it
+        # is solved at steps predicted from the estimate's geometric decay,
+        # and at once when the Krylov space is invariant (as after the one
+        # step on a regular graph).
+        if k == check or k == n - 1 or beta[k] <= _LANCZOS_TOL:
+            t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            ritz, s = np.linalg.eigh(t)
+            estimate = beta[k] * abs(s[-1, -1])
+            target = _LANCZOS_TOL * max(1.0, abs(ritz[-1]))
+            if estimate <= target:
+                break
+            check = k + _steps_to(target, (k, estimate), previous)
+            previous = (k, estimate)
+        q = w / beta[k]
+    x = s[:, -1] @ done
+    return x / np.linalg.norm(x)
+
+
+def _steps_to(target, current, previous) -> int:
+    """Lanczos steps until the residual estimate of `current` = (step,
+    estimate) should reach target, extrapolating its decay since `previous`;
+    from 1 to _MAX_STRIDE."""
+    if previous is None:
+        return _FIRST_STRIDE
+    (k, estimate), (j, before) = current, previous
+    rate = math.log(before / estimate) / (k - j)
+    if rate <= 0:
+        return _MAX_STRIDE
+    return min(_MAX_STRIDE, max(1, math.ceil(math.log(estimate / target) / rate)))
 
 
 def spectral_gap(spectrum: Spectrum) -> float:

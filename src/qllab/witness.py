@@ -19,7 +19,7 @@ from .errors import AmbiguousReadoutError, MissingLabelsError, QllabError
 from .graph import BiasedGraph, derive_seed, disjoint_union, rng_from
 from .qlbit import build_qlbit
 from .qlproduct import ProductSpec, parse_block_label
-from .spectral import eigendecompose, emergent_state
+from .spectral import top_pair
 
 READOUT_THRESHOLD = 0.05
 
@@ -104,15 +104,19 @@ def witness_block_projections(combined: BiasedGraph, w):
 def witness_readout(combined: BiasedGraph) -> str:
     """Read the target bit's phase off the witness blocks.
 
-    Diagonalizes the combined graph, projects the emergent (top) state onto
-    the witness indicators, and reports 'same' when the two witness block
-    amplitudes align in phase, 'inverted' otherwise.  The comparison uses
+    Solves only the emergent (top) eigenpair of the combined graph with
+    `top_pair`, which proves the pair by its residual and a Cholesky bound
+    on the top eigenvalue (falling back to the full solve when either
+    fails), projects the vector onto the witness indicators, and reports
+    'same' when the two witness block amplitudes align in phase, 'inverted'
+    otherwise.  On a tied top level the vector is the projection of
+    1/sqrt(n) onto that level: one fixed member of it, where a full solve
+    picked an arbitrary one.  The comparison uses
     Re(conj(a1) * a2), which is global-phase free and reduces to the sign
     product of the real parts for real states.
     """
-    spectrum = eigendecompose(combined)
-    top = emergent_state(spectrum, policy="highest")
-    a1, a2 = witness_block_projections(combined, top.eigenvector)
+    _, top = top_pair(combined)
+    a1, a2 = witness_block_projections(combined, top)
     if abs(a1) < READOUT_THRESHOLD and abs(a2) < READOUT_THRESHOLD:
         raise AmbiguousReadoutError(
             f"witness projections {abs(a1):.3g}, {abs(a2):.3g} below "

@@ -7,9 +7,12 @@ from dataclasses import replace
 
 import pytest
 
+import qllab.cheeger
 import qllab.cli
+import qllab.kuramoto
 import qllab.qlproduct
 import qllab.spectral
+import qllab.witness
 from qllab.cli import main
 from qllab.spectral import eigendecompose, eigenvalues
 
@@ -59,6 +62,40 @@ SPECTRUM_GRAPH = {"kind": "d_regular_random", "n": 10, "d": 3}
 QLBIT_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "+1"}}
 KURAMOTO = {"product": WITNESS_PRODUCT, "K": 1.0, "t_end": 0.1}
 WITNESS = {"product": WITNESS_PRODUCT, "bit_index": 0, "strength": 1.0}
+
+
+# experiment: (params, solver calls at seed 5).  Only `spectrum` reads every
+# eigenvalue; the three readers of the emergent state solve its top pair
+# alone, and the full eigensystem is left to the readers of more columns.
+ROUTES = {
+    "spectrum": ({"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
+    "disorder-sweep": ({"n": 12, "d": 3, "retentions": [1.0, 0.5], "realizations": 2}, {"top_pair": 4}),
+    "kuramoto": ({**KURAMOTO, "realizations": 2}, {"top_pair": 2}),
+    "witness": (WITNESS, {"top_pair": 1}),
+    "qlbit": (QLBIT["params"], {"eigendecompose": 1}),
+    "product": ({"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
+    "cheeger": ({"graph": {"kind": "cycle", "n": 6}}, {"eigendecompose": 1}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ROUTES))
+def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, experiment):
+    calls = {}
+    for name in ("eigendecompose", "eigenvalues", "top_pair"):
+        solver = getattr(qllab.spectral, name)
+
+        def counting(g, name=name, solver=solver):
+            calls[name] = calls.get(name, 0) + 1
+            return solver(g)
+
+        # every module that binds the name, so a fallback inside `top_pair`
+        # is counted as well
+        for module in (qllab.cli, qllab.spectral, qllab.kuramoto, qllab.witness, qllab.qlproduct, qllab.cheeger):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    params, expected = ROUTES[experiment]
+    assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "5") == 0
+    assert calls == expected
 
 
 def _with(experiment, params, key, value):
@@ -126,6 +163,18 @@ REJECTED = [
     ("row-with-red-bias", _with("qlbit", QLBIT_ROW, "red_bias", -1), "params.red_bias"),
     ("row-with-blue-bias", _with("qlbit", QLBIT_ROW, "blue_bias", -1), "params.blue_bias"),
     ("cross-degree-without-row", _with("qlbit", QLBIT["params"], "cross_degree", 2), "params.cross_degree"),
+    # sizes no graph can have, checked when the config is read
+    ("row-cross-degree-at-d", _with("qlbit", QLBIT_ROW, "cross_degree", 3), "params.cross_degree"),
+    ("qlbit-d-at-n", _with("qlbit", QLBIT["params"], "d", 10), "params.d"),
+    ("sweep-d-above-n", _with("disorder-sweep", {"n": 10, "retentions": [1.0]}, "d", 12), "params.d"),
+    ("graph-d-above-n", _with("spectrum", {"graph": {**SPECTRUM_GRAPH, "d": 12}}, "bins", 4), "params.graph.d"),
+    ("graph-d-missing", _with("spectrum", {"graph": {"kind": "d_regular_random", "n": 10}}, "bins", 4), "params.graph.d"),
+    ("product-d-at-n", _with("product", {"product": {**WITNESS_PRODUCT, "d": 8}}, "verify", False), "params.product.d"),
+    ("short-cycle", _with("cheeger", {}, "graph", {"kind": "cycle", "n": 2}), "params.graph.n"),
+    ("cross-regular-above-block", _with("qlbit", QLBIT["params"], "policy", {"kind": "cross_regular", "degree": 11}), "params.policy.degree"),
+    ("pair-probability-above-1", _with("qlbit", QLBIT["params"], "policy", {"kind": "pair_probability", "p": 2}), "params.policy.p"),
+    ("negative-budget", _with("qlbit", QLBIT["params"], "policy", {"kind": "budget", "fraction": -1}), "params.policy.fraction"),
+    ("family-not-a-list", _with("cheeger", {}, "family", 5), "params.family"),
 ]
 
 
@@ -230,8 +279,12 @@ def test_disorder_sweep_body_is_golden(tmp_path):
 
 CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}, {"n": 8, "d": 3}]
 
-# (config, artifacts, SHA-256 of their bodies at seed 7), recorded before full
-# products were solved from their factors; these paths must not move.
+# (config, artifacts, SHA-256 of their bodies at seed 7); these paths must not
+# move.  `product-contracted`, `qlbit` and `cheeger` were recorded before full
+# products were solved from their factors, `spectrum`, `kuramoto` and
+# `witness` before the Kuramoto records and the witness readout solved only
+# the top eigenpair.  Two realizations make the Kuramoto purity mix two top
+# vectors, and strength 1 gives an unambiguous readout.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
@@ -247,6 +300,21 @@ GOLDEN = {
         {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},
         ["cheeger.csv"],
         "0bf59ac04220b6ca861162107dbbfa8305e1c24360d5ab7bbd7b021bd0b25989",
+    ),
+    "spectrum": (
+        {"experiment": "spectrum", "params": {"graph": SPECTRUM_GRAPH, "disorder_sigma": 0.2, "realizations": 2, "bins": 8}},
+        ["spectrum.csv", "histogram.csv"],
+        "ce866bdfbedc3d6e838f4a0200a9a70df5fc3e1ce353d46556b5773e3b9e3236",
+    ),
+    "kuramoto": (
+        {"experiment": "kuramoto", "params": {**KURAMOTO, "t_end": 1.0, "record_every": 5, "realizations": 2}},
+        ["kuramoto.csv"],
+        "6876e59af0440a4368b10293f3dbb05b580f426d4db8039352cd55c53d141b31",
+    ),
+    "witness": (
+        {"experiment": "witness", "params": {**WITNESS, "trials": 2}},
+        ["witness.csv", "witness_summary.json"],
+        "c006ad2e016bf4b5315ef6615c3c1e32f386f2d33e27da466bae53dfa13c5130",
     ),
 }
 

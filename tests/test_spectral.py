@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qllab.spectral
 from qllab.errors import NumericalError, QllabError
 from qllab.graph import (
     BiasedGraph,
@@ -21,6 +22,7 @@ from qllab.spectral import (
     emergent_state,
     ensemble_spectrum,
     spectral_gap,
+    top_pair,
 )
 
 
@@ -138,6 +140,103 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         with pytest.raises(NumericalError):
             eigenvalues(gen_cycle(6))
+
+
+def top_space_weight(g, x):
+    """||P x||^2 for P the projector onto the eigenvalues in the top window."""
+    spec = eigendecompose(g)
+    vals = spec.eigenvalues
+    top = spec.eigenvectors[:, vals >= vals[0] - spec.degeneracy_window()]
+    return float(np.linalg.norm(top.conj().T @ x) ** 2)
+
+
+class TestTopPair:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.05, 0.9),
+        st.integers(0, 2**32),
+        st.sampled_from(["real", "complex", "disordered", "disconnected"]),
+    )
+    def test_matches_the_full_solve(self, n, p, seed, kind):
+        if kind == "real":
+            g = random_biased_graph(n, p, seed)
+            g = BiasedGraph.from_edges(n, g.edges, np.sign(g.bias.real) + (g.bias.real == 0))
+        elif kind == "disconnected":
+            g = disjoint_union(random_biased_graph(n, p, seed), random_biased_graph(n, p, seed + 1))
+        else:
+            g = random_biased_graph(n, p, seed, disorder=1.5 if kind == "disordered" else 0.0)
+        value, x = top_pair(g)
+        top = eigendecompose(g).eigenvalues[0]
+        assert abs(value - top) <= 1e-12 * max(1.0, abs(top))
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.sqrt(top_space_weight(g, x)) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            BiasedGraph.from_edges(4, gen_complete(4).edges, -np.ones(6)),
+            BiasedGraph.from_edges(2, [(0, 1)], [-1.0]),
+        ],
+        ids=["minus-k4", "minus-edge"],
+    )
+    def test_start_orthogonal_to_the_top_falls_back(self, monkeypatch, g):
+        # 1/sqrt(n) is an eigenvector of the lowest level here, so Lanczos
+        # stops at once with a Ritz pair of zero residual that is not the top
+        full = []
+
+        def counting(h):
+            full.append(h.n)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", counting)
+        value, x = top_pair(g)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert top_space_weight(g, x) == pytest.approx(1.0, abs=1e-12)
+        assert full == [g.n]
+
+    def test_inaccurate_pair_falls_back(self, monkeypatch):
+        # a Ritz vector 1e-5 off the top has its Rayleigh quotient within
+        # 1e-8 of the top, so only the residual gate can reject it
+        g = random_biased_graph(40, 0.3, seed=3, disorder=1.0)
+        exact = eigendecompose(g)
+        x = exact.eigenvectors[:, 0] + 1e-5 * exact.eigenvectors[:, 1]
+        x /= np.linalg.norm(x)
+        a = g.adjacency()
+        rayleigh = float(np.vdot(x, a @ x).real)
+        assert exact.eigenvalues[0] - rayleigh <= 1e-8
+        monkeypatch.setattr(qllab.spectral, "_lanczos_top", lambda a: x)
+        value, top = top_pair(g)
+        assert value == exact.eigenvalues[0]
+        assert np.array_equal(top, exact.eigenvectors[:, 0])
+
+    def test_tied_top_returns_the_projection_of_the_uniform_start(self, monkeypatch):
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", None)  # no fallback
+        g = disjoint_union(gen_d_regular_random(20, 4, seed=1), gen_d_regular_random(20, 4, seed=1))
+        value, x = top_pair(g)
+        assert value == pytest.approx(4.0, abs=1e-12)
+        assert np.allclose(x, 1 / np.sqrt(40), atol=1e-14)
+
+    def test_regular_graph_solves_in_one_step(self, monkeypatch):
+        steps = []
+        eigh = np.linalg.eigh
+
+        def counting(t):
+            steps.append(len(t))
+            return eigh(t)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        value, x = top_pair(gen_d_regular_random(40, 6, seed=2))
+        assert steps == [1]
+        assert value == pytest.approx(6.0, abs=1e-12)
+
+    def test_single_vertex(self):
+        value, x = top_pair(BiasedGraph.from_edges(1, np.empty((0, 2), int), diagonal=[2.5]))
+        assert value == 2.5 and x.tolist() == [1.0]
+
+    def test_empty_vertex_set(self):
+        with pytest.raises(QllabError):
+            top_pair(BiasedGraph(n=0))
 
 
 class TestSpectralGap:
