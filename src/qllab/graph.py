@@ -10,6 +10,13 @@ diagonal are read-only, so an operation that keeps or subsets a canonical
 edge set shares them through `dataclasses.replace` instead of copying.  All
 randomized operations take an explicit seed and derive a private generator
 from it.
+
+A labeled graph also carries a partition into the named blocks (a1, a2,
+a1b2, ...) whose indicators span the QL state space: `blocks`, the tuple
+of names, and `block_of`, each vertex's index into `blocks`.  An owner
+array puts every vertex in exactly one block, so the partition needs no
+overlap or cover check, only a range check.  `block_indicator` is the one
+place that builds a unit block indicator.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InfeasibleDegreeError, QllabError, RetryExhaustedError
+from .errors import InfeasibleDegreeError, MissingLabelsError, QllabError, RetryExhaustedError
 
 _MAX_RESTARTS = 10_000
 _MAX_REPAIR_ROUNDS = 200
@@ -60,10 +67,14 @@ class BiasedGraph:
         A[u, v] for each row of `edges`; A[v, u] = conj(A[u, v]).
     diagonal : ndarray, shape (n,)
         Real per-vertex offsets (frequency disorder, detuning).
-    labels : dict[str, list[int]] or None
-        Optional partition of the vertices into named blocks.
+    blocks : tuple[str, ...] or None
+        Names of the blocks of an optional vertex partition, in order.
+    block_of : ndarray, shape (n,), int64, or None
+        Index into `blocks` of each vertex's block; set with `blocks`.
 
-    `edges`, `bias` and `diagonal` are read-only arrays (writable inputs
+    Each vertex holds one block index, so blocks never overlap and always
+    cover the vertices; names are unique and no block is empty.  `edges`,
+    `bias`, `diagonal` and `block_of` are read-only arrays (writable inputs
     are copied), so graphs may share them.  Build graphs with `from_edges`,
     which puts any edge list into the canonical form above; derive a graph
     that keeps or subsets a canonical edge set with `dataclasses.replace`.
@@ -75,7 +86,8 @@ class BiasedGraph:
     edges: np.ndarray = None
     bias: np.ndarray = None
     diagonal: np.ndarray = None
-    labels: dict = None
+    blocks: tuple = None
+    block_of: np.ndarray = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -93,11 +105,22 @@ class BiasedGraph:
             raise QllabError("edges must be an (m, 2) array with one bias per row")
         if self.diagonal.shape != (self.n,):
             raise QllabError("diagonal length must equal vertex count")
-        if self.labels is not None:
-            _check_partition(self.n, self.labels)
+        if (self.blocks is None) != (self.block_of is None):
+            raise QllabError("blocks and block_of must be given together")
+        if self.blocks is not None:
+            self.blocks = tuple(self.blocks)
+            self.block_of = _read_only(self.block_of, np.int64)
+            k = len(self.blocks)
+            if len(set(self.blocks)) != k:
+                raise QllabError(f"block names repeat: {self.blocks}")
+            if self.block_of.shape != (self.n,) or not np.isin(self.block_of, range(k)).all():
+                raise QllabError(f"block_of must hold one index in [0, {k}) per vertex")
+            sizes = np.bincount(self.block_of, minlength=k)
+            if not sizes.all():
+                raise QllabError(f"block {self.blocks[sizes.argmin()]!r} has no vertices")
 
     @classmethod
-    def from_edges(cls, n, pairs, bias=None, diagonal=None, labels=None):
+    def from_edges(cls, n, pairs, bias=None, diagonal=None, blocks=None, block_of=None):
         """Build a graph from (m, 2) vertex pairs and their biases A[u, v].
 
         bias defaults to all ones.  Each pair is oriented to u < v,
@@ -135,7 +158,7 @@ class BiasedGraph:
         if zero.size:
             u, v = pairs[zero[0]]
             raise QllabError(f"zero bias on edge ({u}, {v})")
-        return cls(n=n, edges=pairs, bias=bias, diagonal=diagonal, labels=labels)
+        return cls(n, pairs, bias, diagonal, blocks, block_of)
 
     @property
     def num_edges(self) -> int:
@@ -155,19 +178,12 @@ class BiasedGraph:
         return a
 
 
-def _check_partition(n, labels):
-    seen = set()
-    for name, verts in labels.items():
-        block = set(verts)
-        if len(block) != len(verts):
-            raise QllabError(f"label block {name!r} repeats vertices")
-        if block & seen:
-            raise QllabError(f"label block {name!r} overlaps another block")
-        if any(not (0 <= v < n) for v in block):
-            raise QllabError(f"label block {name!r} has out-of-range vertices")
-        seen |= block
-    if seen and seen != set(range(n)):
-        raise QllabError("label blocks must cover all vertices")
+def block_indicator(g: BiasedGraph, name) -> np.ndarray:
+    """Unit-norm indicator vector of block `name`: 1/sqrt(size) on its vertices."""
+    if g.blocks is None or name not in g.blocks:
+        raise MissingLabelsError(f"block {name!r} missing from labels {g.blocks}")
+    members = g.block_of == g.blocks.index(name)
+    return members / np.sqrt(np.count_nonzero(members))
 
 
 @dataclass(frozen=True)
@@ -403,14 +419,9 @@ def two_lift(g: BiasedGraph, seed, force_parallel=False) -> BiasedGraph:
     )
     bias = np.concatenate([g.bias, np.where(crossing, g.bias.conj(), g.bias)])
     diagonal = np.concatenate([g.diagonal, g.diagonal])
-    labels = None
-    if g.labels is not None:
-        labels = {
-            name: list(verts) + [v + n for v in verts]
-            for name, verts in g.labels.items()
-        }
+    block_of = None if g.blocks is None else np.tile(g.block_of, 2)
     return BiasedGraph.from_edges(
-        2 * n, np.concatenate([first, second]), bias, diagonal=diagonal, labels=labels
+        2 * n, np.concatenate([first, second]), bias, diagonal, g.blocks, block_of
     )
 
 
@@ -447,16 +458,11 @@ def disjoint_union(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     pairs = np.concatenate([g.edges, h.edges + g.n])
     bias = np.concatenate([g.bias, h.bias])
     diagonal = np.concatenate([g.diagonal, h.diagonal])
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        overlap = set(g.labels) & set(h.labels)
-        if overlap:
-            raise QllabError(f"label collision in union: {sorted(overlap)}")
-        labels = {name: list(verts) for name, verts in g.labels.items()}
-        labels.update(
-            {name: [v + g.n for v in verts] for name, verts in h.labels.items()}
-        )
-    return BiasedGraph.from_edges(g.n + h.n, pairs, bias, diagonal=diagonal, labels=labels)
+    blocks = block_of = None
+    if g.blocks is not None and h.blocks is not None:  # a shared name raises in from_edges
+        blocks = g.blocks + h.blocks
+        block_of = np.concatenate([g.block_of, h.block_of + len(g.blocks)])
+    return BiasedGraph.from_edges(g.n + h.n, pairs, bias, diagonal, blocks, block_of)
 
 
 def connected_components(g: BiasedGraph) -> list:
@@ -490,13 +496,16 @@ def connected_components(g: BiasedGraph) -> list:
 
 def graph_to_json(g: BiasedGraph) -> dict:
     # An object array turns the int64 and float64 columns into Python ints
-    # and floats, which json can write.
+    # and floats, which json can write.  A partition is written as "labels",
+    # a map from each block name to its ascending vertex list.
     columns = (g.edges[:, 0], g.edges[:, 1], g.bias.real, g.bias.imag)
     doc = {
         "n": g.n,
         "edges": np.array(columns, dtype=object).T.tolist(),
         "diagonal": g.diagonal.tolist(),
     }
-    if g.labels is not None:
-        doc["labels"] = {name: list(verts) for name, verts in g.labels.items()}
+    if g.blocks is not None:
+        doc["labels"] = {
+            name: np.flatnonzero(g.block_of == k).tolist() for k, name in enumerate(g.blocks)
+        }
     return doc

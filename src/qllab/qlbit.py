@@ -25,6 +25,7 @@ from .errors import (
 from .graph import (
     BiasedGraph,
     GraphGenSpec,
+    block_indicator,
     build_graph,
     derive_seed,
     rng_from,
@@ -63,6 +64,10 @@ class EdgeBudgetFraction:
         if self.fraction < 0.0:
             raise QllabError("fraction: budget fraction must be nonnegative")
 
+    def budget(self, block_edges) -> int:
+        """Cross-edge count for blocks that carry block_edges edges together."""
+        return int(round(self.fraction * block_edges))
+
 
 @dataclass(frozen=True)
 class CrossRegular:
@@ -84,42 +89,57 @@ def _pairs_from_flat(flat, n2) -> np.ndarray:
     return np.stack(np.divmod(np.asarray(flat, dtype=np.int64), n2), axis=1)
 
 
-def sample_cross_pairs(policy, n1, n2, rng) -> np.ndarray:
-    """(m, 2) cross pairs (i in block1, j in block2) under the given policy."""
+def sample_cross_pairs(policy, n1, n2, block_edges, rng) -> np.ndarray:
+    """(m, 2) cross pairs (i in block1, j in block2) under the given policy.
+
+    block_edges, the edge count of the two blocks together, sets the size
+    of an EdgeBudgetFraction sample.
+    """
+    _check_policy(policy, n1, n2, block_edges, "policy")
     if isinstance(policy, PairProbability):
         mask = rng.random(n1 * n2) < policy.p
         return _pairs_from_flat(np.flatnonzero(mask), n2)
     if isinstance(policy, EdgeBudgetFraction):
-        raise QllabError("budget policy needs block edge counts; use build_qlbit")
+        picks = rng.choice(n1 * n2, size=policy.budget(block_edges), replace=False)
+        return _pairs_from_flat(picks, n2)
     if isinstance(policy, CrossRegular):
-        _check_cross_regular(policy, n1, n2)
         return sample_biregular_pairs(n1, policy.degree, rng)
     raise QllabError(f"unknown connect policy {policy!r}")
 
 
-def _check_cross_regular(policy, n1, n2):
-    """Raise PolicyInfeasibleError unless the cross-regular policy can join
-    blocks of n1 and n2 vertices; the message starts with the field at fault."""
-    if n1 != n2:
-        raise PolicyInfeasibleError("policy: cross-regular policy needs equal block sizes")
-    if policy.degree > n1:
+def _check_policy(policy, n1, n2, block_edges, path):
+    """Raise PolicyInfeasibleError unless the policy can join blocks of n1
+    and n2 vertices that carry block_edges edges together; the message
+    starts with the field at fault, named by the policy's `path`."""
+    if isinstance(policy, CrossRegular):
+        if n1 != n2:
+            raise PolicyInfeasibleError(f"{path}: cross-regular policy needs equal block sizes")
+        if policy.degree > n1:
+            raise PolicyInfeasibleError(
+                f"{path}.degree: cross degree {policy.degree} exceeds block size {n1}"
+            )
+    elif isinstance(policy, EdgeBudgetFraction) and policy.budget(block_edges) > n1 * n2:
         raise PolicyInfeasibleError(
-            f"policy.degree: cross degree {policy.degree} exceeds block size {n1}"
+            f"{path}.fraction: edge budget {policy.budget(block_edges)} exceeds "
+            f"{n1 * n2} available cross pairs"
         )
-
-
-def _budget_pairs(budget, n1, n2, rng):
-    if budget > n1 * n2:
-        raise PolicyInfeasibleError(
-            f"edge budget {budget} exceeds {n1 * n2} available cross pairs"
-        )
-    picks = rng.choice(n1 * n2, size=budget, replace=False)
-    return _pairs_from_flat(picks, n2)
 
 
 # ----------------------------------------------------------------------
 # QL bit construction
 # ----------------------------------------------------------------------
+
+
+def _check_biases(conn_field, conn, **signs):
+    """Raise unless each of `signs` is +1 or -1 and the connecting bias
+    `conn` has unit modulus or is zero.  Each message starts with the field
+    it names, so the CLI can prefix the config path."""
+    for name, value in signs.items():
+        if complex(value) not in (1, -1):
+            raise QllabError(f"{name}: must be +1 or -1")
+    mag = abs(complex(conn))
+    if mag != 0.0 and abs(mag - 1.0) > 1e-12:
+        raise QllabError(f"{conn_field}: must be unit modulus or zero")
 
 
 @dataclass(frozen=True)
@@ -140,25 +160,19 @@ class QLBitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # Each message starts with the field it names, so the CLI can
-        # prefix the config path.
-        mag = abs(complex(self.connect_bias))
-        if mag != 0.0 and abs(mag - 1.0) > 1e-12:
-            raise QllabError("connect_bias: must be unit modulus or zero")
-        for name in ("red_bias", "blue_bias"):
-            if abs(getattr(self, name)) != 1.0:
-                raise QllabError(f"{name}: must be +1 or -1")
+        _check_biases(
+            "connect_bias", self.connect_bias, red_bias=self.red_bias, blue_bias=self.blue_bias
+        )
 
 
 def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
     """Convenience constructor: two d-regular random blocks of n vertices each.
 
-    Sizes the blocks cannot have, and a cross-regular degree above n, raise
-    at once, with messages that start with the field at fault.
+    Sizes the blocks cannot have, and a policy that cannot join them (a
+    cross-regular degree above n, an edge budget above n * n), raise at
+    once, with messages that start with the field at fault.
     """
-    if isinstance(policy, CrossRegular):
-        _check_cross_regular(policy, n, n)
-    return QLBitSpec(
+    spec = QLBitSpec(
         sub1=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub1")),
         sub2=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub2")),
         connect_policy=policy if policy is not None else EdgeBudgetFraction(0.2),
@@ -167,6 +181,8 @@ def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0,
         blue_bias=blue_bias,
         seed=seed,
     )
+    _check_policy(spec.connect_policy, n, n, n * d, "policy")  # d-regular blocks: n * d edges
+    return spec
 
 
 def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
@@ -187,21 +203,15 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     conn = complex(spec.connect_bias)
     if conn != 0:
         rng = rng_from(spec.seed, "cross", n1, n2)
-        if isinstance(spec.connect_policy, EdgeBudgetFraction):
-            budget = int(round(spec.connect_policy.fraction * (g1.num_edges + g2.num_edges)))
-            cross = _budget_pairs(budget, n1, n2, rng)
-        else:
-            cross = sample_cross_pairs(spec.connect_policy, n1, n2, rng)
+        block_edges = g1.num_edges + g2.num_edges
+        cross = sample_cross_pairs(spec.connect_policy, n1, n2, block_edges, rng)
         pairs.append(cross + [0, n1])
         bias.append(np.full(len(cross), conn))
 
-    labels = {
-        block_names[0]: list(range(n1)),
-        block_names[1]: list(range(n1, n1 + n2)),
-    }
     diagonal = np.concatenate([g1.diagonal, g2.diagonal])
+    block_of = np.repeat([0, 1], [n1, n2])
     return BiasedGraph.from_edges(
-        n1 + n2, np.concatenate(pairs), np.concatenate(bias), diagonal=diagonal, labels=labels
+        n1 + n2, np.concatenate(pairs), np.concatenate(bias), diagonal, block_names, block_of
     )
 
 
@@ -263,31 +273,17 @@ class EffectiveTwoState:
         return vec / norm
 
 
-def _two_blocks(g: BiasedGraph, block_names=None):
-    if g.labels is None:
-        raise MissingLabelsError("graph has no block labels")
-    if block_names is None:
-        if len(g.labels) != 2:
-            raise MissingLabelsError(
-                f"expected exactly two blocks, found {sorted(g.labels)}"
-            )
-        block_names = tuple(g.labels)
-    for name in block_names:
-        if name not in g.labels:
-            raise MissingLabelsError(f"block {name!r} missing from labels")
-    return block_names
+def _bit_names(g: BiasedGraph, block_names):
+    """block_names, by default the graph's blocks: two of the graph's blocks."""
+    names = g.blocks if block_names is None else tuple(block_names)
+    if g.blocks is None or len(names) != 2 or not set(names) <= set(g.blocks):
+        raise MissingLabelsError(f"need two of the blocks {g.blocks}, got {names}")
+    return names
 
 
 def j_vectors(g: BiasedGraph, block_names=None):
     """Normalized indicator vectors (J_a1, J_a2) of the two blocks."""
-    names = _two_blocks(g, block_names)
-    out = []
-    for name in names:
-        verts = g.labels[name]
-        vec = np.zeros(g.n)
-        vec[list(verts)] = 1.0 / np.sqrt(len(verts))
-        out.append(vec)
-    return tuple(out)
+    return tuple(block_indicator(g, name) for name in _bit_names(g, block_names))
 
 
 def project_two_state(g: BiasedGraph, w, block_names=None) -> EffectiveTwoState:
@@ -338,12 +334,7 @@ class BiasTopology:
     conn: complex
 
     def __post_init__(self):
-        for name, value in (("red", self.red), ("blue", self.blue)):
-            if complex(value) not in (1 + 0j, -1 + 0j):
-                raise QllabError(f"{name} bias must be +1 or -1")
-        mag = abs(complex(self.conn))
-        if mag != 0.0 and abs(mag - 1.0) > 1e-12:
-            raise QllabError("connecting bias must be unit modulus or zero")
+        _check_biases("conn", self.conn, red=self.red, blue=self.blue)
 
     @classmethod
     def from_config(cls, doc: dict) -> "BiasTopology":
@@ -383,17 +374,12 @@ def apply_bias_topology(g: BiasedGraph, topology: BiasTopology, block_names=None
     build_regular_qlbit).  A connecting bias of zero removes the cross
     edges.  Orientation: A[a1, a2] = conn.
     """
-    names = _two_blocks(g, block_names)
-    in_blue = np.zeros(g.n, dtype=bool)
-    in_blue[list(g.labels[names[0]])] = True
-    in_red = np.zeros(g.n, dtype=bool)
-    in_red[list(g.labels[names[1]])] = True
-
+    blue_k, red_k = (g.blocks.index(name) for name in _bit_names(g, block_names))
     conn = complex(topology.conn)
-    u, v = g.edges.T
-    blue = in_blue[u] & in_blue[v]
-    red = in_red[u] & in_red[v]
-    cross = np.where(in_blue[u], conn, conn.conjugate())
+    side = g.block_of[g.edges]  # (m, 2) block index of each end
+    blue = (side == blue_k).all(axis=1)
+    red = (side == red_k).all(axis=1)
+    cross = np.where(side[:, 0] == blue_k, conn, conn.conjugate())
     bias = np.where(blue, complex(topology.blue), np.where(red, complex(topology.red), cross))
     keep = blue | red | (conn != 0)
     return replace(g, edges=g.edges[keep], bias=bias[keep])

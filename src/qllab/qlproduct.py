@@ -24,8 +24,15 @@ from functools import reduce
 import numpy as np
 
 from .errors import MissingLabelsError, NumericalError, QllabError
-from .graph import BiasedGraph, _check_size, derive_seed, gen_d_regular_random, rng_from
-from .qlbit import EdgeBudgetFraction, _budget_pairs, build_qlbit, sample_cross_pairs
+from .graph import (
+    BiasedGraph,
+    _check_size,
+    block_indicator,
+    derive_seed,
+    gen_d_regular_random,
+    rng_from,
+)
+from .qlbit import _check_policy, build_qlbit, sample_cross_pairs
 from .spectral import _RESIDUAL_TOL, Spectrum, _dense_operator, eigendecompose
 
 BIT_NAMES = "abcdefgh"
@@ -42,8 +49,9 @@ def cartesian_product(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     """Graph Cartesian product g [] h.
 
     (u, x) ~ (v, y) iff u ~ v and x = y, or x ~ y and u = v, inheriting the
-    contributing edge's bias.  Diagonals add; labels combine blockwise when
-    both factors are labeled.
+    contributing edge's bias.  Diagonals add; when both factors are labeled,
+    blocks g.blocks[i] and h.blocks[j] combine into block g.blocks[i] +
+    h.blocks[j], at index j * len(g.blocks) + i like the vertex order.
     """
     if g.n == 0 or h.n == 0:
         raise QllabError("product factors must be nonempty")
@@ -55,15 +63,11 @@ def cartesian_product(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     pairs = np.concatenate([g_copies.reshape(-1, 2), h_copies.reshape(-1, 2)])
     bias = np.concatenate([np.tile(g.bias, h.n), np.repeat(h.bias, gn)])
     diagonal = np.add.outer(h.diagonal, g.diagonal).ravel()
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = {}
-        for hname, hverts in h.labels.items():
-            for gname, gverts in g.labels.items():
-                labels[gname + hname] = [
-                    x * gn + u for x in hverts for u in gverts
-                ]
-    return BiasedGraph.from_edges(g.n * h.n, pairs, bias, diagonal=diagonal, labels=labels)
+    blocks = block_of = None
+    if g.blocks is not None and h.blocks is not None:
+        blocks = tuple(gname + hname for hname in h.blocks for gname in g.blocks)
+        block_of = np.add.outer(h.block_of * len(g.blocks), g.block_of).ravel()
+    return BiasedGraph.from_edges(g.n * h.n, pairs, bias, diagonal, blocks, block_of)
 
 
 def verify_spectrum_composition(*factors):
@@ -110,7 +114,7 @@ class ProductSpec:
     independent d-regular random graph on n vertices (n, d taken from the
     fields below, falling back to the first bit's sub1 spec), and blocks
     whose labels differ in exactly one position are connected using that
-    bit's policy and bias.
+    bit's policy and bias, so every bit's policy must fit n-vertex blocks.
     """
 
     qlbits: tuple
@@ -130,7 +134,10 @@ class ProductSpec:
         if len(self.qlbits) > len(BIT_NAMES):
             raise QllabError(f"qlbits must hold at most {len(BIT_NAMES)} QL bits")
         if self.mode == "contracted":
-            _check_size("d_regular_random", self.block_size(), self.block_degree())
+            n, d = self.block_size(), self.block_degree()
+            _check_size("d_regular_random", n, d)
+            for j, bit in enumerate(self.qlbits):  # two d-regular blocks: n * d edges
+                _check_policy(bit.connect_policy, n, n, n * d, f"qlbits[{j}].policy")
 
     @property
     def q(self) -> int:
@@ -194,11 +201,9 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
     nblocks = 1 << q
 
     pairs, bias = [], []
-    labels = {}
     for k in range(nblocks):
         values = bit_values(k, q)
         offset = k * n
-        labels[block_label(values)] = list(range(offset, offset + n))
         block = gen_d_regular_random(n, d, derive_seed(spec.seed, "block", values))
         intra = 1.0
         for j, v in enumerate(values):
@@ -219,17 +224,15 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
                 continue
             others = tuple(v for t, v in enumerate(values) if t != j)
             rng = rng_from(spec.seed, "cross", j, others)
-            policy = bit.connect_policy
-            if isinstance(policy, EdgeBudgetFraction):
-                cross = _budget_pairs(int(round(policy.fraction * n * d)), n, n, rng)
-            else:
-                cross = sample_cross_pairs(policy, n, n, rng)
+            cross = sample_cross_pairs(bit.connect_policy, n, n, n * d, rng)
             # Orientation: value-1 block -> value-2 block carries the bias.
             pairs.append(cross + [k * n, partner * n])
             bias.append(np.full(len(cross), conn))
 
+    blocks = tuple(block_label(bit_values(k, q)) for k in range(nblocks))
+    block_of = np.repeat(np.arange(nblocks), n)
     return BiasedGraph.from_edges(
-        nblocks * n, np.concatenate(pairs), np.concatenate(bias), labels=labels
+        nblocks * n, np.concatenate(pairs), np.concatenate(bias), None, blocks, block_of
     )
 
 
@@ -239,15 +242,11 @@ def build_product(spec: ProductSpec) -> BiasedGraph:
 
 def label_adjacency(g: BiasedGraph):
     """Set of unordered block-name pairs joined by at least one edge."""
-    if g.labels is None:
+    if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
-    names = list(g.labels)
-    owner = np.zeros(g.n, dtype=np.int64)
-    for k, name in enumerate(names):
-        owner[list(g.labels[name])] = k
-    a, b = owner[g.edges].T
+    a, b = g.block_of[g.edges].T
     crossing = np.unique(np.sort(np.stack([a, b], axis=1)[a != b], axis=1), axis=0)
-    return {frozenset((names[i], names[j])) for i, j in crossing.tolist()}
+    return {frozenset((g.blocks[i], g.blocks[j])) for i, j in crossing.tolist()}
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +256,11 @@ def label_adjacency(g: BiasedGraph):
 
 def product_basis_labels(g: BiasedGraph):
     """Block labels of g in canonical basis order (first bit fastest)."""
-    if g.labels is None:
+    if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
     by_values = {}
     names_ref = None
-    for label in g.labels:
+    for label in g.blocks:
         names, values = parse_block_label(label)
         if names_ref is None:
             names_ref = names
@@ -281,14 +280,9 @@ def product_basis_labels(g: BiasedGraph):
 def product_j_vectors(g: BiasedGraph) -> np.ndarray:
     """Columns: normalized block indicators in canonical basis order.
 
-    Vertex membership is read from the labels, never assumed contiguous.
+    Vertex membership is read from g.block_of, never assumed contiguous.
     """
-    ordered = product_basis_labels(g)
-    j = np.zeros((g.n, len(ordered)))
-    for col, label in enumerate(ordered):
-        verts = list(g.labels[label])
-        j[verts, col] = 1.0 / np.sqrt(len(verts))
-    return j
+    return np.stack([block_indicator(g, label) for label in product_basis_labels(g)], axis=1)
 
 
 @dataclass
@@ -349,13 +343,13 @@ def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> Bi
     Hamiltonian a sum of single-bit terms, and its emergent state a product
     state.
     """
-    if g.labels is None:
+    if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
-    diagonal = g.diagonal.copy()
-    for label, verts in g.labels.items():
+    shift = np.zeros(len(g.blocks))
+    for k, label in enumerate(g.blocks):
         _, values = parse_block_label(label)
         if all(v == 1 for v in values):
-            diagonal[list(verts)] += omega1
+            shift[k] = omega1
         elif all(v == 2 for v in values):
-            diagonal[list(verts)] += omega2
-    return replace(g, diagonal=diagonal)
+            shift[k] = omega2
+    return replace(g, diagonal=g.diagonal + shift[g.block_of])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AmbiguousReadoutError, MissingLabelsError, QllabError
 from .graph import BiasedGraph, derive_seed, disjoint_union, rng_from
-from .qlbit import build_qlbit
+from .qlbit import build_qlbit, project_two_state
 from .qlproduct import ProductSpec, parse_block_label
 from .spectral import top_pair
 
@@ -41,7 +41,7 @@ def attach_witness(
     matches.  Returns the combined graph; the witness vertices follow the
     product's.
     """
-    if product.labels is None:
+    if product.blocks is None:
         raise MissingLabelsError("product graph has no block labels")
     if not 0 <= bit_index < spec.q:
         raise IndexError(f"bit index {bit_index} out of range for q={spec.q}")
@@ -61,14 +61,14 @@ def attach_witness(
     if strength == 0:
         return combined
 
-    offset = product.n
     pairs = [combined.edges]
     for side, wname in enumerate(WITNESS_BLOCKS, start=1):
-        wverts = np.asarray(witness.labels[wname]) + offset
-        for pname, pverts in product.labels.items():
+        wverts = np.flatnonzero(witness.block_of == side - 1) + product.n
+        for k, pname in enumerate(product.blocks):
             _, values = parse_block_label(pname)
             if values[bit_index] != side:
                 continue
+            pverts = np.flatnonzero(product.block_of == k)
             n_block = len(pverts)
             count = int(round(density * n_block))
             count = min(count, len(wverts) * n_block)
@@ -77,28 +77,13 @@ def attach_witness(
             rng = rng_from(seed, "attach", wname, pname)
             picks = rng.choice(len(wverts) * n_block, size=count, replace=False)
             wi, pj = np.divmod(picks, n_block)
-            pairs.append(np.stack([np.asarray(pverts)[pj], wverts[wi]], axis=1))
+            pairs.append(np.stack([pverts[pj], wverts[wi]], axis=1))
 
     pairs = np.concatenate(pairs)
     bias = np.concatenate([combined.bias, np.full(len(pairs) - combined.num_edges, strength)])
     return BiasedGraph.from_edges(
-        combined.n, pairs, bias, diagonal=combined.diagonal, labels=combined.labels
+        combined.n, pairs, bias, combined.diagonal, combined.blocks, combined.block_of
     )
-
-
-def witness_block_projections(combined: BiasedGraph, w):
-    """Amplitudes of a vector on the witness block indicators (x1, x2)."""
-    if combined.labels is None or any(
-        name not in combined.labels for name in WITNESS_BLOCKS
-    ):
-        raise MissingLabelsError("no witness blocks attached")
-    out = []
-    for name in WITNESS_BLOCKS:
-        verts = list(combined.labels[name])
-        j = np.zeros(combined.n)
-        j[verts] = 1.0 / np.sqrt(len(verts))
-        out.append(complex(np.vdot(j, np.asarray(w))))
-    return tuple(out)
 
 
 def witness_readout(combined: BiasedGraph) -> str:
@@ -107,16 +92,17 @@ def witness_readout(combined: BiasedGraph) -> str:
     Solves only the emergent (top) eigenpair of the combined graph with
     `top_pair`, which proves the pair by its residual and a Cholesky bound
     on the top eigenvalue (falling back to the full solve when either
-    fails), projects the vector onto the witness indicators, and reports
-    'same' when the two witness block amplitudes align in phase, 'inverted'
-    otherwise.  On a tied top level the vector is the projection of
-    1/sqrt(n) onto that level: one fixed member of it, where a full solve
-    picked an arbitrary one.  The comparison uses
+    fails), reads the amplitudes a1, a2 of the vector on the witness
+    blocks x1, x2 with `project_two_state`, and reports 'same' when they
+    align in phase, 'inverted' otherwise.  On a tied top level the vector
+    is the projection of 1/sqrt(n) onto that level: one fixed member of
+    it, where a full solve picked an arbitrary one.  The comparison uses
     Re(conj(a1) * a2), which is global-phase free and reduces to the sign
     product of the real parts for real states.
     """
     _, top = top_pair(combined)
-    a1, a2 = witness_block_projections(combined, top)
+    eff = project_two_state(combined, top, WITNESS_BLOCKS)
+    a1, a2 = eff.alpha, eff.beta
     if abs(a1) < READOUT_THRESHOLD and abs(a2) < READOUT_THRESHOLD:
         raise AmbiguousReadoutError(
             f"witness projections {abs(a1):.3g}, {abs(a2):.3g} below "

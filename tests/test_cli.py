@@ -136,6 +136,9 @@ NON_NUMERIC = [
     (_with("kuramoto", KURAMOTO, "dt", "small"), "params.dt"),
 ]
 
+CROSS_5_BIT = {"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 5}}
+BUDGET_5_BIT = {"n": 6, "d": 3, "policy": {"kind": "budget", "fraction": 5}}  # 90 edges, 36 pairs
+
 # values out of range, unknown names, and keys the experiment would ignore:
 # (test id, config, the key path the error must name)
 REJECTED = [
@@ -175,6 +178,18 @@ REJECTED = [
     ("pair-probability-above-1", _with("qlbit", QLBIT["params"], "policy", {"kind": "pair_probability", "p": 2}), "params.policy.p"),
     ("negative-budget", _with("qlbit", QLBIT["params"], "policy", {"kind": "budget", "fraction": -1}), "params.policy.fraction"),
     ("family-not-a-list", _with("cheeger", {}, "family", 5), "params.family"),
+    # a connection policy that cannot fit the blocks it would be sampled on
+    (
+        "product-cross-degree-above-block",
+        _with("product", {"product": {"qlbits": [CROSS_5_BIT], "n": 4, "d": 2}}, "verify", False),
+        "params.product.qlbits[0].policy.degree",
+    ),
+    ("budget-above-cross-pairs", _with("qlbit", BUDGET_5_BIT, "realizations", 1), "params.policy.fraction"),
+    (
+        "product-budget-above-cross-pairs",
+        _with("product", {"product": {"qlbits": [BUDGET_5_BIT]}}, "verify", False),
+        "params.product.qlbits[0].policy.fraction",
+    ),
 ]
 
 

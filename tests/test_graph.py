@@ -71,12 +71,37 @@ class TestBiasedGraph:
         assert hermiticity_defect(g) == 0.0
 
     def test_label_partition_validated(self):
+        with pytest.raises(QllabError):  # vertex 2 has no block
+            BiasedGraph.from_edges(3, [(0, 1)], blocks=("a", "b"), block_of=[0, 1])
+        with pytest.raises(QllabError):  # vertex 2 is in an unnamed block
+            BiasedGraph.from_edges(3, [(0, 1)], blocks=("a",), block_of=[0, 0, 1])
+        g = BiasedGraph.from_edges(3, [(0, 1)], blocks=("a", "b"), block_of=[0, 0, 1])
+        assert set(graph_to_json(g)["labels"]) == {"a", "b"}
+
+    @pytest.mark.parametrize(
+        "blocks, block_of",
+        [
+            (("a", "a"), [0, 0, 1]),  # a repeated name
+            (("a", "b"), [0, 1, 1, 0]),  # block_of of the wrong length
+            (("a", "b"), [0, 1, 2]),  # an index past the last block
+            (("a", "b"), [0, -1, 1]),  # a negative index
+            (("a", "b"), None),  # blocks without block_of
+            (None, [0, 0, 1]),  # block_of without blocks
+            (("a1", "a2"), [0, 0, 0]),  # a name no vertex maps to
+        ],
+    )
+    def test_partition_validator_rejects(self, blocks, block_of):
         with pytest.raises(QllabError):
-            BiasedGraph.from_edges(3, [(0, 1)], labels={"a": [0, 1], "b": [1, 2]})
-        with pytest.raises(QllabError):
-            BiasedGraph.from_edges(3, [(0, 1)], labels={"a": [0, 1]})
-        g = BiasedGraph.from_edges(3, [(0, 1)], labels={"a": [0, 1], "b": [2]})
-        assert set(g.labels) == {"a", "b"}
+            BiasedGraph.from_edges(3, [(0, 1)], blocks=blocks, block_of=block_of)
+
+    def test_block_arrays_are_read_only_and_shared(self):
+        block_of = np.array([0, 0, 1])
+        g = BiasedGraph.from_edges(3, [(0, 1)], blocks=["a", "b"], block_of=block_of)
+        block_of[0] = 1
+        assert g.blocks == ("a", "b") and g.block_of.tolist() == [0, 0, 1]
+        with pytest.raises(ValueError):
+            g.block_of[0] = 1
+        assert add_diagonal_disorder(g, 0.5, seed=1).block_of is g.block_of
 
     def test_equality_is_identity_and_graphs_hash(self):
         g, h = gen_cycle(4), gen_cycle(4)
@@ -246,12 +271,12 @@ class TestSerialization:
 
 
 def test_disjoint_union_offsets_and_labels():
-    a = replace(gen_complete(4), labels={"a1": [0, 1], "a2": [2, 3]})
-    b = replace(gen_complete(3), labels={"x1": [0], "x2": [1, 2]})
+    a = replace(gen_complete(4), blocks=("a1", "a2"), block_of=[0, 0, 1, 1])
+    b = replace(gen_complete(3), blocks=("x1", "x2"), block_of=[0, 1, 1])
     u = disjoint_union(a, b)
     assert u.n == 7
     assert u.num_edges == 9
-    assert u.labels["x1"] == [4]
+    assert graph_to_json(u)["labels"]["x1"] == [4]
     with pytest.raises(QllabError):
         disjoint_union(a, a)
 
@@ -455,3 +480,38 @@ def test_cartesian_product_counts(first, second):
     assert p.n == g.n * h.n
     assert p.num_edges == g.n * h.num_edges + h.n * g.num_edges
     assert (p.degrees() == np.add.outer(h.degrees(), g.degrees()).ravel()).all()
+
+
+@st.composite
+def labeled_graphs(draw, prefix, max_n=5):
+    """A random biased graph with a random partition into blocks named
+    prefix + digit, the names in random order."""
+    n, pairs, bias = draw(edge_lists(max_n=max_n))
+    k = draw(st.integers(1, n))
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    block_of = np.empty(n, dtype=np.int64)
+    block_of[draw(st.permutations(range(n)))] = list(range(k)) + rest
+    names = tuple(f"{prefix}{i}" for i in draw(st.permutations(range(k))))
+    return BiasedGraph.from_edges(n, pairs, bias, blocks=names, block_of=block_of)
+
+
+def labels(g):
+    return graph_to_json(g)["labels"]
+
+
+@SETTINGS
+@given(labeled_graphs("a"), labeled_graphs("b"), st.integers(0, 2**32))
+def test_composers_keep_the_label_dict_law(g, h, seed):
+    # Oracle: the dict formulas each composer applied to name -> vertex lists
+    # before partitions became arrays; block order is part of the law.
+    gl, hl = labels(g), labels(h)
+    product = {
+        gname + hname: [x * g.n + u for x in hverts for u in gverts]
+        for hname, hverts in hl.items()
+        for gname, gverts in gl.items()
+    }
+    lift = {name: verts + [v + g.n for v in verts] for name, verts in gl.items()}
+    union = {**gl, **{name: [v + g.n for v in verts] for name, verts in hl.items()}}
+    assert list(labels(cartesian_product(g, h)).items()) == list(product.items())
+    assert list(labels(two_lift(g, seed)).items()) == list(lift.items())
+    assert list(labels(disjoint_union(g, h)).items()) == list(union.items())

@@ -24,7 +24,7 @@ from qllab.spectral import eigendecompose, emergent_state
 
 def cross_edges(g, names=("a1", "a2")):
     """Rows of g.edges joining the two blocks."""
-    in_blue = np.isin(g.edges, g.labels[names[0]])
+    in_blue = g.block_of[g.edges] == g.blocks.index(names[0])
     return g.edges[in_blue[:, 0] != in_blue[:, 1]]
 
 
@@ -45,6 +45,13 @@ class TestPolicies:
     def test_budget_infeasible(self):
         with pytest.raises(PolicyInfeasibleError):
             build_qlbit(qlbit_spec(6, 4, policy=EdgeBudgetFraction(5.0), seed=0))
+
+    def test_spec_checks_policy_against_its_blocks(self):
+        with pytest.raises(PolicyInfeasibleError, match="^policy.fraction: edge budget 90 exceeds"):
+            qlbit_spec(6, 3, policy=EdgeBudgetFraction(5.0))  # 36 pairs
+        with pytest.raises(PolicyInfeasibleError, match="^policy.degree: "):
+            qlbit_spec(6, 3, policy=CrossRegular(7))
+        assert qlbit_spec(6, 3, policy=EdgeBudgetFraction(2.0)).connect_policy.budget(18) == 36
 
     def test_pair_probability_count_scale(self):
         g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.04), seed=1))
@@ -111,7 +118,7 @@ class TestBuildQLBit:
 
     def test_block_names(self):
         g = build_qlbit(qlbit_spec(10, 3, seed=1), block_names=("b1", "b2"))
-        assert set(g.labels) == {"b1", "b2"}
+        assert set(g.blocks) == {"b1", "b2"}
 
 
 class TestProjections:
@@ -182,6 +189,18 @@ class TestBiasTopology:
             BiasTopology(red=0.5, blue=1, conn=1)
         with pytest.raises(QllabError):
             BiasTopology(red=1, blue=1, conn=2.0)
+
+    def test_spec_and_row_share_the_bias_rules(self):
+        # signs are real +-1 in both; each message leads with its field
+        with pytest.raises(QllabError, match="^red_bias: "):
+            qlbit_spec(10, 3, red_bias=1j)
+        with pytest.raises(QllabError, match="^red: "):
+            BiasTopology(red=1j, blue=1, conn=1)
+        with pytest.raises(QllabError, match="^connect_bias: "):
+            qlbit_spec(10, 3, connect_bias=0.5)
+        with pytest.raises(QllabError, match="^conn: "):
+            BiasTopology(red=1, blue=1, conn=0.5)
+        assert qlbit_spec(10, 3, connect_bias=1j, blue_bias=-1.0).blue_bias == -1.0
 
     def test_regular_qlbit_is_regular(self):
         g = build_regular_qlbit(16, 9, cross_degree=2, seed=5)

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qllab.errors import MissingLabelsError, NumericalError, QllabError
+from qllab.errors import MissingLabelsError, NumericalError, PolicyInfeasibleError, QllabError
 from qllab.graph import (
     BiasedGraph,
     add_diagonal_disorder,
@@ -70,10 +70,10 @@ class TestCartesianProduct:
         assert np.array_equal(p.diagonal, [11.0, 12.0, 21.0, 22.0])
 
     def test_labels_combine_blockwise(self):
-        g = replace(gen_complete(2), labels={"a1": [0], "a2": [1]})
-        h = replace(gen_complete(2), labels={"b1": [0], "b2": [1]})
+        g = replace(gen_complete(2), blocks=("a1", "a2"), block_of=[0, 1])
+        h = replace(gen_complete(2), blocks=("b1", "b2"), block_of=[0, 1])
         p = cartesian_product(g, h)
-        assert p.labels == {
+        assert graph_to_json(p)["labels"] == {
             "a1b1": [0],
             "a2b1": [1],
             "a1b2": [2],
@@ -219,8 +219,8 @@ class TestContractedProduct:
         spec = ProductSpec(qlbits=(bit,), mode="contracted", n=14, d=4, seed=2)
         g = build_contracted_product(spec)
         assert g.n == 28
-        assert set(g.labels) == {"a1", "a2"}
-        side = ~np.isin(g.edges, g.labels["a1"])  # 0 in a1, 1 in a2
+        assert set(g.blocks) == {"a1", "a2"}
+        side = ~np.isin(g.edges, graph_to_json(g)["labels"]["a1"])  # 0 in a1, 1 in a2
         same = side[:, 0] == side[:, 1]
         intra = np.bincount(side[same, 0], minlength=2)
         assert intra.tolist() == [28, 28]  # 14 * 4 / 2 each
@@ -263,6 +263,18 @@ class TestContractedProduct:
         assert g.n == 10**2
 
 
+class TestProductSpec:
+    def test_contracted_spec_checks_each_policy_against_its_blocks(self):
+        # each bit fits its own 20-vertex blocks but not the product's 4-vertex ones
+        budget = qlbit_spec(20, 3, policy=EdgeBudgetFraction(3.0))  # 24 > 16 pairs at n=4, d=2
+        cross = qlbit_spec(20, 3, policy=CrossRegular(5))
+        fits = qlbit_spec(20, 3)
+        for j, bits in ((0, (budget,)), (1, (fits, budget)), (1, (fits, cross))):
+            with pytest.raises(PolicyInfeasibleError, match=rf"^qlbits\[{j}\]\.policy\."):
+                ProductSpec(qlbits=bits, mode="contracted", n=4, d=2)
+        ProductSpec(qlbits=(budget, cross), mode="full")  # full products keep each bit's blocks
+
+
 class TestBasisAndProjection:
     def test_canonical_order_first_bit_fastest(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
@@ -285,8 +297,7 @@ class TestBasisAndProjection:
     def test_non_contiguous_labels_respected(self):
         # interleave two blocks; indicators must follow the labels
         edges = [(0, 2), (1, 3)]
-        labels = {"a1": [0, 3], "a2": [1, 2]}
-        g = BiasedGraph.from_edges(4, edges, labels=labels)
+        g = BiasedGraph.from_edges(4, edges, blocks=("a1", "a2"), block_of=[0, 1, 1, 0])
         j = product_j_vectors(g)
         assert np.allclose(j[:, 0], [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
@@ -410,7 +421,7 @@ class TestDetuning:
         g = self._graph()
         shifted = apply_alignment_detuning(g, 5.0, 7.0)
         delta = shifted.diagonal - g.diagonal
-        for label, verts in g.labels.items():
+        for label, verts in graph_to_json(g)["labels"].items():
             _, values = parse_block_label(label)
             if all(v == 1 for v in values):
                 expected = 5.0

@@ -18,7 +18,7 @@ def small_product():
 
 def coupling_edges(combined):
     """{(witness block, product block): [biases]} of the edges between them."""
-    owner = {v: name for name, verts in combined.labels.items() for v in verts}
+    owner = {v: name for name, verts in graph_to_json(combined)["labels"].items() for v in verts}
     groups = {}
     for (u, v), bias in zip(combined.edges.tolist(), combined.bias):
         a, b = owner[u], owner[v]
@@ -36,7 +36,7 @@ def test_witness_blocks_reach_only_matching_product_blocks(bit_index):
     matching = {
         (w, p)
         for w in WITNESS_BLOCKS
-        for p in g.labels
+        for p in g.blocks
         if parse_block_label(p)[1][bit_index] == int(w[1])
     }
     assert set(groups) == matching
@@ -49,7 +49,7 @@ def test_each_block_pair_gets_rounded_density_edges(density):
     combined = attach_witness(g, spec, 0, 1.0, density=density, seed=5)
     counts = Counter({key: len(biases) for key, biases in coupling_edges(combined).items()})
     for w in WITNESS_BLOCKS:
-        for p, verts in g.labels.items():
+        for p, verts in graph_to_json(g)["labels"].items():
             if parse_block_label(p)[1][0] == int(w[1]):
                 assert counts[w, p] == round(density * len(verts))
 
