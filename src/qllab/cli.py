@@ -429,17 +429,18 @@ def cmd_product(params, seed, out):
         ["index", "eigenvalue"],
         [(i, float(v)) for i, v in enumerate(spectrum.eigenvalues)],
     )
-    states = []
-    for i in range(min(n_top, spectrum.n)):
-        eff = project_product_state(g, spectrum.eigenvectors[:, i])
-        states.append(
-            {
-                "eigenvalue": float(spectrum.eigenvalues[i]),
-                "labels": eff.labels,
-                "coefficients": [[c.real, c.imag] for c in eff.coefficients],
-                "residual": eff.residual,
-            }
+    top = min(n_top, spectrum.n)
+    states = [
+        {
+            "eigenvalue": float(value),
+            "labels": eff.labels,
+            "coefficients": [[c.real, c.imag] for c in eff.coefficients],
+            "residual": eff.residual,
+        }
+        for value, eff in zip(
+            spectrum.eigenvalues[:top], project_product_state(g, spectrum.eigenvectors[:, :top])
         )
+    ]
     with open(os.path.join(out, "effective_states.json"), "w") as fh:
         json.dump(states, fh, indent=1)
         fh.write("\n")
@@ -556,15 +557,23 @@ def cmd_kuramoto(params, seed, out):
     return ["kuramoto.csv"]
 
 
+def _cheeger_spec(doc, path, seed) -> GraphGenSpec:
+    spec = parse_graph_spec(doc, path, seed)
+    # Every other kind has an edge, so at least two vertices.
+    if spec.kind == "complete" and spec.n < 2:
+        raise ConfigError(f"{path}n: the Cheeger constant needs two vertices, got {spec.n}")
+    return spec
+
+
 def cmd_cheeger(params, seed, out):
     _check_keys(params, {"graph", "family"}, set(), "params.")
     if ("graph" in params) == ("family" in params):
         raise ConfigError("params must contain exactly one of 'graph' or 'family'")
     if "graph" in params:
-        specs = [parse_graph_spec(params["graph"], "params.graph.", seed)]
+        specs = [_cheeger_spec(params["graph"], "params.graph.", seed)]
     else:
         specs = [
-            parse_graph_spec(doc, f"params.family[{i}].", derive_seed(seed, i))
+            _cheeger_spec(doc, f"params.family[{i}].", derive_seed(seed, i))
             for i, doc in enumerate(_list(params, "family"))
         ]
     rows = [(r.n, r.h, r.lower, r.upper, r.is_exact) for r in expansion_profile(specs)]

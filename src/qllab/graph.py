@@ -465,30 +465,6 @@ def disjoint_union(g: BiasedGraph, h: BiasedGraph) -> BiasedGraph:
     return BiasedGraph.from_edges(g.n + h.n, pairs, bias, diagonal, blocks, block_of)
 
 
-def connected_components(g: BiasedGraph) -> list:
-    """Vertex sets of the connected components (sorted lists)."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges.tolist():
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------

@@ -300,16 +300,27 @@ class EffectiveProductState:
         return self.coefficients / norm
 
 
-def project_product_state(g: BiasedGraph, w) -> EffectiveProductState:
-    """Project a unit eigenvector onto all block indicators."""
-    j = product_j_vectors(g)
+def project_product_state(g: BiasedGraph, w):
+    """Project a unit eigenvector onto all block indicators.
+
+    A matrix `w` is read as unit eigenvectors in its columns and gives a
+    list of states, one per column, from one J and one label list.
+    """
+    jh = product_j_vectors(g).T.conj()
+    labels = product_basis_labels(g)
     w = np.asarray(w)
-    coeffs = j.T.conj() @ w
+    if w.ndim == 1:
+        return _project(jh, labels, w)
+    return [_project(jh, labels, w[:, i]) for i in range(w.shape[1])]
+
+
+def _project(jh, labels, w) -> EffectiveProductState:
+    coeffs = jh @ w
     residual2 = float(np.vdot(w, w).real) - float(np.vdot(coeffs, coeffs).real)
     return EffectiveProductState(
         coefficients=coeffs.astype(complex),
         residual=float(np.sqrt(max(0.0, residual2))),
-        labels=product_basis_labels(g),
+        labels=list(labels),
     )
 
 

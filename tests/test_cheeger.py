@@ -1,11 +1,15 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qllab.cheeger
 from qllab.cheeger import cheeger_bounds, expansion_profile, isoperimetric_exact
-from qllab.errors import NotRegularError
+from qllab.errors import NotRegularError, QllabError, TooLargeError
 from qllab.graph import BiasedGraph, GraphGenSpec, gen_complete, gen_cycle
 from qllab.spectral import eigendecompose
 
@@ -28,6 +32,60 @@ def test_complete_exact_h_and_bounds(n):
     report = isoperimetric_exact(gen_complete(n))
     assert report.h == math.ceil(n / 2)
     assert_sandwich(report)
+
+
+def brute_force(n, pairs):
+    """(h, subset, boundary, size) minimizing (b/s, s, vertex list) over all
+    subsets of size 1..n//2."""
+    best = None
+    for size in range(1, n // 2 + 1):
+        for subset in itertools.combinations(range(n), size):
+            inside = set(subset)
+            boundary = sum((u in inside) != (v in inside) for u, v in pairs)
+            key = (Fraction(boundary, size), size, list(subset))
+            if best is None or key < best[0]:
+                best = key, boundary
+    (_, size, subset), boundary = best
+    return boundary / size, subset, boundary, size
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, pairs): any simple graph on 2..11 vertices, edgeless,
+    disconnected and irregular ones included."""
+    n = draw(st.integers(2, 11))
+    upper = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, draw(st.lists(st.sampled_from(upper), unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets())
+def test_exact_matches_brute_force(graph):
+    n, pairs = graph
+    g = BiasedGraph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    report = isoperimetric_exact(g)
+    assert (report.h, report.subset, report.boundary, report.size) == brute_force(n, pairs)
+
+
+@pytest.mark.parametrize("g, h", [(gen_cycle(22), 2 / 11), (gen_complete(22), 11.0)])
+def test_exact_at_the_size_cap(g, h):
+    # every half of K_22 ties at 121/11; the lexicographically first wins
+    report = isoperimetric_exact(g)
+    assert (report.h, report.subset, report.size) == (h, list(range(11)), 11)
+    assert_sandwich(report)
+
+
+def test_exact_stops_above_the_size_cap():
+    with pytest.raises(TooLargeError):
+        isoperimetric_exact(gen_cycle(23))
+    (row,) = expansion_profile([GraphGenSpec("cycle", n=23)])
+    assert not row.is_exact and row.h == row.lower
+
+
+def test_exact_rejects_a_single_vertex():
+    with pytest.raises(QllabError) as info:
+        isoperimetric_exact(gen_complete(1))
+    assert type(info.value) is QllabError
 
 
 def test_expansion_profile_solves_each_graph_once(monkeypatch):

@@ -178,6 +178,12 @@ REJECTED = [
     ("pair-probability-above-1", _with("qlbit", QLBIT["params"], "policy", {"kind": "pair_probability", "p": 2}), "params.policy.p"),
     ("negative-budget", _with("qlbit", QLBIT["params"], "policy", {"kind": "budget", "fraction": -1}), "params.policy.fraction"),
     ("family-not-a-list", _with("cheeger", {}, "family", 5), "params.family"),
+    ("single-vertex-graph", _with("cheeger", {}, "graph", {"kind": "complete", "n": 1}), "params.graph.n"),
+    (
+        "single-vertex-family-member",
+        _with("cheeger", {}, "family", [{"kind": "cycle", "n": 6}, {"kind": "complete", "n": 1}]),
+        "params.family[1].n",
+    ),
     # a connection policy that cannot fit the blocks it would be sampled on
     (
         "product-cross-degree-above-block",

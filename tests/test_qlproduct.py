@@ -311,6 +311,20 @@ class TestBasisAndProjection:
         assert np.allclose(eff.coefficients, [1, 0, 0, 0], atol=1e-12)
         assert eff.residual <= 1e-8
 
+    def test_matrix_projects_each_column_as_a_vector(self):
+        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+        g = build_contracted_product(
+            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
+        )
+        w = eigendecompose(g).eigenvectors[:, :5]
+        states = project_product_state(g, w)
+        assert len(states) == 5
+        for i, eff in enumerate(states):
+            one = project_product_state(g, w[:, i])
+            assert np.array_equal(eff.coefficients, one.coefficients)
+            assert (eff.residual, eff.labels) == (one.residual, one.labels)
+        assert project_product_state(g, w[:, :0]) == []
+
     def test_norm_budget(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
