@@ -417,6 +417,9 @@ def cmd_qlbit(params, seed, out):
 
 def cmd_product(params, seed, out):
     _check_keys(params, {"product", "verify", "emergent_states"}, {"product"}, "params.")
+    verify = params.get("verify", False)
+    if not isinstance(verify, bool):
+        raise ConfigError(f"params.verify must be true or false, got {verify!r}")
     spec = parse_product(params["product"], "params.product.", seed)
     if spec.mode == "full":
         g, spectrum = verify_spectrum_composition(*full_product_factors(spec))
@@ -445,7 +448,7 @@ def cmd_product(params, seed, out):
         json.dump(states, fh, indent=1)
         fh.write("\n")
 
-    if params.get("verify", False):
+    if verify:
         # a full product is checked when solved
         if spec.mode == "contracted":
             expected = spec.block_size() * (1 << spec.q)

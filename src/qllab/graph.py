@@ -282,8 +282,9 @@ def _pairing_attempt(n, d, rng):
         rng.shuffle(stubs)
         leftover = []
         progressed = False
-        for a, b in zip(stubs[0::2], stubs[1::2]):
-            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
+        shuffled = stubs.tolist()
+        for a, b in zip(shuffled[0::2], shuffled[1::2]):
+            u, v = (a, b) if a < b else (b, a)
             if u == v or (u, v) in edges:
                 leftover.append(u)
                 leftover.append(v)
@@ -358,8 +359,7 @@ def _bipartite_attempt(n, k, rng):
         rng.shuffle(right)
         next_left, next_right = [], []
         progressed = False
-        for a, b in zip(left, right):
-            pair = (int(a), int(b))
+        for pair in zip(left.tolist(), right.tolist()):
             if pair in pairs:
                 next_left.append(pair[0])
                 next_right.append(pair[1])

@@ -173,6 +173,8 @@ REJECTED = [
     ("graph-d-above-n", _with("spectrum", {"graph": {**SPECTRUM_GRAPH, "d": 12}}, "bins", 4), "params.graph.d"),
     ("graph-d-missing", _with("spectrum", {"graph": {"kind": "d_regular_random", "n": 10}}, "bins", 4), "params.graph.d"),
     ("product-d-at-n", _with("product", {"product": {**WITNESS_PRODUCT, "d": 8}}, "verify", False), "params.product.d"),
+    ("verify-string", _with("product", {"product": WITNESS_PRODUCT}, "verify", "no"), "params.verify"),
+    ("verify-integer", _with("product", {"product": WITNESS_PRODUCT}, "verify", 1), "params.verify"),
     ("short-cycle", _with("cheeger", {}, "graph", {"kind": "cycle", "n": 2}), "params.graph.n"),
     ("cross-regular-above-block", _with("qlbit", QLBIT["params"], "policy", {"kind": "cross_regular", "degree": 11}), "params.policy.degree"),
     ("pair-probability-above-1", _with("qlbit", QLBIT["params"], "policy", {"kind": "pair_probability", "p": 2}), "params.policy.p"),

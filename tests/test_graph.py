@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qllab.graph
 from qllab.errors import InfeasibleDegreeError, QllabError
 from qllab.graph import (
     BiasedGraph,
@@ -463,6 +464,138 @@ def test_bipartite_generator_is_regular_and_seed_deterministic(n, d, seed):
     g = gen_bipartite_d_regular(n, d, seed)
     assert (g.degrees() == d).all()
     assert np.array_equal(g.edges, gen_bipartite_d_regular(n, d, seed).edges)
+
+
+def numpy_scalar_pairing_attempt(n, d, rng):
+    """Oracle: the configuration-model attempt iterating numpy scalars."""
+    edges = set()
+    stubs = np.repeat(np.arange(n), d)
+    rounds = 0
+    while stubs.size:
+        rounds += 1
+        if rounds > qllab.graph._MAX_REPAIR_ROUNDS:
+            return None
+        rng.shuffle(stubs)
+        leftover = []
+        progressed = False
+        for a, b in zip(stubs[0::2], stubs[1::2]):
+            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
+            if u == v or (u, v) in edges:
+                leftover.append(u)
+                leftover.append(v)
+            else:
+                edges.add((u, v))
+                progressed = True
+        if leftover and not progressed:
+            values = sorted(set(leftover))
+            ok = any(
+                (values[i], values[j]) not in edges
+                for i in range(len(values))
+                for j in range(i + 1, len(values))
+            )
+            if not ok:
+                return None
+        stubs = np.array(leftover, dtype=int)
+    return edges
+
+
+def numpy_scalar_bipartite_attempt(n, k, rng):
+    """Oracle: the bipartite pairing attempt iterating numpy scalars."""
+    pairs = set()
+    left = np.repeat(np.arange(n), k)
+    right = np.repeat(np.arange(n), k)
+    rounds = 0
+    while left.size:
+        rounds += 1
+        if rounds > qllab.graph._MAX_REPAIR_ROUNDS:
+            return None
+        rng.shuffle(left)
+        rng.shuffle(right)
+        next_left, next_right = [], []
+        progressed = False
+        for a, b in zip(left, right):
+            pair = (int(a), int(b))
+            if pair in pairs:
+                next_left.append(pair[0])
+                next_right.append(pair[1])
+            else:
+                pairs.add(pair)
+                progressed = True
+        if next_left and not progressed:
+            ls, rs = sorted(set(next_left)), sorted(set(next_right))
+            if not any((a, b) not in pairs for a in ls for b in rs):
+                return None
+        left = np.array(next_left, dtype=int)
+        right = np.array(next_right, dtype=int)
+    return pairs
+
+
+def _sampled_with(attempt_name, oracle, sample, *args):
+    """sample(*args, rng) with the library's attempt, then with the oracle's.
+
+    Returns both edge arrays, both final generator states, and how many
+    attempts the oracle ran (more than one means a restart).
+    """
+    seed = args[-1]
+    rng = np.random.default_rng(seed)
+    got = sample(*args[:-1], rng)
+    attempts = []
+
+    def counted(*a):
+        attempts.append(a)
+        return oracle(*a)
+
+    oracle_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qllab.graph, attempt_name, counted)
+        want = sample(*args[:-1], oracle_rng)
+    return got, want, rng.bit_generator.state, oracle_rng.bit_generator.state, len(attempts)
+
+
+@SETTINGS
+@given(st.integers(2, 30), st.integers(1, 29), st.integers(0, 2**32))
+def test_regular_sampler_keeps_the_numpy_scalar_stream(n, d, seed):
+    # d > (n - 1) / 2 samples the complement; small n restart often
+    assume(d < n and n * d % 2 == 0)
+    got, want, state, oracle_state, attempts = _sampled_with(
+        "_pairing_attempt", numpy_scalar_pairing_attempt, qllab.graph._sample_regular_pairs, n, d, seed
+    )
+    assert attempts >= 1  # the oracle ran
+    assert np.array_equal(got, want)
+    assert state == oracle_state
+
+
+@SETTINGS
+@given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32))
+def test_bipartite_sampler_keeps_the_numpy_scalar_stream(n, k, seed):
+    assume(k <= n)
+    got, want, state, oracle_state, attempts = _sampled_with(
+        "_bipartite_attempt", numpy_scalar_bipartite_attempt, qllab.graph.sample_biregular_pairs, n, k, seed
+    )
+    assert attempts >= 1
+    assert np.array_equal(got, want)
+    assert state == oracle_state
+
+
+@pytest.mark.parametrize(
+    "sample, attempt, oracle, args",
+    [
+        (qllab.graph._sample_regular_pairs, "_pairing_attempt", numpy_scalar_pairing_attempt, (8, 3)),
+        (qllab.graph._sample_regular_pairs, "_pairing_attempt", numpy_scalar_pairing_attempt, (12, 7)),
+        (qllab.graph.sample_biregular_pairs, "_bipartite_attempt", numpy_scalar_bipartite_attempt, (6, 3)),
+        (qllab.graph.sample_biregular_pairs, "_bipartite_attempt", numpy_scalar_bipartite_attempt, (8, 5)),
+    ],
+    ids=["regular-sparse", "regular-complement", "bipartite-sparse", "bipartite-complement"],
+)
+def test_sampler_streams_agree_through_restarts(sample, attempt, oracle, args):
+    # seeds 0..39 of these shapes include runs that restart at least once
+    restarts = 0
+    for seed in range(40):
+        got, want, state, oracle_state, attempts = _sampled_with(attempt, oracle, sample, *args, seed)
+        assert np.array_equal(got, want)
+        assert state == oracle_state
+        restarts += attempts > 1
+    assert restarts > 0
 
 
 @SETTINGS

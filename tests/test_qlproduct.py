@@ -14,7 +14,7 @@ from qllab.graph import (
     graph_to_json,
     rng_from,
 )
-from qllab.qlbit import CrossRegular, EdgeBudgetFraction, qlbit_spec
+from qllab.qlbit import CrossRegular, EdgeBudgetFraction, build_qlbit, qlbit_spec
 from qllab.qlproduct import (
     ProductSpec,
     apply_alignment_detuning,
@@ -148,6 +148,81 @@ class TestVerifySpectrumComposition:
         tampered = gen_d_regular_random(20, 4, seed=0)
         wrong = np.sort(eigendecompose(tampered).eigenvalues)
         assert not np.allclose(expected, wrong, atol=1e-8)
+
+
+def kron_oracle(*factors):
+    """W, lambda and residuals by np.kron, a stable argsort and a dense A @ W."""
+    spectra = [eigendecompose(f) for f in factors]
+    w, lam = spectra[0].eigenvectors, spectra[0].eigenvalues
+    for s in spectra[1:]:
+        w = np.kron(s.eigenvectors, w)
+        lam = np.add.outer(s.eigenvalues, lam).ravel()
+    order = np.argsort(-lam, kind="stable")
+    w, lam = w[:, order], lam[order]
+    a = reduce(cartesian_product, factors).adjacency()
+    return w, lam, np.linalg.norm(a @ w - w * lam, axis=0)
+
+
+def _bit6(connect_bias=1.0, sigma=0.0, seed=4):
+    """A 6-vertex QL bit, optionally with diagonal disorder."""
+    bit = build_qlbit(qlbit_spec(3, 2, connect_bias=connect_bias, seed=seed))
+    return add_diagonal_disorder(bit, sigma, seed=seed) if sigma else bit
+
+
+def _complex_cycle(n, phase):
+    """C_n with every edge bias exp(i * phase)."""
+    i = np.arange(n)
+    return BiasedGraph.from_edges(n, np.stack([i, (i + 1) % n], axis=1), np.full(n, np.exp(1j * phase)))
+
+
+FACTOR_SETS = {
+    "c5-bit6": lambda: [gen_cycle(5), _bit6()],
+    "bit6-c5": lambda: [_bit6(), gen_cycle(5)],
+    "c5-k2-bit6": lambda: [gen_cycle(5), gen_complete(2), _bit6()],
+    "complex-bit6-c5": lambda: [_bit6(1j), gen_cycle(5)],
+    "complex-c5-k2-bit6": lambda: [_complex_cycle(5, 0.3), gen_complete(2), _bit6(np.exp(0.9j))],
+    "disordered-c5-k2-bit6": lambda: [
+        add_diagonal_disorder(gen_cycle(5), 0.4, seed=1), gen_complete(2), _bit6(sigma=0.25)
+    ],
+    "complex-disordered-bit6-k3-c4": lambda: [
+        _bit6(-1j, sigma=0.3), gen_complete(3), add_diagonal_disorder(_complex_cycle(4, 1.1), 0.2, seed=2)
+    ],
+}
+
+
+class TestFactoredCheck:
+    """The factored A W check against the np.kron / dense A @ W oracle."""
+
+    @pytest.mark.parametrize("name", FACTOR_SETS)
+    def test_matches_kron_oracle_bit_for_bit(self, name):
+        factors = FACTOR_SETS[name]()
+        product, spectrum = verify_spectrum_composition(*factors)
+        w, lam, residual = kron_oracle(*factors)
+        assert product.n == w.shape[0]
+        assert np.array_equal(spectrum.eigenvalues, lam)
+        assert np.array_equal(spectrum.eigenvectors, w)
+        # same memory layout too: products read off W round as the oracle's
+        assert spectrum.eigenvectors.dtype == w.dtype
+        assert spectrum.eigenvectors.strides == w.strides
+        assert residual.max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p: replace(p, edges=p.edges[1:], bias=p.bias[1:]),
+            lambda p: replace(p, bias=np.r_[p.bias[:7], -p.bias[7], p.bias[8:]]),
+            lambda p: replace(p, diagonal=p.diagonal + 1e-6 * (np.arange(p.n) == 11)),
+        ],
+        ids=["dropped-edge", "flipped-bias", "moved-diagonal"],
+    )
+    @pytest.mark.parametrize("name", ["c5-bit6", "complex-c5-k2-bit6", "disordered-c5-k2-bit6"])
+    def test_rejects_a_tampered_product(self, monkeypatch, tamper, name):
+        import qllab.qlproduct
+
+        # only the finished product is tampered with; its factors stay intact
+        monkeypatch.setattr(qllab.qlproduct, "reduce", lambda f, xs: tamper(reduce(f, xs)))
+        with pytest.raises(NumericalError, match="composed eigenpair .* residual"):
+            verify_spectrum_composition(*FACTOR_SETS[name]())
 
 
 def _clusters(spectrum):
