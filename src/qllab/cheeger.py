@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotRegularError, QllabError, TooLargeError
 from .graph import BiasedGraph, build_graph
-from .spectral import eigendecompose
+from .spectral import eigenvalues
 
 # At n = 22 the int16 boundary, int8 size and float32 ratio arrays over all
 # 2^22 masks peak at 34 MB (41 MB for K_22, whose 705,432 tied halves are
@@ -132,7 +132,7 @@ def cheeger_bounds(g: BiasedGraph, d: int):
     if not np.all(deg == d):
         bad = int(np.argmax(deg != d))
         raise NotRegularError(f"vertex {bad} has degree {int(deg[bad])}, expected {d}")
-    lam1 = float(eigendecompose(g).eigenvalues[1])
+    lam1 = float(eigenvalues(g)[1])
     gap = d - lam1
     return gap / 2.0, float(np.sqrt(max(0.0, 2.0 * d * gap)))
 

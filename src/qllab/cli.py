@@ -51,11 +51,20 @@ from .qlproduct import (
     build_product,
     cartesian_product,
     full_product_factors,
-    label_adjacency,
     project_product_state,
+    verify_contraction_law,
     verify_spectrum_composition,
 )
-from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
+from .spectral import (
+    eigendecompose,
+    eigenvalues,
+    emergent_state,
+    ensemble_spectrum,
+    extreme_state,
+    quotient,
+    quotient_states,
+    top_pair,
+)
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
@@ -296,11 +305,11 @@ def cmd_disorder_sweep(params, seed, out):
     )
     graph = parse_graph_spec({"kind": "d_regular_random", "n": params["n"], "d": params["d"]}, "params.")
     retentions = [_float(r, f"params.retentions[{i}]") for i, r in enumerate(_list(params, "retentions"))]
+    if not all(0.0 <= retention <= 1.0 for retention in retentions):
+        raise ConfigError("params.retentions entries must lie in [0, 1]")
     realizations = _count(params, "realizations", 20)
     rows = []
     for retention in retentions:
-        if not 0.0 <= retention <= 1.0:
-            raise ConfigError("params.retentions entries must lie in [0, 1]")
 
         def one(i, retention=retention):
             g = gen_d_regular_random(graph.n, graph.d, derive_seed(seed, "g", retention, i))
@@ -364,13 +373,13 @@ def cmd_qlbit(params, seed, out):
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
+        quo = None
         if table_row is not None:
             g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
             g = apply_bias_topology(g, topology)
-            policy = "highest_magnitude"
+            quo = quotient(g)
         else:
             policy_doc = params.get("policy")
-            policy = "highest"
             bit = parse_qlbit(
                 {
                     "n": n,
@@ -384,22 +393,20 @@ def cmd_qlbit(params, seed, out):
                 "params.",
             )
             g = build_qlbit(bit)
-        state = emergent_state(eigendecompose(g), policy=policy)
-        eff = project_two_state(g, state.eigenvector)
-        rows.append(
-            (
-                i,
-                state.eigenvalue,
-                eff.alpha.real,
-                eff.alpha.imag,
-                eff.beta.real,
-                eff.beta.imag,
-                eff.residual,
-            )
-        )
+        if quo is not None and quo.equitable:
+            state = extreme_state(quotient_states(g, quo)[1])
+            (alpha, beta), residual = state.coefficients, state.residual
+        else:
+            policy = "highest" if table_row is None else "highest_magnitude"
+            state = emergent_state(eigendecompose(g), policy=policy)
+            eff = project_two_state(g, state.eigenvector)
+            alpha, beta, residual = eff.alpha, eff.beta, eff.residual
+        row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, state.degenerate)
+        rows.append((i, state.eigenvalue, *row))
     write_csv(
         os.path.join(out, "qlbit.csv"),
-        ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual"],
+        ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual",
+         "degenerate"],
         rows,
     )
     arr = np.array(rows)
@@ -415,46 +422,59 @@ def cmd_qlbit(params, seed, out):
     return ["qlbit.csv", "qlbit_summary.json"]
 
 
+def _state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
+    """One entry of effective_states.json."""
+    return {
+        "eigenvalue": float(eigenvalue),
+        "labels": labels,
+        "coefficients": [[c.real, c.imag] for c in coefficients],
+        "residual": residual,
+        **readings,
+    }
+
+
 def cmd_product(params, seed, out):
     _check_keys(params, {"product", "verify", "emergent_states"}, {"product"}, "params.")
     verify = params.get("verify", False)
     if not isinstance(verify, bool):
         raise ConfigError(f"params.verify must be true or false, got {verify!r}")
     spec = parse_product(params["product"], "params.product.", seed)
-    if spec.mode == "full":
+    ql = None  # the QL states of an equitable contracted product
+    if spec.mode == "full":  # checked as it is solved
         g, spectrum = verify_spectrum_composition(*full_product_factors(spec))
     else:
         g = build_product(spec)
-        spectrum = eigendecompose(g)
+        quo = quotient(g)
+        if verify:
+            verify_contraction_law(spec, g, quo)
+        if quo.equitable:
+            values, ql = quotient_states(g, quo)
+        else:
+            spectrum = eigendecompose(g)
     n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
+    if ql is not None:
+        states = [
+            _state_doc(s.eigenvalue, list(g.blocks), s.coefficients, s.residual,
+                       rank=s.rank, gap=s.gap, degenerate=s.degenerate)
+            for s in ql[:n_top]
+        ]
+    else:
+        values = spectrum.eigenvalues
+        top = min(n_top, spectrum.n)
+        states = [
+            _state_doc(value, eff.labels, eff.coefficients, eff.residual)
+            for value, eff in zip(values[:top], project_product_state(g, spectrum.eigenvectors[:, :top]))
+        ]
     write_csv(
         os.path.join(out, "product_spectrum.csv"),
         ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(spectrum.eigenvalues)],
+        [(i, float(v)) for i, v in enumerate(values)],
     )
-    top = min(n_top, spectrum.n)
-    states = [
-        {
-            "eigenvalue": float(value),
-            "labels": eff.labels,
-            "coefficients": [[c.real, c.imag] for c in eff.coefficients],
-            "residual": eff.residual,
-        }
-        for value, eff in zip(
-            spectrum.eigenvalues[:top], project_product_state(g, spectrum.eigenvectors[:, :top])
-        )
-    ]
     with open(os.path.join(out, "effective_states.json"), "w") as fh:
         json.dump(states, fh, indent=1)
         fh.write("\n")
 
     if verify:
-        # a full product is checked when solved
-        if spec.mode == "contracted":
-            expected = spec.block_size() * (1 << spec.q)
-            want = spec.q * (1 << (spec.q - 1))
-            if g.n != expected or len(label_adjacency(g)) != want:
-                raise QllabError("contraction law check failed")
         print("spectrum composition OK" if spec.mode == "full" else "contraction law OK")
     return ["product_spectrum.csv", "effective_states.json"]
 

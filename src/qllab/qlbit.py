@@ -3,7 +3,10 @@
 A QL bit couples two regular subgraphs (blocks a1 and a2) through a sparse
 set of cross edges.  The two hybridized top eigenstates then behave as an
 effective two-level system; `project_two_state` reads the level amplitudes
-off any eigenvector via the normalized block indicator vectors.
+off any eigenvector via the normalized block indicator vectors.  A
+Bloch-row bit is cross-regular, so its two blocks form an equitable
+partition, and `qlbit` reads its states off the 2 x 2 block quotient
+instead (`spectral.quotient_states`).
 
 Cross-edge orientation convention: the adjacency entry from an a1 (blue)
 vertex to an a2 (red) vertex equals the connecting bias, so a connecting
@@ -292,8 +295,10 @@ def project_two_state(g: BiasedGraph, w, block_names=None) -> EffectiveTwoState:
     w = np.asarray(w)
     alpha = complex(np.vdot(j1, w))
     beta = complex(np.vdot(j2, w))
-    residual2 = float(np.vdot(w, w).real) - abs(alpha) ** 2 - abs(beta) ** 2
-    return EffectiveTwoState(alpha, beta, float(np.sqrt(max(0.0, residual2))))
+    # ||w - alpha j1 - beta j2|| itself, without the cancellation of
+    # sqrt(||w||^2 - |alpha|^2 - |beta|^2)
+    residual = float(np.linalg.norm(w - alpha * j1 - beta * j2))
+    return EffectiveTwoState(alpha, beta, residual)
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +361,17 @@ BLOCH_PROJECTIONS = {
 }
 
 # Target effective states (alpha, beta) and eigenvalue signs for the rows,
-# with alpha on |a1> and beta on |a2>.
+# with alpha on |a1> and beta on |a2>, as `spectral.quotient_states`
+# reports them: the first largest amplitude real and positive.  A z row
+# has no cross edges, so its level is 2-fold; the canonical basis of that
+# level starts with the projection of |a1>, which is |a1> itself, for z+
+# and z- alike.
 BLOCH_TARGETS = {
     "x+": (+1, np.array([1, 1]) / np.sqrt(2)),
-    "x-": (-1, np.array([-1, 1]) / np.sqrt(2)),
-    "y+": (+1, np.array([1j, 1]) / np.sqrt(2)),
-    "y-": (-1, np.array([-1j, 1]) / np.sqrt(2)),
-    "z+": (+1, np.array([0, 1])),
+    "x-": (-1, np.array([1, -1]) / np.sqrt(2)),
+    "y+": (+1, np.array([1, -1j]) / np.sqrt(2)),
+    "y-": (-1, np.array([1, 1j]) / np.sqrt(2)),
+    "z+": (+1, np.array([1, 0])),
     "z-": (-1, np.array([1, 0])),
 }
 

@@ -4,12 +4,13 @@ Eigenvalues are always reported in non-increasing order.  Three paths
 share one operator (`_dense_operator`):
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
-  residual.  `qlbit` (which reads both extreme states), contracted
-  `product` and `cheeger` use it; a full `product` composes its eigensystem
-  from the factors' (`qlproduct.verify_spectrum_composition`).
+  residual.  Graphs whose block partition is not equitable reach it from
+  `qlbit` and contracted `product`; a full `product` composes its
+  eigensystem from the factors' (`qlproduct.verify_spectrum_composition`).
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
-  trace and Frobenius-norm identities instead.  `spectrum` uses it.  At
-  n = 512 it takes about 17 ms against 44 ms for `eigendecompose`.
+  trace and Frobenius-norm identities instead.  `spectrum`, `cheeger` and
+  the quotient states below use it.  At n = 512 it takes about 17 ms
+  against 44 ms for `eigendecompose`.
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
   Lanczos, and proves both before returning them; when a proof fails it
   returns the top pair of `eigendecompose`.  `disorder-sweep`, the witness
@@ -19,6 +20,17 @@ share one operator (`_dense_operator`):
   against 7.5 ms for `eigendecompose`.
 
 Times are for one x86 core and one BLAS thread.
+
+When every vertex of block i has the same weighted neighbour sum into each
+block j, the block partition is equitable, span(J) of the unit block
+indicators is invariant, and A J = J H_eff with H_eff = J^H A J (Godsil
+and Royle, Algebraic Graph Theory, section 9.3).  `quotient` reads H_eff
+and the deviation from equitability off the edge arrays in O(m);
+`quotient_states` then gives the QL states J U exactly from the k x k
+H_eff, with the spectrum from `eigenvalues` to rank them.  On a contracted
+q = 3 product of 40-vertex blocks (320 vertices) that takes about 6 ms, of
+which the quotient is 0.2 ms, against 14.5 ms for `eigendecompose` and a
+projection.
 
 Off a solved spectrum, `emergent_state` picks the emergent eigenpair,
 `spectral_gap` reads lambda_0 - lambda_1, and `ensemble_spectrum`
@@ -33,13 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, QllabError
+from .errors import MissingLabelsError, NumericalError, QllabError
 from .graph import BiasedGraph
 
 # Eigenvalues closer than this (times max(1, |lambda_0|)) count as degenerate.
 DEGENERACY_TOL = 1e-6
 
 _RESIDUAL_TOL = 1e-8
+
+# A block partition is equitable when no vertex's weighted neighbour sum
+# into a block is further than this from its block's mean.  Sums of the
+# unit-modulus biases the builders use are exact, so their equitable
+# partitions read 0.0.
+EQUITABLE_TOL = 1e-12
 
 # Lanczos stops once its Ritz residual estimate is this small (times
 # max(1, |theta|)); far below _RESIDUAL_TOL, so every printed digit holds.
@@ -267,6 +285,179 @@ def emergent_state(spectrum: Spectrum, policy: str = "highest") -> EmergentState
         eigenvector=spectrum.eigenvectors[:, idx],
         degenerate=degenerate,
     )
+
+
+@dataclass
+class Quotient:
+    """The quotient of a graph's block partition.
+
+    h is H_eff = J^H A J over the unit block indicators J, in the order of
+    g.blocks (real when no entry has an imaginary part); aj is A J itself,
+    one column per block; deviation is the largest gap between a vertex's
+    weighted neighbour sum into a block and the mean of its block's sums.
+    """
+
+    h: np.ndarray
+    aj: np.ndarray
+    deviation: float
+
+    @property
+    def equitable(self) -> bool:
+        return self.deviation <= EQUITABLE_TOL
+
+
+def quotient(g: BiasedGraph) -> Quotient:
+    """The block quotient of g, read off its edge arrays in O(m).
+
+    Each vertex's weighted neighbour sums into every block come from one
+    np.add.at over the edges and one over their mirrors, plus the diagonal;
+    no matrix is formed.
+    """
+    if g.blocks is None:
+        raise MissingLabelsError("graph has no block labels")
+    k = len(g.blocks)
+    u, v = g.edges.T
+    sums = np.zeros((g.n, k), dtype=complex)
+    np.add.at(sums, (u, g.block_of[v]), g.bias)
+    np.add.at(sums, (v, g.block_of[u]), g.bias.conj())
+    sums[np.arange(g.n), g.block_of] += g.diagonal
+    sizes = np.bincount(g.block_of, minlength=k)
+    mean = np.zeros((k, k), dtype=complex)
+    np.add.at(mean, g.block_of, sums)
+    mean /= sizes[:, None]
+    deviation = float(np.abs(sums - mean[g.block_of]).max())
+    # H_eff[i, j] = (sum over block i of the sums into j) / sqrt(n_i n_j)
+    h = mean * np.sqrt(sizes[:, None] / sizes[None, :])
+    h = (h + h.conj().T) / 2
+    return Quotient(
+        h=h if np.any(h.imag) else np.ascontiguousarray(h.real),
+        aj=sums / np.sqrt(sizes),
+        deviation=deviation,
+    )
+
+
+@dataclass
+class QuotientState:
+    """One eigenstate J u of an equitable block partition.
+
+    coefficients is u, on the unit block indicators in the order of
+    g.blocks; residual is ||A x - mu x|| of x = J u.  rank is the state's
+    index in the non-increasing spectrum, gap its distance to the nearest
+    eigenvalue outside the QL space, None when there is none.  degenerate
+    flags a level that the spectrum holds more often than H_eff does: a
+    bulk state is tied with it.
+    """
+
+    eigenvalue: float
+    coefficients: np.ndarray
+    residual: float
+    rank: int
+    gap: float | None
+    degenerate: bool
+
+
+def quotient_states(g: BiasedGraph, quo: Quotient):
+    """The spectrum of g and its QL states, from an equitable quotient.
+
+    The spectrum comes from `eigenvalues`; the states are J U, with U the
+    eigenvectors of the k x k H_eff, in non-increasing order of mu.  On a
+    level of H_eff (values within 1e-8 * max(1, |mu|)) the basis is the
+    Gram-Schmidt orthonormalization of P e_0, P e_1, ... in block order,
+    with P the level's projector and remainders below DEGENERACY_TOL
+    skipped.  Each state's phase makes its largest coefficient real and
+    positive; magnitudes within DEGENERACY_TOL of the largest count as
+    tied, and the first of them is taken.
+
+    Each state x must pass ||A x - mu x|| <= 1e-8 * max(1, |mu|); a unit
+    x with that residual proves an eigenvalue within it.  The spectrum
+    must hold every QL value within the degeneracy window DEGENERACY_TOL *
+    max(1, max |lambda|) as often as H_eff does.  Failure of either raises
+    NumericalError.  Returns (eigenvalues, list of QuotientState).
+    """
+    if not quo.equitable:
+        raise QllabError(f"block partition is not equitable (deviation {quo.deviation:.3e})")
+    values = eigenvalues(g)
+    mu, u = np.linalg.eigh(quo.h)
+    mu, u = mu[::-1], u[:, ::-1]
+    coefficients = []
+    lo = 0
+    for hi in range(1, len(mu) + 1):
+        if hi < len(mu) and mu[hi - 1] - mu[hi] <= _RESIDUAL_TOL * max(1.0, abs(mu[hi])):
+            continue
+        level = _canonical_basis(u[:, lo:hi]) if hi - lo > 1 else u[:, lo:hi]
+        coefficients += [_fixed_phase(c) for c in level.T]
+        lo = hi
+    c = np.stack(coefficients, axis=1)
+    sizes = np.bincount(g.block_of, minlength=len(mu))
+    x = c[g.block_of] / np.sqrt(sizes[g.block_of])[:, None]
+    residual = np.linalg.norm(quo.aj @ c - x * mu, axis=0)
+    bad = np.flatnonzero(residual > _RESIDUAL_TOL * np.maximum(1.0, np.abs(mu)))
+    if len(bad):
+        k = bad[0]
+        raise NumericalError(f"quotient state {k} residual {residual[k]:.3e} exceeds tolerance")
+
+    window = DEGENERACY_TOL * max(1.0, float(np.abs(values).max()))
+    near = np.abs(values[None, :] - mu[:, None]) <= window
+    ties = np.abs(mu[None, :] - mu[:, None]) <= window
+    in_spectrum, in_quotient = near.sum(axis=1), ties.sum(axis=1)
+    if np.any(in_spectrum < in_quotient):
+        k = int(np.argmax(in_spectrum < in_quotient))
+        raise NumericalError(f"spectrum misses quotient eigenvalue {mu[k]:.12g}")
+    # a level's states take the ranks after every eigenvalue above its window
+    rank = (values[None, :] > mu[:, None] + window).sum(axis=1)
+    rank += np.tril(ties, -1).sum(axis=1)
+    bulk = np.delete(values, rank)
+    states = []
+    for j in range(len(mu)):
+        gap = float(np.abs(bulk - mu[j]).min()) if len(bulk) else None
+        states.append(
+            QuotientState(
+                eigenvalue=float(mu[j]),
+                coefficients=c[:, j].astype(complex),
+                residual=float(residual[j]),
+                rank=int(rank[j]),
+                gap=gap,
+                degenerate=bool(in_spectrum[j] > in_quotient[j]),
+            )
+        )
+    return values, states
+
+
+def _canonical_basis(level: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(level) by Gram-Schmidt of P e_0, P e_1, ...,
+    with P the projector onto it."""
+    projector = level @ level.conj().T
+    basis = []
+    for column in projector.T:
+        for b in basis:
+            column = column - np.vdot(b, column) * b
+        norm = np.linalg.norm(column)
+        if norm > DEGENERACY_TOL:
+            basis.append(column / norm)
+            if len(basis) == level.shape[1]:
+                return np.stack(basis, axis=1)
+    raise NumericalError("level projector has lower rank than its level")
+
+
+def _fixed_phase(c: np.ndarray) -> np.ndarray:
+    """c times the phase that makes its first largest entry real and positive."""
+    magnitude = np.abs(c)
+    k = int(np.argmax(magnitude >= magnitude.max() - DEGENERACY_TOL))
+    c = c * (c[k].conj() / magnitude[k]) + 0  # + 0 turns -0.0 into 0.0
+    c[k] = magnitude[k]
+    return c
+
+
+def extreme_state(states) -> QuotientState:
+    """The quotient state of largest |mu|: the first state of the bottom
+    level when its |mu| exceeds the top's by more than 1e-12 * max |mu|,
+    else the top state, as `emergent_state`'s 'highest_magnitude' picks."""
+    top, bottom = states[0].eigenvalue, states[-1].eigenvalue
+    scale = max(1.0, abs(top), abs(bottom))
+    if abs(bottom) <= abs(top) + 1e-12 * scale:
+        return states[0]
+    tol = _RESIDUAL_TOL * max(1.0, abs(bottom))
+    return next(s for s in states if s.eigenvalue - bottom <= tol)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qllab.cheeger
@@ -14,7 +15,10 @@ import qllab.qlproduct
 import qllab.spectral
 import qllab.witness
 from qllab.cli import main
-from qllab.spectral import eigendecompose, eigenvalues
+from qllab.graph import BiasedGraph
+from qllab.qlbit import BLOCH_PROJECTIONS, BLOCH_TARGETS
+from qllab.qlproduct import label_adjacency
+from qllab.spectral import eigendecompose, eigenvalues, top_pair
 
 
 def read_rows(path):
@@ -64,22 +68,34 @@ KURAMOTO = {"product": WITNESS_PRODUCT, "K": 1.0, "t_end": 0.1}
 WITNESS = {"product": WITNESS_PRODUCT, "bit_index": 0, "strength": 1.0}
 
 
-# experiment: (params, solver calls at seed 5).  Only `spectrum` reads every
-# eigenvalue; the three readers of the emergent state solve its top pair
-# alone, and the full eigensystem is left to the readers of more columns.
+CROSS_BIT = {"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}
+CROSS_PRODUCT = {"qlbits": [CROSS_BIT, {**CROSS_BIT, "connect_bias": "i"}], "mode": "contracted"}
+
+# case: (experiment, params, solver calls at seed 5).  `spectrum` and
+# `cheeger` read eigenvalues alone; the three readers of the emergent state
+# solve its top pair alone; equitable graphs (cross-regular contracted
+# products, Bloch-row bits) read their QL states off the block quotient and
+# need only the spectrum to rank them; the full eigensystem is left to the
+# graphs whose block partition is not equitable (budget policies here).
 ROUTES = {
-    "spectrum": ({"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
-    "disorder-sweep": ({"n": 12, "d": 3, "retentions": [1.0, 0.5], "realizations": 2}, {"top_pair": 4}),
-    "kuramoto": ({**KURAMOTO, "realizations": 2}, {"top_pair": 2}),
-    "witness": (WITNESS, {"top_pair": 1}),
-    "qlbit": (QLBIT["params"], {"eigendecompose": 1}),
-    "product": ({"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
-    "cheeger": ({"graph": {"kind": "cycle", "n": 6}}, {"eigendecompose": 1}),
+    "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
+    "disorder-sweep": (
+        "disorder-sweep",
+        {"n": 12, "d": 3, "retentions": [1.0, 0.5], "realizations": 2},
+        {"top_pair": 4},
+    ),
+    "kuramoto": ("kuramoto", {**KURAMOTO, "realizations": 2}, {"top_pair": 2}),
+    "witness": ("witness", WITNESS, {"top_pair": 1}),
+    "qlbit": ("qlbit", QLBIT["params"], {"eigendecompose": 1}),
+    "qlbit-table-row": ("qlbit", QLBIT_ROW, {"eigenvalues": 1}),
+    "product": ("product", {"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
+    "product-cross-regular": ("product", {"product": CROSS_PRODUCT, "verify": True}, {"eigenvalues": 1}),
+    "cheeger": ("cheeger", {"graph": {"kind": "cycle", "n": 6}}, {"eigenvalues": 1}),
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(ROUTES))
-def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, experiment):
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
     calls = {}
     for name in ("eigendecompose", "eigenvalues", "top_pair"):
         solver = getattr(qllab.spectral, name)
@@ -93,7 +109,7 @@ def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, experiment
         for module in (qllab.cli, qllab.spectral, qllab.kuramoto, qllab.witness, qllab.qlproduct, qllab.cheeger):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
-    params, expected = ROUTES[experiment]
+    experiment, params, expected = ROUTES[case]
     assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "5") == 0
     assert calls == expected
 
@@ -279,6 +295,101 @@ def test_full_product_that_is_not_cartesian_exits_3(tmp_path, capsys, monkeypatc
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_disorder_sweep_checks_every_retention_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return top_pair(g)
+
+    monkeypatch.setattr(qllab.cli, "top_pair", counting)
+    params = {"n": 12, "d": 3, "retentions": [1.0, 0.5, 0.4, 2.0], "realizations": 2}
+    assert run_config(tmp_path, {"experiment": "disorder-sweep", "params": params}) == 2
+    assert "params.retentions" in capsys.readouterr().err
+    assert calls == []
+    assert not any((tmp_path / "out").iterdir())
+
+
+def _moved_cross_edge(g):
+    """g with its first cross edge (u, v) moved to (u, w), w the first other
+    vertex of v's block not joined to u: every degree but v's and w's keeps."""
+    side = g.block_of[g.edges]
+    k = int(np.flatnonzero(side[:, 0] != side[:, 1])[0])
+    u, v = g.edges[k]
+    joined = set(g.edges[g.edges[:, 0] == u, 1]) | set(g.edges[g.edges[:, 1] == u, 0])
+    w = next(x for x in np.flatnonzero(g.block_of == g.block_of[v]) if x != v and x not in joined)
+    edges = g.edges.copy()
+    edges[k] = (u, w)
+    return BiasedGraph.from_edges(g.n, edges, g.bias, g.diagonal, g.blocks, g.block_of)
+
+
+def _flipped_cross_orientation(g):
+    """g with the cross edges of its second bit oriented value 2 -> value 1:
+    still equitable, but with conj(connect_bias) in the quotient."""
+    side = g.block_of[g.edges]
+    second = (side[:, 0] ^ side[:, 1]) == 2
+    return replace(g, bias=np.where(second, g.bias.conj(), g.bias))
+
+
+@pytest.mark.parametrize("tamper", [_moved_cross_edge, _flipped_cross_orientation])
+def test_contracted_verify_catches_a_tampered_product(tmp_path, capsys, monkeypatch, tamper):
+    build = qllab.qlproduct.build_contracted_product
+    built = []
+
+    def build_tampered(spec):
+        built.append(tamper(build(spec)))
+        return built[-1]
+
+    monkeypatch.setattr(qllab.qlproduct, "build_contracted_product", build_tampered)
+    doc = {"experiment": "product", "params": {"product": CROSS_PRODUCT, "verify": True}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 3
+    assert "contraction law check failed" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+    # the label pairs alone, the check of a product left to chance, still pass
+    assert len(label_adjacency(built[0])) == 2 * 2
+
+
+def test_equitable_product_reports_ranked_quotient_states(tmp_path, capsys):
+    bits = [CROSS_BIT] * 3
+    doc = {"experiment": "product", "params": {"product": {"qlbits": bits, "mode": "contracted"}, "verify": True}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 0
+    assert "contraction law OK" in capsys.readouterr().out
+    states = json.loads((tmp_path / "out" / "effective_states.json").read_text())
+    # d + c(q - 2k) with multiplicity C(q, k): 6, 4 (x3), 2 (x3), 0
+    assert [round(s["eigenvalue"], 9) for s in states] == [6, 4, 4, 4, 2, 2, 2, 0]
+    values = [float(row["eigenvalue"]) for row in read_rows(tmp_path / "out" / "product_spectrum.csv")]
+    for s in states:
+        assert set(s) == {"eigenvalue", "labels", "coefficients", "residual", "rank", "gap", "degenerate"}
+        assert abs(values[s["rank"]] - s["eigenvalue"]) <= 1e-9
+        assert s["residual"] <= 1e-12 and s["gap"] > 0 and s["degenerate"] is False
+    # a budget-policy product keeps the dense route and its four fields
+    doc["params"] = {"product": WITNESS_PRODUCT}
+    assert run_config(tmp_path, doc, "--seed", "3") == 0
+    for s in json.loads((tmp_path / "out" / "effective_states.json").read_text()):
+        assert set(s) == {"eigenvalue", "labels", "coefficients", "residual"}
+
+
+_TOKENS = {1: "+1", -1: "-1", 1j: "i", 0: "0"}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCH_PROJECTIONS))
+def test_bloch_rows_report_one_canonical_state_on_every_realization(tmp_path, name):
+    row = BLOCH_PROJECTIONS[name]
+    table_row = {"red": _TOKENS[row.red], "blue": _TOKENS[row.blue], "conn": _TOKENS[row.conn]}
+    params = {"n": 16, "d": 6, "realizations": 3, "table_row": table_row}
+    assert run_config(tmp_path, {"experiment": "qlbit", "params": params}, "--seed", "5") == 0
+    rows = read_rows(tmp_path / "out" / "qlbit.csv")
+    sign, target = BLOCH_TARGETS[name]
+    # the same bytes on every realization: no sign flips, no arbitrary member of a level
+    assert len({tuple(r[k] for k in r if k not in ("realization", "residual")) for r in rows}) == 1
+    first = rows[0]
+    alpha = complex(float(first["alpha_re"]), float(first["alpha_im"]))
+    beta = complex(float(first["beta_re"]), float(first["beta_im"]))
+    assert abs(alpha - target[0]) <= 1e-12 and abs(beta - target[1]) <= 1e-12
+    assert float(first["eigenvalue"]) == sign * (6 if name[0] != "z" else 5)
+    assert first["degenerate"] == "false"
+
+
 def body_digest(out, names):
     """SHA-256 over the artifacts `names`, each without its '# generated=' line."""
     h = hashlib.sha256()
@@ -303,21 +414,23 @@ def test_disorder_sweep_body_is_golden(tmp_path):
 CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}, {"n": 8, "d": 3}]
 
 # (config, artifacts, SHA-256 of their bodies at seed 7); these paths must not
-# move.  `product-contracted`, `qlbit` and `cheeger` were recorded before full
-# products were solved from their factors, `spectrum`, `kuramoto` and
-# `witness` before the Kuramoto records and the witness readout solved only
-# the top eigenpair.  Two realizations make the Kuramoto purity mix two top
+# move.  `cheeger` was recorded before full products were solved from their
+# factors, `spectrum`, `kuramoto` and `witness` before the Kuramoto records
+# and the witness readout solved only the top eigenpair, and
+# `product-contracted` and `qlbit` (both on the dense path, their block
+# partitions not equitable) when projection residuals became ||w - J c||
+# and `qlbit.csv` gained its `degenerate` column.  Two realizations make the Kuramoto purity mix two top
 # vectors, and strength 1 gives an unambiguous readout.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
         ["product_spectrum.csv", "effective_states.json"],
-        "afc025c27559fe263f71c740b055d0a3057a7f53c6e33d4332bf687882de9aeb",
+        "3afe6d7fc242205d8c8cb9a53ab72b789eee3b37676083fe46f4f534e808ec44",
     ),
     "qlbit": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
         ["qlbit.csv", "qlbit_summary.json"],
-        "aba43757bfaa9f879d7624ff84059a5fd4be25bc96bddfab612a5dca82ab3d03",
+        "81efc86ecf94a7b23df58a0f96c4d0a0d3b08e0f9ed74fdc0c25401cd739143e",
     ),
     "cheeger": (
         {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},

@@ -19,7 +19,7 @@ from qllab.qlbit import (
     project_two_state,
     qlbit_spec,
 )
-from qllab.spectral import eigendecompose, emergent_state
+from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
 
 
 def cross_edges(g, names=("a1", "a2")):
@@ -162,6 +162,12 @@ class TestProjections:
             outside = w - np.vdot(j1, w) * j1 - np.vdot(j2, w) * j2
             assert abs(eff.residual - np.linalg.norm(outside)) <= 1e-10
 
+    def test_residual_of_an_exact_state_has_no_cancellation_floor(self):
+        # sqrt(1 - |alpha|^2 - |beta|^2) of the top state read 1.05e-8 here
+        g = build_regular_qlbit(20, 6, cross_degree=1, seed=8)
+        eff = project_two_state(g, eigendecompose(g).eigenvectors[:, 0])
+        assert eff.residual <= 1e-13
+
     def test_bulk_states_have_small_uniform_overlap(self):
         vals = []
         for seed in range(8):
@@ -217,6 +223,13 @@ class TestBiasTopology:
         # x/y rows: eigenvalue exactly +-d; z rows: +-(d - cross_degree)
         expected = d if name[0] != "z" else d - kc
         assert state.eigenvalue == pytest.approx(sign * expected, abs=1e-9)
+        # the quotient reports the target itself, phase included
+        quo = quotient(g)
+        assert quo.equitable
+        ql = extreme_state(quotient_states(g, quo)[1])
+        assert ql.eigenvalue == pytest.approx(sign * expected, abs=1e-12)
+        assert np.abs(ql.coefficients - target).max() <= 1e-12
+        assert not ql.degenerate
         window = spec.degeneracy_window()
         members = np.flatnonzero(np.abs(spec.eigenvalues - state.eigenvalue) <= window)
         projected = []

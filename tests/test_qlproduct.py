@@ -412,6 +412,13 @@ class TestBasisAndProjection:
         total = float(np.sum(np.abs(eff.coefficients) ** 2) + eff.residual**2)
         assert abs(total - 1.0) <= 1e-8
 
+    def test_residual_of_an_exact_state_has_no_cancellation_floor(self):
+        # sqrt(||w||^2 - ||c||^2) of the top state read 1.05e-8 here
+        bit = qlbit_spec(10, 4, policy=CrossRegular(1), seed=8)
+        g = build_contracted_product(ProductSpec(qlbits=(bit, bit), mode="contracted", seed=8))
+        eff = project_product_state(g, eigendecompose(g).eigenvectors[:, 0])
+        assert eff.residual <= 1e-13
+
     def test_sign_patterns(self):
         pats = sign_pattern_states(2)
         assert set(pats) == {"++", "-+", "+-", "--"}
