@@ -52,19 +52,12 @@ from .qlproduct import (
     cartesian_product,
     full_product_factors,
     project_product_state,
+    state_doc,
     verify_contraction_law,
     verify_spectrum_composition,
 )
-from .spectral import (
-    eigendecompose,
-    eigenvalues,
-    emergent_state,
-    ensemble_spectrum,
-    extreme_state,
-    quotient,
-    quotient_states,
-    top_pair,
-)
+from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
+from .spectral import extreme_state, quotient, quotient_states
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
@@ -405,8 +398,7 @@ def cmd_qlbit(params, seed, out):
         rows.append((i, state.eigenvalue, *row))
     write_csv(
         os.path.join(out, "qlbit.csv"),
-        ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual",
-         "degenerate"],
+        ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual", "degenerate"],
         rows,
     )
     arr = np.array(rows)
@@ -420,17 +412,6 @@ def cmd_qlbit(params, seed, out):
         json.dump(summary, fh, indent=1)
         fh.write("\n")
     return ["qlbit.csv", "qlbit_summary.json"]
-
-
-def _state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
-    """One entry of effective_states.json."""
-    return {
-        "eigenvalue": float(eigenvalue),
-        "labels": labels,
-        "coefficients": [[c.real, c.imag] for c in coefficients],
-        "residual": residual,
-        **readings,
-    }
 
 
 def cmd_product(params, seed, out):
@@ -454,15 +435,15 @@ def cmd_product(params, seed, out):
     n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
     if ql is not None:
         states = [
-            _state_doc(s.eigenvalue, list(g.blocks), s.coefficients, s.residual,
-                       rank=s.rank, gap=s.gap, degenerate=s.degenerate)
+            state_doc(s.eigenvalue, list(g.blocks), s.coefficients, s.residual,
+                      rank=s.rank, gap=s.gap, degenerate=s.degenerate)
             for s in ql[:n_top]
         ]
     else:
         values = spectrum.eigenvalues
         top = min(n_top, spectrum.n)
         states = [
-            _state_doc(value, eff.labels, eff.coefficients, eff.residual)
+            state_doc(value, eff.labels, eff.coefficients, eff.residual)
             for value, eff in zip(values[:top], project_product_state(g, spectrum.eigenvectors[:, :top]))
         ]
     write_csv(

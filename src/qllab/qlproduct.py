@@ -417,6 +417,17 @@ def _project(jh, labels, w) -> EffectiveProductState:
     )
 
 
+def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
+    """One entry of the `product` experiment's effective_states.json."""
+    return {
+        "eigenvalue": float(eigenvalue),
+        "labels": labels,
+        "coefficients": [[c.real, c.imag] for c in coefficients],
+        "residual": residual,
+        **readings,
+    }
+
+
 def sign_pattern_states(q: int = 2) -> dict:
     """The 2^q equal-weight sign-pattern states, keyed by per-bit signs.
 
