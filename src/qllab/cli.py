@@ -366,11 +366,15 @@ def cmd_qlbit(params, seed, out):
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
-        quo = None
         if table_row is not None:
+            # regular blocks, cross-regular edges and unit biases: equitable
             g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
             g = apply_bias_topology(g, topology)
-            quo = quotient(g)
+            state = extreme_state(quotient_states(g, quotient(g))[1])
+            # x = J u has projection residual 0; degenerate flags any tie
+            # at the level, as emergent_state does on the dense path
+            (alpha, beta), residual = state.coefficients, 0.0
+            degenerate = state.multiplicity > 1
         else:
             policy_doc = params.get("policy")
             bit = parse_qlbit(
@@ -386,15 +390,10 @@ def cmd_qlbit(params, seed, out):
                 "params.",
             )
             g = build_qlbit(bit)
-        if quo is not None and quo.equitable:
-            state = extreme_state(quotient_states(g, quo)[1])
-            (alpha, beta), residual = state.coefficients, state.residual
-        else:
-            policy = "highest" if table_row is None else "highest_magnitude"
-            state = emergent_state(eigendecompose(g), policy=policy)
+            state = emergent_state(eigendecompose(g))
             eff = project_two_state(g, state.eigenvector)
-            alpha, beta, residual = eff.alpha, eff.beta, eff.residual
-        row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, state.degenerate)
+            alpha, beta, residual, degenerate = eff.alpha, eff.beta, eff.residual, state.degenerate
+        row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
         rows.append((i, state.eigenvalue, *row))
     write_csv(
         os.path.join(out, "qlbit.csv"),
@@ -435,7 +434,7 @@ def cmd_product(params, seed, out):
     n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
     if ql is not None:
         states = [
-            state_doc(s.eigenvalue, list(g.blocks), s.coefficients, s.residual,
+            state_doc(s.eigenvalue, list(g.blocks), s.coefficients, 0.0,  # x = J u
                       rank=s.rank, gap=s.gap, degenerate=s.degenerate)
             for s in ql[:n_top]
         ]

@@ -4,8 +4,8 @@ Eigenvalues are always reported in non-increasing order.  Three paths
 share one operator (`_dense_operator`):
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
-  residual.  Graphs whose block partition is not equitable reach it from
-  `qlbit` and contracted `product`; a full `product` composes its
+  residual.  `qlbit` without a table row and contracted `product`s whose
+  block partition is not equitable reach it; a full `product` composes its
   eigensystem from the factors' (`qlproduct.verify_spectrum_composition`).
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead.  `spectrum`, `cheeger` and
@@ -341,18 +341,22 @@ class QuotientState:
     """One eigenstate J u of an equitable block partition.
 
     coefficients is u, on the unit block indicators in the order of
-    g.blocks; residual is ||A x - mu x|| of x = J u.  rank is the state's
-    index in the non-increasing spectrum, gap its distance to the nearest
-    eigenvalue outside the QL space, None when there is none.  degenerate
-    flags a level that the spectrum holds more often than H_eff does: a
-    bulk state is tied with it.
+    g.blocks.  x = J u lies in span(J), so its projection residual, the
+    `residual` of a dense-path state, is 0; eigen_residual is
+    ||A x - mu x|| instead.  rank is the state's index in the
+    non-increasing spectrum, gap its distance to the nearest eigenvalue
+    outside the QL space, None when there is none.  multiplicity counts the
+    eigenvalues of the spectrum within the degeneracy window of mu (the
+    state's own included); degenerate flags a level that the spectrum holds
+    more often than H_eff does: a bulk state is tied with it.
     """
 
     eigenvalue: float
     coefficients: np.ndarray
-    residual: float
+    eigen_residual: float
     rank: int
     gap: float | None
+    multiplicity: int
     degenerate: bool
 
 
@@ -414,9 +418,10 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
             QuotientState(
                 eigenvalue=float(mu[j]),
                 coefficients=c[:, j].astype(complex),
-                residual=float(residual[j]),
+                eigen_residual=float(residual[j]),
                 rank=int(rank[j]),
                 gap=gap,
+                multiplicity=int(in_spectrum[j]),
                 degenerate=bool(in_spectrum[j] > in_quotient[j]),
             )
         )

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 import qllab.spectral
 from qllab.errors import NumericalError, QllabError
 from qllab.graph import BiasedGraph, add_diagonal_disorder, gen_cycle
-from qllab.qlbit import CrossRegular, qlbit_spec
+from qllab.qlbit import (
+    BLOCH_PROJECTIONS,
+    CrossRegular,
+    apply_bias_topology,
+    build_regular_qlbit,
+    qlbit_spec,
+)
 from qllab.qlproduct import (
     ProductSpec,
     build_contracted_product,
@@ -25,6 +31,7 @@ from qllab.spectral import (
     DEGENERACY_TOL,
     EQUITABLE_TOL,
     eigendecompose,
+    emergent_state,
     extreme_state,
     quotient,
     quotient_states,
@@ -122,7 +129,7 @@ def test_quotient_states_match_the_dense_eigensystem(spec):
         assert np.linalg.norm(x - v @ (v.conj().T @ x)) <= 1e-10
         assert abs(dense.eigenvalues[s.rank] - s.eigenvalue) <= window
         assert np.count_nonzero(dense.eigenvalues > s.eigenvalue + window) <= s.rank
-        assert s.residual <= 1e-8 * max(1.0, abs(s.eigenvalue))
+        assert s.eigen_residual <= 1e-8 * max(1.0, abs(s.eigenvalue))
         magnitude = np.abs(s.coefficients)
         lead = int(np.argmax(magnitude >= magnitude.max() - DEGENERACY_TOL))
         assert s.coefficients[lead].imag == 0.0 and s.coefficients[lead].real > 0
@@ -133,6 +140,7 @@ def test_quotient_states_match_the_dense_eigensystem(spec):
     for s in states:
         assert s.gap == pytest.approx(float(np.abs(bulk - s.eigenvalue).min()), abs=1e-10 * scale)
         assert s.degenerate == bool(np.any(np.abs(bulk - s.eigenvalue) <= window))
+        assert s.multiplicity == np.count_nonzero(np.abs(dense.eigenvalues - s.eigenvalue) <= window)
 
 
 class TestCanonicalBasis:
@@ -193,3 +201,14 @@ def test_extreme_state_breaks_ties_toward_the_top_and_the_first_member():
     assert extreme_state(states(5.0, 1.0, -5.0)).eigenvalue == 5.0
     bottom = states(2.0, -6.0, -6.0)
     assert extreme_state(bottom) is bottom[1]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCH_PROJECTIONS))
+def test_bloch_row_ties_read_as_the_dense_path_reads_them(name):
+    # qlbit.csv writes multiplicity > 1 as `degenerate` for a table row:
+    # it must agree with emergent_state's flag on the same graph
+    g = apply_bias_topology(build_regular_qlbit(16, 6, seed=5), BLOCH_PROJECTIONS[name])
+    state = extreme_state(quotient_states(g, quotient(g))[1])
+    dense = emergent_state(eigendecompose(g), policy="highest_magnitude")
+    assert abs(state.eigenvalue - dense.eigenvalue) <= 1e-12
+    assert (state.multiplicity > 1) == dense.degenerate == (name[0] == "z")
