@@ -62,7 +62,6 @@ from .qlproduct import (
     product_basis_labels,
     product_j_vectors,
     project_product_state,
-    sign_pattern_states,
     verify_spectrum_composition,
 )
 from .spectral import (
@@ -72,17 +71,7 @@ from .spectral import (
     eigenvalues,
     emergent_state,
     ensemble_spectrum,
-    spectral_gap,
     top_pair,
 )
-from .states import (
-    DensityMatrix,
-    alternator,
-    concurrence,
-    density_from_state,
-    mixture_purity,
-    permutation_operator,
-    symmetrizer,
-    tensor_inner,
-)
+from .states import DensityMatrix, concurrence, density_from_state, mixture_purity
 from .witness import attach_witness, witness_readout

@@ -398,18 +398,12 @@ def gen_bipartite_d_regular(n_per_side, d, seed) -> BiasedGraph:
     return BiasedGraph.from_edges(2 * n_per_side, pairs + [0, n_per_side])
 
 
-def two_lift(g: BiasedGraph, seed, force_parallel=False) -> BiasedGraph:
-    """Random 2-lift: each edge lifts to a parallel or a crossing pair.
-
-    Vertex u's mirror copy is u + n.  With force_parallel the lift is the
-    disjoint double cover (a test hook).
-    """
+def two_lift(g: BiasedGraph, seed) -> BiasedGraph:
+    """Random 2-lift: each edge lifts to a parallel or a crossing pair, with
+    probability 1/2 each.  Vertex u's mirror copy is u + n."""
     n = g.n
-    if force_parallel:
-        crossing = np.zeros(g.num_edges, dtype=bool)
-    else:
-        rng = rng_from(seed, "two_lift", n, g.num_edges)
-        crossing = rng.integers(0, 2, size=g.num_edges).astype(bool)
+    rng = rng_from(seed, "two_lift", n, g.num_edges)
+    crossing = rng.integers(0, 2, size=g.num_edges).astype(bool)
     u, v = g.edges.T
     # Parallel: (u, v) and (u', v').  Crossing: (u, v') with the bias, and
     # (v, u') with its conjugate, since A[u', v] keeps the u -> v orientation.

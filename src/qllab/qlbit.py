@@ -218,16 +218,14 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     )
 
 
-def build_regular_qlbit(
-    n_per_side, d, cross_degree=1, seed=0, block_names=("a1", "a2")
-) -> BiasedGraph:
+def build_regular_qlbit(n_per_side, d, cross_degree=1, seed=0) -> BiasedGraph:
     """QL bit that is exactly d-regular including its connecting edges.
 
     Both blocks are (d - cross_degree)-regular and the cross edges form a
     bipartite cross_degree-regular graph, so every vertex has total degree
     d.  This is the topology the Bloch-axis bias rows act on.
     """
-    return build_qlbit(regular_qlbit_spec(n_per_side, d, cross_degree, seed), block_names)
+    return build_qlbit(regular_qlbit_spec(n_per_side, d, cross_degree, seed))
 
 
 def regular_qlbit_spec(n_per_side, d, cross_degree, seed=0) -> QLBitSpec:
@@ -267,13 +265,6 @@ class EffectiveTwoState:
     alpha: complex
     beta: complex
     residual: float
-
-    def normalized(self) -> np.ndarray:
-        vec = np.array([self.alpha, self.beta])
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            raise QllabError("projection too small to normalize")
-        return vec / norm
 
 
 def _bit_names(g: BiasedGraph, block_names):
@@ -376,14 +367,14 @@ BLOCH_TARGETS = {
 }
 
 
-def apply_bias_topology(g: BiasedGraph, topology: BiasTopology, block_names=None) -> BiasedGraph:
+def apply_bias_topology(g: BiasedGraph, topology: BiasTopology) -> BiasedGraph:
     """Overwrite intra- and cross-block biases according to a projection row.
 
     The graph should be d-regular including its connecting edges (see
     build_regular_qlbit).  A connecting bias of zero removes the cross
     edges.  Orientation: A[a1, a2] = conn.
     """
-    blue_k, red_k = (g.blocks.index(name) for name in _bit_names(g, block_names))
+    blue_k, red_k = (g.blocks.index(name) for name in _bit_names(g, None))
     conn = complex(topology.conn)
     side = g.block_of[g.edges]  # (m, 2) block index of each end
     blue = (side == blue_k).all(axis=1)

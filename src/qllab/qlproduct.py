@@ -41,7 +41,7 @@ from .graph import (
     gen_d_regular_random,
     rng_from,
 )
-from .qlbit import CrossRegular, _check_policy, build_qlbit, sample_cross_pairs
+from .qlbit import CrossRegular, PairProbability, _check_policy, build_qlbit, sample_cross_pairs
 from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, _dense_operator, eigendecompose
 
 BIT_NAMES = "abcdefgh"
@@ -317,20 +317,39 @@ def contraction_quotient(spec: ProductSpec):
     return h
 
 
+def _joins(bit, n, d):
+    """(may, must): whether bit's cross edges may, and must, join two
+    n-vertex d-regular blocks at all."""
+    policy, conn = bit.connect_policy, complex(bit.connect_bias) != 0
+    if isinstance(policy, PairProbability):
+        return conn and policy.p > 0, conn and policy.p == 1
+    size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(n * d)
+    return conn and size > 0, conn and size > 0
+
+
 def verify_contraction_law(spec: ProductSpec, g: BiasedGraph, quo) -> None:
     """Raise QllabError unless g obeys the contraction law of spec.
 
     g must have one n-vertex block per label.  When every bit is
     cross-regular (or unconnected), the partition must be equitable, with
     the quotient `quo` (from `spectral.quotient`) equal to
-    `contraction_quotient(spec)` within EQUITABLE_TOL; otherwise the q 2^(q-1)
-    label pairs that differ in one bit must be joined.
+    `contraction_quotient(spec)` within EQUITABLE_TOL.  Otherwise every
+    joined label pair must differ in one bit whose policy may join blocks,
+    and every pair of a bit whose policy must is joined.
     """
-    if g.n != spec.block_size() * (1 << spec.q):
+    q, n, d = spec.q, spec.block_size(), spec.block_degree()
+    if g.n != n * (1 << q):
         raise QllabError("contraction law check failed: wrong vertex count")
     expected = contraction_quotient(spec)
     if expected is None:
-        if len(label_adjacency(g)) != spec.q * (1 << (spec.q - 1)):
+        labels = [block_label(bit_values(k, q)) for k in range(1 << q)]
+        may, must = set(), set()
+        for j, bit in enumerate(spec.qlbits):
+            pairs = {frozenset((labels[k], labels[k ^ 1 << j])) for k in range(1 << q)}
+            bit_may, bit_must = _joins(bit, n, d)
+            may |= pairs if bit_may else set()
+            must |= pairs if bit_must else set()
+        if not must <= label_adjacency(g) <= may:
             raise QllabError("contraction law check failed: wrong label pairs")
     elif not quo.equitable:
         raise QllabError(
@@ -385,12 +404,6 @@ class EffectiveProductState:
     residual: float
     labels: list = field(default_factory=list)
 
-    def normalized(self) -> np.ndarray:
-        norm = np.linalg.norm(self.coefficients)
-        if norm < 1e-12:
-            raise QllabError("projection too small to normalize")
-        return self.coefficients / norm
-
 
 def project_product_state(g: BiasedGraph, w):
     """Project a unit eigenvector onto all block indicators.
@@ -426,26 +439,6 @@ def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
         "residual": residual,
         **readings,
     }
-
-
-def sign_pattern_states(q: int = 2) -> dict:
-    """The 2^q equal-weight sign-pattern states, keyed by per-bit signs.
-
-    Key "+-" means bit a symmetric, bit b antisymmetric; component k of the
-    vector is the product over bits of (sign_j if bit j of k is in state 2).
-    """
-    out = {}
-    dim = 1 << q
-    for mask in range(dim):
-        signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(q))
-        key = "".join("+" if s > 0 else "-" for s in signs)
-        vec = np.ones(dim)
-        for k in range(dim):
-            for j, v in enumerate(bit_values(k, q)):
-                if v == 2:
-                    vec[k] *= signs[j]
-        out[key] = vec / np.sqrt(dim)
-    return out
 
 
 def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> BiasedGraph:

@@ -32,10 +32,10 @@ q = 3 product of 40-vertex blocks (320 vertices) that takes about 6 ms, of
 which the quotient is 0.2 ms, against 14.5 ms for `eigendecompose` and a
 projection.
 
-Off a solved spectrum, `emergent_state` picks the emergent eigenpair,
-`spectral_gap` reads lambda_0 - lambda_1, and `ensemble_spectrum`
-histograms the eigenvalues of many realizations.  Graphs that reach these
-solvers are small enough for exact dense solves.
+Off a solved spectrum, `emergent_state` picks the emergent eigenpair and
+`ensemble_spectrum` histograms the eigenvalues of many realizations; a QL
+state's distance to the bulk is the `gap` of `quotient_states`.  Graphs
+that reach these solvers are small enough for exact dense solves.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ from .graph import BiasedGraph
 DEGENERACY_TOL = 1e-6
 
 _RESIDUAL_TOL = 1e-8
+
+# |lambda_bottom| outranks |lambda_top| only when larger by this * max(1, max |lambda|)
+_MAGNITUDE_TIE_TOL = 1e-12
 
 # A block partition is equitable when no vertex's weighted neighbour sum
 # into a block is further than this from its block's mean.  Sums of the
@@ -242,13 +245,6 @@ def _steps_to(target, current, previous) -> int:
     return min(_MAX_STRIDE, max(1, math.ceil(math.log(estimate / target) / rate)))
 
 
-def spectral_gap(spectrum: Spectrum) -> float:
-    """lambda_0 - lambda_1."""
-    if spectrum.n < 2:
-        raise QllabError("spectral gap needs at least two eigenvalues")
-    return float(spectrum.eigenvalues[0] - spectrum.eigenvalues[1])
-
-
 @dataclass
 class EmergentState:
     eigenvalue: float
@@ -269,7 +265,7 @@ def emergent_state(spectrum: Spectrum, policy: str = "highest") -> EmergentState
         idx = 0
     elif policy == "highest_magnitude":
         scale = max(1.0, float(np.abs(vals).max()))
-        if abs(vals[-1]) > abs(vals[0]) + 1e-12 * scale:
+        if abs(vals[-1]) > abs(vals[0]) + _MAGNITUDE_TIE_TOL * scale:
             idx = spectrum.n - 1
         else:
             idx = 0
@@ -455,11 +451,12 @@ def _fixed_phase(c: np.ndarray) -> np.ndarray:
 
 def extreme_state(states) -> QuotientState:
     """The quotient state of largest |mu|: the first state of the bottom
-    level when its |mu| exceeds the top's by more than 1e-12 * max |mu|,
-    else the top state, as `emergent_state`'s 'highest_magnitude' picks."""
+    level when its |mu| exceeds the top's by more than _MAGNITUDE_TIE_TOL *
+    max(1, max |mu|), else the top state, as `emergent_state`'s
+    'highest_magnitude' picks."""
     top, bottom = states[0].eigenvalue, states[-1].eigenvalue
     scale = max(1.0, abs(top), abs(bottom))
-    if abs(bottom) <= abs(top) + 1e-12 * scale:
+    if abs(bottom) <= abs(top) + _MAGNITUDE_TIE_TOL * scale:
         return states[0]
     tol = _RESIDUAL_TOL * max(1.0, abs(bottom))
     return next(s for s in states if s.eigenvalue - bottom <= tol)

@@ -349,6 +349,32 @@ def test_contracted_verify_catches_a_tampered_product(tmp_path, capsys, monkeypa
     assert len(label_adjacency(built[0])) == 2 * 2
 
 
+BUDGET_BIT = {"n": 10, "d": 3, "policy": {"kind": "budget", "fraction": 0.2}}
+# a product whose policies leave the partition to chance, one bit unconnected
+HALF_JOINED_PRODUCT = {"qlbits": [BUDGET_BIT, {**BUDGET_BIT, "connect_bias": "0"}], "mode": "contracted"}
+
+
+def test_contracted_verify_expects_no_pairs_along_an_unconnected_bit(tmp_path, capsys):
+    doc = {"experiment": "product", "params": {"product": HALF_JOINED_PRODUCT, "verify": True}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 0
+    assert "contraction law OK" in capsys.readouterr().out
+
+
+def test_contracted_verify_catches_the_right_number_of_wrong_label_pairs(tmp_path, capsys, monkeypatch):
+    build = qllab.qlproduct.build_contracted_product
+
+    def swapped_labels(spec):
+        # a2b1 and a2b2 trade names: four joined pairs, two of them diagonals
+        g = build(spec)
+        return replace(g, blocks=tuple(g.blocks[k] for k in (0, 3, 2, 1)))
+
+    monkeypatch.setattr(qllab.qlproduct, "build_contracted_product", swapped_labels)
+    product = {"qlbits": [BUDGET_BIT, BUDGET_BIT], "mode": "contracted"}
+    doc = {"experiment": "product", "params": {"product": product, "verify": True}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 3
+    assert "wrong label pairs" in capsys.readouterr().err
+
+
 def test_equitable_product_reports_ranked_quotient_states(tmp_path, capsys):
     bits = [CROSS_BIT] * 3
     doc = {"experiment": "product", "params": {"product": {"qlbits": bits, "mode": "contracted"}, "verify": True}}

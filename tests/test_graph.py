@@ -194,11 +194,6 @@ class TestTwoLift:
         assert lift.num_edges == 12
         assert (lift.degrees() == 3).all()
 
-    def test_forced_parallel_gives_disjoint_copies(self):
-        base = gen_d_regular_random(10, 3, seed=4)
-        lift = two_lift(base, seed=0, force_parallel=True)
-        assert np.array_equal(lift.edges, np.concatenate([base.edges, base.edges + 10]))
-
     def test_spectrum_contains_base_spectrum(self):
         base = gen_d_regular_random(10, 4, seed=8)
         lift = two_lift(base, seed=9)

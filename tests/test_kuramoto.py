@@ -109,6 +109,18 @@ class TestClosedForm:
             assert result.purity.max() < 0.99
 
 
+def test_full_mode_realizations_draw_fresh_blocks():
+    bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+    cfg = SyncRunConfig(graph=ProductSpec(qlbits=bits, mode="full"), K=1.0, t_end=0.1, seed=5)
+
+    def intra_block_edges(g):
+        side = g.block_of[g.edges]
+        return g.edges[side[:, 0] == side[:, 1]]
+
+    first, second = (intra_block_edges(_realization_graph(cfg, r)) for r in (0, 1))
+    assert not np.array_equal(first, second)
+
+
 def two_oscillators():
     return BiasedGraph.from_edges(2, [(0, 1)])
 

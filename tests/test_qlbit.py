@@ -282,6 +282,7 @@ def test_emergent_pair_orthogonal_in_effective_space():
         pair = []
         for i in (0, 1):
             eff = project_two_state(g, spec.eigenvectors[:, i])
-            pair.append(eff.normalized())
+            c = np.array([eff.alpha, eff.beta])
+            pair.append(c / np.linalg.norm(c))
         overlaps.append(abs(np.vdot(pair[0], pair[1])))
     assert np.mean(overlaps) <= 0.1

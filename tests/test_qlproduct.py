@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qllab.errors import MissingLabelsError, NumericalError, PolicyInfeasibleError, QllabError
 from qllab.graph import (
@@ -14,7 +17,7 @@ from qllab.graph import (
     graph_to_json,
     rng_from,
 )
-from qllab.qlbit import CrossRegular, EdgeBudgetFraction, build_qlbit, qlbit_spec
+from qllab.qlbit import CrossRegular, EdgeBudgetFraction, PairProbability, build_qlbit, qlbit_spec
 from qllab.qlproduct import (
     ProductSpec,
     apply_alignment_detuning,
@@ -28,11 +31,20 @@ from qllab.qlproduct import (
     product_basis_labels,
     product_j_vectors,
     project_product_state,
-    sign_pattern_states,
+    verify_contraction_law,
     verify_spectrum_composition,
 )
-from qllab.spectral import eigendecompose
+from qllab.spectral import eigendecompose, quotient
 from qllab.states import concurrence, density_from_state
+
+# The four equal-weight 2-bit sign patterns in basis order a1b1, a2b1, a1b2,
+# a2b2: key "+-" has bit a symmetric and bit b antisymmetric.
+SIGN_PATTERNS = {
+    "++": np.array([1, 1, 1, 1]) / 2,
+    "-+": np.array([1, -1, 1, -1]) / 2,
+    "+-": np.array([1, 1, -1, -1]) / 2,
+    "--": np.array([1, -1, -1, 1]) / 2,
+}
 
 
 class TestCartesianProduct:
@@ -326,6 +338,24 @@ class TestContractedProduct:
             _, vb = parse_block_label(b)
             assert sum(x != y for x, y in zip(va, vb)) == 1
 
+    def test_label_pair_law_needs_every_pair_a_budget_must_join(self):
+        bits = tuple(qlbit_spec(10, 4, policy=EdgeBudgetFraction(0.2), seed=t) for t in range(2))
+        spec = ProductSpec(qlbits=bits, mode="contracted", n=10, d=4, seed=0)
+        g = build_contracted_product(spec)
+        verify_contraction_law(spec, g, None)
+        side = g.block_of[g.edges]
+        keep = ~((side[:, 0] == 0) & (side[:, 1] == 1))  # no a1b1 - a2b1 edge
+        cut = BiasedGraph.from_edges(g.n, g.edges[keep], g.bias[keep], None, g.blocks, g.block_of)
+        with pytest.raises(QllabError, match="wrong label pairs"):
+            verify_contraction_law(spec, cut, None)
+
+    def test_label_pair_law_lets_chance_leave_a_pair_unjoined(self):
+        bits = (qlbit_spec(6, 3, policy=PairProbability(0.05), seed=0), qlbit_spec(6, 3, seed=1))
+        spec = ProductSpec(qlbits=bits, mode="contracted", seed=3)
+        g = build_contracted_product(spec)
+        assert len(label_adjacency(g)) == 3  # one pair of bit a drew no edge
+        verify_contraction_law(spec, g, None)
+
     def test_vertex_count_law(self):
         for q in (1, 2, 3):
             bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
@@ -419,18 +449,7 @@ class TestBasisAndProjection:
         eff = project_product_state(g, eigendecompose(g).eigenvectors[:, 0])
         assert eff.residual <= 1e-13
 
-    def test_sign_patterns(self):
-        pats = sign_pattern_states(2)
-        assert set(pats) == {"++", "-+", "+-", "--"}
-        assert np.allclose(pats["++"], np.ones(4) / 2)
-        assert np.allclose(pats["-+"], [0.5, -0.5, 0.5, -0.5])
-        assert np.allclose(pats["+-"], [0.5, 0.5, -0.5, -0.5])
-        assert np.allclose(pats["--"], [0.5, -0.5, -0.5, 0.5])
-        m = np.column_stack(list(pats.values()))
-        assert np.abs(m.T @ m - np.eye(4)).max() <= 1e-12
-
     def test_top_states_recover_patterns(self):
-        pats = sign_pattern_states(2)
         for key in ("++", "-+", "+-", "--"):
             biases = [1.0 if c == "+" else -1.0 for c in key]
             bits = tuple(
@@ -440,7 +459,8 @@ class TestBasisAndProjection:
             spec = ProductSpec(qlbits=bits, mode="contracted", n=30, d=10, seed=3)
             g = build_contracted_product(spec)
             eff = project_product_state(g, eigendecompose(g).eigenvectors[:, 0])
-            assert abs(np.vdot(eff.normalized(), pats[key])) ** 2 >= 0.9
+            c = eff.coefficients / np.linalg.norm(eff.coefficients)
+            assert abs(np.vdot(c, SIGN_PATTERNS[key])) ** 2 >= 0.9
 
 
 class TestFullVersusContracted:
@@ -451,8 +471,6 @@ class TestFullVersusContracted:
         assert abs(spec.eigenvalues[1] - spec.eigenvalues[2]) <= spec.degeneracy_window()
 
     def test_four_emergent_patterns_both_modes(self):
-        pats = sign_pattern_states(2)
-
         def emergent_set(g):
             spec = eigendecompose(g)
             found = []
@@ -460,7 +478,7 @@ class TestFullVersusContracted:
                 eff = project_product_state(g, spec.eigenvectors[:, i])
                 weight = float(np.sum(np.abs(eff.coefficients) ** 2))
                 if weight > 0.5:
-                    found.append((spec.eigenvalues[i], eff.normalized()))
+                    found.append((spec.eigenvalues[i], eff.coefficients / np.sqrt(weight)))
             return spec, found
 
         bit = qlbit_spec(10, 5, policy=EdgeBudgetFraction(0.2), seed=9)
@@ -474,13 +492,13 @@ class TestFullVersusContracted:
             assert len(found) == 4
             top = found[0][1]
             bottom = found[3][1]
-            assert abs(np.vdot(top, pats["++"])) ** 2 >= 0.9
-            assert abs(np.vdot(bottom, pats["--"])) ** 2 >= 0.9
+            assert abs(np.vdot(top, SIGN_PATTERNS["++"])) ** 2 >= 0.9
+            assert abs(np.vdot(bottom, SIGN_PATTERNS["--"])) ** 2 >= 0.9
             # middle pair may be returned in an arbitrary degenerate basis:
             # project each pattern onto an orthonormal basis of its span
             middle, _ = np.linalg.qr(np.column_stack([found[1][1], found[2][1]]))
-            assert np.linalg.norm(middle.conj().T @ pats["+-"]) ** 2 >= 0.9
-            assert np.linalg.norm(middle.conj().T @ pats["-+"]) ** 2 >= 0.9
+            assert np.linalg.norm(middle.conj().T @ SIGN_PATTERNS["+-"]) ** 2 >= 0.9
+            assert np.linalg.norm(middle.conj().T @ SIGN_PATTERNS["-+"]) ** 2 >= 0.9
 
     def test_contracted_middle_pair_exactly_degenerate_with_regular_cross(self):
         cbit = qlbit_spec(24, 8, policy=CrossRegular(2), seed=4)
@@ -534,7 +552,7 @@ class TestDetuning:
         )
         detuned = apply_alignment_detuning(g, 4.0, 2.0)
         eff = project_product_state(detuned, eigendecompose(detuned).eigenvectors[:, 0])
-        c = concurrence(density_from_state(eff.normalized()))
+        c = concurrence(density_from_state(eff.coefficients / np.linalg.norm(eff.coefficients)))
         assert 0.05 < c < 0.95
 
     def test_missing_labels(self):
@@ -549,6 +567,39 @@ def test_bit_values_enumeration():
         (1, 2),
         (2, 2),
     ]
+
+
+def test_basis_count_by_level_occupation():
+    for n in (2, 3, 5):
+        by_p = {}
+        for k in range(2**n):
+            p = sum(v == 2 for v in bit_values(k, n))
+            by_p[p] = by_p.get(p, 0) + 1
+        assert by_p == {p: math.comb(n, p) for p in range(n + 1)}
+        assert sum(by_p.values()) == 2**n
+
+
+@st.composite
+def contracted_specs(draw):
+    """Contracted products of 1-3 bits under every policy kind, with empty
+    policies and unconnected bits among them."""
+    policies = st.one_of(
+        st.builds(PairProbability, st.sampled_from([0.0, 0.02, 0.1, 1.0])),
+        st.builds(EdgeBudgetFraction, st.sampled_from([0.0, 0.01, 0.2])),
+        st.builds(CrossRegular, st.integers(0, 2)),
+    )
+    bits = tuple(
+        qlbit_spec(6, 3, policy=draw(policies), connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return ProductSpec(qlbits=bits, mode="contracted", seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(contracted_specs())
+def test_every_built_contracted_product_obeys_its_contraction_law(spec):
+    g = build_contracted_product(spec)
+    verify_contraction_law(spec, g, quotient(g))
 
 
 def test_product_spec_validation():

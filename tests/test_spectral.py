@@ -21,7 +21,6 @@ from qllab.spectral import (
     eigenvalues,
     emergent_state,
     ensemble_spectrum,
-    spectral_gap,
     top_pair,
 )
 
@@ -237,19 +236,6 @@ class TestTopPair:
     def test_empty_vertex_set(self):
         with pytest.raises(QllabError):
             top_pair(BiasedGraph(n=0))
-
-
-class TestSpectralGap:
-    def test_c5(self):
-        gap = spectral_gap(eigendecompose(gen_cycle(5)))
-        assert abs(gap - (2 - 2 * np.cos(2 * np.pi / 5))) <= 1e-9
-
-    def test_k4(self):
-        assert spectral_gap(eigendecompose(gen_complete(4))) == pytest.approx(4.0)
-
-    def test_disjoint_copies_have_zero_gap(self):
-        g = disjoint_union(gen_complete(4), gen_complete(4))
-        assert spectral_gap(eigendecompose(g)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEmergentState:

@@ -1,20 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from qllab.errors import QllabError, TooLargeError
+from qllab.errors import QllabError
 from qllab.graph import rng_from
-from qllab.states import (
-    DensityMatrix,
-    alternator,
-    concurrence,
-    density_from_state,
-    mixture_purity,
-    permutation_operator,
-    symmetrizer,
-    tensor_inner,
-)
+from qllab.states import DensityMatrix, concurrence, density_from_state, mixture_purity
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
 
@@ -138,108 +127,3 @@ class TestPurityAndConcurrence:
     def test_dimension_guard(self):
         with pytest.raises(QllabError):
             concurrence(DensityMatrix(np.eye(2) / 2))
-
-
-class TestTensorInner:
-    def test_orthogonal_factors(self):
-        assert tensor_inner([1, 0], [1, 0], [0, 1], [1, 0]) == 0
-
-    def test_unit_vectors(self):
-        assert tensor_inner([1, 0], [0, 1], [1, 0], [0, 1]) == 1
-
-    def test_distance_identity(self):
-        # ||u x x - v x y||^2 = 2 - 2 Re <u,v><x,y> for unit vectors
-        rng = rng_from(21)
-        for _ in range(10):
-            u, v = random_state(rng, 3), random_state(rng, 3)
-            x, y = random_state(rng, 4), random_state(rng, 4)
-            lhs = np.linalg.norm(np.kron(u, x) - np.kron(v, y)) ** 2
-            rhs = 2 - 2 * (tensor_inner(u, x, v, y)).real
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_dimension_guard(self):
-        with pytest.raises(QllabError):
-            tensor_inner([1, 0], [1], [1, 0, 0], [1])
-
-
-class TestPermutationOperators:
-    def test_matrices_are_permutations(self):
-        p = permutation_operator((1, 2, 0))
-        assert p.shape == (8, 8)
-        assert np.array_equal(p @ p.T, np.eye(8))
-        assert set(np.unique(p)) == {0.0, 1.0}
-
-    def test_composition_law(self):
-        rng = rng_from(31)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            sigma = tuple(rng.permutation(n))
-            tau = tuple(rng.permutation(n))
-            composed = tuple(sigma[tau[i]] for i in range(n))
-            lhs = permutation_operator(sigma) @ permutation_operator(tau)
-            rhs = permutation_operator(composed)
-            assert np.array_equal(lhs, rhs)
-
-    def test_swap_action_on_basis(self):
-        # |12>: factor 1 in level 1, factor 2 in level 2 -> index 2
-        swap = permutation_operator((1, 0))
-        e12 = np.zeros(4)
-        e12[2] = 1.0
-        out = swap @ e12
-        assert out[1] == 1.0  # |21>
-
-    def test_invalid_permutation(self):
-        with pytest.raises(QllabError):
-            permutation_operator((0, 0))
-
-
-class TestSymmetrizerAlternator:
-    def test_two_factor_actions(self):
-        s2, a2 = symmetrizer(2), alternator(2)
-        e12 = np.zeros(4)
-        e12[2] = 1.0
-        e21 = np.zeros(4)
-        e21[1] = 1.0
-        assert np.allclose(s2 @ e12, 0.5 * (e12 + e21))
-        assert np.allclose(a2 @ e12, 0.5 * (e12 - e21))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_idempotent(self, n):
-        s, a = symmetrizer(n), alternator(n)
-        assert np.abs(s @ s - s).max() <= 1e-12
-        assert np.abs(a @ a - a).max() <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_mutually_annihilating(self, n):
-        # n = 1 is excluded: there S and A are both the identity
-        s, a = symmetrizer(n), alternator(n)
-        assert np.abs(s @ a).max() <= 1e-12
-        assert np.abs(a @ s).max() <= 1e-12
-
-    @pytest.mark.parametrize("n,rank", [(2, 1), (3, 0), (4, 0)])
-    def test_alternator_rank_over_two_level_space(self, n, rank):
-        a = alternator(n)
-        evals = np.linalg.eigvalsh(a)
-        assert int((evals > 0.5).sum()) == rank
-
-    def test_symmetric_subspace_dimension(self):
-        # dim S^n(V) = n + 1 for dim V = 2
-        for n in (2, 3, 4):
-            s = symmetrizer(n)
-            evals = np.linalg.eigvalsh(s)
-            assert int((evals > 0.5).sum()) == n + 1
-
-    def test_basis_count_by_level_occupation(self):
-        from qllab.qlproduct import bit_values
-
-        for n in (2, 3, 5):
-            by_p = {}
-            for k in range(2**n):
-                p = sum(v == 2 for v in bit_values(k, n))
-                by_p[p] = by_p.get(p, 0) + 1
-            assert by_p == {p: math.comb(n, p) for p in range(n + 1)}
-            assert sum(by_p.values()) == 2**n
-
-    def test_size_guard(self):
-        with pytest.raises(TooLargeError):
-            symmetrizer(9)
