@@ -14,8 +14,10 @@ from .cheeger import CheegerReport, cheeger_bounds, expansion_profile, isoperime
 from .errors import QllabError
 from .graph import (
     BiasedGraph,
+    EffectiveState,
     GraphGenSpec,
     add_diagonal_disorder,
+    block_basis,
     build_graph,
     delete_random_edges,
     disjoint_union,
@@ -24,6 +26,7 @@ from .graph import (
     gen_cycle,
     gen_d_regular_random,
     graph_to_json,
+    project_blocks,
     two_lift,
 )
 from .kuramoto import (
@@ -40,18 +43,15 @@ from .qlbit import (
     BiasTopology,
     CrossRegular,
     EdgeBudgetFraction,
-    EffectiveTwoState,
     PairProbability,
     QLBitSpec,
     apply_bias_topology,
     build_qlbit,
     build_regular_qlbit,
-    j_vectors,
     project_two_state,
     qlbit_spec,
 )
 from .qlproduct import (
-    EffectiveProductState,
     ProductSpec,
     apply_alignment_detuning,
     build_contracted_product,
@@ -60,7 +60,6 @@ from .qlproduct import (
     cartesian_product,
     label_adjacency,
     product_basis_labels,
-    product_j_vectors,
     project_product_state,
     verify_spectrum_composition,
 )

@@ -45,6 +45,7 @@ from .qlbit import (
     project_two_state,
     qlbit_spec,
     regular_qlbit_spec,
+    reseeded,
 )
 from .qlproduct import (
     ProductSpec,
@@ -363,6 +364,19 @@ def cmd_qlbit(params, seed, out):
             regular_qlbit_spec(n, d, cross_degree)
         except QllabError as exc:  # the message starts with the field name
             raise ConfigError(f"params.{exc}") from None
+    else:
+        policy_doc = params.get("policy")
+        bit = parse_qlbit(
+            {
+                "n": n,
+                "d": d,
+                **({"policy": policy_doc} if policy_doc else {}),
+                "connect_bias": params.get("connect_bias", "+1"),
+                "red_bias": params.get("red_bias", 1.0),
+                "blue_bias": params.get("blue_bias", 1.0),
+            },
+            "params.",
+        )
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
@@ -376,23 +390,10 @@ def cmd_qlbit(params, seed, out):
             (alpha, beta), residual = state.coefficients, 0.0
             degenerate = state.multiplicity > 1
         else:
-            policy_doc = params.get("policy")
-            bit = parse_qlbit(
-                {
-                    "n": n,
-                    "d": d,
-                    **({"policy": policy_doc} if policy_doc else {}),
-                    "connect_bias": params.get("connect_bias", "+1"),
-                    "red_bias": params.get("red_bias", 1.0),
-                    "blue_bias": params.get("blue_bias", 1.0),
-                    "seed": bit_seed,
-                },
-                "params.",
-            )
-            g = build_qlbit(bit)
+            g = build_qlbit(reseeded(bit, bit_seed))
             state = emergent_state(eigendecompose(g))
             eff = project_two_state(g, state.eigenvector)
-            alpha, beta, residual, degenerate = eff.alpha, eff.beta, eff.residual, state.degenerate
+            (alpha, beta), residual, degenerate = eff.coefficients, eff.residual, state.degenerate
         row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
         rows.append((i, state.eigenvalue, *row))
     write_csv(
@@ -632,7 +633,13 @@ def run(args) -> int:
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {', '.join(files)} to {out}")
+    try:
+        print(f"wrote {', '.join(files)} to {out}", flush=True)
+    except BrokenPipeError:
+        # stdout was closed early, as by `qllab cfg.json | head -1`, and
+        # every output is written; point stdout at devnull, so that the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -15,8 +15,10 @@ A labeled graph also carries a partition into the named blocks (a1, a2,
 a1b2, ...) whose indicators span the QL state space: `blocks`, the tuple
 of names, and `block_of`, each vertex's index into `blocks`.  An owner
 array puts every vertex in exactly one block, so the partition needs no
-overlap or cover check, only a range check.  `block_indicator` is the one
-place that builds a unit block indicator.
+overlap or cover check, only a range check.  `block_basis` is the one
+place that builds the unit block indicators J, and `project_blocks` the one
+projection onto them: every reading of a vector in the block basis, for one
+QL bit or a product of q bits, goes through it.
 """
 
 from __future__ import annotations
@@ -169,21 +171,65 @@ class BiasedGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def adjacency(self) -> np.ndarray:
-        """Dense Hermitian adjacency matrix, diagonal included."""
-        a = np.zeros((self.n, self.n), dtype=complex)
+        """Dense Hermitian adjacency matrix, diagonal included.
+
+        float64 when no bias has an imaginary part, complex128 otherwise.
+        """
+        bias = self.bias if np.any(self.bias.imag) else self.bias.real
+        a = np.zeros((self.n, self.n), dtype=bias.dtype)
         u, v = self.edges.T
-        a[u, v] = self.bias
-        a[v, u] = self.bias.conj()
+        a[u, v] = bias
+        a[v, u] = bias.conj()
         a[np.diag_indices(self.n)] = self.diagonal
         return a
 
 
-def block_indicator(g: BiasedGraph, name) -> np.ndarray:
-    """Unit-norm indicator vector of block `name`: 1/sqrt(size) on its vertices."""
-    if g.blocks is None or name not in g.blocks:
-        raise MissingLabelsError(f"block {name!r} missing from labels {g.blocks}")
-    members = g.block_of == g.blocks.index(name)
-    return members / np.sqrt(np.count_nonzero(members))
+def block_basis(g: BiasedGraph, names) -> np.ndarray:
+    """The unit indicators J of the blocks `names`, one column per name.
+
+    Column i is 1/sqrt(size) on the vertices of block names[i], read off
+    `block_of`, and 0 elsewhere, so the columns are orthonormal.  A name
+    the graph's partition lacks raises MissingLabelsError.
+    """
+    for name in names:
+        if g.blocks is None or name not in g.blocks:
+            raise MissingLabelsError(f"block {name!r} missing from labels {g.blocks}")
+    k = np.array([g.blocks.index(name) for name in names], dtype=np.int64)
+    sizes = np.bincount(g.block_of, minlength=len(g.blocks))[k]
+    return (g.block_of[:, None] == k) / np.sqrt(sizes)
+
+
+@dataclass
+class EffectiveState:
+    """A vector w read in the block basis J of the blocks `labels`.
+
+    coefficients is c = J^H w, one per label; residual is ||w - J c||, the
+    norm of w outside span(J), so |c|^2 + residual^2 = ||w||^2.
+    """
+
+    coefficients: np.ndarray
+    residual: float
+    labels: list
+
+
+def project_blocks(g: BiasedGraph, names, w):
+    """Project w onto the unit indicators of the blocks `names`.
+
+    A matrix w is read as vectors in its columns and gives a list of
+    states, one per column, from one J.
+    """
+    j = block_basis(g, names)
+
+    def one(v):
+        c = j.T @ v
+        # ||v - J c|| itself: sqrt(||v||^2 - ||c||^2) cancels to a floor of
+        # about 1.5e-8
+        return EffectiveState(c.astype(complex), float(np.linalg.norm(v - j @ c)), list(names))
+
+    w = np.asarray(w)
+    if w.ndim == 1:
+        return one(w)
+    return [one(w[:, i]) for i in range(w.shape[1])]
 
 
 @dataclass(frozen=True)

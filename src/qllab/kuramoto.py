@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, QllabError
 from .graph import BiasedGraph, derive_seed, rng_from
+from .qlbit import reseeded
 from .qlproduct import ProductSpec, build_product
 from .spectral import top_pair
 
@@ -170,12 +171,8 @@ def _realization_graph(cfg: SyncRunConfig, r: int) -> BiasedGraph:
     if isinstance(g, BiasedGraph):
         return g
     if isinstance(g, ProductSpec):
-        bits = []
-        for j, b in enumerate(g.qlbits):
-            seed = derive_seed(cfg.seed, "bit", r, j)  # fresh blocks too, seeded as in `qlbit_spec`
-            subs = {k: replace(getattr(b, k), seed=derive_seed(seed, k)) for k in ("sub1", "sub2")}
-            bits.append(replace(b, seed=seed, **subs))
-        spec = replace(g, qlbits=tuple(bits), seed=derive_seed(cfg.seed, "graph", r))
+        bits = tuple(reseeded(b, derive_seed(cfg.seed, "bit", r, j)) for j, b in enumerate(g.qlbits))
+        spec = replace(g, qlbits=bits, seed=derive_seed(cfg.seed, "graph", r))
         return build_product(spec)
     raise QllabError("graph must be a BiasedGraph or a ProductSpec")
 

@@ -3,7 +3,8 @@
 A QL bit couples two regular subgraphs (blocks a1 and a2) through a sparse
 set of cross edges.  The two hybridized top eigenstates then behave as an
 effective two-level system; `project_two_state` reads the level amplitudes
-off any eigenvector via the normalized block indicator vectors.  A
+(alpha, beta) off any eigenvector through `graph.project_blocks`, the one
+projection onto unit block indicators, as a product's projection does.  A
 Bloch-row bit is cross-regular, so its two blocks form an equitable
 partition, and `qlbit` reads its states off the 2 x 2 block quotient
 instead (`spectral.quotient_states`).
@@ -28,9 +29,9 @@ from .errors import (
 from .graph import (
     BiasedGraph,
     GraphGenSpec,
-    block_indicator,
     build_graph,
     derive_seed,
+    project_blocks,
     rng_from,
     sample_biregular_pairs,
 )
@@ -176,16 +177,26 @@ def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0,
     once, with messages that start with the field at fault.
     """
     spec = QLBitSpec(
-        sub1=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub1")),
-        sub2=GraphGenSpec("d_regular_random", n=n, d=d, seed=derive_seed(seed, "sub2")),
+        sub1=GraphGenSpec("d_regular_random", n=n, d=d),
+        sub2=GraphGenSpec("d_regular_random", n=n, d=d),
         connect_policy=policy if policy is not None else EdgeBudgetFraction(0.2),
         connect_bias=connect_bias,
         red_bias=red_bias,
         blue_bias=blue_bias,
-        seed=seed,
     )
     _check_policy(spec.connect_policy, n, n, n * d, "policy")  # d-regular blocks: n * d edges
-    return spec
+    return reseeded(spec, seed)
+
+
+def reseeded(bit: QLBitSpec, seed) -> QLBitSpec:
+    """bit with the given seed, and its sub1 and sub2 blocks with the seeds
+    `qlbit_spec` derives from it, so a fresh seed draws fresh blocks too."""
+    return replace(
+        bit,
+        seed=seed,
+        sub1=replace(bit.sub1, seed=derive_seed(seed, "sub1")),
+        sub2=replace(bit.sub2, seed=derive_seed(seed, "sub2")),
+    )
 
 
 def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
@@ -254,19 +265,6 @@ def regular_qlbit_spec(n_per_side, d, cross_degree, seed=0) -> QLBitSpec:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class EffectiveTwoState:
-    """Amplitudes of an eigenvector on the two block-indicator directions.
-
-    residual is the norm of the eigenvector component outside
-    span{J_a1, J_a2}; |alpha|^2 + |beta|^2 + residual^2 = 1 for unit input.
-    """
-
-    alpha: complex
-    beta: complex
-    residual: float
-
-
 def _bit_names(g: BiasedGraph, block_names):
     """block_names, by default the graph's blocks: two of the graph's blocks."""
     names = g.blocks if block_names is None else tuple(block_names)
@@ -275,21 +273,13 @@ def _bit_names(g: BiasedGraph, block_names):
     return names
 
 
-def j_vectors(g: BiasedGraph, block_names=None):
-    """Normalized indicator vectors (J_a1, J_a2) of the two blocks."""
-    return tuple(block_indicator(g, name) for name in _bit_names(g, block_names))
+def project_two_state(g: BiasedGraph, w, block_names=None):
+    """Project a unit eigenvector onto the two-level block basis.
 
-
-def project_two_state(g: BiasedGraph, w, block_names=None) -> EffectiveTwoState:
-    """Project a unit eigenvector onto the two-level block basis."""
-    j1, j2 = j_vectors(g, block_names)
-    w = np.asarray(w)
-    alpha = complex(np.vdot(j1, w))
-    beta = complex(np.vdot(j2, w))
-    # ||w - alpha j1 - beta j2|| itself, without the cancellation of
-    # sqrt(||w||^2 - |alpha|^2 - |beta|^2)
-    residual = float(np.linalg.norm(w - alpha * j1 - beta * j2))
-    return EffectiveTwoState(alpha, beta, residual)
+    The state's coefficients are (alpha, beta) on the two blocks,
+    block_names or the graph's own two, in that order.
+    """
+    return project_blocks(g, _bit_names(g, block_names), w)
 
 
 # ----------------------------------------------------------------------

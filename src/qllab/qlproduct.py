@@ -27,7 +27,7 @@ checks a contracted product against its spec.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -36,13 +36,13 @@ from .errors import MissingLabelsError, NumericalError, QllabError
 from .graph import (
     BiasedGraph,
     _check_size,
-    block_indicator,
     derive_seed,
     gen_d_regular_random,
+    project_blocks,
     rng_from,
 )
 from .qlbit import CrossRegular, PairProbability, _check_policy, build_qlbit, sample_cross_pairs
-from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, _dense_operator, eigendecompose
+from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, eigendecompose
 
 BIT_NAMES = "abcdefgh"
 
@@ -111,7 +111,7 @@ def verify_spectrum_composition(*factors):
     lam = first.eigenvalues
     # A W one factor axis at a time; after factor k the columns of aw run
     # over (x_q, ..., x_{k+1}, j_k, ..., j_1), and len(lam) = n_1 ... n_k
-    aw = _dense_operator(product).reshape(-1, first.n) @ first.eigenvectors
+    aw = product.adjacency().reshape(-1, first.n) @ first.eigenvectors
     for s in spectra[1:]:
         aw = s.eigenvectors.T @ aw.reshape(-1, s.n, len(lam))
         lam = np.add.outer(s.eigenvalues, lam).ravel()
@@ -388,46 +388,10 @@ def product_basis_labels(g: BiasedGraph):
     return [by_values[bit_values(k, q)] for k in range(1 << q)]
 
 
-def product_j_vectors(g: BiasedGraph) -> np.ndarray:
-    """Columns: normalized block indicators in canonical basis order.
-
-    Vertex membership is read from g.block_of, never assumed contiguous.
-    """
-    return np.stack([block_indicator(g, label) for label in product_basis_labels(g)], axis=1)
-
-
-@dataclass
-class EffectiveProductState:
-    """Coefficients of an eigenvector in the 2^q product basis."""
-
-    coefficients: np.ndarray
-    residual: float
-    labels: list = field(default_factory=list)
-
-
 def project_product_state(g: BiasedGraph, w):
-    """Project a unit eigenvector onto all block indicators.
-
-    A matrix `w` is read as unit eigenvectors in its columns and gives a
-    list of states, one per column, from one J and one label list.
-    """
-    jh = product_j_vectors(g).T.conj()
-    labels = product_basis_labels(g)
-    w = np.asarray(w)
-    if w.ndim == 1:
-        return _project(jh, labels, w)
-    return [_project(jh, labels, w[:, i]) for i in range(w.shape[1])]
-
-
-def _project(jh, labels, w) -> EffectiveProductState:
-    # the residual is ||w - J c|| itself: sqrt(||w||^2 - ||c||^2) cancels
-    # to a floor of about 1.5e-8
-    coeffs = jh @ w
-    return EffectiveProductState(
-        coefficients=coeffs.astype(complex),
-        residual=float(np.linalg.norm(w - jh.conj().T @ coeffs)),
-        labels=list(labels),
-    )
+    """Project a unit eigenvector onto all block indicators, in canonical
+    basis order; a matrix `w` gives one state per column, from one J."""
+    return project_blocks(g, product_basis_labels(g), w)
 
 
 def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:

@@ -101,8 +101,7 @@ def witness_readout(combined: BiasedGraph) -> str:
     product of the real parts for real states.
     """
     _, top = top_pair(combined)
-    eff = project_two_state(combined, top, WITNESS_BLOCKS)
-    a1, a2 = eff.alpha, eff.beta
+    a1, a2 = project_two_state(combined, top, WITNESS_BLOCKS).coefficients
     if abs(a1) < READOUT_THRESHOLD and abs(a2) < READOUT_THRESHOLD:
         raise AmbiguousReadoutError(
             f"witness projections {abs(a1):.3g}, {abs(a2):.3g} below "

@@ -251,6 +251,31 @@ def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_closed_stdout_exits_0_with_the_outputs_written(tmp_path, monkeypatch):
+    # `qllab cfg.json | head -1` closes the pipe before the last print
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    doc = {"experiment": "cheeger", "params": {"graph": {"kind": "cycle", "n": 6}}}
+    try:
+        assert run_config(tmp_path, doc) == 0
+        # stdout now writes to devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"] == ["cheeger.csv"]
+
+
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QLLAB_SEED", "1.5")
     assert run_config(tmp_path, QLBIT) == 2
@@ -447,8 +472,12 @@ CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree"
 # and the witness readout solved only the top eigenpair, and
 # `product-contracted` and `qlbit` (both on the dense path, their block
 # partitions not equitable) when projection residuals became ||w - J c||
-# and `qlbit.csv` gained its `degenerate` column.  Two realizations make the Kuramoto purity mix two top
-# vectors, and strength 1 gives an unambiguous readout.
+# and `qlbit.csv` gained its `degenerate` column.  `qlbit` was recorded again
+# when its amplitudes became J^T w, as a product's coefficients are: its
+# `qlbit.csv` body stayed the same, and `mean_abs_alpha` and `mean_residual`
+# in `qlbit_summary.json` moved by 1 ulp.  Two realizations make the
+# Kuramoto purity mix two top vectors, and strength 1 gives an unambiguous
+# readout.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
@@ -458,7 +487,7 @@ GOLDEN = {
     "qlbit": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
         ["qlbit.csv", "qlbit_summary.json"],
-        "81efc86ecf94a7b23df58a0f96c4d0a0d3b08e0f9ed74fdc0c25401cd739143e",
+        "581a703f92df6430ba9e3a0ced9127344933d66f5f792b030899730b56defb7f",
     ),
     "cheeger": (
         {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},

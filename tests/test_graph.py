@@ -13,6 +13,7 @@ from qllab.graph import (
     BiasedGraph,
     GraphGenSpec,
     add_diagonal_disorder,
+    block_basis,
     build_graph,
     delete_random_edges,
     disjoint_union,
@@ -21,6 +22,7 @@ from qllab.graph import (
     gen_cycle,
     gen_d_regular_random,
     graph_to_json,
+    project_blocks,
     two_lift,
 )
 from qllab.qlbit import (
@@ -637,3 +639,25 @@ def test_composers_keep_the_label_dict_law(g, h, seed):
     assert list(labels(cartesian_product(g, h)).items()) == list(product.items())
     assert list(labels(two_lift(g, seed)).items()) == list(lift.items())
     assert list(labels(disjoint_union(g, h)).items()) == list(union.items())
+
+
+@SETTINGS
+@given(labeled_graphs("b", max_n=9), st.data())
+def test_block_projection_matches_indicators_built_from_block_of(g, data):
+    # any subset of the blocks, in any order, against a J built column by
+    # column from block_of
+    names = data.draw(st.lists(st.sampled_from(g.blocks), unique=True))
+    j = np.zeros((g.n, len(names)))
+    for col, name in enumerate(names):
+        members = g.block_of == g.blocks.index(name)
+        j[members, col] = 1 / np.sqrt(np.count_nonzero(members))
+    assert np.abs(block_basis(g, names) - j).max(initial=0.0) <= 1e-15
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    w = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    w /= np.linalg.norm(w)
+    c = np.array([np.vdot(j[:, col], w) for col in range(len(names))], dtype=complex)
+    eff = project_blocks(g, names, w)
+    assert eff.labels == names
+    assert np.abs(eff.coefficients - c).max(initial=0.0) <= 1e-12
+    assert abs(eff.residual - np.linalg.norm(w - j @ c)) <= 1e-12
+    assert abs(np.sum(np.abs(eff.coefficients) ** 2) + eff.residual**2 - 1.0) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qllab.errors import MissingLabelsError, PolicyInfeasibleError, QllabError
-from qllab.graph import GraphGenSpec, rng_from
+from qllab.graph import GraphGenSpec, block_basis, rng_from
 from qllab.qlbit import (
     BLOCH_PROJECTIONS,
     BLOCH_TARGETS,
@@ -15,9 +15,9 @@ from qllab.qlbit import (
     bias_from_token,
     build_qlbit,
     build_regular_qlbit,
-    j_vectors,
     project_two_state,
     qlbit_spec,
+    reseeded,
 )
 from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
 
@@ -86,7 +86,7 @@ class TestBuildQLBit:
         for i in (0, 1):
             eff = project_two_state(g, spec.eigenvectors[:, i])
             assert eff.residual <= 1e-7
-            rows.append([eff.alpha, eff.beta])
+            rows.append(eff.coefficients)
         m = np.array(rows)
         assert np.abs(m @ m.T.conj() - np.eye(2)).max() <= 1e-7
 
@@ -95,10 +95,10 @@ class TestBuildQLBit:
         for seed in range(25):
             g = build_qlbit(qlbit_spec(50, 10, connect_bias=1.0, seed=seed))
             state = emergent_state(eigendecompose(g))
-            eff = project_two_state(g, state.eigenvector)
-            alphas.append(abs(eff.alpha))
-            betas.append(abs(eff.beta))
-            assert (eff.alpha.conjugate() * eff.beta).real > 0  # in-phase
+            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            alphas.append(abs(alpha))
+            betas.append(abs(beta))
+            assert (alpha.conjugate() * beta).real > 0  # in-phase
         target = 1 / np.sqrt(2)
         assert abs(np.mean(alphas) - target) <= 0.05
         assert abs(np.mean(betas) - target) <= 0.05
@@ -107,14 +107,14 @@ class TestBuildQLBit:
         for seed in range(10):
             g = build_qlbit(qlbit_spec(50, 10, connect_bias=-1.0, seed=seed))
             state = emergent_state(eigendecompose(g))
-            eff = project_two_state(g, state.eigenvector)
-            assert (eff.alpha.conjugate() * eff.beta).real < 0  # out-of-phase on top
+            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            assert (alpha.conjugate() * beta).real < 0  # out-of-phase on top
 
     def test_pair_probability_fig_caption_form(self):
         g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.2), connect_bias=1.0, seed=4))
-        eff = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector)
-        assert abs(abs(eff.alpha) - 1 / np.sqrt(2)) <= 0.08
-        assert (eff.alpha.conjugate() * eff.beta).real > 0
+        alpha, beta = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector).coefficients
+        assert abs(abs(alpha) - 1 / np.sqrt(2)) <= 0.08
+        assert (alpha.conjugate() * beta).real > 0
 
     def test_block_names(self):
         g = build_qlbit(qlbit_spec(10, 3, seed=1), block_names=("b1", "b2"))
@@ -122,43 +122,45 @@ class TestBuildQLBit:
 
 
 class TestProjections:
-    def test_j_vectors_small(self):
+    def test_block_basis_small(self):
         spec = QLBitSpec(
             sub1=GraphGenSpec("complete", n=2),
             sub2=GraphGenSpec("complete", n=2),
             connect_bias=0.0,
         )
         g = build_qlbit(spec)
-        j1, j2 = j_vectors(g)
-        assert np.allclose(j1, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
-        assert np.vdot(j1, j2) == 0
-        assert np.linalg.norm(j1) == pytest.approx(1.0)
+        j = block_basis(g, g.blocks)
+        assert np.allclose(j[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
+        assert np.vdot(j[:, 0], j[:, 1]) == 0
+        assert np.linalg.norm(j[:, 0]) == pytest.approx(1.0)
 
     def test_missing_labels(self):
         from qllab.graph import gen_cycle
 
         with pytest.raises(MissingLabelsError):
-            j_vectors(gen_cycle(4))
+            block_basis(gen_cycle(4), ("a1", "a2"))
+        with pytest.raises(MissingLabelsError):
+            project_two_state(gen_cycle(4), np.ones(4) / 2)
 
     def test_projection_of_indicator(self):
         g = build_qlbit(qlbit_spec(12, 4, seed=0))
-        j1, _ = j_vectors(g)
-        eff = project_two_state(g, j1)
-        assert eff.alpha == pytest.approx(1.0)
-        assert abs(eff.beta) <= 1e-12
+        eff = project_two_state(g, block_basis(g, ("a1",))[:, 0])
+        assert eff.coefficients[0] == pytest.approx(1.0)
+        assert abs(eff.coefficients[1]) <= 1e-12
         assert eff.residual <= 1e-8
+        assert eff.labels == ["a1", "a2"]
 
     def test_norm_budget_identity(self):
         g = build_qlbit(qlbit_spec(12, 4, seed=1))
+        j1, j2 = block_basis(g, ("a1", "a2")).T
         rng = rng_from(3)
         for _ in range(10):
             w = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
             w /= np.linalg.norm(w)
             eff = project_two_state(g, w)
-            total = abs(eff.alpha) ** 2 + abs(eff.beta) ** 2 + eff.residual**2
+            total = np.sum(np.abs(eff.coefficients) ** 2) + eff.residual**2
             assert abs(total - 1.0) <= 1e-8
             # cross-check the residual against the explicit projection
-            j1, j2 = j_vectors(g)
             outside = w - np.vdot(j1, w) * j1 - np.vdot(j2, w) * j2
             assert abs(eff.residual - np.linalg.norm(outside)) <= 1e-10
 
@@ -176,7 +178,7 @@ class TestProjections:
             mid = spec.n // 2
             for i in (mid - 1, mid, mid + 1):
                 eff = project_two_state(g, spec.eigenvectors[:, i])
-                vals.append(max(abs(eff.alpha), abs(eff.beta)))
+                vals.append(np.abs(eff.coefficients).max())
         assert np.mean(vals) <= 0.1
 
 
@@ -234,8 +236,7 @@ class TestBiasTopology:
         members = np.flatnonzero(np.abs(spec.eigenvalues - state.eigenvalue) <= window)
         projected = []
         for i in members:
-            eff = project_two_state(g, spec.eigenvectors[:, i])
-            projected.append([eff.alpha, eff.beta])
+            projected.append(project_two_state(g, spec.eigenvectors[:, i]).coefficients)
         # |<s, target>|^2 maximized over unit s in the span of the projections
         basis, _ = np.linalg.qr(np.array(projected).T)
         assert np.linalg.norm(basis.conj().T @ target) ** 2 >= 1 - 1e-9
@@ -244,8 +245,8 @@ class TestBiasTopology:
         # connecting bias i must put the +i on the a1 (blue) amplitude
         base = build_regular_qlbit(24, 16, cross_degree=2, seed=9)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS["y+"])
-        eff = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector)
-        assert eff.alpha / eff.beta == pytest.approx(1j, abs=1e-8)
+        alpha, beta = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector).coefficients
+        assert alpha / beta == pytest.approx(1j, abs=1e-8)
 
     def test_conn_zero_removes_cross_edges(self):
         base = build_regular_qlbit(12, 8, cross_degree=1, seed=2)
@@ -268,8 +269,8 @@ class TestBiasTopology:
             g = apply_bias_topology(base, row)
             state = emergent_state(eigendecompose(g))
             assert abs(state.eigenvalue - d) <= 1e-6
-            eff = project_two_state(g, state.eigenvector)
-            delta = np.angle(eff.alpha / eff.beta) - phi
+            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            delta = np.angle(alpha / beta) - phi
             delta = (delta + np.pi) % (2 * np.pi) - np.pi
             assert abs(delta) <= 0.05
 
@@ -281,8 +282,13 @@ def test_emergent_pair_orthogonal_in_effective_space():
         spec = eigendecompose(g)
         pair = []
         for i in (0, 1):
-            eff = project_two_state(g, spec.eigenvectors[:, i])
-            c = np.array([eff.alpha, eff.beta])
+            c = project_two_state(g, spec.eigenvectors[:, i]).coefficients
             pair.append(c / np.linalg.norm(c))
         overlaps.append(abs(np.vdot(pair[0], pair[1])))
     assert np.mean(overlaps) <= 0.1
+
+
+def test_reseeded_bit_is_the_spec_built_with_that_seed():
+    policy = CrossRegular(2)
+    bit = reseeded(qlbit_spec(10, 3, policy, connect_bias=-1.0, seed=1), 5)
+    assert bit == qlbit_spec(10, 3, policy, connect_bias=-1.0, seed=5)

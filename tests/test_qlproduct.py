@@ -11,13 +11,21 @@ from qllab.errors import MissingLabelsError, NumericalError, PolicyInfeasibleErr
 from qllab.graph import (
     BiasedGraph,
     add_diagonal_disorder,
+    block_basis,
     gen_complete,
     gen_cycle,
     gen_d_regular_random,
     graph_to_json,
     rng_from,
 )
-from qllab.qlbit import CrossRegular, EdgeBudgetFraction, PairProbability, build_qlbit, qlbit_spec
+from qllab.qlbit import (
+    CrossRegular,
+    EdgeBudgetFraction,
+    PairProbability,
+    build_qlbit,
+    project_two_state,
+    qlbit_spec,
+)
 from qllab.qlproduct import (
     ProductSpec,
     apply_alignment_detuning,
@@ -29,7 +37,6 @@ from qllab.qlproduct import (
     label_adjacency,
     parse_block_label,
     product_basis_labels,
-    product_j_vectors,
     project_product_state,
     verify_contraction_law,
     verify_spectrum_composition,
@@ -388,12 +395,12 @@ class TestBasisAndProjection:
         )
         assert product_basis_labels(g) == ["a1b1", "a2b1", "a1b2", "a2b2"]
 
-    def test_j_vectors_orthonormal_and_complete(self):
+    def test_block_basis_orthonormal_and_complete(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
         )
-        j = product_j_vectors(g)
+        j = block_basis(g, product_basis_labels(g))
         assert np.abs(j.T @ j - np.eye(4)).max() <= 1e-12
         uniform = np.ones(g.n) / np.sqrt(g.n)
         overlaps = j.T @ uniform
@@ -403,16 +410,16 @@ class TestBasisAndProjection:
         # interleave two blocks; indicators must follow the labels
         edges = [(0, 2), (1, 3)]
         g = BiasedGraph.from_edges(4, edges, blocks=("a1", "a2"), block_of=[0, 1, 1, 0])
-        j = product_j_vectors(g)
+        j = block_basis(g, product_basis_labels(g))
         assert np.allclose(j[:, 0], [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+        assert np.allclose(project_product_state(g, j[:, 1]).coefficients, [0, 1])
 
     def test_projection_of_indicator(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
         )
-        j = product_j_vectors(g)
-        eff = project_product_state(g, j[:, 0])
+        eff = project_product_state(g, block_basis(g, ["a1b1"])[:, 0])
         assert np.allclose(eff.coefficients, [1, 0, 0, 0], atol=1e-12)
         assert eff.residual <= 1e-8
 
@@ -429,6 +436,15 @@ class TestBasisAndProjection:
             assert np.array_equal(eff.coefficients, one.coefficients)
             assert (eff.residual, eff.labels) == (one.residual, one.labels)
         assert project_product_state(g, w[:, :0]) == []
+
+    def test_one_bit_graph_projects_alike_on_both_paths(self):
+        g = build_qlbit(qlbit_spec(12, 4, seed=2))
+        rng = rng_from(5)
+        w = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+        for v in (*eigendecompose(g).eigenvectors[:, :3].T, w / np.linalg.norm(w)):
+            two, product = project_two_state(g, v), project_product_state(g, v)
+            assert np.array_equal(two.coefficients, product.coefficients)
+            assert (two.residual, two.labels) == (product.residual, product.labels)
 
     def test_norm_budget(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
