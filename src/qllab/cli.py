@@ -456,7 +456,7 @@ def cmd_product(params, seed, out):
         fh.write("\n")
 
     if verify:
-        print("spectrum composition OK" if spec.mode == "full" else "contraction law OK")
+        _say("spectrum composition OK" if spec.mode == "full" else "contraction law OK")
     return ["product_spectrum.csv", "effective_states.json"]
 
 
@@ -633,14 +633,19 @@ def run(args) -> int:
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    try:
-        print(f"wrote {', '.join(files)} to {out}", flush=True)
-    except BrokenPipeError:
-        # stdout was closed early, as by `qllab cfg.json | head -1`, and
-        # every output is written; point stdout at devnull, so that the
-        # flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _say(f"wrote {', '.join(files)} to {out}")
     return 0
+
+
+def _say(line):
+    """Print line to stdout at once.  When a reader closed stdout early, as
+    `qllab cfg.json | head -1` does, the run goes on to write every output:
+    stdout is pointed at devnull, so no later print or the flush at exit
+    can fail again."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

@@ -182,8 +182,8 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
 
     Only the top eigenpair (lambda_0, v_0) of each realization's graph is
     solved, once, at time zero, by `top_pair`: Lanczos, gated on the pair's
-    residual and on a Cholesky proof that no eigenvalue lies above lambda_0,
-    with the full solve as fallback.  At a record with phases theta the
+    residual and on a proof that no eigenvalue lies above lambda_0, with the
+    full solve as fallback.  At a record with phases theta the
     phase-transformed adjacency D* A D, D = diag(exp(i theta)), is unitarily
     similar to A, so its top eigenvalue is lambda_0 and its top eigenvector
     is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  The

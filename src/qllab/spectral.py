@@ -15,10 +15,15 @@ has an imaginary part:
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
   Lanczos, and proves both before returning them; when a proof fails it
   returns the top pair of `eigendecompose`.  `disorder-sweep`, the witness
-  readout and the Kuramoto records read nothing else and use it.  At
+  readout and the Kuramoto records read nothing else and use it.  The
+  bound on the top eigenvalue is first read in O(m) off the edge arrays (a
+  Gershgorin bound scaled by the Ritz vector), which proves the top of every
+  sparse nonnegative graph the experiments build; signed graphs, such as
+  the `minus` witness graphs, need an O(n^3) Cholesky factorization.  At
   n = 256 (random 6-regular graphs, edges kept with probability r) it takes
-  about 1.2 ms at r = 1 (one step), 3 ms at r = 0.7 and 3.7 ms at r = 0.4,
-  against 7.5 ms for `eigendecompose`.
+  about 0.2 ms at r = 1 (one step), 2 ms at r = 0.7 and 3.2 ms at r = 0.4,
+  against 8-10 ms for `eigendecompose`; the O(m) bound takes 0.02 ms where
+  the Cholesky took 0.8 ms.
 
 Times are for one x86 core and one BLAS thread.
 
@@ -66,6 +71,13 @@ EQUITABLE_TOL = 1e-12
 # Lanczos stops once its Ritz residual estimate is this small (times
 # max(1, |theta|)); far below _RESIDUAL_TOL, so every printed digit holds.
 _LANCZOS_TOL = 1e-13
+# `top_pair`'s Gershgorin scales are |x| floored at this times max |x|.  A
+# converged Ritz vector keeps components of about _LANCZOS_TOL off the top
+# eigenspace, so the floor lifts that noise (on other components, or where
+# a signed graph's top vector vanishes) to one common scale, where rows read
+# as plain Gershgorin; a Perron vector entry this small would only weaken
+# the bound and send the proof to the Cholesky.
+_SCALE_FLOOR = 1e-12
 # Lanczos steps between two solves of its tridiagonal Ritz problem: the
 # first stride, and the cap on the strides extrapolated after it.
 _FIRST_STRIDE, _MAX_STRIDE = 8, 32
@@ -153,10 +165,18 @@ def top_pair(g: BiasedGraph):
     estimate falls to 1e-13 * max(1, |theta|).  The Ritz pair (theta, x) is
     returned only when two gates pass, with tau = 1e-8 * max(1, |theta|):
     ||A x - theta x|| <= tau (the residual check of `eigendecompose`), and a
-    Cholesky factorization of (theta + tau) I - A succeeds, which proves
-    lambda_max < theta + tau (Ritz values are only lower bounds, so a small
-    residual alone cannot show that theta is the top).  When either gate
-    fails, the top pair of `eigendecompose(g)` is returned instead.
+    proof that lambda_max <= theta + tau (Ritz values are only lower bounds,
+    so a small residual alone cannot show that theta is the top).  The proof
+    tries, in order:
+    - the Gershgorin bound of D^-1 A D, D = diag(|x|), read off the edge
+      arrays in O(m) (`_scaled_gershgorin`): exact on regular nonnegative
+      graphs and at the Perron vector of nonnegative ones, so it proves
+      every `disorder-sweep` and Kuramoto top;
+    - a Cholesky factorization of (theta + tau) I - A, which proves
+      lambda_max < theta + tau on any graph in O(n^3).
+    When the residual gate or both proofs fail, the top pair of
+    `eigendecompose(g)` is returned instead.  Either proof returns the same
+    Ritz pair.
 
     On a tied top level the vector is the projection of 1/sqrt(n) onto the
     top eigenspace, normalized: one fixed member of it.
@@ -168,10 +188,30 @@ def top_pair(g: BiasedGraph):
     ax = a @ x
     theta = float(np.vdot(x, ax).real)
     tau = _RESIDUAL_TOL * max(1.0, abs(theta))
-    if np.linalg.norm(ax - theta * x) <= tau and _all_below(a, theta + tau):
+    if np.linalg.norm(ax - theta * x) <= tau and (
+        _scaled_gershgorin(g, x) <= theta + tau or _all_below(a, theta + tau)
+    ):
         return theta, x
     spectrum = eigendecompose(g)
     return float(spectrum.eigenvalues[0]), spectrum.eigenvectors[:, 0]
+
+
+def _scaled_gershgorin(g: BiasedGraph, x: np.ndarray) -> float:
+    """max_i (a_ii + sum_j |a_ij| y_j / y_i) with y = |x| floored at
+    _SCALE_FLOOR * max |x|, read off the edge arrays in O(m).
+
+    This is the Gershgorin bound of D^-1 A D with D = diag(y), a similarity
+    of A, so it bounds lambda_max for every Hermitian A.  It is exact at
+    y = 1 on a regular nonnegative graph and at the Perron vector of any
+    nonnegative one (Collatz-Wielandt).  Its rounding error, a few ulps of
+    the bound, lies far below the 1e-8 margin `top_pair` compares it with.
+    """
+    y = np.abs(x)
+    y = np.maximum(y, _SCALE_FLOOR * y.max())
+    u, v = g.edges.T
+    weight = np.abs(g.bias)
+    radius = np.bincount(u, weight * y[v], g.n) + np.bincount(v, weight * y[u], g.n)
+    return float((g.diagonal + radius / y).max())
 
 
 def _all_below(a: np.ndarray, bound: float) -> bool:
@@ -331,11 +371,13 @@ class QuotientState:
     g.blocks.  x = J u lies in span(J), so its projection residual, the
     `residual` of a dense-path state, is 0; eigen_residual is
     ||A x - mu x|| instead.  rank is the state's index in the
-    non-increasing spectrum, gap its distance to the nearest eigenvalue
-    outside the QL space, None when there is none.  multiplicity counts the
-    eigenvalues of the spectrum within the degeneracy window of mu (the
-    state's own included); degenerate flags a level that the spectrum holds
-    more often than H_eff does: a bulk state is tied with it.
+    non-increasing spectrum: that of the value nearest mu, so a bulk value
+    inside mu's degeneracy window keeps its own.  gap is the distance to the
+    nearest eigenvalue outside the QL space, None when there is none.
+    multiplicity counts the eigenvalues of the spectrum within the
+    degeneracy window of mu (the state's own included); degenerate flags a
+    level that the spectrum holds more often than H_eff does: a bulk state
+    is tied with it.
     """
 
     eigenvalue: float
@@ -394,10 +436,25 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
     if np.any(in_spectrum < in_quotient):
         k = int(np.argmax(in_spectrum < in_quotient))
         raise NumericalError(f"spectrum misses quotient eigenvalue {mu[k]:.12g}")
-    # a level's states take the ranks after every eigenvalue above its window
-    rank = (values[None, :] > mu[:, None] + window).sum(axis=1)
-    rank += np.tril(ties, -1).sum(axis=1)
-    bulk = np.delete(values, rank)
+    # each level (a run of tied mu) takes the free values in its window
+    # nearest it, as many as it holds states, in spectrum order; a bulk value
+    # inside the window stays in the bulk.  Values within the residual gate
+    # of mu cannot be told from it, and go in spectrum order.
+    rank = np.empty(len(mu), dtype=int)
+    free = np.ones(len(values), dtype=bool)
+    lo = 0
+    for hi in range(1, len(mu) + 1):
+        if hi < len(mu) and ties[hi - 1, hi]:
+            continue
+        candidates = np.flatnonzero(near[lo:hi].any(axis=0) & free)
+        if len(candidates) < hi - lo:
+            raise NumericalError(f"spectrum misses quotient eigenvalue {mu[lo]:.12g}")
+        distance = np.abs(values[candidates, None] - mu[None, lo:hi]).min(axis=1)
+        distance = np.maximum(distance, _RESIDUAL_TOL * max(1.0, abs(mu[lo])))
+        rank[lo:hi] = np.sort(candidates[np.argsort(distance, kind="stable")[: hi - lo]])
+        free[rank[lo:hi]] = False
+        lo = hi
+    bulk = values[free]
     states = []
     for j in range(len(mu)):
         gap = float(np.abs(bulk - mu[j]).min()) if len(bulk) else None

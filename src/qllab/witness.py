@@ -90,9 +90,8 @@ def witness_readout(combined: BiasedGraph) -> str:
     """Read the target bit's phase off the witness blocks.
 
     Solves only the emergent (top) eigenpair of the combined graph with
-    `top_pair`, which proves the pair by its residual and a Cholesky bound
-    on the top eigenvalue (falling back to the full solve when either
-    fails), reads the amplitudes a1, a2 of the vector on the witness
+    `top_pair`, which proves the pair by its residual and a bound on the
+    top eigenvalue (falling back to the full solve when either fails), reads the amplitudes a1, a2 of the vector on the witness
     blocks x1, x2 with `project_two_state`, and reports 'same' when they
     align in phase, 'inverted' otherwise.  On a tied top level the vector
     is the projection of 1/sqrt(n) onto that level: one fixed member of

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -251,8 +252,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_closed_stdout_exits_0_with_the_outputs_written(tmp_path, monkeypatch):
-    # `qllab cfg.json | head -1` closes the pipe before the last print
+@contextlib.contextmanager
+def closed_stdout(tmp_path, monkeypatch):
+    """Make stdout a pipe whose reader is gone, as after `qllab cfg.json |
+    head -1`, unbuffered, so every print raises; yields its descriptor."""
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
 
     class ClosedPipe:
@@ -266,14 +269,32 @@ def test_closed_stdout_exits_0_with_the_outputs_written(tmp_path, monkeypatch):
             return fd
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    doc = {"experiment": "cheeger", "params": {"graph": {"kind": "cycle", "n": 6}}}
     try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+def test_closed_stdout_exits_0_with_the_outputs_written(tmp_path, monkeypatch):
+    doc = {"experiment": "cheeger", "params": {"graph": {"kind": "cycle", "n": 6}}}
+    with closed_stdout(tmp_path, monkeypatch) as fd:
         assert run_config(tmp_path, doc) == 0
         # stdout now writes to devnull, so the flush at exit cannot fail
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-    finally:
-        os.close(fd)
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"] == ["cheeger.csv"]
+
+
+@pytest.mark.parametrize("mode", ["full", "contracted"])
+def test_closed_stdout_before_the_verified_line_still_writes_the_manifest(tmp_path, monkeypatch, mode):
+    # a verified product prints its "... OK" line before run writes
+    # manifest.json
+    bits = [{"n": 3, "d": 2}, {"n": 4, "d": 2}] if mode == "full" else [CROSS_BIT, CROSS_BIT]
+    doc = {"experiment": "product", "params": {"product": {"mode": mode, "qlbits": bits}, "verify": True}}
+    with closed_stdout(tmp_path, monkeypatch) as fd:
+        assert run_config(tmp_path, doc) == 0
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["product_spectrum.csv", "effective_states.json"]
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
@@ -333,6 +354,40 @@ def test_disorder_sweep_checks_every_retention_before_solving(tmp_path, capsys, 
     assert "params.retentions" in capsys.readouterr().err
     assert calls == []
     assert not any((tmp_path / "out").iterdir())
+
+
+SYNC_BIT = {"n": 36, "d": 6, "policy": {"kind": "cross_regular", "degree": 1}}
+
+
+@pytest.mark.parametrize(
+    "experiment, params, solves",
+    [
+        ("disorder-sweep", {"n": 256, "d": 6, "retentions": [1.0, 0.7, 0.4], "realizations": 2}, 6),
+        ("kuramoto", {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted"},
+                      "K": 4.0, "t_end": 0.1, "realizations": 2}, 2),
+    ],
+    ids=["disorder-sweep", "sync-product"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparse_nonnegative_graphs_prove_their_top_without_cholesky(
+    tmp_path, monkeypatch, experiment, params, solves, seed
+):
+    # the scaled Gershgorin bound at the Ritz vector proves these tops in
+    # O(m): regular graphs at y = 1, thinned ones at their Perron vector
+    solved, cholesky = [], []
+    pair = qllab.spectral.top_pair
+
+    def counting(g):
+        solved.append(g.n)
+        return pair(g)
+
+    monkeypatch.setattr(qllab.cli, "top_pair", counting)
+    monkeypatch.setattr(qllab.kuramoto, "top_pair", counting)
+    monkeypatch.setattr(qllab.spectral, "_all_below", lambda a, bound: cholesky.append(len(a)))
+    monkeypatch.setattr(qllab.spectral, "eigendecompose", None)  # no fallback
+    assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", str(seed)) == 0
+    assert len(solved) == solves
+    assert cholesky == []
 
 
 def _moved_cross_edge(g):

@@ -8,7 +8,7 @@ orthogonal complement of the block indicators.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qllab.spectral
@@ -106,8 +106,21 @@ def cross_regular_specs(draw):
     return ProductSpec(qlbits=bits, mode="contracted", seed=draw(st.integers(0, 2**16)))
 
 
+# q = 2 over 8-vertex, 2-regular blocks: a bulk value lies 2.79e-6 above the
+# QL level -1.2360680, inside its 3.24e-6 degeneracy window
+BULK_IN_WINDOW = ProductSpec(
+    qlbits=(
+        qlbit_spec(8, 2, policy=CrossRegular(1), red_bias=1.0, blue_bias=-1.0),
+        qlbit_spec(8, 2, policy=CrossRegular(1), red_bias=-1.0, blue_bias=-1.0),
+    ),
+    mode="contracted",
+    seed=8,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cross_regular_specs())
+@example(BULK_IN_WINDOW)
 def test_quotient_states_match_the_dense_eigensystem(spec):
     g = build_contracted_product(spec)
     quo = quotient(g)
@@ -141,6 +154,19 @@ def test_quotient_states_match_the_dense_eigensystem(spec):
         assert s.gap == pytest.approx(float(np.abs(bulk - s.eigenvalue).min()), abs=1e-10 * scale)
         assert s.degenerate == bool(np.any(np.abs(bulk - s.eigenvalue) <= window))
         assert s.multiplicity == np.count_nonzero(np.abs(dense.eigenvalues - s.eigenvalue) <= window)
+
+
+def test_a_bulk_value_inside_the_window_stays_in_the_bulk():
+    g = build_contracted_product(BULK_IN_WINDOW)
+    values, states = quotient_states(g, quotient(g))
+    state = states[2]
+    assert state.eigenvalue == pytest.approx(-1.2360680, abs=1e-7)
+    bulk = values[state.rank - 1]  # the bulk value just above it
+    assert 0 < bulk - state.eigenvalue <= DEGENERACY_TOL * abs(values).max()
+    assert abs(values[state.rank] - state.eigenvalue) <= 1e-12
+    assert state.gap == pytest.approx(bulk - state.eigenvalue, rel=1e-6)
+    assert state.gap == pytest.approx(2.786e-6, rel=1e-3)
+    assert state.degenerate and state.multiplicity == 2
 
 
 class TestCanonicalBasis:

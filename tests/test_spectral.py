@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from qllab.spectral import (
     ensemble_spectrum,
     top_pair,
 )
+from qllab.witness import attach_witness
 
 
 def random_biased_graph(n, p, seed, disorder=0.0):
@@ -228,6 +231,59 @@ class TestTopPair:
         value, x = top_pair(gen_d_regular_random(40, 6, seed=2))
         assert steps == [1]
         assert value == pytest.approx(6.0, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.floats(0.05, 0.9),
+        st.integers(0, 2**32),
+        st.sampled_from(["nonnegative", "signed", "complex", "disconnected", "disordered"]),
+    )
+    def test_gershgorin_certificate_bounds_the_top(self, n, p, seed, kind):
+        g = random_biased_graph(n, p, seed, disorder=1.5 if kind == "disordered" else 0.0)
+        rng = rng_from(seed, "weights")
+        if kind == "nonnegative":
+            g = BiasedGraph.from_edges(n, g.edges, rng.uniform(0.1, 2.0, g.num_edges))
+        elif kind == "signed":
+            g = BiasedGraph.from_edges(n, g.edges, np.sign(g.bias.real) + (g.bias.real == 0))
+        elif kind == "disconnected":
+            g = disjoint_union(g, random_biased_graph(n, p, seed + 1))
+        a = g.adjacency()
+        top = np.linalg.eigvalsh(a)[-1]
+        x = qllab.spectral._lanczos_top(a)
+        theta = float(np.vdot(x, a @ x).real)
+        tau = 1e-8 * max(1.0, abs(theta))
+        bound = qllab.spectral._scaled_gershgorin(g, x)
+        if bound <= theta + tau:  # the certificate accepts
+            assert top <= theta + tau
+        # every positive scaling is a similarity, so any vector's bound holds
+        for scales in (x, rng.standard_normal(g.n), np.ones(g.n)):
+            bound = qllab.spectral._scaled_gershgorin(g, scales)
+            assert top <= bound + 1e-12 * max(1.0, abs(bound))
+
+    def test_signed_graph_proves_its_pair_by_cholesky(self, monkeypatch):
+        # the `minus` witness graph: an inverted bit coupled to a witness
+        # bit; signed, so no diagonal scaling reaches its top eigenvalue
+        bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
+        spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
+        g = attach_witness(build_contracted_product(spec), spec, 0, 0.25, seed=4)
+        a = g.adjacency()
+        x = qllab.spectral._lanczos_top(a)
+        theta = float(np.vdot(x, a @ x).real)
+        assert qllab.spectral._scaled_gershgorin(g, x) > theta + 1e-8 * theta
+        proofs = []
+        all_below = qllab.spectral._all_below
+
+        def counting(a, bound):
+            proofs.append(all_below(a, bound))
+            return proofs[-1]
+
+        monkeypatch.setattr(qllab.spectral, "_all_below", counting)
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", None)  # no fallback
+        value, top = top_pair(g)
+        assert proofs == [True]
+        assert value == theta and np.array_equal(top, x)
+        assert value == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-12)
 
     def test_single_vertex(self):
         value, x = top_pair(BiasedGraph.from_edges(1, np.empty((0, 2), int), diagonal=[2.5]))
