@@ -420,9 +420,10 @@ def cmd_product(params, seed, out):
     if not isinstance(verify, bool):
         raise ConfigError(f"params.verify must be true or false, got {verify!r}")
     spec = parse_product(params["product"], "params.product.", seed)
+    n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
     ql = None  # the QL states of an equitable contracted product
     if spec.mode == "full":  # checked as it is solved
-        g, spectrum = verify_spectrum_composition(*full_product_factors(spec))
+        g, spectrum = verify_spectrum_composition(*full_product_factors(spec), columns=n_top)
     else:
         g = build_product(spec)
         quo = quotient(g)
@@ -432,7 +433,6 @@ def cmd_product(params, seed, out):
             values, ql = quotient_states(g, quo)
         else:
             spectrum = eigendecompose(g)
-    n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
     if ql is not None:
         states = [
             state_doc(s.eigenvalue, list(g.blocks), s.coefficients, 0.0,  # x = J u
@@ -441,10 +441,9 @@ def cmd_product(params, seed, out):
         ]
     else:
         values = spectrum.eigenvalues
-        top = min(n_top, spectrum.n)
         states = [
             state_doc(value, eff.labels, eff.coefficients, eff.residual)
-            for value, eff in zip(values[:top], project_product_state(g, spectrum.eigenvectors[:, :top]))
+            for value, eff in zip(values, project_product_state(g, spectrum.eigenvectors[:, :n_top]))
         ]
     write_csv(
         os.path.join(out, "product_spectrum.csv"),

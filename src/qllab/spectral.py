@@ -6,8 +6,10 @@ has an imaginary part:
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
   residual.  `qlbit` without a table row and contracted `product`s whose
-  block partition is not equitable reach it; a full `product` composes its
-  eigensystem from the factors' (`qlproduct.verify_spectrum_composition`).
+  block partition is not equitable reach it.  A full `product` runs it on
+  each factor only, and `qlproduct.verify_spectrum_composition` proves the
+  product's eigensystem off the factors' eigenpairs and residuals, with no
+  operator on the product's N vertices.
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead.  `spectrum`, `cheeger` and
   the quotient states below use it.  At n = 512 it takes about 17 ms
@@ -85,14 +87,19 @@ _FIRST_STRIDE, _MAX_STRIDE = 8, 32
 
 @dataclass
 class Spectrum:
-    """Full eigensystem of a Hermitian adjacency matrix.
+    """Eigensystem of a Hermitian adjacency matrix.
 
     eigenvalues are sorted descending; eigenvectors[:, i] belongs to
-    eigenvalues[i] and the columns are orthonormal.
+    eigenvalues[i] and the columns are orthonormal.  eigenvectors holds a
+    column per eigenvalue from `eigendecompose`, but may hold only the
+    leading columns (a composed full product's).  residuals[i] bounds
+    ||A v_i - lambda_i v_i||: it is that norm from `eigendecompose`, and
+    the sum of the factors' residuals for a composed product.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residuals: np.ndarray
 
     @property
     def n(self) -> int:
@@ -106,8 +113,8 @@ class Spectrum:
 def eigendecompose(g: BiasedGraph) -> Spectrum:
     """Diagonalize the adjacency matrix of g.
 
-    Residuals ||A v - lambda v|| are checked against 1e-8 * ||A||; failure
-    to meet that raises NumericalError.
+    Residuals ||A v - lambda v|| are checked against 1e-8 * ||A|| and kept
+    in the Spectrum; failure to meet that raises NumericalError.
     """
     if g.n < 1:
         raise QllabError("cannot diagonalize an empty vertex set")
@@ -120,10 +127,11 @@ def eigendecompose(g: BiasedGraph) -> Spectrum:
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
     norm = max(1.0, float(np.abs(vals).max()))
-    residual = np.linalg.norm(a @ vecs - vecs * vals, axis=0).max()
+    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    residual = residuals.max()
     if residual > _RESIDUAL_TOL * norm:
         raise NumericalError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 
 def eigenvalues(g: BiasedGraph) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -324,6 +325,22 @@ def test_full_product_verify_checks_every_bit_without_resolving(tmp_path, capsys
     assert "spectrum composition OK" in capsys.readouterr().out
     # each bit solved once; the 512-vertex product is composed, never solved
     assert solved == [8, 8, 8]
+
+
+def test_full_product_forms_no_n_by_n_array(tmp_path):
+    # three 12-vertex bits: N = 1,728, so one N x N float64 array is 23.9 MB
+    n = 12 ** 3
+    bits = [{"n": 6, "d": 3}] * 3
+    doc = {"experiment": "product", "params": {"product": {"qlbits": bits, "mode": "full"}}}
+    tracemalloc.start()
+    try:
+        assert run_config(tmp_path, doc) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert len(read_rows(tmp_path / "out" / "product_spectrum.csv")) == n
+    assert len(json.loads((tmp_path / "out" / "effective_states.json").read_text())) == 8
 
 
 def test_full_product_that_is_not_cartesian_exits_3(tmp_path, capsys, monkeypatch):

@@ -210,13 +210,18 @@ FACTOR_SETS = {
 
 
 class TestFactoredCheck:
-    """The factored A W check against the np.kron / dense A @ W oracle."""
+    """The composition and its proof against the np.kron / dense A @ W oracle."""
 
-    @pytest.mark.parametrize("name", FACTOR_SETS)
-    def test_matches_kron_oracle_bit_for_bit(self, name):
+    @pytest.mark.parametrize(
+        "name, columns",
+        [pytest.param(name, None, id=name) for name in FACTOR_SETS]
+        + [pytest.param(name, 3, id=f"{name}-3-columns") for name in FACTOR_SETS],
+    )
+    def test_matches_kron_oracle_bit_for_bit(self, name, columns):
         factors = FACTOR_SETS[name]()
-        product, spectrum = verify_spectrum_composition(*factors)
+        product, spectrum = verify_spectrum_composition(*factors, columns=columns)
         w, lam, residual = kron_oracle(*factors)
+        w = w[:, :columns]
         assert product.n == w.shape[0]
         assert np.array_equal(spectrum.eigenvalues, lam)
         assert np.array_equal(spectrum.eigenvectors, w)
@@ -224,23 +229,28 @@ class TestFactoredCheck:
         assert spectrum.eigenvectors.dtype == w.dtype
         assert spectrum.eigenvectors.strides == w.strides
         assert residual.max() <= 1e-12
+        # the composed residuals bound the true ones
+        assert np.all(residual <= spectrum.residuals + 1e-14)
 
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda p: replace(p, edges=p.edges[1:], bias=p.bias[1:]),
-            lambda p: replace(p, bias=np.r_[p.bias[:7], -p.bias[7], p.bias[8:]]),
-            lambda p: replace(p, diagonal=p.diagonal + 1e-6 * (np.arange(p.n) == 11)),
+            lambda p, _: replace(p, edges=p.edges[1:], bias=p.bias[1:]),
+            lambda p, _: replace(p, bias=np.r_[p.bias[:7], -p.bias[7], p.bias[8:]]),
+            lambda p, _: replace(p, diagonal=p.diagonal + 1e-6 * (np.arange(p.n) == 11)),
+            # the same spectrum on the same vertex count: only the structure
+            # check can tell h [] g from g [] h
+            lambda _, factors: reduce(cartesian_product, factors[::-1]),
         ],
-        ids=["dropped-edge", "flipped-bias", "moved-diagonal"],
+        ids=["dropped-edge", "flipped-bias", "moved-diagonal", "reversed-factors"],
     )
     @pytest.mark.parametrize("name", ["c5-bit6", "complex-c5-k2-bit6", "disordered-c5-k2-bit6"])
     def test_rejects_a_tampered_product(self, monkeypatch, tamper, name):
         import qllab.qlproduct
 
         # only the finished product is tampered with; its factors stay intact
-        monkeypatch.setattr(qllab.qlproduct, "reduce", lambda f, xs: tamper(reduce(f, xs)))
-        with pytest.raises(NumericalError, match="composed eigenpair .* residual"):
+        monkeypatch.setattr(qllab.qlproduct, "reduce", lambda f, xs: tamper(reduce(f, xs), xs))
+        with pytest.raises(NumericalError, match="not the Cartesian product of its factors"):
             verify_spectrum_composition(*FACTOR_SETS[name]())
 
 
@@ -285,6 +295,31 @@ class TestComposedAgainstDense:
         for lo, hi in clusters:
             v, w = dense.eigenvectors[:, lo:hi], composed.eigenvectors[:, lo:hi]
             assert np.abs(v @ v.conj().T - w @ w.conj().T).max() <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([(3, 2), (4, 2), (4, 3)]),
+                st.sampled_from([1.0, -1.0, 1j, np.exp(0.7j)]),
+                st.sampled_from([0.0, 0.3]),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_composed_eigenvalues_are_the_built_products(self, bits):
+        # the spectrum-composition invariant: the Kronecker sum of the factor
+        # spectra is the spectrum of the Cartesian product
+        factors = []
+        for (n, d), connect_bias, sigma, seed in bits:
+            bit = build_qlbit(qlbit_spec(n, d, connect_bias=connect_bias, seed=seed))
+            factors.append(add_diagonal_disorder(bit, sigma, seed=seed) if sigma else bit)
+        product, spectrum = verify_spectrum_composition(*factors)
+        expected = np.linalg.eigvalsh(product.adjacency())[::-1]
+        scale = np.maximum(1.0, np.abs(expected))
+        assert np.all(np.abs(spectrum.eigenvalues - expected) <= 1e-12 * scale)
 
     def test_tied_sums_keep_composition_order(self):
         n = 30
