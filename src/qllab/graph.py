@@ -4,12 +4,21 @@ A graph stores its edge set as two canonical arrays: `edges`, the (m, 2)
 vertex pairs with u < v on every row, sorted lexicographically, and `bias`,
 the adjacency entries A[u, v].  The conjugate entry A[v, u] is implied, so
 every graph is Hermitian by construction.  `BiasedGraph.from_edges` is the
-only place that orients, sorts and validates an edge list; generators and
-compositions hand it concatenated, offset arrays.  The arrays and the
-diagonal are read-only, so an operation that keeps or subsets a canonical
-edge set shares them through `dataclasses.replace` instead of copying.  All
-randomized operations take an explicit seed and derive a private generator
-from it.
+only place that orients, sorts and validates an edge list, by one stable
+sort of the integer keys u * n + v; generators and compositions hand it
+concatenated, offset arrays.  The arrays and the diagonal are read-only,
+so an operation that keeps or subsets a canonical edge set shares them
+through `dataclasses.replace` instead of copying.  All randomized
+operations take an explicit seed and derive a private generator from it.
+
+The random samplers draw a pairing of vertex stubs and repair it round by
+round; they keep each edge as the integer key u * n + v in a set and
+return the sorted keys, which the generators split back into pairs.
+
+`BiasedGraph.adjacency` builds the dense matrix; `BiasedGraph.operator`
+(from `edge_operator`) applies it off the edge arrays in O(m), and is the
+one sparse path: `spectral.top_pair`, its O(m) bound and the check of a
+full product's operator all read the graph through it.
 
 A labeled graph also carries a partition into the named blocks (a1, a2,
 a1b2, ...) whose indicators span the QL state space: `blocks`, the tuple
@@ -25,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -148,11 +156,15 @@ class BiasedGraph:
         if loops.size:
             raise QllabError(f"self loop at vertex {pairs[loops[0], 0]}")
         flip = pairs[:, 0] > pairs[:, 1]
-        pairs = np.where(flip[:, None], pairs[:, ::-1], pairs)
-        bias = np.where(flip, bias.conj(), bias)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs, bias = pairs[order], bias[order]
-        dup = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1))
+        lo, hi = np.where(flip, pairs[:, 1], pairs[:, 0]), np.where(flip, pairs[:, 0], pairs[:, 1])
+        if flip.any():
+            bias = np.where(flip, bias.conj(), bias)
+        # one stable sort of the keys u * n + v orders the rows as a
+        # lexicographic sort would
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        keys, pairs, bias = keys[order], np.stack([lo[order], hi[order]], axis=1), bias[order]
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
         if dup.size:
             u, v = pairs[dup[0]]
             raise QllabError(f"duplicate edge ({u}, {v})")
@@ -182,6 +194,56 @@ class BiasedGraph:
         a[v, u] = bias.conj()
         a[np.diag_indices(self.n)] = self.diagonal
         return a
+
+    def operator(self):
+        """The map x -> A x, diagonal included, read off the edge arrays.
+
+        x is a vector or an (n, c) array of c vectors; each call costs O(m)
+        (O(m c)).  A x is real when x is real and no bias has an imaginary
+        part.
+        """
+        bias = self.bias if np.any(self.bias.imag) else self.bias.real
+        return edge_operator(self.n, self.edges, bias, self.diagonal)
+
+
+def edge_operator(n, edges, weights, diagonal=None):
+    """The map x -> A x for the n x n Hermitian A with A[u, v] = weights
+    and A[v, u] = conj(weights) on the rows (u, v) of edges, plus the
+    diagonal (none when None).
+
+    Each call is one gather and one bincount over the rows and their
+    mirrors, real and imaginary parts apart; x is a vector or an (n, c)
+    array.
+    """
+    u, v = edges.T
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    weights = np.concatenate([weights, weights.conj()])
+    if diagonal is not None and not diagonal.any():
+        diagonal = None
+
+    def apply(x):
+        x = np.asarray(x)
+        if x.ndim == 2:
+            # entry (i, j) of an (n, c) array is entry i * c + j of its ravel
+            c = x.shape[1]
+            index = (rows[:, None] * c + np.arange(c)).ravel()
+            terms = (weights[:, None] * x[cols]).ravel()
+        else:
+            c, index, terms = 1, rows, weights * x[cols]
+        y = _summed(index, terms, n * c).reshape(x.shape)
+        if diagonal is not None:
+            y += (diagonal if x.ndim == 1 else diagonal[:, None]) * x
+        return y
+
+    return apply
+
+
+def _summed(index, terms, size) -> np.ndarray:
+    """np.bincount(index, terms, size) for real or complex terms, in floats
+    (bincount gives int64 zeros when there are no terms)."""
+    if np.iscomplexobj(terms):
+        return _summed(index, terms.real, size) + 1j * _summed(index, terms.imag, size)
+    return np.asarray(np.bincount(index, terms, size), dtype=float)
 
 
 def block_basis(g: BiasedGraph, names) -> np.ndarray:
@@ -304,20 +366,9 @@ def build_graph(spec: GraphGenSpec) -> BiasedGraph:
 # ----------------------------------------------------------------------
 
 
-def _pair_array(pairs) -> np.ndarray:
-    """A set of (a, b) tuples as an (m, 2) int64 array, in set order."""
-    flat = chain.from_iterable(pairs)
-    return np.fromiter(flat, dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-
-
-def _pairs_without(pairs, removed, width) -> np.ndarray:
-    """Rows of pairs not in removed; every second entry is below width."""
-    keys = pairs[:, 0] * width + pairs[:, 1]
-    return pairs[~np.isin(keys, removed[:, 0] * width + removed[:, 1])]
-
-
 def _pairing_attempt(n, d, rng):
-    """One configuration-model attempt with stub repair; None on dead end."""
+    """One configuration-model attempt with stub repair: the set of keys
+    u * n + v (u < v) of its edges, or None on a dead end."""
     edges = set()
     stubs = np.repeat(np.arange(n), d)
     rounds = 0
@@ -329,19 +380,21 @@ def _pairing_attempt(n, d, rng):
         leftover = []
         progressed = False
         shuffled = stubs.tolist()
-        for a, b in zip(shuffled[0::2], shuffled[1::2]):
-            u, v = (a, b) if a < b else (b, a)
-            if u == v or (u, v) in edges:
+        for u, v in zip(shuffled[0::2], shuffled[1::2]):
+            if u > v:
+                u, v = v, u
+            key = u * n + v
+            if u == v or key in edges:
                 leftover.append(u)
                 leftover.append(v)
             else:
-                edges.add((u, v))
+                edges.add(key)
                 progressed = True
         if leftover and not progressed:
             # Dead end unless some leftover pair is still placeable.
             values = sorted(set(leftover))
             ok = any(
-                (values[i], values[j]) not in edges
+                values[i] * n + values[j] not in edges
                 for i in range(len(values))
                 for j in range(i + 1, len(values))
             )
@@ -351,16 +404,26 @@ def _pairing_attempt(n, d, rng):
     return edges
 
 
+def _sorted_keys(keys) -> np.ndarray:
+    """A set of int keys as an ascending int64 array."""
+    keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    # the stable sort of `from_edges`: np.sort's first call would page in
+    # about 0.4 MB of other sort code
+    return keys[keys.argsort(kind="stable")]
+
+
 def _sample_regular_pairs(n, d, rng) -> np.ndarray:
-    """(m, 2) edges of a uniform-ish random d-regular simple graph."""
+    """Ascending keys u * n + v (u < v) of the edges of a uniform-ish random
+    d-regular simple graph."""
     if d > (n - 1) // 2:
         # Dense regime: sample the complement (empty for d = n - 1) instead.
-        all_pairs = np.stack(np.triu_indices(n, 1), axis=1)
-        return _pairs_without(all_pairs, _sample_regular_pairs(n, n - 1 - d, rng), n)
+        u, v = np.triu_indices(n, 1)
+        removed = _sample_regular_pairs(n, n - 1 - d, rng)
+        return np.setdiff1d(u * n + v, removed, assume_unique=True)
     for _ in range(_MAX_RESTARTS):
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            return _pair_array(edges)
+            return _sorted_keys(edges)
     raise RetryExhaustedError(
         f"pairing sampler failed after {_MAX_RESTARTS} restarts (n={n}, d={d})"
     )
@@ -375,9 +438,9 @@ def gen_d_regular_random(n, d, seed) -> BiasedGraph:
     """
     _check_size("d_regular_random", n, d)
     rng = rng_from(seed, "d_regular", n, d)
-    pairs = _sample_regular_pairs(n, d, rng)
-    assert len(pairs) == n * d // 2
-    return BiasedGraph.from_edges(n, pairs)
+    keys = _sample_regular_pairs(n, d, rng)
+    assert len(keys) == n * d // 2
+    return BiasedGraph.from_edges(n, np.stack(np.divmod(keys, n), axis=1))
 
 
 def gen_cycle(n) -> BiasedGraph:
@@ -392,7 +455,8 @@ def gen_complete(n) -> BiasedGraph:
 
 
 def _bipartite_attempt(n, k, rng):
-    """One bipartite pairing attempt with repair; pairs (i, j), both in 0..n-1."""
+    """One bipartite pairing attempt with repair: the set of keys i * n + j
+    of its pairs (i, j), both in 0..n-1, or None on a dead end."""
     pairs = set()
     left = np.repeat(np.arange(n), k)
     right = np.repeat(np.arange(n), k)
@@ -405,16 +469,17 @@ def _bipartite_attempt(n, k, rng):
         rng.shuffle(right)
         next_left, next_right = [], []
         progressed = False
-        for pair in zip(left.tolist(), right.tolist()):
-            if pair in pairs:
-                next_left.append(pair[0])
-                next_right.append(pair[1])
+        for i, j in zip(left.tolist(), right.tolist()):
+            key = i * n + j
+            if key in pairs:
+                next_left.append(i)
+                next_right.append(j)
             else:
-                pairs.add(pair)
+                pairs.add(key)
                 progressed = True
         if next_left and not progressed:
             ls, rs = sorted(set(next_left)), sorted(set(next_right))
-            if not any((a, b) not in pairs for a in ls for b in rs):
+            if not any(a * n + b not in pairs for a in ls for b in rs):
                 return None
         left = np.array(next_left, dtype=int)
         right = np.array(next_right, dtype=int)
@@ -422,15 +487,16 @@ def _bipartite_attempt(n, k, rng):
 
 
 def sample_biregular_pairs(n, k, rng) -> np.ndarray:
-    """(m, 2) pairs (i, j) of a random k-regular bipartite graph on n+n vertices."""
+    """Ascending keys i * n + j of the pairs (i, j) of a random k-regular
+    bipartite graph on n+n vertices."""
     if k > n // 2:
         # Sample the complement (empty for k = n) instead.
-        all_pairs = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-        return _pairs_without(all_pairs, sample_biregular_pairs(n, n - k, rng), n)
+        removed = sample_biregular_pairs(n, n - k, rng)
+        return np.setdiff1d(np.arange(n * n), removed, assume_unique=True)
     for _ in range(_MAX_RESTARTS):
         pairs = _bipartite_attempt(n, k, rng)
         if pairs is not None:
-            return _pair_array(pairs)
+            return _sorted_keys(pairs)
     raise RetryExhaustedError(
         f"bipartite sampler failed after {_MAX_RESTARTS} restarts (n={n}, k={k})"
     )
@@ -440,8 +506,8 @@ def gen_bipartite_d_regular(n_per_side, d, seed) -> BiasedGraph:
     """Random bipartite d-regular graph; sides are 0..n-1 and n..2n-1."""
     _check_size("bipartite_d_regular", n_per_side, d)
     rng = rng_from(seed, "bipartite", n_per_side, d)
-    pairs = sample_biregular_pairs(n_per_side, d, rng)
-    return BiasedGraph.from_edges(2 * n_per_side, pairs + [0, n_per_side])
+    i, j = np.divmod(sample_biregular_pairs(n_per_side, d, rng), n_per_side)
+    return BiasedGraph.from_edges(2 * n_per_side, np.stack([i, j + n_per_side], axis=1))
 
 
 def two_lift(g: BiasedGraph, seed) -> BiasedGraph:

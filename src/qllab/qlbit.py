@@ -107,7 +107,7 @@ def sample_cross_pairs(policy, n1, n2, block_edges, rng) -> np.ndarray:
         picks = rng.choice(n1 * n2, size=policy.budget(block_edges), replace=False)
         return _pairs_from_flat(picks, n2)
     if isinstance(policy, CrossRegular):
-        return sample_biregular_pairs(n1, policy.degree, rng)
+        return _pairs_from_flat(sample_biregular_pairs(n1, policy.degree, rng), n2)
     raise QllabError(f"unknown connect policy {policy!r}")
 
 

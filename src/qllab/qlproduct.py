@@ -148,25 +148,16 @@ def _check_kronecker_sum(product, factors, tol):
     kron_sum = np.zeros_like(x)
     inner = 1  # n_1 ... n_{k-1}: x as (outer, n_k, inner * 2) puts factor k in the middle
     for f in factors:
-        a = _apply(f, np.eye(f.n, dtype=complex))  # A_k, read off f's edge arrays
+        a = f.operator()(np.eye(f.n))  # A_k, read off f's edge arrays
         kron_sum += (a @ x.reshape(-1, f.n, inner * 2)).reshape(x.shape)
         inner *= f.n
-    error = np.abs(_apply(product, x) - kron_sum).max(axis=1)
+    error = np.abs(product.operator()(x) - kron_sum).max(axis=1)
     if error.max() > tol:
         vertex = int(error.argmax())
         raise NumericalError(
             f"product operator residual {error[vertex]:.3e} at vertex {vertex} exceeds "
             f"tolerance: not the Cartesian product of its factors"
         )
-
-
-def _apply(g, x):
-    """A x for an (n, c) array x, read off the edge arrays of g in O(m c)."""
-    u, v = g.edges.T
-    y = g.diagonal[:, None] * x
-    np.add.at(y, u, g.bias[:, None] * x[v])
-    np.add.at(y, v, g.bias.conj()[:, None] * x[u])
-    return y
 
 
 # ----------------------------------------------------------------------

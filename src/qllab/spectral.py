@@ -1,8 +1,9 @@
 """Dense Hermitian eigensolvers and the readings taken off a spectrum.
 
-Eigenvalues are always reported in non-increasing order.  Three paths
-share one operator, `BiasedGraph.adjacency()`, which is real when no bias
-has an imaginary part:
+Eigenvalues are always reported in non-increasing order.  The full solves
+read the dense `BiasedGraph.adjacency()`, which is real when no bias has
+an imaginary part; `top_pair` reads the graph through its edge arrays,
+`BiasedGraph.operator()`, at O(m) per product:
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
   residual.  `qlbit` without a table row and contracted `product`s whose
@@ -15,17 +16,20 @@ has an imaginary part:
   the quotient states below use it.  At n = 512 it takes about 17 ms
   against 44 ms for `eigendecompose`.
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
-  Lanczos, and proves both before returning them; when a proof fails it
-  returns the top pair of `eigendecompose`.  `disorder-sweep`, the witness
-  readout and the Kuramoto records read nothing else and use it.  The
-  bound on the top eigenvalue is first read in O(m) off the edge arrays (a
-  Gershgorin bound scaled by the Ritz vector), which proves the top of every
-  sparse nonnegative graph the experiments build; signed graphs, such as
-  the `minus` witness graphs, need an O(n^3) Cholesky factorization.  At
-  n = 256 (random 6-regular graphs, edges kept with probability r) it takes
-  about 0.2 ms at r = 1 (one step), 2 ms at r = 0.7 and 3.2 ms at r = 0.4,
-  against 8-10 ms for `eigendecompose`; the O(m) bound takes 0.02 ms where
-  the Cholesky took 0.8 ms.
+  Lanczos on the edge-array operator, and proves both before returning
+  them; when a proof fails it returns the top pair of `eigendecompose`.
+  `disorder-sweep`, the witness readout and the Kuramoto records read
+  nothing else and use it.  The bound on the top eigenvalue is first read
+  in O(m) off the edge arrays (a Gershgorin bound scaled by the Ritz
+  vector), which proves the top of every sparse nonnegative graph the
+  experiments build, with no n x n array; signed graphs, such as the
+  `minus` witness graphs, need an O(n^3) Cholesky factorization of the
+  dense matrix.  At n = 256 (random 6-regular graphs, edges kept with
+  probability r) it takes about 0.25 ms at r = 1 (one step), 2.0 ms at
+  r = 0.7 and 2.6-3.2 ms at r = 0.4, against 8-10 ms for
+  `eigendecompose`; about a quarter of that is the `eigh` of the k x k
+  tridiagonal Ritz problem.  At n = 4096 and r = 0.7 it takes about 50 ms
+  with a 5 MB peak, where one dense n x n array takes 134 MB.
 
 Times are for one x86 core and one BLAS thread.
 
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingLabelsError, NumericalError, QllabError
-from .graph import BiasedGraph
+from .graph import BiasedGraph, edge_operator
 
 # Eigenvalues closer than this (times max(1, |lambda_0|)) count as degenerate.
 DEGENERACY_TOL = 1e-6
@@ -169,8 +173,10 @@ def top_pair(g: BiasedGraph):
     """The top eigenvalue of the adjacency matrix of g and a unit eigenvector.
 
     Lanczos with full reorthogonalization (Parlett, The Symmetric Eigenvalue
-    Problem) runs from the fixed start 1/sqrt(n) until the Ritz residual
-    estimate falls to 1e-13 * max(1, |theta|).  The Ritz pair (theta, x) is
+    Problem), one classical Gram-Schmidt pass per step, runs on the
+    edge-array operator `g.operator()` from the fixed start 1/sqrt(n) until
+    the Ritz residual estimate falls to 1e-13 * max(1, |theta|); its basis
+    grows with the steps taken.  The Ritz pair (theta, x) is
     returned only when two gates pass, with tau = 1e-8 * max(1, |theta|):
     ||A x - theta x|| <= tau (the residual check of `eigendecompose`), and a
     proof that lambda_max <= theta + tau (Ritz values are only lower bounds,
@@ -181,7 +187,8 @@ def top_pair(g: BiasedGraph):
       graphs and at the Perron vector of nonnegative ones, so it proves
       every `disorder-sweep` and Kuramoto top;
     - a Cholesky factorization of (theta + tau) I - A, which proves
-      lambda_max < theta + tau on any graph in O(n^3).
+      lambda_max < theta + tau on any graph in O(n^3); only this proof and
+      the fallback below form the dense A.
     When the residual gate or both proofs fail, the top pair of
     `eigendecompose(g)` is returned instead.  Either proof returns the same
     Ritz pair.
@@ -191,13 +198,12 @@ def top_pair(g: BiasedGraph):
     """
     if g.n < 1:
         raise QllabError("cannot diagonalize an empty vertex set")
-    a = g.adjacency()
-    x = _lanczos_top(a)
-    ax = a @ x
+    x = _lanczos_top(g)
+    ax = g.operator()(x)
     theta = float(np.vdot(x, ax).real)
     tau = _RESIDUAL_TOL * max(1.0, abs(theta))
     if np.linalg.norm(ax - theta * x) <= tau and (
-        _scaled_gershgorin(g, x) <= theta + tau or _all_below(a, theta + tau)
+        _scaled_gershgorin(g, x) <= theta + tau or _all_below(g.adjacency(), theta + tau)
     ):
         return theta, x
     spectrum = eigendecompose(g)
@@ -216,10 +222,7 @@ def _scaled_gershgorin(g: BiasedGraph, x: np.ndarray) -> float:
     """
     y = np.abs(x)
     y = np.maximum(y, _SCALE_FLOOR * y.max())
-    u, v = g.edges.T
-    weight = np.abs(g.bias)
-    radius = np.bincount(u, weight * y[v], g.n) + np.bincount(v, weight * y[u], g.n)
-    return float((g.diagonal + radius / y).max())
+    return float((g.diagonal + edge_operator(g.n, g.edges, np.abs(g.bias))(y) / y).max())
 
 
 def _all_below(a: np.ndarray, bound: float) -> bool:
@@ -234,24 +237,30 @@ def _all_below(a: np.ndarray, bound: float) -> bool:
     return True
 
 
-def _lanczos_top(a: np.ndarray) -> np.ndarray:
-    """The unit top Ritz vector of `a` from the start 1/sqrt(n), once its
-    residual estimate is below _LANCZOS_TOL * max(1, |theta|)."""
-    n = a.shape[0]
-    complex_ = np.iscomplexobj(a)
-    basis = np.empty((n, n), dtype=a.dtype)  # row k is the Lanczos vector q_k
+def _lanczos_top(g: BiasedGraph) -> np.ndarray:
+    """The unit top Ritz vector of g's adjacency from the start 1/sqrt(n),
+    once its residual estimate is below _LANCZOS_TOL * max(1, |theta|)."""
+    n = g.n
+    dtype = complex if np.any(g.bias.imag) else float
+    # row k is the Lanczos vector q_k; rows for the first two Ritz checks,
+    # doubled as the steps need them
+    basis = np.empty((min(n, 2 * _FIRST_STRIDE), n), dtype=dtype)
     alpha, beta = np.empty(n), np.empty(n)
-    q = np.full(n, 1.0 / np.sqrt(n), dtype=a.dtype)
+    q = np.full(n, 1.0 / np.sqrt(n), dtype=dtype)
+    apply = g.operator()
     check, previous = 0, None
     for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n), dtype=dtype)])
         basis[k] = q
         done = basis[: k + 1]
-        adjoint = done.conj() if complex_ else done
-        w = a @ q
-        h = adjoint @ w
+        w = apply(q)
+        # one classical Gram-Schmidt pass against the whole basis; the gates
+        # of `top_pair` catch a pair it leaves inaccurate.  h = Q^H w, taken
+        # as conj(Q conj(w)) so that Q is not copied
+        h = (done @ w.conj()).conj()
         alpha[k] = h[k].real
         w -= h @ done
-        w -= (adjoint @ w) @ done  # "twice is enough" (Kahan, in Parlett)
         beta[k] = np.linalg.norm(w)
         # Solving the tridiagonal Ritz problem costs more than a step, so it
         # is solved at steps predicted from the estimate's geometric decay,

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qllab.graph
@@ -530,8 +530,8 @@ def numpy_scalar_bipartite_attempt(n, k, rng):
 def _sampled_with(attempt_name, oracle, sample, *args):
     """sample(*args, rng) with the library's attempt, then with the oracle's.
 
-    Returns both edge arrays, both final generator states, and how many
-    attempts the oracle ran (more than one means a restart).
+    Returns both sorted edge-key arrays, both final generator states, and
+    how many attempts the oracle ran (more than one means a restart).
     """
     seed = args[-1]
     rng = np.random.default_rng(seed)
@@ -539,8 +539,10 @@ def _sampled_with(attempt_name, oracle, sample, *args):
     attempts = []
 
     def counted(*a):
+        # the oracle's (u, v) pairs as the keys u * n + v the samplers sort
         attempts.append(a)
-        return oracle(*a)
+        pairs = oracle(*a)
+        return None if pairs is None else {u * a[0] + v for u, v in pairs}
 
     oracle_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -593,6 +595,60 @@ def test_sampler_streams_agree_through_restarts(sample, attempt, oracle, args):
         assert state == oracle_state
         restarts += attempts > 1
     assert restarts > 0
+
+
+@pytest.mark.parametrize(
+    "sample, attempt, oracle, args, restarts",
+    [
+        (qllab.graph._sample_regular_pairs, "_pairing_attempt", numpy_scalar_pairing_attempt, (256, 6), True),
+        (qllab.graph._sample_regular_pairs, "_pairing_attempt", numpy_scalar_pairing_attempt, (512, 6), True),
+        (qllab.graph._sample_regular_pairs, "_pairing_attempt", numpy_scalar_pairing_attempt, (30, 6), True),
+        (qllab.graph.sample_biregular_pairs, "_bipartite_attempt", numpy_scalar_bipartite_attempt, (40, 1), False),
+    ],
+    ids=["sweep-256-6", "spectrum-512-6", "restart-heavy-30-6", "bipartite-blocks-40-1"],
+)
+def test_sampler_streams_agree_at_workload_sizes(sample, attempt, oracle, args, restarts):
+    # the sizes the experiments sample, beyond the n <= 30 hypothesis draws;
+    # seeds 0..9 of each regular shape include runs that restart
+    restarted = 0
+    for seed in range(10):
+        got, want, state, oracle_state, attempts = _sampled_with(attempt, oracle, sample, *args, seed)
+        assert np.array_equal(got, want)
+        assert state == oracle_state
+        restarted += attempts > 1
+    assert (restarted > 0) == restarts
+
+
+@SETTINGS
+@given(
+    edge_lists(),
+    st.sampled_from(["complex", "real", "disordered", "disconnected", "edgeless"]),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@example((1, np.empty((0, 2), dtype=np.int64), np.empty(0)), "disordered", 0, False, 0)
+@example((1, np.empty((0, 2), dtype=np.int64), np.empty(0)), "edgeless", 2, True, 0)
+def test_operator_is_the_adjacency(graph, kind, columns, complex_x, seed):
+    # columns 0 applies the operator to a vector, else to an (n, columns) array
+    n, pairs, bias = graph
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        bias = np.where(bias.real < 0, -1.0, 1.0) * np.abs(bias)
+    elif kind == "edgeless":
+        pairs, bias = pairs[:0], bias[:0]
+    diagonal = rng.normal(0.0, 2.0, n) if kind == "disordered" else None
+    g = BiasedGraph.from_edges(n, pairs, bias, diagonal)
+    if kind == "disconnected":
+        g = disjoint_union(g, g)
+    shape = (g.n, columns) if columns else (g.n,)
+    x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_x else 0)
+    y = g.operator()(x)
+    a = g.adjacency()
+    assert y.shape == x.shape
+    assert np.iscomplexobj(y) == (complex_x or bool(np.any(g.bias.imag)))
+    scale = max(1.0, float(np.abs(a).sum(axis=1).max() * np.abs(x).max()))
+    assert np.abs(y - a @ x).max() <= 1e-12 * scale
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from qllab.errors import NumericalError, QllabError
 from qllab.graph import (
     BiasedGraph,
     add_diagonal_disorder,
+    delete_random_edges,
     disjoint_union,
     gen_complete,
     gen_cycle,
@@ -250,7 +252,7 @@ class TestTopPair:
             g = disjoint_union(g, random_biased_graph(n, p, seed + 1))
         a = g.adjacency()
         top = np.linalg.eigvalsh(a)[-1]
-        x = qllab.spectral._lanczos_top(a)
+        x = qllab.spectral._lanczos_top(g)
         theta = float(np.vdot(x, a @ x).real)
         tau = 1e-8 * max(1.0, abs(theta))
         bound = qllab.spectral._scaled_gershgorin(g, x)
@@ -268,8 +270,8 @@ class TestTopPair:
         spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
         g = attach_witness(build_contracted_product(spec), spec, 0, 0.25, seed=4)
         a = g.adjacency()
-        x = qllab.spectral._lanczos_top(a)
-        theta = float(np.vdot(x, a @ x).real)
+        x = qllab.spectral._lanczos_top(g)
+        theta = float(np.vdot(x, g.operator()(x)).real)  # top_pair's Rayleigh quotient
         assert qllab.spectral._scaled_gershgorin(g, x) > theta + 1e-8 * theta
         proofs = []
         all_below = qllab.spectral._all_below
@@ -284,6 +286,38 @@ class TestTopPair:
         assert proofs == [True]
         assert value == theta and np.array_equal(top, x)
         assert value == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("retention", [1.0, 0.7, 0.4])
+    def test_sweep_sized_graphs_need_no_full_solve(self, monkeypatch, retention):
+        # the `ensemble` workload's disorder-sweep graphs: n 256, d 6
+        full = []
+
+        def counting(h):
+            full.append(h.n)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", counting)
+        for seed in range(6):
+            g = gen_d_regular_random(256, 6, seed)
+            g = delete_random_edges(g, 1.0 - retention, seed)
+            value, x = top_pair(g)
+            top = np.linalg.eigvalsh(g.adjacency())[-1]
+            assert abs(value - top) <= 1e-12 * max(1.0, abs(top))
+        assert full == []
+
+    def test_large_sparse_graph_forms_no_n_by_n_array(self, monkeypatch):
+        # one dense 4096 x 4096 float64 array takes 134 MB
+        n = 4096
+        g = delete_random_edges(gen_d_regular_random(n, 6, seed=1), 0.3, seed=1)
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", None)  # no fallback
+        tracemalloc.start()
+        try:
+            value, x = top_pair(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8
+        assert np.linalg.norm(g.operator()(x) - value * x) <= 1e-8 * value
 
     def test_single_vertex(self):
         value, x = top_pair(BiasedGraph.from_edges(1, np.empty((0, 2), int), diagonal=[2.5]))
