@@ -59,7 +59,6 @@ from .qlproduct import (
     build_product,
     cartesian_product,
     label_adjacency,
-    product_basis_labels,
     project_product_state,
     verify_spectrum_composition,
 )

@@ -381,16 +381,20 @@ def cmd_qlbit(params, seed, out):
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
         if table_row is not None:
-            # regular blocks, cross-regular edges and unit biases: equitable
             g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
             g = apply_bias_topology(g, topology)
-            state = extreme_state(quotient_states(g, quotient(g))[1])
+        else:
+            g = build_qlbit(reseeded(bit, bit_seed))
+        quo = quotient(g)
+        # an equitable bit (a table row, cross-regular or unconnected cross
+        # edges) reports its canonical extreme QL state
+        if quo.equitable:
+            state = extreme_state(quotient_states(g, quo)[1])
             # x = J u has projection residual 0; degenerate flags any tie
             # at the level, as emergent_state does on the dense path
             (alpha, beta), residual = state.coefficients, 0.0
             degenerate = state.multiplicity > 1
         else:
-            g = build_qlbit(reseeded(bit, bit_seed))
             state = emergent_state(eigendecompose(g))
             eff = project_two_state(g, state.eigenvector)
             (alpha, beta), residual, degenerate = eff.coefficients, eff.residual, state.degenerate

@@ -12,7 +12,9 @@ the spectrum never changes and every eigenvector v of A becomes
 exp(-i theta) * v.  `run_sync_experiment` therefore solves the top
 eigenpair of each realization once, at time zero, and reads the emergent
 state at every record in closed form; `phase_transform` is kept as the
-explicit reference.
+explicit reference.  The ensemble purity at a record is read off the Gram
+matrix of the realizations' record vectors (`states.mixture_purity`), with
+no n x n density matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .graph import BiasedGraph, derive_seed, rng_from
 from .qlbit import reseeded
 from .qlproduct import ProductSpec, build_product
 from .spectral import top_pair
+from .states import mixture_purity
 
 
 @dataclass
@@ -187,10 +190,10 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     phase-transformed adjacency D* A D, D = diag(exp(i theta)), is unitarily
     similar to A, so its top eigenvalue is lambda_0 and its top eigenvector
     is exactly w = exp(-i theta) * v_0; no per-record solve is needed.  The
-    record vectors w_r of the R realizations define the ensemble density
-    matrix rho = (1/R) sum_r w_r w_r^*, accumulated per record (records * n^2
-    numbers); rho is Hermitian, so its purity tr rho^2 is the sum of
-    |rho_ij|^2, with no matrix product.
+    record vectors w_r of the R realizations are kept (records * n * R
+    numbers), and the purity tr rho^2 of their ensemble density matrix
+    rho = (1/R) sum_r w_r w_r^* is read off their R x R Gram matrix by
+    `mixture_purity`, without forming the n x n rho.
 
     When lambda_0 of a realization is degenerate, the top eigenvector is the
     projection of 1/sqrt(n) onto its eigenspace, one fixed vector carried
@@ -206,7 +209,7 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         record_at.append(steps)
     times = np.array([k * dt for k in record_at])
 
-    rho_sum = np.zeros((len(record_at), n, n), dtype=complex)
+    vectors = np.empty((len(record_at), n, cfg.realizations), dtype=complex)
     r_sum = np.zeros(len(record_at))
     top_sum = 0.0
     k_over_n = cfg.K / n
@@ -223,15 +226,13 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
             for _ in range(target - done):
                 theta = _advance(theta, epsilon, m, k_over_n, dt, cfg.integrator)
             done = target
-            w = np.exp(-1j * theta) * v0
-            rho_sum[i] += np.outer(w, w.conj())
+            vectors[i, :, r] = np.exp(-1j * theta) * v0
             r_sum[i] += order_parameter(theta)
 
-    purity = (np.abs(rho_sum) ** 2).sum(axis=(1, 2)) / cfg.realizations**2
     return SyncResult(
         t=times,
         order_parameter=r_sum / cfg.realizations,
-        purity=purity,
+        purity=np.array([mixture_purity(w) for w in vectors]),
         eigenvalue_top=np.full(len(record_at), top_sum / cfg.realizations),
         config=cfg,
     )

@@ -1,10 +1,12 @@
 """Cartesian products of QL bits, contracted products, and multi-bit projections.
 
-Basis convention: with q bits named a, b, c, ... the 2^q product basis is
-enumerated with the FIRST bit varying fastest, i.e. a1b1, a2b1, a1b2, a2b2
-for q = 2.  Block labels concatenate per-bit names ("a1b2").  Vertex order
-inside a product follows the same rule: the index of (u, x) in g [] h is
-x * |g| + u.
+Basis convention: with q bits named a, b, c, ... block k of a product
+carries the bit values `bit_values(k, q)`, the FIRST bit varying fastest:
+a1b1, a2b1, a1b2, a2b2 for q = 2.  `bit_values` is the one home of that
+order; the builders lay blocks out by it, and readers take a block's values
+from its index, never from its label ("a1b2", per-bit names joined).
+Vertex order inside a product follows the same rule: the index of (u, x)
+in g [] h is x * |g| + u.
 
 Full products are solved from their factors: `verify_spectrum_composition`
 composes the eigensystem of f_1 [] ... [] f_q from the factor eigensystems
@@ -31,7 +33,6 @@ checks a contracted product against its spec.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -50,8 +51,6 @@ from .qlbit import CrossRegular, PairProbability, _check_policy, build_qlbit, sa
 from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, eigendecompose
 
 BIT_NAMES = "abcdefgh"
-
-_LABEL_RE = re.compile(r"([a-zA-Z]+?)([12])")
 
 
 # ----------------------------------------------------------------------
@@ -218,16 +217,6 @@ def block_label(values, names=BIT_NAMES) -> str:
     return "".join(f"{names[j]}{v}" for j, v in enumerate(values))
 
 
-def parse_block_label(label: str):
-    """Split a block label like 'a1b2' into (('a', 'b'), (1, 2))."""
-    parts = _LABEL_RE.findall(label)
-    if "".join(f"{n}{v}" for n, v in parts) != label:
-        raise MissingLabelsError(f"cannot parse block label {label!r}")
-    names = tuple(n for n, _ in parts)
-    values = tuple(int(v) for _, v in parts)
-    return names, values
-
-
 def full_product_factors(spec: ProductSpec) -> list:
     """The QL bit graphs of a full product, bit j labeled with BIT_NAMES[j]."""
     return [
@@ -389,33 +378,12 @@ def verify_contraction_law(spec: ProductSpec, g: BiasedGraph, quo) -> None:
 # ----------------------------------------------------------------------
 
 
-def product_basis_labels(g: BiasedGraph):
-    """Block labels of g in canonical basis order (first bit fastest)."""
+def project_product_state(g: BiasedGraph, w):
+    """Project a unit eigenvector onto the indicators of g.blocks, in basis
+    order; a matrix `w` gives one state per column, from one J."""
     if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
-    by_values = {}
-    names_ref = None
-    for label in g.blocks:
-        names, values = parse_block_label(label)
-        if names_ref is None:
-            names_ref = names
-        elif names != names_ref:
-            raise MissingLabelsError(
-                f"inconsistent bit names: {names_ref} vs {names}"
-            )
-        by_values[values] = label
-    q = len(names_ref)
-    if len(by_values) != (1 << q):
-        raise MissingLabelsError(
-            f"expected {1 << q} blocks for {q} bits, found {len(by_values)}"
-        )
-    return [by_values[bit_values(k, q)] for k in range(1 << q)]
-
-
-def project_product_state(g: BiasedGraph, w):
-    """Project a unit eigenvector onto all block indicators, in canonical
-    basis order; a matrix `w` gives one state per column, from one J."""
-    return project_blocks(g, product_basis_labels(g), w)
+    return project_blocks(g, g.blocks, w)
 
 
 def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
@@ -432,20 +400,15 @@ def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
 def apply_alignment_detuning(g: BiasedGraph, omega1: float, omega2: float) -> BiasedGraph:
     """Shift only the aligned blocks: all-1 blocks by omega1, all-2 by omega2.
 
-    This moves the aligned product states as a pair relative to the mixed
-    ones, which couples the bits (the effective Hamiltonian gains an
-    interaction term) and lets the emergent state acquire partial
-    entanglement.  A per-bit additive shift would keep the effective
-    Hamiltonian a sum of single-bit terms, and its emergent state a product
-    state.
+    In basis order these are the first block and the last.  This moves the
+    aligned product states as a pair relative to the mixed ones, which
+    couples the bits (the effective Hamiltonian gains an interaction term)
+    and lets the emergent state acquire partial entanglement.  A per-bit
+    additive shift would keep the effective Hamiltonian a sum of single-bit
+    terms, and its emergent state a product state.
     """
     if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
     shift = np.zeros(len(g.blocks))
-    for k, label in enumerate(g.blocks):
-        _, values = parse_block_label(label)
-        if all(v == 1 for v in values):
-            shift[k] = omega1
-        elif all(v == 2 for v in values):
-            shift[k] = omega2
+    shift[0], shift[-1] = omega1, omega2
     return replace(g, diagonal=g.diagonal + shift[g.block_of])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AmbiguousReadoutError, MissingLabelsError, QllabError
 from .graph import BiasedGraph, derive_seed, disjoint_union, rng_from
 from .qlbit import build_qlbit, project_two_state
-from .qlproduct import ProductSpec, parse_block_label
+from .qlproduct import ProductSpec, bit_values
 from .spectral import top_pair
 
 READOUT_THRESHOLD = 0.05
@@ -65,8 +65,7 @@ def attach_witness(
     for side, wname in enumerate(WITNESS_BLOCKS, start=1):
         wverts = np.flatnonzero(witness.block_of == side - 1) + product.n
         for k, pname in enumerate(product.blocks):
-            _, values = parse_block_label(pname)
-            if values[bit_index] != side:
+            if bit_values(k, spec.q)[bit_index] != side:
                 continue
             pverts = np.flatnonzero(product.block_of == k)
             n_block = len(pverts)
@@ -91,11 +90,12 @@ def witness_readout(combined: BiasedGraph) -> str:
 
     Solves only the emergent (top) eigenpair of the combined graph with
     `top_pair`, which proves the pair by its residual and a bound on the
-    top eigenvalue (falling back to the full solve when either fails), reads the amplitudes a1, a2 of the vector on the witness
-    blocks x1, x2 with `project_two_state`, and reports 'same' when they
-    align in phase, 'inverted' otherwise.  On a tied top level the vector
-    is the projection of 1/sqrt(n) onto that level: one fixed member of
-    it, where a full solve picked an arbitrary one.  The comparison uses
+    top eigenvalue (falling back to the full solve when either fails),
+    reads the amplitudes a1, a2 of the vector on the witness blocks x1, x2
+    with `project_two_state`, and reports 'same' when they align in phase,
+    'inverted' otherwise.  On a tied top level the vector is the
+    projection of 1/sqrt(n) onto that level: one fixed member of it, where
+    a full solve picked an arbitrary one.  The comparison uses
     Re(conj(a1) * a2), which is global-phase free and reduces to the sign
     product of the real parts for real states.
     """

@@ -76,8 +76,8 @@ CROSS_PRODUCT = {"qlbits": [CROSS_BIT, {**CROSS_BIT, "connect_bias": "i"}], "mod
 # case: (experiment, params, solver calls at seed 5).  `spectrum` and
 # `cheeger` read eigenvalues alone; the three readers of the emergent state
 # solve its top pair alone; equitable graphs (cross-regular contracted
-# products, Bloch-row bits) read their QL states off the block quotient and
-# need only the spectrum to rank them; the full eigensystem is left to the
+# products and bits, Bloch-row bits) read their QL states off the block
+# quotient and need only the spectrum to rank them; the full eigensystem is left to the
 # graphs whose block partition is not equitable (budget policies here).
 ROUTES = {
     "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
@@ -90,6 +90,7 @@ ROUTES = {
     "witness": ("witness", WITNESS, {"top_pair": 1}),
     "qlbit": ("qlbit", QLBIT["params"], {"eigendecompose": 1}),
     "qlbit-table-row": ("qlbit", QLBIT_ROW, {"eigenvalues": 1}),
+    "qlbit-cross-regular": ("qlbit", CROSS_BIT, {"eigenvalues": 1}),
     "product": ("product", {"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
     "product-cross-regular": ("product", {"product": CROSS_PRODUCT, "verify": True}, {"eigenvalues": 1}),
     "cheeger": ("cheeger", {"graph": {"kind": "cycle", "n": 6}}, {"eigenvalues": 1}),
@@ -513,6 +514,19 @@ def test_bloch_rows_report_one_canonical_state_on_every_realization(tmp_path, na
     # a z row's level is 2-fold, |a1> its first canonical member: flagged as
     # a tie, as the dense path flags one
     assert first["degenerate"] == ("true" if name[0] == "z" else "false")
+
+
+def test_equitable_bit_without_a_table_row_reports_the_canonical_state(tmp_path):
+    # unconnected cross edges leave two tied d-regular blocks: the canonical
+    # member |a1> on every realization, not LAPACK's choice of member
+    params = {"n": 16, "d": 4, "connect_bias": "0", "realizations": 3}
+    assert run_config(tmp_path, {"experiment": "qlbit", "params": params}, "--seed", "5") == 0
+    rows = read_rows(tmp_path / "out" / "qlbit.csv")
+    assert len(rows) == 3
+    for row in rows:
+        alpha = complex(float(row["alpha_re"]), float(row["alpha_im"]))
+        beta = complex(float(row["beta_re"]), float(row["beta_im"]))
+        assert (alpha, beta, float(row["residual"]), row["degenerate"]) == (1, 0, 0.0, "true")
 
 
 def body_digest(out, names):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,22 @@ class TestClosedForm:
         if realizations == 3:
             # distinct phases give a genuinely mixed ensemble state
             assert result.purity.max() < 0.99
+
+
+def test_records_keep_no_n_by_n_density_matrix():
+    # the `sync` benchmark size: N = 144 vertices and 13 records, whose
+    # n x n density matrices alone would take 13 * 144^2 * 16 B = 4.3 MB
+    bit = qlbit_spec(36, 6, policy=CrossRegular(1))
+    cfg = SyncRunConfig(graph=ProductSpec(qlbits=(bit, bit), mode="contracted"), K=4.0, t_end=10.0, record_every=25)
+    tracemalloc.start()
+    try:
+        result = run_sync_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, records = 144, len(result.t)
+    assert records == 13
+    assert peak < records * n * n * 16
 
 
 def test_full_mode_realizations_draw_fresh_blocks():

@@ -30,13 +30,12 @@ from qllab.qlproduct import (
     ProductSpec,
     apply_alignment_detuning,
     bit_values,
+    block_label,
     build_contracted_product,
     build_full_product,
     cartesian_product,
     full_product_factors,
     label_adjacency,
-    parse_block_label,
-    product_basis_labels,
     project_product_state,
     verify_contraction_law,
     verify_spectrum_composition,
@@ -375,9 +374,7 @@ class TestContractedProduct:
         pairs = label_adjacency(g)
         assert len(pairs) == 12  # 3 * 2^2 hypercube edges
         for pair in pairs:
-            a, b = sorted(pair)
-            _, va = parse_block_label(a)
-            _, vb = parse_block_label(b)
+            va, vb = (bit_values(g.blocks.index(label), 3) for label in pair)
             assert sum(x != y for x, y in zip(va, vb)) == 1
 
     def test_label_pair_law_needs_every_pair_a_budget_must_join(self):
@@ -423,19 +420,22 @@ class TestProductSpec:
 
 
 class TestBasisAndProjection:
-    def test_canonical_order_first_bit_fastest(self):
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
-        g = build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
-        )
-        assert product_basis_labels(g) == ["a1b1", "a2b1", "a1b2", "a2b2"]
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("build", [build_full_product, build_contracted_product])
+    def test_blocks_are_built_in_basis_order(self, build, q):
+        # block k carries bit_values(k, q), the first bit fastest: the one
+        # rule every reader of a product's blocks relies on
+        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
+        mode = "full" if build is build_full_product else "contracted"
+        g = build(ProductSpec(qlbits=bits, mode=mode, n=6, d=3, seed=0))
+        assert g.blocks == tuple(block_label(bit_values(k, q)) for k in range(2**q))
 
     def test_block_basis_orthonormal_and_complete(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
         )
-        j = block_basis(g, product_basis_labels(g))
+        j = block_basis(g, g.blocks)
         assert np.abs(j.T @ j - np.eye(4)).max() <= 1e-12
         uniform = np.ones(g.n) / np.sqrt(g.n)
         overlaps = j.T @ uniform
@@ -445,7 +445,7 @@ class TestBasisAndProjection:
         # interleave two blocks; indicators must follow the labels
         edges = [(0, 2), (1, 3)]
         g = BiasedGraph.from_edges(4, edges, blocks=("a1", "a2"), block_of=[0, 1, 1, 0])
-        j = block_basis(g, product_basis_labels(g))
+        j = block_basis(g, g.blocks)
         assert np.allclose(j[:, 0], [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
         assert np.allclose(project_product_state(g, j[:, 1]).coefficients, [0, 1])
 
@@ -480,6 +480,10 @@ class TestBasisAndProjection:
             two, product = project_two_state(g, v), project_product_state(g, v)
             assert np.array_equal(two.coefficients, product.coefficients)
             assert (two.residual, two.labels) == (product.residual, product.labels)
+
+    def test_unlabeled_graph_has_no_product_basis(self):
+        with pytest.raises(MissingLabelsError):
+            project_product_state(gen_cycle(4), np.ones(4) / 2)
 
     def test_norm_budget(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
@@ -587,7 +591,7 @@ class TestDetuning:
         shifted = apply_alignment_detuning(g, 5.0, 7.0)
         delta = shifted.diagonal - g.diagonal
         for label, verts in graph_to_json(g)["labels"].items():
-            _, values = parse_block_label(label)
+            values = bit_values(g.blocks.index(label), 2)
             if all(v == 1 for v in values):
                 expected = 5.0
             elif all(v == 2 for v in values):

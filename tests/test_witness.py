@@ -6,7 +6,7 @@ import pytest
 from qllab.errors import AmbiguousReadoutError
 from qllab.graph import derive_seed, disjoint_union, graph_to_json
 from qllab.qlbit import CrossRegular, build_qlbit, qlbit_spec
-from qllab.qlproduct import ProductSpec, build_contracted_product, parse_block_label
+from qllab.qlproduct import ProductSpec, bit_values, build_contracted_product
 from qllab.witness import WITNESS_BLOCKS, attach_witness, witness_readout
 
 
@@ -36,8 +36,8 @@ def test_witness_blocks_reach_only_matching_product_blocks(bit_index):
     matching = {
         (w, p)
         for w in WITNESS_BLOCKS
-        for p in g.blocks
-        if parse_block_label(p)[1][bit_index] == int(w[1])
+        for k, p in enumerate(g.blocks)
+        if bit_values(k, spec.q)[bit_index] == int(w[1])
     }
     assert set(groups) == matching
     assert all(bias == 0.7 for biases in groups.values() for bias in biases)
@@ -50,7 +50,7 @@ def test_each_block_pair_gets_rounded_density_edges(density):
     counts = Counter({key: len(biases) for key, biases in coupling_edges(combined).items()})
     for w in WITNESS_BLOCKS:
         for p, verts in graph_to_json(g)["labels"].items():
-            if parse_block_label(p)[1][0] == int(w[1]):
+            if bit_values(g.blocks.index(p), spec.q)[0] == int(w[1]):
                 assert counts[w, p] == round(density * len(verts))
 
 
