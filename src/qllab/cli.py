@@ -80,7 +80,7 @@ EXPERIMENTS = (
 
 def _check_keys(doc, allowed, required, path):
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'} must be an object")
+        raise ConfigError(f"{path.rstrip('.') or 'config'} must be an object")
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}{key}")
@@ -365,18 +365,8 @@ def cmd_qlbit(params, seed, out):
         except QllabError as exc:  # the message starts with the field name
             raise ConfigError(f"params.{exc}") from None
     else:
-        policy_doc = params.get("policy")
-        bit = parse_qlbit(
-            {
-                "n": n,
-                "d": d,
-                **({"policy": policy_doc} if policy_doc else {}),
-                "connect_bias": params.get("connect_bias", "+1"),
-                "red_bias": params.get("red_bias", 1.0),
-                "blue_bias": params.get("blue_bias", 1.0),
-            },
-            "params.",
-        )
+        keys = {key: params[key] for key in params if key not in ("realizations", "table_row")}
+        bit = parse_qlbit(keys, "params.")
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)

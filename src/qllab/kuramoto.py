@@ -19,7 +19,7 @@ no n x n density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,7 +153,6 @@ class SyncResult:
     order_parameter: np.ndarray
     purity: np.ndarray
     eigenvalue_top: np.ndarray
-    config: SyncRunConfig = field(repr=False, default=None)
 
 
 def initial_state(n, cfg: SyncRunConfig, rng) -> OscillatorState:
@@ -234,5 +233,4 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         order_parameter=r_sum / cfg.realizations,
         purity=np.array([mixture_purity(w) for w in vectors]),
         eigenvalue_top=np.full(len(record_at), top_sum / cfg.realizations),
-        config=cfg,
     )

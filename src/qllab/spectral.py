@@ -44,10 +44,15 @@ q = 3 product of 40-vertex blocks (320 vertices) that takes about 6 ms, of
 which the quotient is 0.2 ms, against 14.5 ms for `eigendecompose` and a
 projection.
 
-Off a solved spectrum, `emergent_state` picks the emergent eigenpair and
-`ensemble_spectrum` histograms the eigenvalues of many realizations; a QL
-state's distance to the bulk is the `gap` of `quotient_states`.  Graphs
-that reach these solvers are small enough for exact dense solves.
+A QL bit's emergent state is the level its block structure splits off the
+bulk: the top with positive block biases, the bottom with negative ones.
+One rule picks it, the extreme value of largest |lambda| with ties sent to
+the top: `emergent_state` applies it to a solved spectrum and
+`extreme_state` to quotient states.  Both read degeneracy in one window,
+DEGENERACY_TOL * max(1, max |lambda|).  `ensemble_spectrum` histograms the
+eigenvalues of many realizations; a QL state's distance to the bulk is the
+`gap` of `quotient_states`.  Graphs that reach these solvers are small
+enough for exact dense solves.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import numpy as np
 from .errors import MissingLabelsError, NumericalError, QllabError
 from .graph import BiasedGraph, edge_operator
 
-# Eigenvalues closer than this (times max(1, |lambda_0|)) count as degenerate.
+# Eigenvalues closer than this (times max(1, max |lambda|)) count as degenerate.
 DEGENERACY_TOL = 1e-6
 
 _RESIDUAL_TOL = 1e-8
@@ -110,8 +115,7 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def degeneracy_window(self) -> float:
-        scale = max(1.0, abs(float(self.eigenvalues[0]))) if self.n else 1.0
-        return DEGENERACY_TOL * scale
+        return _degeneracy_window(self.eigenvalues)
 
 
 def eigendecompose(g: BiasedGraph) -> Spectrum:
@@ -300,35 +304,37 @@ class EmergentState:
     degenerate: bool
 
 
-def emergent_state(spectrum: Spectrum, policy: str = "highest") -> EmergentState:
-    """Select the emergent eigenpair.
-
-    policy 'highest' picks lambda_0; 'highest_magnitude' picks the extreme
-    eigenvalue of largest absolute value, breaking ties toward the positive
-    one (then the lower index).  The result is flagged degenerate when any
-    other eigenvalue falls inside the degeneracy window.
-    """
+def emergent_state(spectrum: Spectrum) -> EmergentState:
+    """The emergent eigenpair: that of the extreme value of largest |lambda|
+    (`_extreme_index`).  It is flagged degenerate when any other eigenvalue
+    falls inside the degeneracy window."""
     vals = spectrum.eigenvalues
-    if policy == "highest":
-        idx = 0
-    elif policy == "highest_magnitude":
-        scale = max(1.0, float(np.abs(vals).max()))
-        if abs(vals[-1]) > abs(vals[0]) + _MAGNITUDE_TIE_TOL * scale:
-            idx = spectrum.n - 1
-        else:
-            idx = 0
-    else:
-        raise QllabError(f"unknown emergent-state policy {policy!r}")
-    window = spectrum.degeneracy_window()
+    idx = _extreme_index(vals)
     others = np.delete(vals, idx)
-    degenerate = bool(len(others)) and bool(
-        np.any(np.abs(others - vals[idx]) <= window)
-    )
+    degenerate = bool(np.any(np.abs(others - vals[idx]) <= spectrum.degeneracy_window()))
     return EmergentState(
         eigenvalue=float(vals[idx]),
         eigenvector=spectrum.eigenvectors[:, idx],
         degenerate=degenerate,
     )
+
+
+def _extreme_index(values) -> int:
+    """Index of the emergent level in the non-increasing `values`: the end of
+    largest |lambda|.  The bottom wins only when its |lambda| exceeds the
+    top's by more than _MAGNITUDE_TIE_TOL * max(1, max |lambda|), and then
+    gives the first member of its level (values within 1e-8 * max(1,
+    |lambda|) of it)."""
+    top, bottom = float(values[0]), float(values[-1])
+    scale = max(1.0, abs(top), abs(bottom))
+    if abs(bottom) <= abs(top) + _MAGNITUDE_TIE_TOL * scale:
+        return 0
+    return int(np.argmax(np.asarray(values) - bottom <= _RESIDUAL_TOL * max(1.0, abs(bottom))))
+
+
+def _degeneracy_window(values) -> float:
+    """DEGENERACY_TOL * max(1, max |lambda|) over the eigenvalues `values`."""
+    return DEGENERACY_TOL * max(1.0, float(np.abs(values).max()))
 
 
 @dataclass
@@ -446,7 +452,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
         k = bad[0]
         raise NumericalError(f"quotient state {k} residual {residual[k]:.3e} exceeds tolerance")
 
-    window = DEGENERACY_TOL * max(1.0, float(np.abs(values).max()))
+    window = _degeneracy_window(values)
     near = np.abs(values[None, :] - mu[:, None]) <= window
     ties = np.abs(mu[None, :] - mu[:, None]) <= window
     in_spectrum, in_quotient = near.sum(axis=1), ties.sum(axis=1)
@@ -515,16 +521,9 @@ def _fixed_phase(c: np.ndarray) -> np.ndarray:
 
 
 def extreme_state(states) -> QuotientState:
-    """The quotient state of largest |mu|: the first state of the bottom
-    level when its |mu| exceeds the top's by more than _MAGNITUDE_TIE_TOL *
-    max(1, max |mu|), else the top state, as `emergent_state`'s
-    'highest_magnitude' picks."""
-    top, bottom = states[0].eigenvalue, states[-1].eigenvalue
-    scale = max(1.0, abs(top), abs(bottom))
-    if abs(bottom) <= abs(top) + _MAGNITUDE_TIE_TOL * scale:
-        return states[0]
-    tol = _RESIDUAL_TOL * max(1.0, abs(bottom))
-    return next(s for s in states if s.eigenvalue - bottom <= tol)
+    """The quotient state of the emergent level, by `emergent_state`'s rule
+    (`_extreme_index`) over the states' mu."""
+    return states[_extreme_index([s.eigenvalue for s in states])]
 
 
 @dataclass

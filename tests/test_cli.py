@@ -17,7 +17,7 @@ import qllab.qlproduct
 import qllab.spectral
 import qllab.witness
 from qllab.cli import main
-from qllab.graph import BiasedGraph
+from qllab.graph import BiasedGraph, GraphGenSpec, build_graph, derive_seed
 from qllab.qlbit import BLOCH_PROJECTIONS, BLOCH_TARGETS
 from qllab.qlproduct import label_adjacency
 from qllab.spectral import eigendecompose, eigenvalues, top_pair
@@ -212,6 +212,14 @@ REJECTED = [
         "params.product.qlbits[0].policy.degree",
     ),
     ("budget-above-cross-pairs", _with("qlbit", BUDGET_5_BIT, "realizations", 1), "params.policy.fraction"),
+    # a bit's policy is an object with a kind, in `qlbit` as in a product
+    ("policy-empty", _with("qlbit", QLBIT["params"], "policy", {}), "params.policy.kind"),
+    ("policy-null", _with("qlbit", QLBIT["params"], "policy", None), "params.policy must be an object"),
+    (
+        "product-policy-null",
+        _with("product", {"product": {"qlbits": [{"n": 8, "d": 3, "policy": None}]}}, "verify", False),
+        "params.product.qlbits[0].policy must be an object",
+    ),
     (
         "product-budget-above-cross-pairs",
         _with("product", {"product": {"qlbits": [BUDGET_5_BIT]}}, "verify", False),
@@ -529,6 +537,40 @@ def test_equitable_bit_without_a_table_row_reports_the_canonical_state(tmp_path)
         assert (alpha, beta, float(row["residual"]), row["degenerate"]) == (1, 0, 0.0, "true")
 
 
+def test_negative_bias_bit_reports_its_bottom_level(tmp_path):
+    # -1 block biases split the QL level off the bottom of the spectrum; a
+    # budget bit is not equitable and takes the dense path, which must pick
+    # that level, not the bulk top near 5
+    params = {"n": 40, "d": 6, "red_bias": -1, "blue_bias": -1, "realizations": 3}
+    assert run_config(tmp_path, {"experiment": "qlbit", "params": params}, "--seed", "5") == 0
+    rows = read_rows(tmp_path / "out" / "qlbit.csv")
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["eigenvalue"]) < -6 and float(row["residual"]) < 0.5
+
+
+def _spectrum_of(tmp_path, params):
+    assert run_config(tmp_path, {"experiment": "spectrum", "params": params}) == 0
+    return np.array([float(row["eigenvalue"]) for row in read_rows(tmp_path / "out" / "spectrum.csv")])
+
+
+def test_product_depth_spectrum_is_the_kronecker_sum_of_its_factors(tmp_path):
+    spec = GraphGenSpec("d_regular_random", n=8, d=3, seed=4)
+    values = _spectrum_of(tmp_path, {"graph": {"kind": "d_regular_random", "n": 8, "d": 3, "seed": 4}, "product_depth": 2})
+    first = eigenvalues(build_graph(spec))
+    second = eigenvalues(build_graph(replace(spec, seed=derive_seed(4, "factor", 0))))
+    assert np.abs(values - np.sort((first[:, None] + second[None, :]).ravel())[::-1]).max() <= 1e-9
+
+
+def test_two_lift_spectrum_contains_its_base_spectrum(tmp_path):
+    base = {"kind": "d_regular_random", "n": 10, "d": 3, "seed": 2}
+    values = list(_spectrum_of(tmp_path, {"graph": {"kind": "two_lift", "base": base, "seed": 6}}))
+    assert len(values) == 20
+    for value in eigenvalues(build_graph(GraphGenSpec("d_regular_random", n=10, d=3, seed=2))):
+        nearest = int(np.argmin(np.abs(np.array(values) - value)))
+        assert abs(values.pop(nearest) - value) <= 1e-9
+
+
 def body_digest(out, names):
     """SHA-256 over the artifacts `names`, each without its '# generated=' line."""
     h = hashlib.sha256()
@@ -563,7 +605,9 @@ CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree"
 # `qlbit.csv` body stayed the same, and `mean_abs_alpha` and `mean_residual`
 # in `qlbit_summary.json` moved by 1 ulp.  Two realizations make the
 # Kuramoto purity mix two top vectors, and strength 1 gives an unambiguous
-# readout.
+# readout.  `qlbit-table-row` (the quotient path, at a bottom level) and
+# `product-full` (composed from its factors) were recorded before the dense
+# and quotient paths shared one emergent-state rule.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
@@ -574,6 +618,16 @@ GOLDEN = {
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
         ["qlbit.csv", "qlbit_summary.json"],
         "581a703f92df6430ba9e3a0ced9127344933d66f5f792b030899730b56defb7f",
+    ),
+    "qlbit-table-row": (
+        {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2, "table_row": {"red": "-1", "blue": "-1", "conn": "i"}}},
+        ["qlbit.csv", "qlbit_summary.json"],
+        "a9351378131bfa5f9023f7852b00629f78acaea0c4de7ba99827150139812d02",
+    ),
+    "product-full": (
+        {"experiment": "product", "params": {"product": {"mode": "full", "qlbits": [{"n": 4, "d": 2}, {"n": 5, "d": 2}]}, "verify": True}},
+        ["product_spectrum.csv", "effective_states.json"],
+        "cd03ecf9b0a610a045757365499c0cc8df5e5087f4b2277cb235df281467f9c0",
     ),
     "cheeger": (
         {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},

@@ -220,7 +220,7 @@ class TestBiasTopology:
         base = build_regular_qlbit(24, d, cross_degree=kc, seed=7)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS[name])
         spec = eigendecompose(g)
-        state = emergent_state(spec, policy="highest_magnitude")
+        state = emergent_state(spec)
         sign, target = BLOCH_TARGETS[name]
         # x/y rows: eigenvalue exactly +-d; z rows: +-(d - cross_degree)
         expected = d if name[0] != "z" else d - kc

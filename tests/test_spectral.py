@@ -21,6 +21,7 @@ from qllab.graph import (
 from qllab.qlbit import CrossRegular, qlbit_spec
 from qllab.qlproduct import ProductSpec, build_contracted_product
 from qllab.spectral import (
+    Spectrum,
     eigendecompose,
     eigenvalues,
     emergent_state,
@@ -339,11 +340,11 @@ class TestEmergentState:
     def test_highest_magnitude_prefers_extreme(self):
         k4 = gen_complete(4)
         minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
-        state = emergent_state(eigendecompose(minus_k4), policy="highest_magnitude")
+        state = emergent_state(eigendecompose(minus_k4))
         assert state.eigenvalue == pytest.approx(-3.0)
 
     def test_tie_breaks_positive(self):
-        state = emergent_state(eigendecompose(gen_complete(2)), policy="highest_magnitude")
+        state = emergent_state(eigendecompose(gen_complete(2)))
         assert state.eigenvalue == pytest.approx(1.0)
 
     def test_empty_graph_flagged_degenerate(self):
@@ -352,9 +353,25 @@ class TestEmergentState:
         assert state.eigenvalue == 0.0
         assert state.degenerate
 
-    def test_unknown_policy(self):
-        with pytest.raises(QllabError):
-            emergent_state(eigendecompose(gen_cycle(4)), policy="median")
+    def test_a_tied_bottom_level_gives_its_first_member(self):
+        k4 = gen_complete(4)
+        minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
+        two = disjoint_union(minus_k4, minus_k4)
+        spec = eigendecompose(two)
+        state = emergent_state(spec)
+        assert state.eigenvalue == pytest.approx(-3.0)
+        assert state.degenerate
+        first = int(np.flatnonzero(np.abs(spec.eigenvalues + 3.0) <= 1e-9)[0])
+        assert np.array_equal(state.eigenvector, spec.eigenvectors[:, first])
+
+    def test_window_scales_by_the_largest_magnitude(self):
+        # a bottom of -100 sets the window, 1e-4, not the top's max(1, 1)
+        vals = np.array([1.0, -100.0 + 5e-5, -100.0])
+        spec = Spectrum(eigenvalues=vals, eigenvectors=np.eye(3), residuals=np.zeros(3))
+        assert spec.degeneracy_window() == pytest.approx(1e-4)
+        state = emergent_state(spec)
+        assert state.eigenvalue == -100.0
+        assert state.degenerate
 
 
 class TestEnsembleSpectrum:
