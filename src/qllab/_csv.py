@@ -14,14 +14,14 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows):
-    """Write rows with a '# generated=' comment line before the header.
+    """Write rows with a '# generated=' comment line before the header,
+    built in memory and written in one call.
 
     Bodies are deterministic for identical inputs; only the comment line
     varies between runs.
     """
     now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    lines = [f"# generated={now}", ",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
     with open(path, "w") as fh:
-        fh.write(f"# generated={now}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,7 +59,7 @@ from .qlproduct import (
     verify_spectrum_composition,
 )
 from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
-from .spectral import extreme_state, quotient, quotient_states
+from .spectral import _fixed_phase, extreme_state, quotient, quotient_states
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
@@ -385,9 +386,12 @@ def cmd_qlbit(params, seed, out):
             (alpha, beta), residual = state.coefficients, 0.0
             degenerate = state.multiplicity > 1
         else:
-            state = emergent_state(eigendecompose(g))
+            state = emergent_state(g)
             eff = project_two_state(g, state.eigenvector)
-            (alpha, beta), residual, degenerate = eff.coefficients, eff.residual, state.degenerate
+            # the quotient path's phase: the first largest amplitude real
+            # and positive
+            (alpha, beta), residual = _fixed_phase(eff.coefficients), eff.residual
+            degenerate = state.degenerate
         row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
         rows.append((i, state.eigenvalue, *row))
     write_csv(
@@ -402,9 +406,7 @@ def cmd_qlbit(params, seed, out):
         "mean_abs_beta": float(np.hypot(arr[:, 4], arr[:, 5]).mean()),
         "mean_residual": float(arr[:, 6].mean()),
     }
-    with open(os.path.join(out, "qlbit_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "qlbit_summary.json"), summary)
     return ["qlbit.csv", "qlbit_summary.json"]
 
 
@@ -444,9 +446,7 @@ def cmd_product(params, seed, out):
         ["index", "eigenvalue"],
         [(i, float(v)) for i, v in enumerate(values)],
     )
-    with open(os.path.join(out, "effective_states.json"), "w") as fh:
-        json.dump(states, fh, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "effective_states.json"), states)
 
     if verify:
         _say("spectrum composition OK" if spec.mode == "full" else "contraction law OK")
@@ -488,18 +488,10 @@ def cmd_witness(params, seed, out):
     write_csv(
         os.path.join(out, "witness.csv"), ["trial", "readout", "agrees"], rows
     )
-    with open(os.path.join(out, "witness_summary.json"), "w") as fh:
-        json.dump(
-            {
-                "preparation": preparation,
-                "expected": expected,
-                "trials": trials,
-                "agreement": agree / trials,
-            },
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
+    _write_json(
+        os.path.join(out, "witness_summary.json"),
+        {"preparation": preparation, "expected": expected, "trials": trials, "agreement": agree / trials},
+    )
     return ["witness.csv", "witness_summary.json"]
 
 
@@ -598,6 +590,7 @@ _RUNNERS = {
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qllab",
@@ -623,11 +616,15 @@ def run(args) -> int:
         "config": doc,
         "outputs": files,
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest, sort_keys=True)
     _say(f"wrote {', '.join(files)} to {out}")
     return 0
+
+
+def _write_json(path, doc, sort_keys=False):
+    """doc as indented JSON and a newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n")
 
 
 def _say(line):

@@ -5,11 +5,13 @@ vertex pairs with u < v on every row, sorted lexicographically, and `bias`,
 the adjacency entries A[u, v].  The conjugate entry A[v, u] is implied, so
 every graph is Hermitian by construction.  `BiasedGraph.from_edges` is the
 only place that orients, sorts and validates an edge list, by one stable
-sort of the integer keys u * n + v; generators and compositions hand it
-concatenated, offset arrays.  The arrays and the diagonal are read-only,
-so an operation that keeps or subsets a canonical edge set shares them
-through `dataclasses.replace` instead of copying.  All randomized
-operations take an explicit seed and derive a private generator from it.
+sort of the integer keys u * n + v, which it skips when the keys already
+increase strictly (a generator's sorted keys, or a disjoint union's
+offset parts); generators and compositions hand it concatenated, offset
+arrays.  The arrays and the diagonal are read-only, so an operation that
+keeps or subsets a canonical edge set shares them through
+`dataclasses.replace` instead of copying.  All randomized operations take
+an explicit seed and derive a private generator from it.
 
 The random samplers draw a pairing of vertex stubs and repair it round by
 round; they keep each edge as the integer key u * n + v in a set and
@@ -123,7 +125,9 @@ class BiasedGraph:
             k = len(self.blocks)
             if len(set(self.blocks)) != k:
                 raise QllabError(f"block names repeat: {self.blocks}")
-            if self.block_of.shape != (self.n,) or not np.isin(self.block_of, range(k)).all():
+            if self.block_of.shape != (self.n,) or (
+                self.n and not 0 <= self.block_of.min() <= self.block_of.max() < k
+            ):
                 raise QllabError(f"block_of must hold one index in [0, {k}) per vertex")
             sizes = np.bincount(self.block_of, minlength=k)
             if not sizes.all():
@@ -143,35 +147,38 @@ class BiasedGraph:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise QllabError(f"pairs must have shape (m, 2), got {pairs.shape}")
-        if bias is None:
-            bias = np.ones(len(pairs), dtype=complex)
-        bias = np.asarray(bias, dtype=complex)
-        if bias.shape != (len(pairs),):
+        m = len(pairs)
+        bias = np.ones(m, dtype=complex) if bias is None else np.asarray(bias, dtype=complex)
+        if bias.shape != (m,):
             raise QllabError(f"need one bias per pair, got shape {bias.shape}")
-        bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-        if bad.size:
-            u, v = pairs[bad[0]]
+        u, v = pairs.T
+        flip = u > v
+        flipped = bool(flip.any())
+        lo, hi = (np.where(flip, v, u), np.where(flip, u, v)) if flipped else (u, v)
+        if m and (lo.min() < 0 or hi.max() >= n):
+            u, v = pairs[np.argmax((lo < 0) | (hi >= n))]
             raise QllabError(f"edge ({u}, {v}) out of range for n={n}")
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-        if loops.size:
-            raise QllabError(f"self loop at vertex {pairs[loops[0], 0]}")
-        flip = pairs[:, 0] > pairs[:, 1]
-        lo, hi = np.where(flip, pairs[:, 1], pairs[:, 0]), np.where(flip, pairs[:, 0], pairs[:, 1])
-        if flip.any():
+        loops = lo == hi
+        if loops.any():
+            raise QllabError(f"self loop at vertex {lo[loops.argmax()]}")
+        if flipped:
             bias = np.where(flip, bias.conj(), bias)
-        # one stable sort of the keys u * n + v orders the rows as a
-        # lexicographic sort would
+        # the keys u * n + v order the rows as a lexicographic sort would;
+        # keys that already increase strictly are sorted and hold no
+        # duplicate, so only other inputs take the stable sort
         keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        keys, pairs, bias = keys[order], np.stack([lo[order], hi[order]], axis=1), bias[order]
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            u, v = pairs[dup[0]]
-            raise QllabError(f"duplicate edge ({u}, {v})")
-        zero = np.flatnonzero(bias == 0)
-        if zero.size:
-            u, v = pairs[zero[0]]
-            raise QllabError(f"zero bias on edge ({u}, {v})")
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, lo, hi, bias = keys[order], lo[order], hi[order], bias[order]
+            dup = keys[1:] == keys[:-1]
+            if dup.any():
+                k = dup.argmax()
+                raise QllabError(f"duplicate edge ({lo[k]}, {hi[k]})")
+        if lo is not u:  # reoriented or reordered
+            pairs = np.stack([lo, hi], axis=1)
+        if not bias.all():
+            k = np.argmax(bias == 0)
+            raise QllabError(f"zero bias on edge ({lo[k]}, {hi[k]})")
         return cls(n, pairs, bias, diagonal, blocks, block_of)
 
     @property

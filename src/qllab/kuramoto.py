@@ -49,8 +49,19 @@ class OscillatorState:
 
 
 def coupling_matrix(g: BiasedGraph) -> np.ndarray:
-    """|a_ij| with zero diagonal; the real Kuramoto coupling weights."""
-    m = np.abs(g.adjacency())
+    """|a_ij| with zero diagonal; the real Kuramoto coupling weights.
+
+    The array starts on a 64-byte boundary, where the two matrix-vector
+    products of each right-hand side run fastest.  numpy's allocator puts
+    it 0, 16, 32 or 48 bytes past one, depending on what the process
+    allocated before; at n = 144 (one x86 core, one OpenBLAS thread) a
+    right-hand side took 13-15 us at 0 but up to 22 us at 32 or 48.
+    """
+    a = g.adjacency()
+    buf = np.empty(a.size * 8 + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    m = buf[start : start + a.size * 8].view(np.float64).reshape(a.shape)
+    np.abs(a, out=m)
     np.fill_diagonal(m, 0.0)
     return m
 

@@ -4,13 +4,16 @@ A QL bit couples two regular subgraphs (blocks a1 and a2) through a sparse
 set of cross edges.  The block structure splits two hybridized levels off
 the bulk, at its top with +1 block biases and at its bottom with -1 ones;
 they behave as an effective two-level system, and the emergent state is
-the one of largest |lambda| (`spectral.emergent_state`).
-`project_two_state` reads the level amplitudes (alpha, beta) off any
-eigenvector through `graph.project_blocks`, the one projection onto unit
-block indicators, as a product's projection does.  A Bloch-row bit is
-cross-regular, so its two blocks form an equitable partition, and `qlbit`
-reads its states off the 2 x 2 block quotient instead
-(`spectral.quotient_states`, `spectral.extreme_state`, by the same rule).
+the one of largest |lambda|.  A Bloch-row bit is cross-regular, so its two
+blocks form an equitable partition, and `qlbit` reads its states off the
+2 x 2 block quotient (`spectral.quotient_states`,
+`spectral.extreme_state`).  A budget or pair-probability bit is not
+equitable: `qlbit` reads its one emergent eigenpair by the same rule
+(`spectral.emergent_state`), and `project_two_state` reads the level
+amplitudes (alpha, beta) off that eigenvector through
+`graph.project_blocks`, the one projection onto unit block indicators, as
+a product's projection does.  Both paths report (alpha, beta) with the
+same phase: the first largest amplitude real and positive.
 
 Cross-edge orientation convention: the adjacency entry from an a1 (blue)
 vertex to an a2 (red) vertex equals the connecting bias, so a connecting

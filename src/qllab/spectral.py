@@ -6,15 +6,15 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
 `BiasedGraph.operator()`, at O(m) per product:
 
 - `eigendecompose` returns the full eigensystem and checks every eigenpair
-  residual.  `qlbit` without a table row and contracted `product`s whose
-  block partition is not equitable reach it.  A full `product` runs it on
-  each factor only, and `qlproduct.verify_spectrum_composition` proves the
-  product's eigensystem off the factors' eigenpairs and residuals, with no
-  operator on the product's N vertices.
+  residual.  Contracted `product`s whose block partition is not equitable
+  reach it, and so does `top_pair` when its proofs fail.  A full `product`
+  runs it on each factor only, and `qlproduct.verify_spectrum_composition`
+  proves the product's eigensystem off the factors' eigenpairs and
+  residuals, with no operator on the product's N vertices.
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
-  trace and Frobenius-norm identities instead.  `spectrum`, `cheeger` and
-  the quotient states below use it.  At n = 512 it takes about 17 ms
-  against 44 ms for `eigendecompose`.
+  trace and Frobenius-norm identities instead.  `spectrum`, `cheeger`, the
+  quotient states and the emergent state below use it.  At n = 512 it
+  takes about 17 ms against 44 ms for `eigendecompose`.
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
   Lanczos on the edge-array operator, and proves both before returning
   them; when a proof fails it returns the top pair of `eigendecompose`.
@@ -29,7 +29,8 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
   r = 0.7 and 2.6-3.2 ms at r = 0.4, against 8-10 ms for
   `eigendecompose`; about a quarter of that is the `eigh` of the k x k
   tridiagonal Ritz problem.  At n = 4096 and r = 0.7 it takes about 50 ms
-  with a 5 MB peak, where one dense n x n array takes 134 MB.
+  with a 5 MB peak, where one dense n x n array takes 134 MB.  The
+  emergent state below reads its one vector through it.
 
 Times are for one x86 core and one BLAS thread.
 
@@ -47,9 +48,16 @@ projection.
 A QL bit's emergent state is the level its block structure splits off the
 bulk: the top with positive block biases, the bottom with negative ones.
 One rule picks it, the extreme value of largest |lambda| with ties sent to
-the top: `emergent_state` applies it to a solved spectrum and
+the top: `emergent_state` applies it to a graph (`qlbit` reaches it with
+budget and pair-probability bits, which the quotient cannot read), and
 `extreme_state` to quotient states.  Both read degeneracy in one window,
-DEGENERACY_TOL * max(1, max |lambda|).  `ensemble_spectrum` histograms the
+DEGENERACY_TOL * max(1, max |lambda|).  `emergent_state` pays for one
+eigenpair, not the eigensystem: the values from `eigenvalues` pick and
+flag the level, and `top_pair` on the graph, or on its negation for a
+bottom level, gives the vector.  On a 160-vertex budget bit that takes
+about 1.8 ms against 2.8 ms for `eigendecompose`; a `qlbit` run on a
+2000-vertex one takes 1.1 s and 100 MB max RSS, against 2.4 s and 196 MB
+with the full eigensystem.  `ensemble_spectrum` histograms the
 eigenvalues of many realizations; a QL state's distance to the bulk is the
 `gap` of `quotient_states`.  Graphs that reach these solvers are small
 enough for exact dense solves.
@@ -58,7 +66,7 @@ enough for exact dense solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,19 +312,22 @@ class EmergentState:
     degenerate: bool
 
 
-def emergent_state(spectrum: Spectrum) -> EmergentState:
-    """The emergent eigenpair: that of the extreme value of largest |lambda|
-    (`_extreme_index`).  It is flagged degenerate when any other eigenvalue
-    falls inside the degeneracy window."""
-    vals = spectrum.eigenvalues
+def emergent_state(g: BiasedGraph) -> EmergentState:
+    """The emergent eigenpair of g: that of the extreme value of largest
+    |lambda| (`_extreme_index`), flagged degenerate when any other
+    eigenvalue falls inside the degeneracy window.
+
+    The values come from `eigenvalues`.  The one vector comes from
+    `top_pair`, on g for a top level and on -g (biases and diagonal
+    negated) for a bottom one, with its residual gate, proof and
+    `eigendecompose` fallback; on a tied level it is `top_pair`'s fixed
+    member."""
+    vals = eigenvalues(g)
     idx = _extreme_index(vals)
     others = np.delete(vals, idx)
-    degenerate = bool(np.any(np.abs(others - vals[idx]) <= spectrum.degeneracy_window()))
-    return EmergentState(
-        eigenvalue=float(vals[idx]),
-        eigenvector=spectrum.eigenvectors[:, idx],
-        degenerate=degenerate,
-    )
+    degenerate = bool(np.any(np.abs(others - vals[idx]) <= _degeneracy_window(vals)))
+    _, x = top_pair(g if idx == 0 else replace(g, bias=-g.bias, diagonal=-g.diagonal))
+    return EmergentState(eigenvalue=float(vals[idx]), eigenvector=x, degenerate=degenerate)
 
 
 def _extreme_index(values) -> int:

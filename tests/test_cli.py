@@ -88,7 +88,7 @@ ROUTES = {
     ),
     "kuramoto": ("kuramoto", {**KURAMOTO, "realizations": 2}, {"top_pair": 2}),
     "witness": ("witness", WITNESS, {"top_pair": 1}),
-    "qlbit": ("qlbit", QLBIT["params"], {"eigendecompose": 1}),
+    "qlbit": ("qlbit", QLBIT["params"], {"eigenvalues": 1, "top_pair": 1}),
     "qlbit-table-row": ("qlbit", QLBIT_ROW, {"eigenvalues": 1}),
     "qlbit-cross-regular": ("qlbit", CROSS_BIT, {"eigenvalues": 1}),
     "product": ("product", {"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
@@ -547,6 +547,12 @@ def test_negative_bias_bit_reports_its_bottom_level(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert float(row["eigenvalue"]) < -6 and float(row["residual"]) < 0.5
+        # the quotient path's phase on every row: the larger amplitude is
+        # real and positive
+        alpha = complex(float(row["alpha_re"]), float(row["alpha_im"]))
+        beta = complex(float(row["beta_re"]), float(row["beta_im"]))
+        larger = alpha if abs(alpha) >= abs(beta) else beta
+        assert larger.imag == 0 and larger.real > 0
 
 
 def _spectrum_of(tmp_path, params):
@@ -607,7 +613,10 @@ CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree"
 # Kuramoto purity mix two top vectors, and strength 1 gives an unambiguous
 # readout.  `qlbit-table-row` (the quotient path, at a bottom level) and
 # `product-full` (composed from its factors) were recorded before the dense
-# and quotient paths shared one emergent-state rule.
+# and quotient paths shared one emergent-state rule.  `qlbit` was recorded
+# again when its dense path read one eigenpair and the quotient path's
+# phase: realization 0's alpha and beta flipped sign with unchanged digits,
+# and the summary means moved by at most 2.7e-15.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
@@ -617,7 +626,7 @@ GOLDEN = {
     "qlbit": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
         ["qlbit.csv", "qlbit_summary.json"],
-        "581a703f92df6430ba9e3a0ced9127344933d66f5f792b030899730b56defb7f",
+        "1a7ca24c63a613b8c5cfe3fe8abc94fbb4d6b09d14ddb6fc2aa094693ad2ff5a",
     ),
     "qlbit-table-row": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2, "table_row": {"red": "-1", "blue": "-1", "conn": "i"}}},

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -429,6 +430,65 @@ def test_from_edges_ignores_order_and_orientation(graph, data):
     again = BiasedGraph.from_edges(n, shuffled, np.where(flip, bias[order].conj(), bias[order]))
     assert np.array_equal(again.edges, canonical.edges)
     assert np.array_equal(again.bias, canonical.bias)
+
+
+FAULTS = ("loop", "duplicate", "reversed-duplicate", "out-of-range", "zero-bias", "block-below", "block-above")
+
+
+@SETTINGS
+@given(edge_lists(), st.sampled_from(FAULTS), st.booleans(), st.data())
+def test_from_edges_names_each_fault_in_sorted_and_unsorted_input(graph, fault, shuffle, data):
+    # one fault added to a canonical edge list, which stays in canonical row
+    # order or is shuffled with random rows reversed (bias conjugated): the
+    # message is the same either way, naming the pair in its canonical
+    # orientation (an out-of-range pair as given)
+    n, pairs, bias = graph
+    m = len(pairs)
+    rows = [tuple(p) for p in pairs.tolist()]
+    values = list(bias)
+    block_of = np.arange(n) % 2
+    blocks = ("a", "b") if n > 1 else ("a",)
+    extra = None  # (pair, bias) of an added row
+    if fault in ("duplicate", "reversed-duplicate", "zero-bias"):
+        assume(m > 0)
+        i = data.draw(st.integers(0, m - 1))
+        u, v = rows[i]
+        message = f"duplicate edge ({u}, {v})"
+    if fault == "loop":
+        w = data.draw(st.integers(0, n - 1))
+        extra, message = ((w, w), 1.0), f"self loop at vertex {w}"
+    elif fault == "duplicate":
+        extra = ((u, v), values[i])
+    elif fault == "reversed-duplicate":
+        extra = ((v, u), np.conj(values[i]))
+    elif fault == "out-of-range":
+        w = data.draw(st.integers(0, n - 1))
+        extra = (data.draw(st.sampled_from([(w, n), (-1, w)])), 1.0)
+    elif fault == "zero-bias":
+        values[i] = 0.0
+        message = f"zero bias on edge ({u}, {v})"
+    else:
+        block_of[data.draw(st.integers(0, n - 1))] = -1 if fault == "block-below" else len(blocks)
+        message = f"block_of must hold one index in [0, {len(blocks)}) per vertex"
+    if extra is not None:
+        rows.append(extra[0])
+        values.append(extra[1])
+    # canonical row order, an added row after its equal; a loop or an
+    # out-of-range pair sorts by its key
+    order = sorted(range(len(rows)), key=lambda k: (min(rows[k]), max(rows[k])))
+    if shuffle:
+        order = data.draw(st.permutations(order))
+    flip = [shuffle and data.draw(st.booleans()) for _ in order]
+    given_rows = [rows[k][::-1] if f else rows[k] for k, f in zip(order, flip)]
+    given_bias = [np.conj(values[k]) if f else values[k] for k, f in zip(order, flip)]
+    if fault == "out-of-range":  # the message names the pair as given
+        bad_given = given_rows[order.index(len(rows) - 1)]
+        message = f"edge ({bad_given[0]}, {bad_given[1]}) out of range for n={n}"
+    with pytest.raises(QllabError, match="^" + re.escape(message) + "$"):
+        BiasedGraph.from_edges(
+            n, np.array(given_rows, dtype=np.int64).reshape(-1, 2), np.array(given_bias, dtype=complex),
+            blocks=blocks, block_of=block_of,
+        )
 
 
 @SETTINGS

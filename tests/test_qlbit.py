@@ -94,7 +94,7 @@ class TestBuildQLBit:
         alphas, betas = [], []
         for seed in range(25):
             g = build_qlbit(qlbit_spec(50, 10, connect_bias=1.0, seed=seed))
-            state = emergent_state(eigendecompose(g))
+            state = emergent_state(g)
             alpha, beta = project_two_state(g, state.eigenvector).coefficients
             alphas.append(abs(alpha))
             betas.append(abs(beta))
@@ -106,13 +106,13 @@ class TestBuildQLBit:
     def test_negative_bias_flips_ordering(self):
         for seed in range(10):
             g = build_qlbit(qlbit_spec(50, 10, connect_bias=-1.0, seed=seed))
-            state = emergent_state(eigendecompose(g))
+            state = emergent_state(g)
             alpha, beta = project_two_state(g, state.eigenvector).coefficients
             assert (alpha.conjugate() * beta).real < 0  # out-of-phase on top
 
     def test_pair_probability_fig_caption_form(self):
         g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.2), connect_bias=1.0, seed=4))
-        alpha, beta = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector).coefficients
+        alpha, beta = project_two_state(g, emergent_state(g).eigenvector).coefficients
         assert abs(abs(alpha) - 1 / np.sqrt(2)) <= 0.08
         assert (alpha.conjugate() * beta).real > 0
 
@@ -220,7 +220,7 @@ class TestBiasTopology:
         base = build_regular_qlbit(24, d, cross_degree=kc, seed=7)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS[name])
         spec = eigendecompose(g)
-        state = emergent_state(spec)
+        state = emergent_state(g)
         sign, target = BLOCH_TARGETS[name]
         # x/y rows: eigenvalue exactly +-d; z rows: +-(d - cross_degree)
         expected = d if name[0] != "z" else d - kc
@@ -234,6 +234,11 @@ class TestBiasTopology:
         assert not ql.degenerate
         window = spec.degeneracy_window()
         members = np.flatnonzero(np.abs(spec.eigenvalues - state.eigenvalue) <= window)
+        # the dense path's one vector lies in that level, also on the x- row,
+        # whose level is orthogonal to the Lanczos start 1/sqrt(n), so that
+        # top_pair falls back to the full solve
+        level = spec.eigenvectors[:, members]
+        assert np.linalg.norm(level.conj().T @ state.eigenvector) >= 1 - 1e-10
         projected = []
         for i in members:
             projected.append(project_two_state(g, spec.eigenvectors[:, i]).coefficients)
@@ -245,7 +250,7 @@ class TestBiasTopology:
         # connecting bias i must put the +i on the a1 (blue) amplitude
         base = build_regular_qlbit(24, 16, cross_degree=2, seed=9)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS["y+"])
-        alpha, beta = project_two_state(g, emergent_state(eigendecompose(g)).eigenvector).coefficients
+        alpha, beta = project_two_state(g, emergent_state(g).eigenvector).coefficients
         assert alpha / beta == pytest.approx(1j, abs=1e-8)
 
     def test_conn_zero_removes_cross_edges(self):
@@ -267,7 +272,7 @@ class TestBiasTopology:
         for phi in np.linspace(0.0, 2 * np.pi, 9, endpoint=False):
             row = BiasTopology(red=1, blue=1, conn=np.exp(1j * phi))
             g = apply_bias_topology(base, row)
-            state = emergent_state(eigendecompose(g))
+            state = emergent_state(g)
             assert abs(state.eigenvalue - d) <= 1e-6
             alpha, beta = project_two_state(g, state.eigenvector).coefficients
             delta = np.angle(alpha / beta) - phi

@@ -18,7 +18,7 @@ from qllab.graph import (
     gen_d_regular_random,
     rng_from,
 )
-from qllab.qlbit import CrossRegular, qlbit_spec
+from qllab.qlbit import CrossRegular, EdgeBudgetFraction, PairProbability, build_qlbit, qlbit_spec
 from qllab.qlproduct import ProductSpec, build_contracted_product
 from qllab.spectral import (
     Spectrum,
@@ -330,9 +330,37 @@ class TestTopPair:
 
 
 class TestEmergentState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 12),
+        st.integers(2, 5),
+        st.sampled_from(["budget", "pair_probability"]),
+        st.floats(0.05, 0.6),
+        st.sampled_from([1.0, -1.0]),
+        st.sampled_from([1.0, -1.0]),
+        st.sampled_from([1.0, -1.0, 1j]),
+        st.integers(0, 2**32),
+    )
+    def test_matches_the_full_solve_on_dense_path_bits(self, half, d, kind, x, red, blue, conn, seed):
+        # the bits the dense `qlbit` path reads: budget and pair-probability
+        # policies, whose block partitions are not equitable
+        policy = EdgeBudgetFraction(x) if kind == "budget" else PairProbability(x)
+        g = build_qlbit(qlbit_spec(2 * half, d, policy, conn, red, blue, seed))
+        state = emergent_state(g)
+        spec = eigendecompose(g)
+        vals = spec.eigenvalues
+        i = qllab.spectral._extreme_index(vals)
+        assert abs(state.eigenvalue - vals[i]) <= 1e-12 * max(1.0, abs(vals[i]))
+        window = np.abs(vals - vals[i]) <= spec.degeneracy_window()
+        assert state.degenerate == (window.sum() > 1)
+        # |<x, v>| for a level of one value; the weight of x in the level
+        # (each member equally valid) for a tied one
+        overlap = np.linalg.norm(spec.eigenvectors[:, window].conj().T @ state.eigenvector)
+        assert overlap >= 1 - 1e-10
+
     def test_highest_policy(self):
         g = gen_d_regular_random(30, 5, seed=3)
-        state = emergent_state(eigendecompose(g))
+        state = emergent_state(g)
         assert state.eigenvalue == pytest.approx(5.0, abs=1e-9)
         assert np.allclose(np.abs(state.eigenvector), 1 / np.sqrt(30), atol=1e-7)
         assert not state.degenerate
@@ -340,36 +368,39 @@ class TestEmergentState:
     def test_highest_magnitude_prefers_extreme(self):
         k4 = gen_complete(4)
         minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
-        state = emergent_state(eigendecompose(minus_k4))
+        state = emergent_state(minus_k4)
         assert state.eigenvalue == pytest.approx(-3.0)
 
     def test_tie_breaks_positive(self):
-        state = emergent_state(eigendecompose(gen_complete(2)))
+        state = emergent_state(gen_complete(2))
         assert state.eigenvalue == pytest.approx(1.0)
 
     def test_empty_graph_flagged_degenerate(self):
         g = BiasedGraph(n=3)
-        state = emergent_state(eigendecompose(g))
+        state = emergent_state(g)
         assert state.eigenvalue == 0.0
         assert state.degenerate
 
-    def test_a_tied_bottom_level_gives_its_first_member(self):
+    def test_a_tied_bottom_level_gives_one_fixed_member(self):
+        # top_pair's member of the level: the projection of 1/sqrt(n) onto it
         k4 = gen_complete(4)
         minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
         two = disjoint_union(minus_k4, minus_k4)
         spec = eigendecompose(two)
-        state = emergent_state(spec)
+        state = emergent_state(two)
         assert state.eigenvalue == pytest.approx(-3.0)
         assert state.degenerate
-        first = int(np.flatnonzero(np.abs(spec.eigenvalues + 3.0) <= 1e-9)[0])
-        assert np.array_equal(state.eigenvector, spec.eigenvectors[:, first])
+        level = spec.eigenvectors[:, np.abs(spec.eigenvalues + 3.0) <= 1e-9]
+        member = level @ (level.T @ np.full(8, 1 / np.sqrt(8)))
+        member /= np.linalg.norm(member)
+        assert abs(np.vdot(member, state.eigenvector)) >= 1 - 1e-12
 
     def test_window_scales_by_the_largest_magnitude(self):
         # a bottom of -100 sets the window, 1e-4, not the top's max(1, 1)
         vals = np.array([1.0, -100.0 + 5e-5, -100.0])
         spec = Spectrum(eigenvalues=vals, eigenvectors=np.eye(3), residuals=np.zeros(3))
         assert spec.degeneracy_window() == pytest.approx(1e-4)
-        state = emergent_state(spec)
+        state = emergent_state(BiasedGraph(n=3, diagonal=vals))
         assert state.eigenvalue == -100.0
         assert state.degenerate
 
