@@ -179,6 +179,13 @@ REJECTED = [
     ),
     ("unknown-integrator", _with("kuramoto", KURAMOTO, "integrator", "leapfrog"), "params.integrator"),
     ("unknown-init", _with("kuramoto", KURAMOTO, "init", "random"), "params.init"),
+    ("negative-sigma-eps", _with("kuramoto", KURAMOTO, "sigma_eps", -0.5), "params.sigma_eps"),
+    (
+        "negative-normal-init-width",
+        _with("kuramoto", {**KURAMOTO, "init": "normal"}, "init_width", -1.0),
+        "params.init_width",
+    ),
+    ("negative-uniform-init-width", _with("kuramoto", KURAMOTO, "init_width", -1.0), "params.init_width"),
     ("unknown-bias-token", _with("qlbit", QLBIT["params"], "table_row", {"red": "+1", "blue": "+1", "conn": "2"}), "params.table_row"),
     ("row-with-policy", _with("qlbit", QLBIT_ROW, "policy", {"kind": "cross_regular", "degree": 1}), "params.policy"),
     ("row-with-connect-bias", _with("qlbit", QLBIT_ROW, "connect_bias", "-1"), "params.connect_bias"),
@@ -679,3 +686,24 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_kuramoto_records_at_n_1000_stay_under_200_mb(tmp_path):
+    # 41 records of a 1000-vertex product: the purity is read off each
+    # record's Gram matrix, with no n x n density matrix per record (41 of
+    # them would take 656 MB)
+    bit = {"n": 250, "d": 6, "policy": {"kind": "cross_regular", "degree": 1}}
+    params = {"product": {"mode": "contracted", "qlbits": [bit, bit]}, "K": 4, "t_end": 10, "record_every": 1}
+    (tmp_path / "k1000.json").write_text(json.dumps({"experiment": "kuramoto", "params": params}))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qllab.cli", "k1000.json", "--out", "k1000"],
+        cwd=tmp_path,
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
+    )
+    # the child's own peak, not the largest of every child this process ran
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 < 200
+    assert len(read_rows(tmp_path / "k1000" / "kuramoto.csv")) == 41

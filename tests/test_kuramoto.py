@@ -10,6 +10,8 @@ from qllab.kuramoto import (
     OscillatorState,
     SyncRunConfig,
     _realization_graph,
+    _stepper,
+    coupling_matrix,
     initial_state,
     order_parameter,
     phase_transform,
@@ -187,3 +189,76 @@ class TestDynamics:
 
         observed = error(0.1) / error(0.05)
         assert ratio * 0.8 < observed < ratio * 1.2
+
+
+def _rhs(theta, epsilon, m, k_over_n):
+    s, c = np.sin(theta), np.cos(theta)
+    # sum_j m_ij sin(theta_j - theta_i) = cos_i (M sin)_i - sin_i (M cos)_i
+    return epsilon + k_over_n * (c * (m @ s) - s * (m @ c))
+
+
+def _advance(theta, epsilon, m, k_over_n, dt, integrator):
+    """One step in the textbook form: the oracle `_stepper` must match to the bit."""
+    k1 = _rhs(theta, epsilon, m, k_over_n)
+    if np.abs(k1).max() * dt > np.pi:
+        raise NumericalError("integrator unstable")
+    if integrator == "euler":
+        return theta + dt * k1
+    k2 = _rhs(theta + 0.5 * dt * k1, epsilon, m, k_over_n)
+    k3 = _rhs(theta + 0.5 * dt * k2, epsilon, m, k_over_n)
+    k4 = _rhs(theta + dt * k3, epsilon, m, k_over_n)
+    return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def sync_product():
+    # the `sync` benchmark size: a contracted product of two 72-vertex bits
+    bit = qlbit_spec(36, 6, policy=CrossRegular(1))
+    return build_product(ProductSpec(qlbits=(bit, bit), mode="contracted"))
+
+
+def steps_until_unstable(advance, theta, limit):
+    """The index of the step that raises, or `limit` when none does."""
+    for i in range(limit):
+        try:
+            theta = advance(theta)
+        except NumericalError:
+            return i
+    return limit
+
+
+class TestStepper:
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @pytest.mark.parametrize("graph", [sync_product, phased_product, two_oscillators], ids=["sync-144", "phased", "n2"])
+    def test_matches_the_textbook_form_to_the_bit(self, graph, integrator):
+        g = graph()
+        rng = rng_from(5, "stepper", g.n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=g.n)
+        eps = rng.normal(0.0, 0.05, size=g.n)
+        eps -= eps.mean()
+        m, k_over_n, dt = coupling_matrix(g), 4.0 / g.n, 0.05
+        expected, got = theta.copy(), theta.copy()
+        advance = _stepper(eps, m, k_over_n, dt, integrator)
+        for _ in range(400):
+            expected = _advance(expected, eps, m, k_over_n, dt, integrator)
+            advance(got)
+        assert np.array_equal(got, expected)
+        assert not np.array_equal(got, theta)
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_raises_at_the_oracles_step(self, integrator):
+        # psi = theta_1 - theta_0 drifts (|eps| > K/2), so |theta_dot_0| =
+        # |3 + sin psi| swings between 2 and 4 and crosses pi / dt = 3.93
+        # only after some steps
+        m, eps, dt = coupling_matrix(two_oscillators()), np.array([3.0, -3.0]), 0.8
+        start = np.array([0.0, -np.pi / 2])
+        expected = steps_until_unstable(lambda t: _advance(t, eps, m, 1.0, dt, integrator), start, 100)
+        theta = start.copy()
+        advance = _stepper(eps, m, 1.0, dt, integrator)
+        # advance updates theta in place and returns None
+        got = steps_until_unstable(lambda t: advance(t) or t, theta, 100)
+        assert 0 < expected < 100
+        assert got == expected
+        # the raising step leaves theta as the last stable step made it
+        for _ in range(expected):
+            start = _advance(start, eps, m, 1.0, dt, integrator)
+        assert np.array_equal(theta, start)
