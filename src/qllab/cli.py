@@ -102,9 +102,13 @@ def _int(value, key) -> int:
 
 def _float(value, key) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        result = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    # JSON reads 1e309 as inf, and Python reads NaN and "inf" too
+    if not np.isfinite(result):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return result
 
 
 def _optional(convert, doc, key, path):

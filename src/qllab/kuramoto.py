@@ -18,9 +18,14 @@ no n x n density matrix.
 
 Both `run_sync_experiment` and `step` integrate through `_stepper`, which
 allocates its work arrays once per realization and updates theta in place.
-It makes the same float operations, in the same order, as the textbook
-right-hand side, so the phases are the same to the bit; at n = 144 an RK4
-step costs about 80 us against 102 us for the textbook form.
+Each right-hand side forms M sin and M cos as one (2, n) @ M product, and
+each RK4 step sums its four stages as one (4,) @ (4, n) product.  These
+round differently from the textbook form: the phases agree with it within
+1e-12 after 400 steps, and 4 of 5,280 `sync` benchmark ops printed one
+order parameter one unit off in its 12th significant digit.  At n = 144
+(one x86 core, one OpenBLAS thread) an RK4 step makes 34 numpy calls and
+takes about 0.8x the time of the 46-call two-GEMV form, which itself took
+0.78x the textbook form's.
 """
 
 from __future__ import annotations
@@ -57,11 +62,11 @@ class OscillatorState:
 def coupling_matrix(g: BiasedGraph) -> np.ndarray:
     """|a_ij| with zero diagonal; the real Kuramoto coupling weights.
 
-    The array starts on a 64-byte boundary, where the two matrix-vector
-    products of each right-hand side run fastest.  numpy's allocator puts
-    it 0, 16, 32 or 48 bytes past one, depending on what the process
-    allocated before; at n = 144 (one x86 core, one OpenBLAS thread) a
-    right-hand side took 13-15 us at 0 but up to 22 us at 32 or 48.
+    The array starts on a 64-byte boundary, where the matrix products of
+    each right-hand side run fastest.  numpy's allocator puts it 0, 16, 32
+    or 48 bytes past one, depending on what the process allocated before;
+    at n = 144 (one x86 core, one OpenBLAS thread) a right-hand side took
+    13-15 us at 0 but up to 22 us at 32 or 48.
     """
     a = g.adjacency()
     buf = np.empty(a.size * 8 + 64, dtype=np.uint8)
@@ -75,40 +80,45 @@ def coupling_matrix(g: BiasedGraph) -> np.ndarray:
 def _stepper(epsilon, m, k_over_n, dt, integrator):
     """Return `advance(theta)`, which moves the phases one step in place.
 
-    A right-hand side is eps + (K/N) (cos * (M sin) - sin * (M cos)), and
-    every step raises when |theta_dot| * dt > pi at its first stage.
-    Reused across steps: [sin, cos] of the phases, [M cos, M sin], the four
-    RK4 stages, one stage argument, [2 k2, 2 k3], the rows viewed out of
-    them, and the scalars.  Each float operation of the textbook form
-    (kept in `tests/test_kuramoto.py` as the oracle) is made once, on the
-    same operands and in the same order, into a buffer given as `out`:
-    M sin and M cos stay two GEMVs (one GEMM sums in another order), the
-    stacked multiplies are elementwise, and k1 + 2 k2 + 2 k3 + k4 is summed
-    left to right.  So theta is the same to the bit.  At n = 144 (one x86
-    core, one OpenBLAS thread) an RK4 step took about 80 us against 102 us
-    for the textbook form, whose time went mostly to allocating
-    temporaries, making views and converting scalars, not to arithmetic.
+    A right-hand side is eps + cos * (M' sin) - sin * (M' cos), with
+    M' = (K/N) M.  The stepper owns m and scales it in place, once, so M'
+    keeps `coupling_matrix`'s 64-byte alignment; a scaled copy cost a
+    second n x n array, whose pages were faulted in again on every `sync`
+    op.  The 6 calls of a right-hand side are sin and cos into the rows of
+    one (2, n) buffer sc, one GEMM sc @ M' = [M' sin; M' cos] (M is
+    symmetric), one multiply by the rows swapped, one subtract and one add
+    of eps.  RK4 sums its stages with one more product,
+    [dt/6, dt/3, dt/3, dt/6] @ k over the (4, n) stage buffer.  Every step
+    raises when |theta_dot| * dt > pi at its first stage, or when theta_dot
+    is not finite.  The buffers, their row views and the 0-d scalars are
+    made once per realization.
+
+    The merged sums round differently from the textbook form (kept in
+    `tests/test_kuramoto.py` as the oracle): after 400 steps the phases
+    agree with it within 1e-12 (measured below 5e-15).  At n = 144 (one
+    x86 core, one OpenBLAS thread) the (2, n) @ M' product took 3.2-4.2 us
+    against 6.3-6.7 us for two GEMVs, and an RK4 step, 34 numpy calls, took
+    0.79-0.81x the time of the 46-call two-GEMV form (median over 40
+    interleaved runs of 300 steps; about 35 against 44 us).
     """
     if integrator not in ("euler", "rk4"):
         raise QllabError(f"unknown integrator {integrator!r}")
-    sin, cos, dot, mul, add, sub = np.sin, np.cos, np.dot, np.multiply, np.add, np.subtract
+    sin, cos, matmul, mul, add, sub = np.sin, np.cos, np.matmul, np.multiply, np.add, np.subtract
     absolute, largest = np.absolute, np.maximum.reduce
     n = len(epsilon)
-    sc, msc, twice, k = np.empty((2, n)), np.empty((2, n)), np.empty((2, n)), np.empty((4, n))
-    (s, c), (m_cos, m_sin), (k1, k2, k3, k4), x = sc, msc, k, np.empty(n)
-    two_k2, two_k3 = twice
-    k23 = k[1:3]
+    mul(m, k_over_n, m)  # M' = (K/N) M
+    sc, msc, k, x = np.empty((2, n)), np.empty((2, n)), np.empty((4, n)), np.empty(n)
+    (s, c), cs, (cos_m_sin, sin_m_cos), (k1, k2, k3, k4) = sc, sc[::-1], msc, k
     # 0-d arrays: a ufunc takes them faster than Python floats, at the same value
-    k_over_n, h, half, sixth, two = map(np.array, (k_over_n, dt, 0.5 * dt, dt / 6.0, 2.0))
+    h, half = np.array(dt), np.array(0.5 * dt)
+    weights = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
 
     def rhs(theta, out):
         sin(theta, s)
         cos(theta, c)
-        dot(m, c, m_cos)
-        dot(m, s, m_sin)
-        mul(sc, msc, msc)  # rows: sin (M cos), cos (M sin)
-        sub(m_sin, m_cos, out)
-        mul(out, k_over_n, out)
+        matmul(sc, m, msc)  # rows: M' sin, M' cos
+        mul(msc, cs, msc)  # rows: cos (M' sin), sin (M' cos)
+        sub(cos_m_sin, sin_m_cos, out)
         add(out, epsilon, out)
 
     def stage(theta, step, k_in, k_out):
@@ -118,7 +128,8 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
 
     def advance(theta):
         rhs(theta, k1)
-        if largest(absolute(k1, x)) * dt > np.pi:
+        # written so that a NaN rate fails it too
+        if not largest(absolute(k1, x)) * dt <= np.pi:
             raise NumericalError(
                 "integrator unstable: |theta_dot| * dt exceeds pi; reduce dt"
             )
@@ -128,11 +139,7 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
             stage(theta, half, k1, k2)
             stage(theta, half, k2, k3)
             stage(theta, h, k3, k4)
-            mul(k23, two, twice)
-            add(k1, two_k2, x)
-            add(x, two_k3, x)
-            add(x, k4, x)
-            mul(x, sixth, x)
+            matmul(weights, k, x)
         add(theta, x, theta)
 
     return advance

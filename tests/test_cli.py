@@ -172,6 +172,14 @@ REJECTED = [
         "params.disorder_sigma",
     ),
     ("unknown-graph-kind", _with("spectrum", {"graph": {"kind": "star", "n": 5}}, "bins", 4), "params.graph.kind"),
+    # numbers that are not finite: json.dumps writes inf as Infinity, which
+    # json.load reads back as the literal 1e309 is read
+    ("sigma-eps-inf", _with("kuramoto", KURAMOTO, "sigma_eps", float("inf")), "params.sigma_eps"),
+    ("sigma-eps-nan", _with("kuramoto", KURAMOTO, "sigma_eps", float("nan")), "params.sigma_eps"),
+    ("K-nan", _with("kuramoto", KURAMOTO, "K", float("nan")), "params.K"),
+    ("dt-inf-string", _with("kuramoto", KURAMOTO, "dt", "inf"), "params.dt"),
+    ("K-beyond-float", _with("kuramoto", KURAMOTO, "K", 10**400), "params.K"),
+    ("init-width-nan-string", _with("kuramoto", KURAMOTO, "init_width", "NaN"), "params.init_width"),
     (
         "unknown-product-mode",
         _with("product", {"product": {**WITNESS_PRODUCT, "mode": "half"}}, "verify", False),
@@ -607,6 +615,10 @@ def test_disorder_sweep_body_is_golden(tmp_path):
 
 CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}, {"n": 8, "d": 3}]
 
+# The `sync` benchmark's config: 278 RK4 steps of a 144-vertex product.
+SYNC_BIT = {"n": 36, "d": 6, "policy": {"kind": "cross_regular", "degree": 1}}
+KURAMOTO_SYNC = {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted"}, "K": 4.0, "t_end": 10.0, "record_every": 25}
+
 # (config, artifacts, SHA-256 of their bodies at seed 7); these paths must not
 # move.  `cheeger` was recorded before full products were solved from their
 # factors, `spectrum`, `kuramoto` and `witness` before the Kuramoto records
@@ -623,7 +635,10 @@ CONTRACTED_BITS = [{"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree"
 # and quotient paths shared one emergent-state rule.  `qlbit` was recorded
 # again when its dense path read one eigenpair and the quotient path's
 # phase: realization 0's alpha and beta flipped sign with unchanged digits,
-# and the summary means moved by at most 2.7e-15.
+# and the summary means moved by at most 2.7e-15.  `kuramoto-sync` was
+# recorded before each Kuramoto right-hand side became one GEMM, which
+# rounds differently from two GEMVs; at seed 7 its printed records did not
+# move.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
@@ -660,6 +675,11 @@ GOLDEN = {
         ["kuramoto.csv"],
         "6876e59af0440a4368b10293f3dbb05b580f426d4db8039352cd55c53d141b31",
     ),
+    "kuramoto-sync": (
+        {"experiment": "kuramoto", "params": KURAMOTO_SYNC},
+        ["kuramoto.csv"],
+        "b62dbdcf3d9d7a2ee550fb491912e77ce7a475912f9c56a21a5d5c223989d8bc",
+    ),
     "witness": (
         {"experiment": "witness", "params": {**WITNESS, "trials": 2}},
         ["witness.csv", "witness_summary.json"],
@@ -688,22 +708,38 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
+def run_child(tmp_path, name, doc):
+    """Run `qllab` on doc in a fresh interpreter, out to tmp_path / name;
+    return the child's own resource usage, not the largest of every child
+    this process ran."""
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qllab.cli", f"{name}.json", "--out", name],
+        cwd=tmp_path,
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage
+
+
 def test_kuramoto_records_at_n_1000_stay_under_200_mb(tmp_path):
     # 41 records of a 1000-vertex product: the purity is read off each
     # record's Gram matrix, with no n x n density matrix per record (41 of
     # them would take 656 MB)
     bit = {"n": 250, "d": 6, "policy": {"kind": "cross_regular", "degree": 1}}
     params = {"product": {"mode": "contracted", "qlbits": [bit, bit]}, "K": 4, "t_end": 10, "record_every": 1}
-    (tmp_path / "k1000.json").write_text(json.dumps({"experiment": "kuramoto", "params": params}))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "qllab.cli", "k1000.json", "--out", "k1000"],
-        cwd=tmp_path,
-        stdout=subprocess.DEVNULL,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
-    )
-    # the child's own peak, not the largest of every child this process ran
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
+    usage = run_child(tmp_path, "k1000", {"experiment": "kuramoto", "params": params})
     assert usage.ru_maxrss / 1024 < 200
     assert len(read_rows(tmp_path / "k1000" / "kuramoto.csv")) == 41
+
+
+def test_disorder_sweep_at_n_4096_reads_a_top_of_exactly_6(tmp_path):
+    # top_pair runs off the edge arrays, with no n x n array (one would
+    # take 134 MB); a 6-regular graph's top is exactly 6
+    params = {"n": 4096, "d": 6, "retentions": [1.0, 0.7], "realizations": 2}
+    run_child(tmp_path, "big", {"experiment": "disorder-sweep", "params": params})
+    top = read_rows(tmp_path / "big" / "disorder_sweep.csv")[0]
+    assert float(top["retention"]) == 1.0
+    assert float(top["mean_top_eigenvalue"]) == 6.0

@@ -198,7 +198,7 @@ def _rhs(theta, epsilon, m, k_over_n):
 
 
 def _advance(theta, epsilon, m, k_over_n, dt, integrator):
-    """One step in the textbook form: the oracle `_stepper` must match to the bit."""
+    """One step in the textbook form: the oracle `_stepper` must match within `ORACLE_TOL`."""
     k1 = _rhs(theta, epsilon, m, k_over_n)
     if np.abs(k1).max() * dt > np.pi:
         raise NumericalError("integrator unstable")
@@ -208,6 +208,12 @@ def _advance(theta, epsilon, m, k_over_n, dt, integrator):
     k3 = _rhs(theta + 0.5 * dt * k2, epsilon, m, k_over_n)
     k4 = _rhs(theta + dt * k3, epsilon, m, k_over_n)
     return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# |delta theta| allowed after 400 steps: `_stepper` sums M sin and M cos in
+# one GEMM and the RK4 stages in one product, which round differently from
+# the oracle's two GEMVs and left-to-right sum (measured below 5e-15)
+ORACLE_TOL = 1e-12
 
 
 def sync_product():
@@ -229,7 +235,7 @@ def steps_until_unstable(advance, theta, limit):
 class TestStepper:
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
     @pytest.mark.parametrize("graph", [sync_product, phased_product, two_oscillators], ids=["sync-144", "phased", "n2"])
-    def test_matches_the_textbook_form_to_the_bit(self, graph, integrator):
+    def test_matches_the_textbook_form_within_1e_12(self, graph, integrator):
         g = graph()
         rng = rng_from(5, "stepper", g.n)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=g.n)
@@ -237,11 +243,12 @@ class TestStepper:
         eps -= eps.mean()
         m, k_over_n, dt = coupling_matrix(g), 4.0 / g.n, 0.05
         expected, got = theta.copy(), theta.copy()
-        advance = _stepper(eps, m, k_over_n, dt, integrator)
+        # the stepper scales its own matrix in place
+        advance = _stepper(eps, coupling_matrix(g), k_over_n, dt, integrator)
         for _ in range(400):
             expected = _advance(expected, eps, m, k_over_n, dt, integrator)
             advance(got)
-        assert np.array_equal(got, expected)
+        assert np.abs(got - expected).max() <= ORACLE_TOL
         assert not np.array_equal(got, theta)
 
     @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -253,7 +260,7 @@ class TestStepper:
         start = np.array([0.0, -np.pi / 2])
         expected = steps_until_unstable(lambda t: _advance(t, eps, m, 1.0, dt, integrator), start, 100)
         theta = start.copy()
-        advance = _stepper(eps, m, 1.0, dt, integrator)
+        advance = _stepper(eps, coupling_matrix(two_oscillators()), 1.0, dt, integrator)
         # advance updates theta in place and returns None
         got = steps_until_unstable(lambda t: advance(t) or t, theta, 100)
         assert 0 < expected < 100
@@ -261,4 +268,19 @@ class TestStepper:
         # the raising step leaves theta as the last stable step made it
         for _ in range(expected):
             start = _advance(start, eps, m, 1.0, dt, integrator)
-        assert np.array_equal(theta, start)
+        assert np.abs(theta - start).max() <= ORACLE_TOL
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_nan_phase_raises(self, integrator):
+        # nan * dt > pi is False: the gate must fail a rate that is not finite
+        m = coupling_matrix(two_oscillators())
+        advance = _stepper(np.zeros(2), m, 1.0, 0.01, integrator)
+        with pytest.raises(NumericalError):
+            advance(np.array([np.nan, 0.0]))
+
+    def test_infinite_disorder_raises(self):
+        # a library-built config skips the CLI's finiteness check; infinite
+        # frequency offsets are NaN once their mean (inf - inf) is removed
+        cfg = SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=0.1, sigma_eps=np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            run_sync_experiment(cfg)
