@@ -1,10 +1,15 @@
 """Experiment runner: named commands over JSON configs.
 
-Each run validates its config (unknown keys are rejected with the offending
-key path), writes CSV/JSON artifacts into the output directory, and drops a
-manifest.json recording the resolved config, tool version, and seed so the
-run can be reproduced byte for byte (modulo the timestamp comment line in
-CSV headers).
+Each run validates its config, writes CSV/JSON artifacts into the output
+directory, and drops a manifest.json recording the resolved config, tool
+version, and seed so the run can be reproduced byte for byte (modulo the
+timestamp comment line in CSV headers).
+
+One table per config object, each key named once: `_read` takes the table
+{key: (reader, default)}, rejects unknown and missing keys with their key
+path and returns each value through its reader.  `_spec` is the one place
+where a library error, whose message starts with the field at fault,
+becomes a ConfigError at that key path.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
@@ -63,31 +68,41 @@ from .spectral import _fixed_phase, extreme_state, quotient, quotient_states
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
-EXPERIMENTS = (
-    "spectrum",
-    "disorder-sweep",
-    "kuramoto",
-    "qlbit",
-    "product",
-    "witness",
-    "cheeger",
-)
-
 
 # ----------------------------------------------------------------------
 # Config parsing
 # ----------------------------------------------------------------------
 
+REQUIRED = object()  # the default of a key the config must set
 
-def _check_keys(doc, allowed, required, path):
+
+def _read(doc, keys, path="params."):
+    """doc's values for the table keys {key: (reader, default)}, in table
+    order: reader(value, key path) for a present key, the default as it
+    stands for an absent one."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'} must be an object")
     for key in doc:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"unknown key {path}{key}")
-    for key in required:
-        if key not in doc:
+    for key, (_, default) in keys.items():
+        if default is REQUIRED and key not in doc:
             raise ConfigError(f"missing key {path}{key}")
+    return [read(doc[key], path + key) if key in doc else default for key, (read, default) in keys.items()]
+
+
+def _spec(make, path, *args, **fields):
+    """make(*args, **fields), whose QllabError messages start with the field
+    at fault, with such an error raised as a ConfigError at path."""
+    try:
+        return make(*args, **fields)
+    except QllabError as exc:
+        raise ConfigError(f"{path}{exc}") from None
+
+
+def _as_is(value, key):
+    """The value itself, for a consumer that checks it."""
+    return value
 
 
 def _int(value, key) -> int:
@@ -111,30 +126,63 @@ def _float(value, key) -> float:
     return result
 
 
-def _optional(convert, doc, key, path):
-    """doc[key] through convert (_int or _float), or None when absent or null."""
-    value = doc.get(key)
-    return None if value is None else convert(value, path + key)
+def _bool(value, key) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, key) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list")
+    return value
+
+
+def _optional(read):
+    """The reader read, with null read as None."""
+    return lambda value, key: None if value is None else read(value, key)
+
+
+def _at_least(read, low):
+    """The reader read, with values below low rejected."""
+
+    def read_at_least(value, key):
+        value = read(value, key)
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}")
+        return value
+
+    return read_at_least
+
+
+_count = _at_least(_int, 1)  # such as a trial count
+_nonnegative = _at_least(_float, 0)  # such as a coupling strength
+
+
+def _nested(parse, seed):
+    """The reader of an object that parse(doc, path, seed) reads."""
+    return lambda doc, key: parse(doc, key + ".", seed)
 
 
 def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
-    _check_keys(doc, {"kind", "n", "d", "seed", "base"}, {"kind"}, path)
-    base = None
-    if doc["kind"] == "two_lift":
-        if "base" not in doc:
-            raise ConfigError(f"missing key {path}base")
-        base = parse_graph_spec(doc["base"], path + "base.", default_seed)
-    fields = dict(
-        kind=doc["kind"],
-        n=_int(doc.get("n", 0), f"{path}n"),
-        d=_optional(_int, doc, "d", path),
-        seed=_int(doc.get("seed", default_seed), f"{path}seed"),
-        base=base,
+    kind, n, d, seed, base = _read(
+        doc,
+        {
+            "kind": (_as_is, REQUIRED),
+            "n": (_int, 0),
+            "d": (_optional(_int), None),
+            "seed": (_int, default_seed),
+            "base": (_as_is, None),
+        },
+        path,
     )
-    try:
-        return GraphGenSpec(**fields)
-    except QllabError as exc:  # the message starts with the field name
-        raise ConfigError(f"{path}{exc}") from None
+    if kind != "two_lift":
+        base = None  # only a two_lift reads its base
+    elif base is None:
+        raise ConfigError(f"missing key {path}base")
+    else:
+        base = parse_graph_spec(base, path + "base.", default_seed)
+    return _spec(GraphGenSpec, path, kind, n, d, seed, base)
 
 
 _POLICIES = {
@@ -145,63 +193,56 @@ _POLICIES = {
 
 
 def parse_policy(doc, path):
-    _check_keys(doc, {"kind", "p", "fraction", "degree"}, {"kind"}, path)
-    if doc["kind"] not in _POLICIES:
-        raise ConfigError(f"unknown policy kind at {path}kind: {doc['kind']!r}")
-    policy, key, convert = _POLICIES[doc["kind"]]
+    # each kind reads its own key; the others' keys are let through unread
+    keys = {"kind": (_as_is, REQUIRED), **{key: (_as_is, None) for _, key, _ in _POLICIES.values()}}
+    kind = _read(doc, keys, path)[0]
+    if not isinstance(kind, str) or kind not in _POLICIES:
+        raise ConfigError(f"unknown policy kind at {path}kind: {kind!r}")
+    policy, key, read = _POLICIES[kind]
     if key not in doc:
         raise ConfigError(f"missing key {path}{key}")
-    value = convert(doc[key], path + key)
-    try:
-        return policy(value)
-    except QllabError as exc:  # the message starts with the field name
-        raise ConfigError(f"{path}{exc}") from None
+    return _spec(policy, path, read(doc[key], path + key))
+
+
+# The keys of one QL bit, in the order `qlbit_spec` takes them; a product's
+# bit adds its seed, and the `qlbit` experiment its own keys.
+_QLBIT_KEYS = {
+    "n": (_int, REQUIRED),
+    "d": (_int, REQUIRED),
+    "policy": (lambda doc, key: parse_policy(doc, key + "."), None),
+    "connect_bias": (lambda token, key: _spec(bias_from_token, f"{key}: ", token), 1 + 0j),
+    "red_bias": (_float, 1.0),
+    "blue_bias": (_float, 1.0),
+}
 
 
 def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
-    _check_keys(
-        doc,
-        {"n", "d", "policy", "connect_bias", "red_bias", "blue_bias", "seed"},
-        {"n", "d"},
-        path,
-    )
-    policy = None
-    if "policy" in doc:
-        policy = parse_policy(doc["policy"], path + "policy.")
-    n, d = _int(doc["n"], f"{path}n"), _int(doc["d"], f"{path}d")
-    red_bias = _float(doc.get("red_bias", 1.0), f"{path}red_bias")
-    blue_bias = _float(doc.get("blue_bias", 1.0), f"{path}blue_bias")
-    seed = _int(doc.get("seed", default_seed), f"{path}seed")
-    try:
-        connect_bias = bias_from_token(doc.get("connect_bias", "+1"))
-    except QllabError as exc:
-        raise ConfigError(f"{path}connect_bias: {exc}") from None
-    try:
-        return qlbit_spec(n, d, policy, connect_bias, red_bias, blue_bias, seed)
-    except QllabError as exc:  # the message starts with the field name
-        raise ConfigError(f"{path}{exc}") from None
+    return _spec(qlbit_spec, path, *_read(doc, {**_QLBIT_KEYS, "seed": (_int, default_seed)}, path))
 
 
 def parse_product(doc, path, default_seed=0) -> ProductSpec:
-    _check_keys(doc, {"qlbits", "mode", "n", "d", "seed"}, {"qlbits"}, path)
-    bits = doc["qlbits"]
+    bits, mode, n, d, seed = _read(
+        doc,
+        {
+            "qlbits": (_as_is, REQUIRED),
+            "mode": (_as_is, "contracted"),
+            "n": (_optional(_int), None),
+            "d": (_optional(_int), None),
+            "seed": (_int, default_seed),
+        },
+        path,
+    )
     if not isinstance(bits, list) or not bits:
         raise ConfigError(f"{path}qlbits must be a nonempty list")
-    specs = [
-        parse_qlbit(b, f"{path}qlbits[{i}].", derive_seed(default_seed, "bit", i))
-        for i, b in enumerate(bits)
-    ]
-    fields = dict(
-        qlbits=tuple(specs),
-        mode=doc.get("mode", "contracted"),
-        n=_optional(_int, doc, "n", path),
-        d=_optional(_int, doc, "d", path),
-        seed=_int(doc.get("seed", default_seed), f"{path}seed"),
+    specs = tuple(
+        parse_qlbit(b, f"{path}qlbits[{i}].", derive_seed(default_seed, "bit", i)) for i, b in enumerate(bits)
     )
-    try:
-        return ProductSpec(**fields)
-    except QllabError as exc:  # the message starts with the field name
-        raise ConfigError(f"{path}{exc}") from None
+    return _spec(ProductSpec, path, specs, mode, n, d, seed)
+
+
+def _table_row(doc, key) -> BiasTopology:
+    _read(doc, dict.fromkeys(("red", "blue", "conn"), (_as_is, REQUIRED)), key + ".")
+    return _spec(BiasTopology.from_config, f"{key}: ", doc)
 
 
 def load_config(path) -> dict:
@@ -212,33 +253,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    _check_keys(doc, {"experiment", "seed", "out", "params"}, {"experiment"}, "")
-    if doc["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown key experiment: {doc['experiment']!r}")
+    # `run` reads out and params, and `_resolve_seed` the seed
+    keys = {"experiment": (_as_is, REQUIRED), **dict.fromkeys(("seed", "out", "params"), (_as_is, None))}
+    experiment = _read(doc, keys, "")[0]
+    if not isinstance(experiment, str) or experiment not in _RUNNERS:
+        raise ConfigError(f"unknown key experiment: {experiment!r}")
     doc.setdefault("params", {})
     return doc
-
-
-def _count(params, key, default, low=1) -> int:
-    """An integer parameter >= low, such as a trial count."""
-    value = _int(params.get(key, default), f"params.{key}")
-    if value < low:
-        raise ConfigError(f"params.{key} must be >= {low}")
-    return value
-
-
-def _list(params, key) -> list:
-    if not isinstance(params[key], list):
-        raise ConfigError(f"params.{key} must be a list")
-    return params[key]
-
-
-def _nonnegative(params, key, default) -> float:
-    """A number parameter >= 0, such as a coupling strength."""
-    value = _float(params.get(key, default), f"params.{key}")
-    if value < 0:
-        raise ConfigError(f"params.{key} must be >= 0")
-    return value
 
 
 def _resolve_seed(args, doc) -> int:
@@ -258,17 +279,16 @@ def _resolve_seed(args, doc) -> int:
 
 
 def cmd_spectrum(params, seed, out):
-    _check_keys(
+    base, depth, sigma, realizations, bins = _read(
         params,
-        {"graph", "product_depth", "disorder_sigma", "realizations", "bins"},
-        {"graph"},
-        "params.",
+        {
+            "graph": (_nested(parse_graph_spec, seed), REQUIRED),
+            "product_depth": (_count, 1),
+            "disorder_sigma": (_nonnegative, 0.0),
+            "realizations": (_count, 1),
+            "bins": (_count, 60),
+        },
     )
-    base = parse_graph_spec(params["graph"], "params.graph.", seed)
-    depth = _count(params, "product_depth", 1)
-    sigma = _nonnegative(params, "disorder_sigma", 0.0)
-    realizations = _count(params, "realizations", 1)
-    bins = _count(params, "bins", 60)
 
     def make(i):
         spec = replace(base, seed=derive_seed(seed, "real", i)) if realizations > 1 else base
@@ -299,19 +319,19 @@ def cmd_spectrum(params, seed, out):
 
 
 def cmd_disorder_sweep(params, seed, out):
-    _check_keys(
-        params, {"n", "d", "retentions", "realizations"}, {"n", "d", "retentions"}, "params."
+    n, d, retentions, realizations = _read(
+        params,
+        {"n": (_int, REQUIRED), "d": (_int, REQUIRED), "retentions": (_list, REQUIRED), "realizations": (_count, 20)},
     )
-    graph = parse_graph_spec({"kind": "d_regular_random", "n": params["n"], "d": params["d"]}, "params.")
-    retentions = [_float(r, f"params.retentions[{i}]") for i, r in enumerate(_list(params, "retentions"))]
+    _spec(GraphGenSpec, "params.", "d_regular_random", n, d)
+    retentions = [_float(r, f"params.retentions[{i}]") for i, r in enumerate(retentions)]
     if not all(0.0 <= retention <= 1.0 for retention in retentions):
         raise ConfigError("params.retentions entries must lie in [0, 1]")
-    realizations = _count(params, "realizations", 20)
     rows = []
     for retention in retentions:
 
         def one(i, retention=retention):
-            g = gen_d_regular_random(graph.n, graph.d, derive_seed(seed, "g", retention, i))
+            g = gen_d_regular_random(n, d, derive_seed(seed, "g", retention, i))
             g = delete_random_edges(
                 g, 1.0 - retention, derive_seed(seed, "del", retention, i)
             )
@@ -330,54 +350,32 @@ def cmd_disorder_sweep(params, seed, out):
 
 
 def cmd_qlbit(params, seed, out):
-    _check_keys(
+    n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
         {
-            "n",
-            "d",
-            "policy",
-            "connect_bias",
-            "red_bias",
-            "blue_bias",
-            "realizations",
-            "table_row",
-            "cross_degree",
+            **_QLBIT_KEYS,
+            "realizations": (_count, 1),
+            "table_row": (_optional(_table_row), None),
+            "cross_degree": (_int, 1),
         },
-        {"n", "d"},
-        "params.",
     )
-    n, d = _int(params["n"], "params.n"), _int(params["d"], "params.d")
-    realizations = _count(params, "realizations", 1)
-    table_row = params.get("table_row")
     # A table row sets every bias and the cross edges itself; a bit without
     # one is built from its policy and biases and has no cross degree.
     if table_row is None:
+        bit = _spec(qlbit_spec, "params.", n, d, *bit)
         ignored, context = ("cross_degree",), "without"
     else:
+        _spec(regular_qlbit_spec, "params.", n, d, cross_degree)
         ignored, context = ("policy", "connect_bias", "red_bias", "blue_bias"), "with"
     for key in ignored:
         if key in params:
             raise ConfigError(f"params.{key} has no effect {context} params.table_row")
-    if table_row is not None:
-        _check_keys(table_row, {"red", "blue", "conn"}, {"red", "blue", "conn"}, "params.table_row.")
-        try:
-            topology = BiasTopology.from_config(table_row)
-        except QllabError as exc:
-            raise ConfigError(f"params.table_row: {exc}") from None
-        cross_degree = _int(params.get("cross_degree", 1), "params.cross_degree")
-        try:
-            regular_qlbit_spec(n, d, cross_degree)
-        except QllabError as exc:  # the message starts with the field name
-            raise ConfigError(f"params.{exc}") from None
-    else:
-        keys = {key: params[key] for key in params if key not in ("realizations", "table_row")}
-        bit = parse_qlbit(keys, "params.")
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
         if table_row is not None:
             g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
-            g = apply_bias_topology(g, topology)
+            g = apply_bias_topology(g, table_row)
         else:
             g = build_qlbit(reseeded(bit, bit_seed))
         quo = quotient(g)
@@ -415,12 +413,15 @@ def cmd_qlbit(params, seed, out):
 
 
 def cmd_product(params, seed, out):
-    _check_keys(params, {"product", "verify", "emergent_states"}, {"product"}, "params.")
-    verify = params.get("verify", False)
-    if not isinstance(verify, bool):
-        raise ConfigError(f"params.verify must be true or false, got {verify!r}")
-    spec = parse_product(params["product"], "params.product.", seed)
-    n_top = _count(params, "emergent_states", 1 << spec.q, low=0)
+    spec, verify, n_top = _read(
+        params,
+        {
+            "product": (_nested(parse_product, seed), REQUIRED),
+            "verify": (_bool, False),
+            "emergent_states": (_at_least(_int, 0), None),
+        },
+    )
+    n_top = 1 << spec.q if n_top is None else n_top
     ql = None  # the QL states of an equitable contracted product
     if spec.mode == "full":  # checked as it is solved
         g, spectrum = verify_spectrum_composition(*full_product_factors(spec), columns=n_top)
@@ -458,25 +459,25 @@ def cmd_product(params, seed, out):
 
 
 def cmd_witness(params, seed, out):
-    _check_keys(
+    product, bit_index, strength, density, preparation, trials = _read(
         params,
-        {"product", "bit_index", "strength", "density", "preparation", "trials"},
-        {"product", "bit_index", "strength"},
-        "params.",
+        {
+            "product": (_as_is, REQUIRED),  # read per trial, at the trial's seed
+            "bit_index": (_int, REQUIRED),
+            "strength": (_nonnegative, REQUIRED),
+            "density": (_nonnegative, 0.1),
+            "preparation": (_as_is, "plus"),
+            "trials": (_count, 1),
+        },
     )
-    preparation = params.get("preparation", "plus")
     if preparation not in ("plus", "minus"):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
-    trials = _count(params, "trials", 1)
-    bit_index = _int(params["bit_index"], "params.bit_index")
-    strength = _nonnegative(params, "strength", None)
-    density = _nonnegative(params, "density", 0.1)
     expected = "same" if preparation == "plus" else "inverted"
     rows = []
     agree = 0
     for t in range(trials):
         trial_seed = derive_seed(seed, "trial", t)
-        spec = parse_product(params["product"], "params.product.", trial_seed)
+        spec = parse_product(product, "params.product.", trial_seed)
         if not 0 <= bit_index < spec.q:
             raise ConfigError("params.bit_index out of range")
         bias = 1.0 if preparation == "plus" else -1.0
@@ -500,41 +501,23 @@ def cmd_witness(params, seed, out):
 
 
 def cmd_kuramoto(params, seed, out):
-    _check_keys(
+    *fields, record_every = _read(
         params,
         {
-            "product",
-            "K",
-            "t_end",
-            "dt",
-            "integrator",
-            "init",
-            "init_width",
-            "sigma_eps",
-            "realizations",
-            "record_every",
+            "product": (_nested(parse_product, seed), REQUIRED),
+            "K": (_float, REQUIRED),
+            "t_end": (_float, REQUIRED),
+            "dt": (_optional(_float), None),
+            "integrator": (_as_is, "rk4"),
+            "init": (_as_is, "uniform_phases"),
+            "init_width": (_float, 2.0 * np.pi),
+            "sigma_eps": (_optional(_float), None),
+            "realizations": (_count, 1),
+            "record_every": (_count, 10),
         },
-        {"product", "K", "t_end"},
-        "params.",
     )
-    fields = dict(
-        graph=parse_product(params["product"], "params.product.", seed),
-        K=_float(params["K"], "params.K"),
-        t_end=_float(params["t_end"], "params.t_end"),
-        dt=_optional(_float, params, "dt", "params."),
-        integrator=params.get("integrator", "rk4"),
-        init=params.get("init", "uniform_phases"),
-        init_width=_float(params.get("init_width", 2.0 * np.pi), "params.init_width"),
-        sigma_eps=_optional(_float, params, "sigma_eps", "params."),
-        realizations=_count(params, "realizations", 1),
-        seed=seed,
-        record_every=_count(params, "record_every", 10),
-    )
-    try:
-        cfg = SyncRunConfig(**fields)
-    except QllabError as exc:  # the message starts with the field name
-        raise ConfigError(f"params.{exc}") from None
-    result = run_sync_experiment(cfg)
+    # the table holds SyncRunConfig's fields in order, the seed left out
+    result = run_sync_experiment(_spec(SyncRunConfig, "params.", *fields, seed, record_every))
     write_csv(
         os.path.join(out, "kuramoto.csv"),
         ["t", "order_parameter", "purity", "eigenvalue_top"],
@@ -559,16 +542,13 @@ def _cheeger_spec(doc, path, seed) -> GraphGenSpec:
 
 
 def cmd_cheeger(params, seed, out):
-    _check_keys(params, {"graph", "family"}, set(), "params.")
-    if ("graph" in params) == ("family" in params):
+    # neither reader gives None, so None marks an absent key
+    graph, family = _read(params, {"graph": (_nested(_cheeger_spec, seed), None), "family": (_list, None)})
+    if (graph is None) == (family is None):
         raise ConfigError("params must contain exactly one of 'graph' or 'family'")
-    if "graph" in params:
-        specs = [_cheeger_spec(params["graph"], "params.graph.", seed)]
-    else:
-        specs = [
-            _cheeger_spec(doc, f"params.family[{i}].", derive_seed(seed, i))
-            for i, doc in enumerate(_list(params, "family"))
-        ]
+    specs = [graph] if family is None else [
+        _cheeger_spec(doc, f"params.family[{i}].", derive_seed(seed, i)) for i, doc in enumerate(family)
+    ]
     rows = [(r.n, r.h, r.lower, r.upper, r.is_exact) for r in expansion_profile(specs)]
     write_csv(
         os.path.join(out, "cheeger.csv"),

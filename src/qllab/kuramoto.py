@@ -199,6 +199,10 @@ class SyncRunConfig:
     def __post_init__(self):
         # Each message starts with the field it names, so the CLI can
         # prefix the config path.
+        for name in ("K", "t_end", "dt"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise QllabError(f"{name} must be finite, got {value!r}")
         if self.K < 0:
             raise QllabError("K must be nonnegative")
         if self.dt is not None and self.dt <= 0:

@@ -368,20 +368,16 @@ class Quotient:
 
 
 def quotient(g: BiasedGraph) -> Quotient:
-    """The block quotient of g, read off its edge arrays in O(m).
+    """The block quotient of g, read off its edge arrays in O(m k).
 
-    Each vertex's weighted neighbour sums into every block come from one
-    np.add.at over the edges and one over their mirrors, plus the diagonal;
-    no matrix is formed.
+    Each vertex's weighted neighbour sums into every block are A applied to
+    the n x k block indicators, through `g.operator()`; no n x n matrix is
+    formed.
     """
     if g.blocks is None:
         raise MissingLabelsError("graph has no block labels")
     k = len(g.blocks)
-    u, v = g.edges.T
-    sums = np.zeros((g.n, k), dtype=complex)
-    np.add.at(sums, (u, g.block_of[v]), g.bias)
-    np.add.at(sums, (v, g.block_of[u]), g.bias.conj())
-    sums[np.arange(g.n), g.block_of] += g.diagonal
+    sums = g.operator()((g.block_of[:, None] == np.arange(k)).astype(float)).astype(complex, copy=False)
     sizes = np.bincount(g.block_of, minlength=k)
     mean = np.zeros((k, k), dtype=complex)
     np.add.at(mean, g.block_of, sums)

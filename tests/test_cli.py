@@ -200,6 +200,11 @@ REJECTED = [
     ("row-with-red-bias", _with("qlbit", QLBIT_ROW, "red_bias", -1), "params.red_bias"),
     ("row-with-blue-bias", _with("qlbit", QLBIT_ROW, "blue_bias", -1), "params.blue_bias"),
     ("cross-degree-without-row", _with("qlbit", QLBIT["params"], "cross_degree", 2), "params.cross_degree"),
+    # a product's bit takes a seed, the `qlbit` experiment does not
+    ("qlbit-seed", _with("qlbit", QLBIT["params"], "seed", 4), "unknown key params.seed"),
+    # names that are not strings, looked up in a dict
+    ("policy-kind-not-a-name", _with("qlbit", QLBIT["params"], "policy", {"kind": ["budget"]}), "params.policy.kind"),
+    ("experiment-not-a-name", {"experiment": ["qlbit"], "params": QLBIT["params"]}, "experiment"),
     # sizes no graph can have, checked when the config is read
     ("row-cross-degree-at-d", _with("qlbit", QLBIT_ROW, "cross_degree", 3), "params.cross_degree"),
     ("qlbit-d-at-n", _with("qlbit", QLBIT["params"], "d", 10), "params.d"),
@@ -709,17 +714,18 @@ def test_cli_import_loads_no_scipy():
 
 
 def run_child(tmp_path, name, doc):
-    """Run `qllab` on doc in a fresh interpreter, out to tmp_path / name;
-    return the child's own resource usage, not the largest of every child
-    this process ran."""
+    """Run `qllab` on doc in a fresh interpreter, out to tmp_path / name and
+    its stdout to tmp_path / name.log; return the child's own resource
+    usage, not the largest of every child this process ran."""
     (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "qllab.cli", f"{name}.json", "--out", name],
-        cwd=tmp_path,
-        stdout=subprocess.DEVNULL,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
-    )
-    _, status, usage = os.wait4(child.pid, 0)
+    with open(tmp_path / f"{name}.log", "w") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qllab.cli", f"{name}.json", "--out", name],
+            cwd=tmp_path,
+            stdout=log,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
+        )
+        _, status, usage = os.wait4(child.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     return usage
 
@@ -743,3 +749,21 @@ def test_disorder_sweep_at_n_4096_reads_a_top_of_exactly_6(tmp_path):
     top = read_rows(tmp_path / "big" / "disorder_sweep.csv")[0]
     assert float(top["retention"]) == 1.0
     assert float(top["mean_top_eigenvalue"]) == 6.0
+
+
+def test_full_product_at_n_13824_is_proved_off_its_factors(tmp_path):
+    # three 24-vertex bits: N = 13,824, proved off the factors with no N x N
+    # array (one would take 1.5 GB)
+    bits = [{"n": 12, "d": 4}] * 3
+    run_child(tmp_path, "full3", {"experiment": "product", "params": {"product": {"mode": "full", "qlbits": bits}, "verify": True}})
+    assert "spectrum composition OK" in (tmp_path / "full3.log").read_text()
+    assert len(read_rows(tmp_path / "full3" / "product_spectrum.csv")) == 13824
+
+
+def test_dense_path_bit_at_n_2000_stays_under_150_mb(tmp_path):
+    # a budget bit of two 1000-vertex blocks is not equitable, so qlbit reads
+    # its emergent eigenpair off the whole graph: the values from eigvalsh,
+    # the one vector from top_pair, and no eigenvector matrix
+    usage = run_child(tmp_path, "bit2000", {"experiment": "qlbit", "params": {"n": 1000, "d": 6, "realizations": 1}})
+    assert usage.ru_maxrss / 1024 < 150
+    assert len(read_rows(tmp_path / "bit2000" / "qlbit.csv")) == 1

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qllab.errors import NumericalError
+from qllab.errors import NumericalError, QllabError
 from qllab.graph import BiasedGraph, gen_complete, rng_from
 from qllab.kuramoto import (
     OscillatorState,
@@ -284,3 +284,16 @@ class TestStepper:
         cfg = SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=0.1, sigma_eps=np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             run_sync_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("K", np.nan), ("K", np.inf), ("t_end", np.inf), ("t_end", np.nan), ("dt", np.nan), ("dt", np.inf)],
+)
+def test_non_finite_run_numbers_are_rejected_by_field(field, value):
+    # a library-built config skips the CLI's finiteness check; unchecked,
+    # these reach int(round(t_end / dt)) in run_sync_experiment as a bare
+    # ValueError, OverflowError or ZeroDivisionError.  The message starts
+    # with the field, so the CLI can prefix the config path
+    with pytest.raises(QllabError, match=f"^{field} must be finite"):
+        SyncRunConfig(graph=two_bit_spec(), **{"K": 1.0, "t_end": 0.1, field: value})
