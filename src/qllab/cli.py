@@ -1,9 +1,12 @@
 """Experiment runner: named commands over JSON configs.
 
-Each run validates its config, writes CSV/JSON artifacts into the output
-directory, and drops a manifest.json recording the resolved config, tool
-version, and seed so the run can be reproduced byte for byte (modulo the
-timestamp comment line in CSV headers).
+Each experiment is a function (params, seed) -> {artifact name: body}: it
+reads its config, does its work and returns its artifacts, touching no
+file.  A `.csv` body is (header, rows) and a `.json` body is the document.
+`run` alone writes: it creates the output directory, writes each artifact
+in order, and drops a manifest.json recording the resolved config, tool
+version, seed and artifact names, so the run can be reproduced byte for
+byte (modulo the timestamp comment line in CSV headers).
 
 One table per config object, each key named once: `_read` takes the table
 {key: (reader, default)}, rejects unknown and missing keys with their key
@@ -126,6 +129,12 @@ def _float(value, key) -> float:
     return result
 
 
+def _text(value, key) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _bool(value, key) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -204,13 +213,17 @@ def parse_policy(doc, path):
     return _spec(policy, path, read(doc[key], path + key))
 
 
+def _bias(token, key) -> complex:
+    return _spec(bias_from_token, f"{key}: ", token)
+
+
 # The keys of one QL bit, in the order `qlbit_spec` takes them; a product's
 # bit adds its seed, and the `qlbit` experiment its own keys.
 _QLBIT_KEYS = {
     "n": (_int, REQUIRED),
     "d": (_int, REQUIRED),
     "policy": (lambda doc, key: parse_policy(doc, key + "."), None),
-    "connect_bias": (lambda token, key: _spec(bias_from_token, f"{key}: ", token), 1 + 0j),
+    "connect_bias": (_bias, 1 + 0j),
     "red_bias": (_float, 1.0),
     "blue_bias": (_float, 1.0),
 }
@@ -241,11 +254,19 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
 
 
 def _table_row(doc, key) -> BiasTopology:
-    _read(doc, dict.fromkeys(("red", "blue", "conn"), (_as_is, REQUIRED)), key + ".")
-    return _spec(BiasTopology.from_config, f"{key}: ", doc)
+    path = key + "."
+    return _spec(BiasTopology, path, *_read(doc, dict.fromkeys(("red", "blue", "conn"), (_bias, REQUIRED)), path))
 
 
-def load_config(path) -> dict:
+def _experiment(name, key) -> str:
+    if not isinstance(name, str) or name not in _RUNNERS:
+        raise ConfigError(f"unknown key {key}: {name!r}")
+    return name
+
+
+def load_config(path):
+    """The config document at path, its params defaulted to {}, and its
+    seed and out as read (None where absent)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -253,24 +274,15 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    # `run` reads out and params, and `_resolve_seed` the seed
-    keys = {"experiment": (_as_is, REQUIRED), **dict.fromkeys(("seed", "out", "params"), (_as_is, None))}
-    experiment = _read(doc, keys, "")[0]
-    if not isinstance(experiment, str) or experiment not in _RUNNERS:
-        raise ConfigError(f"unknown key experiment: {experiment!r}")
+    keys = {
+        "experiment": (_experiment, REQUIRED),
+        "seed": (_int, None),
+        "out": (_optional(_text), None),
+        "params": (_as_is, None),  # read by the experiment
+    }
+    _, seed, out, _ = _read(doc, keys, "")
     doc.setdefault("params", {})
-    return doc
-
-
-def _resolve_seed(args, doc) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in doc:
-        return _int(doc["seed"], "seed")
-    env = os.environ.get("QLLAB_SEED")
-    if env is not None:
-        return _int(env, "QLLAB_SEED")
-    return 0
+    return doc, seed, out
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +290,7 @@ def _resolve_seed(args, doc) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_spectrum(params, seed, out):
+def cmd_spectrum(params, seed):
     base, depth, sigma, realizations, bins = _read(
         params,
         {
@@ -302,23 +314,14 @@ def cmd_spectrum(params, seed, out):
 
     spectra = [eigenvalues(make(i)) for i in range(realizations)]
     ens = ensemble_spectrum(spectra, bins)
-    write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(spectra[0])],
-    )
-    write_csv(
-        os.path.join(out, "histogram.csv"),
-        ["bin_left", "bin_right", "count"],
-        [
-            (float(l), float(r), int(c))
-            for l, r, c in zip(ens.bin_edges[:-1], ens.bin_edges[1:], ens.counts)
-        ],
-    )
-    return ["spectrum.csv", "histogram.csv"]
+    histogram = [(float(l), float(r), int(c)) for l, r, c in zip(ens.bin_edges[:-1], ens.bin_edges[1:], ens.counts)]
+    return {
+        "spectrum.csv": (["index", "eigenvalue"], [(i, float(v)) for i, v in enumerate(spectra[0])]),
+        "histogram.csv": (["bin_left", "bin_right", "count"], histogram),
+    }
 
 
-def cmd_disorder_sweep(params, seed, out):
+def cmd_disorder_sweep(params, seed):
     n, d, retentions, realizations = _read(
         params,
         {"n": (_int, REQUIRED), "d": (_int, REQUIRED), "retentions": (_list, REQUIRED), "realizations": (_count, 20)},
@@ -341,15 +344,10 @@ def cmd_disorder_sweep(params, seed, out):
         tops = np.column_stack([x for _, x in pairs])
         mean_top = sum(value for value, _ in pairs) / realizations
         rows.append((retention, mixture_purity(tops), mean_top))
-    write_csv(
-        os.path.join(out, "disorder_sweep.csv"),
-        ["retention", "purity", "mean_top_eigenvalue"],
-        rows,
-    )
-    return ["disorder_sweep.csv"]
+    return {"disorder_sweep.csv": (["retention", "purity", "mean_top_eigenvalue"], rows)}
 
 
-def cmd_qlbit(params, seed, out):
+def cmd_qlbit(params, seed):
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
         {
@@ -396,11 +394,6 @@ def cmd_qlbit(params, seed, out):
             degenerate = state.degenerate
         row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
         rows.append((i, state.eigenvalue, *row))
-    write_csv(
-        os.path.join(out, "qlbit.csv"),
-        ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual", "degenerate"],
-        rows,
-    )
     arr = np.array(rows)
     summary = {
         "mean_eigenvalue": float(arr[:, 1].mean()),
@@ -408,11 +401,11 @@ def cmd_qlbit(params, seed, out):
         "mean_abs_beta": float(np.hypot(arr[:, 4], arr[:, 5]).mean()),
         "mean_residual": float(arr[:, 6].mean()),
     }
-    _write_json(os.path.join(out, "qlbit_summary.json"), summary)
-    return ["qlbit.csv", "qlbit_summary.json"]
+    header = ["realization", "eigenvalue", "alpha_re", "alpha_im", "beta_re", "beta_im", "residual", "degenerate"]
+    return {"qlbit.csv": (header, rows), "qlbit_summary.json": summary}
 
 
-def cmd_product(params, seed, out):
+def cmd_product(params, seed):
     spec, verify, n_top = _read(
         params,
         {
@@ -446,19 +439,15 @@ def cmd_product(params, seed, out):
             state_doc(value, eff.labels, eff.coefficients, eff.residual)
             for value, eff in zip(values, project_product_state(g, spectrum.eigenvectors[:, :n_top]))
         ]
-    write_csv(
-        os.path.join(out, "product_spectrum.csv"),
-        ["index", "eigenvalue"],
-        [(i, float(v)) for i, v in enumerate(values)],
-    )
-    _write_json(os.path.join(out, "effective_states.json"), states)
-
     if verify:
         _say("spectrum composition OK" if spec.mode == "full" else "contraction law OK")
-    return ["product_spectrum.csv", "effective_states.json"]
+    return {
+        "product_spectrum.csv": (["index", "eigenvalue"], [(i, float(v)) for i, v in enumerate(values)]),
+        "effective_states.json": states,
+    }
 
 
-def cmd_witness(params, seed, out):
+def cmd_witness(params, seed):
     product, bit_index, strength, density, preparation, trials = _read(
         params,
         {
@@ -472,35 +461,26 @@ def cmd_witness(params, seed, out):
     )
     if preparation not in ("plus", "minus"):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
-    expected = "same" if preparation == "plus" else "inverted"
+    expected, bias = ("same", 1 + 0j) if preparation == "plus" else ("inverted", -1 + 0j)
+    # every trial's product, each read at its trial's seed, before any build
+    seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
+    specs = [parse_product(product, "params.product.", trial_seed) for trial_seed in seeds]
+    if not 0 <= bit_index < specs[0].q:
+        raise ConfigError("params.bit_index out of range")
     rows = []
-    agree = 0
-    for t in range(trials):
-        trial_seed = derive_seed(seed, "trial", t)
-        spec = parse_product(product, "params.product.", trial_seed)
-        if not 0 <= bit_index < spec.q:
-            raise ConfigError("params.bit_index out of range")
-        bias = 1.0 if preparation == "plus" else -1.0
+    for t, (spec, trial_seed) in enumerate(zip(specs, seeds)):
         bits = list(spec.qlbits)
-        bits[bit_index] = replace(bits[bit_index], connect_bias=complex(bias))
+        bits[bit_index] = replace(bits[bit_index], connect_bias=bias)
         spec = replace(spec, qlbits=tuple(bits))
-        g = build_product(spec)
-        combined = attach_witness(g, spec, bit_index, strength, density=density, seed=trial_seed)
+        combined = attach_witness(build_product(spec), spec, bit_index, strength, density=density, seed=trial_seed)
         verdict = witness_readout(combined)
-        ok = verdict == expected
-        agree += ok
-        rows.append((t, verdict, ok))
-    write_csv(
-        os.path.join(out, "witness.csv"), ["trial", "readout", "agrees"], rows
-    )
-    _write_json(
-        os.path.join(out, "witness_summary.json"),
-        {"preparation": preparation, "expected": expected, "trials": trials, "agreement": agree / trials},
-    )
-    return ["witness.csv", "witness_summary.json"]
+        rows.append((t, verdict, verdict == expected))
+    agreement = sum(ok for *_, ok in rows) / trials
+    summary = {"preparation": preparation, "expected": expected, "trials": trials, "agreement": agreement}
+    return {"witness.csv": (["trial", "readout", "agrees"], rows), "witness_summary.json": summary}
 
 
-def cmd_kuramoto(params, seed, out):
+def cmd_kuramoto(params, seed):
     *fields, record_every = _read(
         params,
         {
@@ -518,19 +498,9 @@ def cmd_kuramoto(params, seed, out):
     )
     # the table holds SyncRunConfig's fields in order, the seed left out
     result = run_sync_experiment(_spec(SyncRunConfig, "params.", *fields, seed, record_every))
-    write_csv(
-        os.path.join(out, "kuramoto.csv"),
-        ["t", "order_parameter", "purity", "eigenvalue_top"],
-        list(
-            zip(
-                (float(x) for x in result.t),
-                (float(x) for x in result.order_parameter),
-                (float(x) for x in result.purity),
-                (float(x) for x in result.eigenvalue_top),
-            )
-        ),
-    )
-    return ["kuramoto.csv"]
+    columns = (result.t, result.order_parameter, result.purity, result.eigenvalue_top)
+    rows = list(zip(*([float(x) for x in column] for column in columns)))
+    return {"kuramoto.csv": (["t", "order_parameter", "purity", "eigenvalue_top"], rows)}
 
 
 def _cheeger_spec(doc, path, seed) -> GraphGenSpec:
@@ -541,7 +511,7 @@ def _cheeger_spec(doc, path, seed) -> GraphGenSpec:
     return spec
 
 
-def cmd_cheeger(params, seed, out):
+def cmd_cheeger(params, seed):
     # neither reader gives None, so None marks an absent key
     graph, family = _read(params, {"graph": (_nested(_cheeger_spec, seed), None), "family": (_list, None)})
     if (graph is None) == (family is None):
@@ -550,12 +520,7 @@ def cmd_cheeger(params, seed, out):
         _cheeger_spec(doc, f"params.family[{i}].", derive_seed(seed, i)) for i, doc in enumerate(family)
     ]
     rows = [(r.n, r.h, r.lower, r.upper, r.is_exact) for r in expansion_profile(specs)]
-    write_csv(
-        os.path.join(out, "cheeger.csv"),
-        ["n", "h", "lower", "upper", "is_exact"],
-        rows,
-    )
-    return ["cheeger.csv"]
+    return {"cheeger.csv": (["n", "h", "lower", "upper", "is_exact"], rows)}
 
 
 _RUNNERS = {
@@ -587,12 +552,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    doc = load_config(args.config)
-    seed = _resolve_seed(args, doc)
-    out = args.out or doc.get("out") or "."
+    """Run the config's experiment and write its artifacts, in order, and
+    manifest.json into the output directory: the one writer of a run."""
+    doc, seed, out = load_config(args.config)
+    if args.seed is not None:
+        seed = args.seed
+    elif seed is None:  # neither --seed nor the config's seed: QLLAB_SEED, else 0
+        seed = _int(os.environ.get("QLLAB_SEED", 0), "QLLAB_SEED")
+    out = args.out or out or "."
     os.makedirs(out, exist_ok=True)
     experiment = doc["experiment"]
-    files = _RUNNERS[experiment](doc["params"], seed, out)
+    artifacts = _RUNNERS[experiment](doc["params"], seed)
+    for name, body in artifacts.items():
+        if name.endswith(".csv"):
+            write_csv(os.path.join(out, name), *body)
+        else:
+            _write_json(os.path.join(out, name), body)
+    files = list(artifacts)
     manifest = {
         "experiment": experiment,
         "version": __version__,

@@ -328,14 +328,6 @@ class BiasTopology:
     def __post_init__(self):
         _check_biases("conn", self.conn, red=self.red, blue=self.blue)
 
-    @classmethod
-    def from_config(cls, doc: dict) -> "BiasTopology":
-        return cls(
-            red=bias_from_token(doc["red"]),
-            blue=bias_from_token(doc["blue"]),
-            conn=bias_from_token(doc["conn"]),
-        )
-
 
 # The six canonical rows: for each Bloch axis, the +|d| and -|d| member.
 BLOCH_PROJECTIONS = {

@@ -97,8 +97,9 @@ ROUTES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ROUTES))
-def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
+def count_solves(monkeypatch):
+    """{solver name: calls} of the three spectral solvers, filled in as they
+    run from here on."""
     calls = {}
     for name in ("eigendecompose", "eigenvalues", "top_pair"):
         solver = getattr(qllab.spectral, name)
@@ -112,6 +113,12 @@ def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
         for module in (qllab.cli, qllab.spectral, qllab.kuramoto, qllab.witness, qllab.qlproduct, qllab.cheeger):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
+    calls = count_solves(monkeypatch)
     experiment, params, expected = ROUTES[case]
     assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "5") == 0
     assert calls == expected
@@ -195,6 +202,7 @@ REJECTED = [
     ),
     ("negative-uniform-init-width", _with("kuramoto", KURAMOTO, "init_width", -1.0), "params.init_width"),
     ("unknown-bias-token", _with("qlbit", QLBIT["params"], "table_row", {"red": "+1", "blue": "+1", "conn": "2"}), "params.table_row"),
+    ("table-row-red-i", _with("qlbit", QLBIT["params"], "table_row", {"red": "i", "blue": "+1", "conn": "+1"}), "params.table_row.red"),
     ("row-with-policy", _with("qlbit", QLBIT_ROW, "policy", {"kind": "cross_regular", "degree": 1}), "params.policy"),
     ("row-with-connect-bias", _with("qlbit", QLBIT_ROW, "connect_bias", "-1"), "params.connect_bias"),
     ("row-with-red-bias", _with("qlbit", QLBIT_ROW, "red_bias", -1), "params.red_bias"),
@@ -205,6 +213,7 @@ REJECTED = [
     # names that are not strings, looked up in a dict
     ("policy-kind-not-a-name", _with("qlbit", QLBIT["params"], "policy", {"kind": ["budget"]}), "params.policy.kind"),
     ("experiment-not-a-name", {"experiment": ["qlbit"], "params": QLBIT["params"]}, "experiment"),
+    ("out-not-a-string", {**QLBIT, "out": 5}, "out must be a string"),
     # sizes no graph can have, checked when the config is read
     ("row-cross-degree-at-d", _with("qlbit", QLBIT_ROW, "cross_degree", 3), "params.cross_degree"),
     ("qlbit-d-at-n", _with("qlbit", QLBIT["params"], "d", 10), "params.d"),
@@ -214,6 +223,18 @@ REJECTED = [
     ("product-d-at-n", _with("product", {"product": {**WITNESS_PRODUCT, "d": 8}}, "verify", False), "params.product.d"),
     ("verify-string", _with("product", {"product": WITNESS_PRODUCT}, "verify", "no"), "params.verify"),
     ("verify-integer", _with("product", {"product": WITNESS_PRODUCT}, "verify", 1), "params.verify"),
+    ("bit-index-out-of-range", _with("witness", WITNESS, "bit_index", 2), "params.bit_index"),
+    # two config errors that CI's console-script step used to run
+    (
+        "full-product-verify-string",
+        {"experiment": "product", "params": {"product": {"mode": "full", "qlbits": [{"n": 3, "d": 2}]}, "verify": "no"}},
+        "params.verify",
+    ),
+    (
+        "sweep-retention-above-1",
+        {"experiment": "disorder-sweep", "params": {"n": 12, "d": 3, "retentions": [1.0, 0.5, 0.4, 2.0]}},
+        "params.retentions",
+    ),
     ("short-cycle", _with("cheeger", {}, "graph", {"kind": "cycle", "n": 2}), "params.graph.n"),
     ("cross-regular-above-block", _with("qlbit", QLBIT["params"], "policy", {"kind": "cross_regular", "degree": 11}), "params.policy.degree"),
     ("pair-probability-above-1", _with("qlbit", QLBIT["params"], "policy", {"kind": "pair_probability", "p": 2}), "params.policy.p"),
@@ -275,11 +296,35 @@ REJECTED = [
     + [key.replace("[", "-").rstrip("]") for _, key in NON_NUMERIC]
     + [tag for tag, _, _ in REJECTED],
 )
-def test_bad_config_value_exits_2(tmp_path, capsys, doc, key):
+def test_bad_config_value_exits_2(tmp_path, capsys, monkeypatch, doc, key):
+    # each config is rejected before any graph is solved
+    calls = count_solves(monkeypatch)
     assert run_config(tmp_path, doc) == 2
     assert key in capsys.readouterr().err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
+    assert calls == {}
+
+
+def test_bad_config_seed_exits_2_under_a_seed_flag(tmp_path, capsys):
+    # the config's seed is read, and rejected, though --seed overrides it
+    assert run_config(tmp_path, {**QLBIT, "seed": "x"}, "--seed", "3") == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_config_out_exits_2_without_an_out_flag(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**QLBIT, "out": 5}))
+    assert main([str(path)]) == 2
+    assert "out must be a string" in capsys.readouterr().err
+
+
+def test_unconnected_table_row_bit_writes_its_rows(tmp_path):
+    # a z row: the config CI's console-script step used to run
+    params = {"n": 12, "d": 4, "realizations": 2, "table_row": {"red": "+1", "blue": "+1", "conn": "0"}}
+    assert run_config(tmp_path, {"experiment": "qlbit", "params": params}) == 0
+    assert len(read_rows(tmp_path / "out" / "qlbit.csv")) == 2
 
 
 @contextlib.contextmanager
