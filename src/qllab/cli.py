@@ -67,7 +67,7 @@ from .qlproduct import (
     verify_spectrum_composition,
 )
 from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
-from .spectral import _fixed_phase, extreme_state, quotient, quotient_states
+from .spectral import extreme_state, fixed_phase, quotient, quotient_states
 from .states import mixture_purity
 from .witness import attach_witness, witness_readout
 
@@ -113,7 +113,8 @@ def _int(value, key) -> int:
         result = int(value)
     except (TypeError, ValueError, OverflowError):
         result = None
-    if result is None or (isinstance(value, float) and value != result):
+    # a JSON boolean is no number, though int(True) is 1
+    if result is None or isinstance(value, bool) or (isinstance(value, float) and value != result):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return result
 
@@ -122,7 +123,9 @@ def _float(value, key) -> float:
     try:
         result = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        result = None
+    if result is None or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     # JSON reads 1e309 as inf, and Python reads NaN and "inf" too
     if not np.isfinite(result):
         raise ConfigError(f"{key} must be finite, got {value!r}")
@@ -383,15 +386,12 @@ def cmd_qlbit(params, seed):
             state = extreme_state(quotient_states(g, quo)[1])
             # x = J u has projection residual 0; degenerate flags any tie
             # at the level, as emergent_state does on the dense path
-            (alpha, beta), residual = state.coefficients, 0.0
-            degenerate = state.multiplicity > 1
+            coefficients, residual, degenerate = state.coefficients, 0.0, state.multiplicity > 1
         else:
             state = emergent_state(g)
             eff = project_two_state(g, state.eigenvector)
-            # the quotient path's phase: the first largest amplitude real
-            # and positive
-            (alpha, beta), residual = _fixed_phase(eff.coefficients), eff.residual
-            degenerate = state.degenerate
+            coefficients, residual, degenerate = eff.coefficients, eff.residual, state.degenerate
+        alpha, beta = fixed_phase(coefficients)  # one phase on both paths
         row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
         rows.append((i, state.eigenvalue, *row))
     arr = np.array(rows)

@@ -146,7 +146,10 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
 
 
 def step(state: OscillatorState, g: BiasedGraph, K, dt, integrator="rk4") -> OscillatorState:
-    """Advance the phases by one time step."""
+    """Advance the phases by one time step.
+
+    No experiment calls it; it stays as the one-step reference that the
+    integrator tests run `_stepper` against."""
     if dt <= 0:
         raise QllabError("dt must be positive")
     theta = state.theta.copy()

@@ -12,8 +12,8 @@ equitable: `qlbit` reads its one emergent eigenpair by the same rule
 (`spectral.emergent_state`), and `project_two_state` reads the level
 amplitudes (alpha, beta) off that eigenvector through
 `graph.project_blocks`, the one projection onto unit block indicators, as
-a product's projection does.  Both paths report (alpha, beta) with the
-same phase: the first largest amplitude real and positive.
+a product's projection does.  Both paths report (alpha, beta) in the phase
+of `spectral.fixed_phase`.
 
 Cross-edge orientation convention: the adjacency entry from an a1 (blue)
 vertex to an a2 (red) vertex equals the connecting bias, so a connecting
@@ -304,8 +304,9 @@ _BIAS_TOKENS = {
 
 
 def bias_from_token(token) -> complex:
-    """Parse a config bias token: one of +1, -1, i, -i, 0."""
-    if isinstance(token, (int, float, complex)):
+    """Parse a config bias token: one of +1, -1, i, -i, 0.  A boolean is
+    none, though complex(False) is 0."""
+    if isinstance(token, (int, float, complex)) and not isinstance(token, bool):
         return complex(token)
     try:
         return _BIAS_TOKENS[str(token).strip()]
@@ -330,6 +331,8 @@ class BiasTopology:
 
 
 # The six canonical rows: for each Bloch axis, the +|d| and -|d| member.
+# With BLOCH_TARGETS, this is the paper's Bloch table, kept as the data the
+# tests check every row's reported state against.
 BLOCH_PROJECTIONS = {
     "x+": BiasTopology(red=1, blue=1, conn=1),
     "x-": BiasTopology(red=-1, blue=-1, conn=1),
@@ -340,11 +343,10 @@ BLOCH_PROJECTIONS = {
 }
 
 # Target effective states (alpha, beta) and eigenvalue signs for the rows,
-# with alpha on |a1> and beta on |a2>, as `spectral.quotient_states`
-# reports them: the first largest amplitude real and positive.  A z row
-# has no cross edges, so its level is 2-fold; the canonical basis of that
-# level starts with the projection of |a1>, which is |a1> itself, for z+
-# and z- alike.
+# with alpha on |a1> and beta on |a2>, in the phase of `spectral.fixed_phase`.
+# A z row has no cross edges, so its level is 2-fold; the canonical basis of
+# that level starts with the projection of |a1>, which is |a1> itself, for
+# z+ and z- alike.
 BLOCH_TARGETS = {
     "x+": (+1, np.array([1, 1]) / np.sqrt(2)),
     "x-": (-1, np.array([1, -1]) / np.sqrt(2)),

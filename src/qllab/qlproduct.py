@@ -29,6 +29,13 @@ so `product` reads their QL states off the block quotient
 (`spectral.quotient_states`) and their spectrum from `eigenvalues`; other
 contracted products go through `eigendecompose`.  `verify_contraction_law`
 checks a contracted product against its spec.
+
+Every state the `product` experiment reports, on all three paths, goes
+through `state_doc`, which puts it in the one phase of
+`spectral.fixed_phase`: its first largest coefficient real and positive.
+The quotient states already have that phase and keep their bits; the
+full and non-equitable contracted paths would otherwise print the sign
+LAPACK happened to give each eigenvector.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .graph import (
     rng_from,
 )
 from .qlbit import CrossRegular, PairProbability, _check_policy, build_qlbit, sample_cross_pairs
-from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, eigendecompose
+from .spectral import EQUITABLE_TOL, _RESIDUAL_TOL, Spectrum, eigendecompose, fixed_phase
 
 BIT_NAMES = "abcdefgh"
 
@@ -387,11 +394,12 @@ def project_product_state(g: BiasedGraph, w):
 
 
 def state_doc(eigenvalue, labels, coefficients, residual, **readings) -> dict:
-    """One entry of the `product` experiment's effective_states.json."""
+    """One entry of the `product` experiment's effective_states.json, its
+    coefficients in the phase of `fixed_phase`."""
     return {
         "eigenvalue": float(eigenvalue),
         "labels": labels,
-        "coefficients": [[c.real, c.imag] for c in coefficients],
+        "coefficients": [[c.real, c.imag] for c in fixed_phase(coefficients)],
         "residual": residual,
         **readings,
     }

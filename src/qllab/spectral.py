@@ -61,6 +61,16 @@ with the full eigensystem.  `ensemble_spectrum` histograms the
 eigenvalues of many realizations; a QL state's distance to the bulk is the
 `gap` of `quotient_states`.  Graphs that reach these solvers are small
 enough for exact dense solves.
+
+Phase rule.  A state read in the block basis is defined only up to a
+global phase, so every reported state is put in one canonical phase by
+`fixed_phase`: its first largest coefficient (magnitudes within
+DEGENERACY_TOL of the largest count as tied, and exact zeros never) is
+made real and positive.
+An already canonical state keeps every bit, and a real state moves by
+sign, to within one rounding of the complex quotient conj(c_k) / |c_k|.
+`quotient_states` applies it to every QL state, and the `qlbit` and
+`product` artifacts apply it once more to each state they report.
 """
 
 from __future__ import annotations
@@ -123,6 +133,8 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def degeneracy_window(self) -> float:
+        """The solvers' degeneracy window for this spectrum; no experiment
+        reads it, but it is how a holder of a Spectrum tells a tie."""
         return _degeneracy_window(self.eigenvalues)
 
 
@@ -427,9 +439,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
     level of H_eff (values within 1e-8 * max(1, |mu|)) the basis is the
     Gram-Schmidt orthonormalization of P e_0, P e_1, ... in block order,
     with P the level's projector and remainders below DEGENERACY_TOL
-    skipped.  Each state's phase makes its largest coefficient real and
-    positive; magnitudes within DEGENERACY_TOL of the largest count as
-    tied, and the first of them is taken.
+    skipped.  Each state takes the phase of `fixed_phase`.
 
     Each state x must pass ||A x - mu x|| <= 1e-8 * max(1, |mu|); a unit
     x with that residual proves an eigenvalue within it.  The spectrum
@@ -448,7 +458,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
         if hi < len(mu) and mu[hi - 1] - mu[hi] <= _RESIDUAL_TOL * max(1.0, abs(mu[hi])):
             continue
         level = _canonical_basis(u[:, lo:hi]) if hi - lo > 1 else u[:, lo:hi]
-        coefficients += [_fixed_phase(c) for c in level.T]
+        coefficients += [fixed_phase(c) for c in level.T]
         lo = hi
     c = np.stack(coefficients, axis=1)
     sizes = np.bincount(g.block_of, minlength=len(mu))
@@ -518,11 +528,20 @@ def _canonical_basis(level: np.ndarray) -> np.ndarray:
     raise NumericalError("level projector has lower rank than its level")
 
 
-def _fixed_phase(c: np.ndarray) -> np.ndarray:
-    """c times the phase that makes its first largest entry real and positive."""
+def fixed_phase(c: np.ndarray) -> np.ndarray:
+    """c times the phase that makes its first largest entry real and
+    positive: the phase rule of every reported state.  Entries below the
+    smallest normal float, zero among them, carry no phase, and a c with
+    no other entry is returned as it is."""
     magnitude = np.abs(c)
-    k = int(np.argmax(magnitude >= magnitude.max() - DEGENERACY_TOL))
-    c = c * (c[k].conj() / magnitude[k]) + 0  # + 0 turns -0.0 into 0.0
+    # a tiny bulk state ties all its entries, exact zeros among them
+    tied = (magnitude >= magnitude.max() - DEGENERACY_TOL) & (magnitude >= np.finfo(float).tiny)
+    if not tied.any():
+        return c + 0
+    k = int(np.argmax(tied))
+    # a canonical c keeps every bit; numpy's complex x / x can round to 1 - ulp
+    phase = 1.0 if c[k] == magnitude[k] else c[k].conj() / magnitude[k]
+    c = c * phase + 0  # + 0 turns -0.0 into 0.0
     c[k] = magnitude[k]
     return c
 

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qllab.cheeger
 import qllab.cli
@@ -16,11 +18,31 @@ import qllab.kuramoto
 import qllab.qlproduct
 import qllab.spectral
 import qllab.witness
-from qllab.cli import main
-from qllab.graph import BiasedGraph, GraphGenSpec, build_graph, derive_seed
-from qllab.qlbit import BLOCH_PROJECTIONS, BLOCH_TARGETS
-from qllab.qlproduct import label_adjacency
-from qllab.spectral import eigendecompose, eigenvalues, top_pair
+from qllab.cli import cmd_product, cmd_qlbit, main, parse_product
+from qllab.graph import BiasedGraph, GraphGenSpec, build_graph, derive_seed, project_blocks
+from qllab.qlbit import (
+    BLOCH_PROJECTIONS,
+    BLOCH_TARGETS,
+    BiasTopology,
+    apply_bias_topology,
+    bias_from_token,
+    build_qlbit,
+    build_regular_qlbit,
+    project_two_state,
+    qlbit_spec,
+    reseeded,
+)
+from qllab.qlproduct import build_product, full_product_factors, label_adjacency, verify_spectrum_composition
+from qllab.spectral import (
+    DEGENERACY_TOL,
+    eigendecompose,
+    eigenvalues,
+    emergent_state,
+    extreme_state,
+    quotient,
+    quotient_states,
+    top_pair,
+)
 
 
 def read_rows(path):
@@ -187,6 +209,12 @@ REJECTED = [
     ("dt-inf-string", _with("kuramoto", KURAMOTO, "dt", "inf"), "params.dt"),
     ("K-beyond-float", _with("kuramoto", KURAMOTO, "K", 10**400), "params.K"),
     ("init-width-nan-string", _with("kuramoto", KURAMOTO, "init_width", "NaN"), "params.init_width"),
+    # JSON booleans are no numbers, though int(True) is 1 and float(False) 0.0
+    ("realizations-true", _with("qlbit", QLBIT["params"], "realizations", True), "params.realizations"),
+    ("n-true", _with("qlbit", QLBIT["params"], "n", True), "params.n"),
+    ("K-false", _with("kuramoto", KURAMOTO, "K", False), "params.K"),
+    ("connect-bias-true", _with("qlbit", QLBIT["params"], "connect_bias", True), "params.connect_bias"),
+    ("table-row-conn-false", _with("qlbit", QLBIT["params"], "table_row", {"red": "+1", "blue": "+1", "conn": False}), "params.table_row.conn"),
     (
         "unknown-product-mode",
         _with("product", {"product": {**WITNESS_PRODUCT, "mode": "half"}}, "verify", False),
@@ -688,12 +716,16 @@ KURAMOTO_SYNC = {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted
 # and the summary means moved by at most 2.7e-15.  `kuramoto-sync` was
 # recorded before each Kuramoto right-hand side became one GEMM, which
 # rounds differently from two GEMVs; at seed 7 its printed records did not
-# move.
+# move.  `product-full` and `product-contracted` were recorded again when
+# every reported state took the phase of `spectral.fixed_phase`: their
+# spectra, eigenvalues, labels and residuals kept their bytes, and each
+# state's coefficients are the old ones times exactly +1 or -1 (states 2
+# and 3 of `product-full` and state 1 of `product-contracted` flipped).
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
         ["product_spectrum.csv", "effective_states.json"],
-        "3afe6d7fc242205d8c8cb9a53ab72b789eee3b37676083fe46f4f534e808ec44",
+        "e4d6c9123068d427d521e3fe2f46b384c44481ff666ad290ebd91d61efedcf25",
     ),
     "qlbit": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
@@ -708,7 +740,7 @@ GOLDEN = {
     "product-full": (
         {"experiment": "product", "params": {"product": {"mode": "full", "qlbits": [{"n": 4, "d": 2}, {"n": 5, "d": 2}]}, "verify": True}},
         ["product_spectrum.csv", "effective_states.json"],
-        "cd03ecf9b0a610a045757365499c0cc8df5e5087f4b2277cb235df281467f9c0",
+        "9293dca86c6b20fee2772407a43c14665d33afb7b0b2d41aad8a6647272e2508",
     ),
     "cheeger": (
         {"experiment": "cheeger", "params": {"graph": {"kind": "d_regular_random", "n": 12, "d": 3}}},
@@ -745,34 +777,192 @@ def test_unchanged_paths_are_golden(tmp_path, tag):
     assert body_digest(tmp_path / "out", names) == digest
 
 
+# the environment of a fresh interpreter that imports this qllab
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))}
+
+
+def unphased_bit(params, seed):
+    """(eigenvalue, residual, (alpha, beta)) of the one-realization `qlbit`
+    run of params, read off the library with no phase rule applied."""
+    bit_seed = derive_seed(seed, "bit", 0)
+    if "table_row" in params:
+        row = BiasTopology(*(bias_from_token(params["table_row"][key]) for key in ("red", "blue", "conn")))
+        g = apply_bias_topology(build_regular_qlbit(params["n"], params["d"], seed=bit_seed), row)
+        state = extreme_state(quotient_states(g, quotient(g))[1])
+        return state.eigenvalue, 0.0, state.coefficients
+    g = build_qlbit(reseeded(qlbit_spec(params["n"], params["d"]), bit_seed))
+    state = emergent_state(g)
+    eff = project_two_state(g, state.eigenvector)
+    return state.eigenvalue, eff.residual, eff.coefficients
+
+
+def unphased_product(params, seed):
+    """[(eigenvalue, labels, residual, coefficients)] of the `product` run of
+    params, read off the library with no phase rule applied."""
+    spec = parse_product(params["product"], "params.product.", seed)
+    n_top = params.get("emergent_states", 1 << spec.q)
+    if spec.mode == "full":
+        g, spectrum = verify_spectrum_composition(*full_product_factors(spec), columns=n_top)
+    else:
+        g = build_product(spec)
+        quo = quotient(g)
+        if quo.equitable:
+            return [(s.eigenvalue, list(g.blocks), 0.0, s.coefficients) for s in quotient_states(g, quo)[1][:n_top]]
+        spectrum = eigendecompose(g)
+    states = project_blocks(g, g.blocks, spectrum.eigenvectors[:, :n_top])
+    return [(v, eff.labels, eff.residual, eff.coefficients) for v, eff in zip(spectrum.eigenvalues, states)]
+
+
+def assert_phase_rule_alone(coefficients, unphased):
+    """coefficients are unphased times one unit factor, and their first
+    nonzero largest entry (magnitudes within DEGENERACY_TOL tied) is real
+    and positive."""
+    magnitude = np.abs(coefficients)
+    k = int(np.argmax((magnitude >= magnitude.max() - DEGENERACY_TOL) & (magnitude > 0)))
+    assert coefficients[k].imag == 0 and coefficients[k].real > 0
+    phase = coefficients[k] / unphased[k]
+    assert abs(abs(phase) - 1) <= 1e-12
+    unphased = np.asarray(unphased)
+    assert np.allclose(coefficients, phase * unphased, rtol=0, atol=1e-12 * np.abs(unphased).max())
+
+
+# (n, d): a budget bit of these stays inequitable
+_BLOCK = st.sampled_from([(6, 3), (8, 3), (6, 4), (8, 4), (10, 4)])
+_BIAS = st.sampled_from(["+1", "-1", "i", "-i"])
+_SIGN = st.sampled_from(["+1", "-1"])
+
+
+@st.composite
+def reported_runs(draw, path):
+    """(experiment, params) of a small run on one reporting path."""
+    n, d = draw(_BLOCK)
+    if path == "qlbit-table-row":
+        row = {"red": draw(_SIGN), "blue": draw(_SIGN), "conn": draw(st.one_of(_BIAS, st.just("0")))}
+        return "qlbit", {"n": n, "d": d, "table_row": row}
+    if path == "qlbit-budget":
+        return "qlbit", {"n": n, "d": d}
+    q = draw(st.integers(1, 3 if path == "product-cross-regular" else 2))
+    if path == "product-full":
+        bits = [{"n": draw(st.integers(3, 6)), "d": 2, "connect_bias": draw(_BIAS)} for _ in range(q)]
+        return "product", {"product": {"mode": "full", "qlbits": bits}}
+    policy = {"kind": "cross_regular", "degree": 1} if path == "product-cross-regular" else {"kind": "budget", "fraction": 0.2}
+    bits = [{"n": n, "d": d, "policy": policy, "connect_bias": draw(_BIAS)} for _ in range(q)]
+    return "product", {"product": {"mode": "contracted", "qlbits": bits}}
+
+
+@pytest.mark.parametrize(
+    "path", ["qlbit-table-row", "qlbit-budget", "product-cross-regular", "product-contracted-budget", "product-full"]
+)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6))
+def test_every_reported_state_takes_the_one_phase_rule(path, data, seed):
+    # every path reports each state with its first largest coefficient real
+    # and positive, and otherwise as the library reads it
+    experiment, params = data.draw(reported_runs(path))
+    if experiment == "qlbit":
+        _, eigenvalue, a_re, a_im, b_re, b_im, residual, _ = cmd_qlbit(params, seed)["qlbit.csv"][1][0]
+        expected_eigenvalue, expected_residual, unphased = unphased_bit(params, seed)
+        assert (eigenvalue, residual) == (expected_eigenvalue, expected_residual)
+        assert_phase_rule_alone(np.array([complex(a_re, a_im), complex(b_re, b_im)]), unphased)
+        return
+    states = cmd_product(params, seed)["effective_states.json"]
+    expected = unphased_product(params, seed)
+    assert len(states) == len(expected)
+    for state, (eigenvalue, labels, residual, unphased) in zip(states, expected):
+        assert (state["eigenvalue"], state["labels"], state["residual"]) == (eigenvalue, labels, residual)
+        assert_phase_rule_alone(np.array([complex(*c) for c in state["coefficients"]]), unphased)
+
+
+def test_a_zero_entry_never_carries_the_phase():
+    # the bulk states of an unconnected bit (two 4-cycles) project to
+    # nothing on its blocks, up to rounding; each ties all its entries,
+    # and in some the first is an exact zero
+    params = {"product": {"mode": "full", "qlbits": [{"n": 4, "d": 2, "connect_bias": "0"}]}, "emergent_states": 8}
+    states = cmd_product(params, 0)["effective_states.json"]
+    for state, (*_, unphased) in zip(states, unphased_product(params, 0)):
+        assert_phase_rule_alone(np.array([complex(*c) for c in state["coefficients"]]), unphased)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs about 0.2 s to import, paid by every run of the tool
     probe = "import qllab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
-    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=CHILD_ENV)
     assert result.stdout.strip() == "False"
+
+
+def child_argv(tmp_path, name, doc):
+    """Write doc to tmp_path / name.json; the argv that runs `qllab` on it in
+    a fresh interpreter, from tmp_path and out to tmp_path / name."""
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return [sys.executable, "-m", "qllab.cli", f"{name}.json", "--out", name]
 
 
 def run_child(tmp_path, name, doc):
     """Run `qllab` on doc in a fresh interpreter, out to tmp_path / name and
     its stdout to tmp_path / name.log; return the child's own resource
     usage, not the largest of every child this process ran."""
-    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     with open(tmp_path / f"{name}.log", "w") as log:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "qllab.cli", f"{name}.json", "--out", name],
-            cwd=tmp_path,
-            stdout=log,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qllab.cli.__file__))},
-        )
+        child = subprocess.Popen(child_argv(tmp_path, name, doc), cwd=tmp_path, stdout=log, env=CHILD_ENV)
         _, status, usage = os.wait4(child.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     return usage
+
+
+LAW_BIT = {"n": 10, "d": 3, "policy": {"kind": "cross_regular", "degree": 1}}
+# configs that meet a closed stdout at different points: `ok` at its one
+# line after the manifest, a verified product also at its "... OK" line
+# before the manifest
+PIPE_CONFIGS = {
+    "ok": {"experiment": "cheeger", "params": {"graph": {"kind": "cycle", "n": 6}}},
+    "full": {
+        "experiment": "product",
+        "params": {"product": {"mode": "full", "qlbits": [{"n": 3, "d": 2}, {"n": 4, "d": 2}, {"n": 5, "d": 2}]}, "verify": True},
+    },
+    "law": {"experiment": "product", "params": {"product": {"mode": "contracted", "qlbits": [LAW_BIT] * 3}, "verify": True}},
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", sorted(PIPE_CONFIGS))
+def test_closed_pipe_exits_0_with_the_manifest_written(tmp_path, name, unbuffered):
+    # `qllab cfg.json | head -1` with the reader gone before the first
+    # print: no traceback and no failed flush at exit.  Buffered, the line
+    # that failed to flush is still buffered when the interpreter exits.
+    env = {key: value for key, value in CHILD_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(child_argv(tmp_path, name, PIPE_CONFIGS[name]), cwd=tmp_path, stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert (tmp_path / name / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("name, line", [("full", "spectrum composition OK"), ("law", "contraction law OK")])
+def test_verified_product_prints_its_ok_line(tmp_path, name, line):
+    run_child(tmp_path, name, PIPE_CONFIGS[name])
+    assert line in (tmp_path / f"{name}.log").read_text()
+
+
+def test_package_import_loads_no_module(tmp_path):
+    # callers import the module they use; the package holds the version alone
+    probe = "import json, sys, qllab; print(json.dumps([[m for m in sys.modules if m.startswith('qllab.')], qllab.__version__]))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=CHILD_ENV)
+    modules, version = json.loads(result.stdout)
+    assert modules == []
+    assert run_config(tmp_path, PIPE_CONFIGS["ok"]) == 0
+    assert version == json.loads((tmp_path / "out" / "manifest.json").read_text())["version"]
+
+
+def test_bad_config_exits_2_in_a_fresh_interpreter(tmp_path):
+    doc = {**PIPE_CONFIGS["ok"], "params": {**PIPE_CONFIGS["ok"]["params"], "radius": 1}}
+    result = subprocess.run(child_argv(tmp_path, "bad", doc), cwd=tmp_path, capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 2
+    assert "config error: unknown key params.radius" in result.stderr
 
 
 def test_kuramoto_records_at_n_1000_stay_under_200_mb(tmp_path):

@@ -26,6 +26,7 @@ from qllab.spectral import (
     eigenvalues,
     emergent_state,
     ensemble_spectrum,
+    fixed_phase,
     top_pair,
 )
 from qllab.witness import attach_witness
@@ -403,6 +404,29 @@ class TestEmergentState:
         state = emergent_state(BiasedGraph(n=3, diagonal=vals))
         assert state.eigenvalue == -100.0
         assert state.degenerate
+
+
+class TestFixedPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8),
+        st.booleans(),
+    )
+    def test_real_states_move_by_sign_and_canonical_ones_not_at_all(self, entries, real):
+        c = np.array([complex(re, 0.0 if real else im) for re, im in entries])
+        phased = fixed_phase(c)
+        if real and np.any(c):
+            # to within the rounding of numpy's complex x / x
+            assert any(np.allclose(phased, sign * c, rtol=1e-15, atol=0) for sign in (1, -1))
+        assert np.array_equal(fixed_phase(phased), phased)
+        assert np.allclose(np.abs(phased), np.abs(c), rtol=0, atol=1e-15)
+
+    def test_a_zero_or_subnormal_entry_carries_no_phase(self):
+        assert np.array_equal(fixed_phase(np.zeros(2, dtype=complex)), [0, 0])
+        # every entry of a tiny state is tied with its largest
+        assert np.array_equal(fixed_phase(np.array([0, -1e-17j])), [0, 1e-17])
+        # 1 / 2e-311 overflows
+        assert np.array_equal(fixed_phase(np.array([2e-311j])), [2e-311j])
 
 
 class TestEnsembleSpectrum:
