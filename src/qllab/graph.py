@@ -17,7 +17,9 @@ The random samplers draw a pairing of vertex stubs and repair it round by
 round; they keep each edge as the integer key u * n + v in a set and
 return the sorted keys, which the generators split back into pairs.
 
-`BiasedGraph.adjacency` builds the dense matrix; `BiasedGraph.operator`
+`BiasedGraph.adjacency` builds the dense matrix, into a caller's array
+when given one (`spectral` keeps one for its full solves, `kuramoto`
+writes its aligned coupling matrix); `BiasedGraph.operator`
 (from `edge_operator`) applies it off the edge arrays in O(m), and is the
 one sparse path: `spectral.top_pair`, its O(m) bound and the check of a
 full product's operator all read the graph through it.
@@ -189,13 +191,30 @@ class BiasedGraph:
         """Per-vertex edge count (bias values ignored)."""
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def adjacency(self) -> np.ndarray:
+    def adjacency(self, out=None) -> np.ndarray:
         """Dense Hermitian adjacency matrix, diagonal included.
 
         float64 when no bias has an imaginary part, complex128 otherwise.
+        With `out`, a writable C-contiguous (n, n) array of that dtype, the
+        matrix is written into it after zeroing it, and `out` is returned;
+        any other `out` raises QllabError.
         """
         bias = self.bias if np.any(self.bias.imag) else self.bias.real
-        a = np.zeros((self.n, self.n), dtype=bias.dtype)
+        shape = (self.n, self.n)
+        if out is None:
+            a = np.zeros(shape, dtype=bias.dtype)
+        elif (
+            not isinstance(out, np.ndarray)
+            or out.shape != shape
+            or out.dtype != bias.dtype
+            or not (out.flags.c_contiguous and out.flags.writeable)
+        ):
+            raise QllabError(
+                f"out must be a writable C-contiguous {shape} {bias.dtype} array"
+            )
+        else:
+            a = out
+            a.fill(0)
         u, v = self.edges.T
         a[u, v] = bias
         a[v, u] = bias.conj()

@@ -73,6 +73,34 @@ class TestBiasedGraph:
         )
         assert hermiticity_defect(g) == 0.0
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "disordered"])
+    def test_adjacency_into_out_equals_a_fresh_build(self, kind):
+        g = gen_d_regular_random(12, 4, seed=2)
+        if kind == "complex":
+            g = replace(g, bias=np.exp(1j * np.arange(g.num_edges)))
+        elif kind == "disordered":
+            g = add_diagonal_disorder(g, 1.0, seed=2)
+        fresh = g.adjacency()
+        out = np.full_like(fresh, 7.0)  # stale entries must all be cleared
+        assert g.adjacency(out=out) is out
+        assert np.array_equal(out, fresh)
+
+    def test_adjacency_rejects_an_unfit_out(self):
+        g = gen_cycle(5)
+        read_only = np.zeros((5, 5))
+        read_only.flags.writeable = False
+        for out in (
+            np.zeros((5, 4)),
+            np.zeros((5, 5), dtype=complex),
+            np.zeros((5, 5), order="F")[:, ::-1],
+            read_only,
+            np.zeros((5, 5)).tolist(),
+        ):
+            with pytest.raises(QllabError):
+                g.adjacency(out=out)
+        with pytest.raises(QllabError):  # a complex graph needs a complex out
+            replace(g, bias=1j * g.bias).adjacency(out=np.zeros((5, 5)))
+
     def test_label_partition_validated(self):
         with pytest.raises(QllabError):  # vertex 2 has no block
             BiasedGraph.from_edges(3, [(0, 1)], blocks=("a", "b"), block_of=[0, 1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qllab.errors import NumericalError, QllabError
-from qllab.graph import BiasedGraph, gen_complete, rng_from
+from qllab.graph import BiasedGraph, gen_complete, gen_d_regular_random, rng_from
 from qllab.kuramoto import (
     OscillatorState,
     SyncRunConfig,
@@ -126,6 +126,34 @@ def test_records_keep_no_n_by_n_density_matrix():
     n, records = 144, len(result.t)
     assert records == 13
     assert peak < records * n * n * 16
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
+def test_coupling_matrix_is_the_aligned_magnitude_of_the_adjacency(phased):
+    g = phased_product(3) if phased else build_product(two_bit_spec(3))
+    g = replace(g, diagonal=rng_from(3, "eps").normal(0.0, 1.0, g.n))
+    expected = np.abs(g.adjacency())
+    np.fill_diagonal(expected, 0.0)
+    m = coupling_matrix(g)
+    assert np.array_equal(m, expected) and m.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
+def test_coupling_matrix_makes_one_n_by_n_array(phased):
+    # the adjacency is written straight into M: the traced peak is M's
+    # n^2 * 8 B (and its 64 alignment bytes), not 2x for a real adjacency
+    # and 3x for a complex one
+    n = 400
+    g = gen_d_regular_random(n, 6, seed=1)
+    if phased:
+        g = replace(g, bias=np.exp(1j * rng_from(1, "phases").uniform(0.0, 2.0 * np.pi, g.num_edges)))
+    tracemalloc.start()
+    try:
+        coupling_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * n * 8 <= peak < 1.1 * n * n * 8
 
 
 def test_full_mode_realizations_draw_fresh_blocks():

@@ -139,6 +139,18 @@ class TestEigenvalues:
         with pytest.raises(NumericalError):
             eigenvalues(g)
 
+    def test_a_wrong_dense_operand_fails_the_identities(self, monkeypatch):
+        # the solver reads a dense matrix that lacks one edge; the identities
+        # come from the edge arrays, so its spectrum cannot vouch for itself
+        adjacency = BiasedGraph.adjacency
+
+        def dropping(self, out=None):
+            return adjacency(replace(self, edges=self.edges[1:], bias=self.bias[1:]), out=out)
+
+        monkeypatch.setattr(BiasedGraph, "adjacency", dropping)
+        with pytest.raises(NumericalError, match="square-sum"):
+            eigenvalues(gen_d_regular_random(40, 6, seed=1))
+
     def test_solver_failure_is_numerical_error(self, monkeypatch):
         def failing(a):
             raise np.linalg.LinAlgError("no convergence")
@@ -328,6 +340,89 @@ class TestTopPair:
     def test_empty_vertex_set(self):
         with pytest.raises(QllabError):
             top_pair(BiasedGraph(n=0))
+
+
+def signed_witness_graph():
+    """The `minus` witness graph: an inverted bit coupled to a witness bit;
+    signed, so no diagonal scaling reaches its top eigenvalue."""
+    bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
+    spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
+    return attach_witness(build_contracted_product(spec), spec, 0, 0.25, seed=4)
+
+
+def same_size_sequences(g):
+    """Pairs of same-size graphs solved one after the other: a denser then a
+    sparser edge set, complex then real biases, a disordered then a clean
+    diagonal."""
+    phases = np.exp(1j * rng_from(5, "phases").uniform(0.0, 2.0 * np.pi, g.num_edges))
+    return {
+        "denser-sparser": (g, delete_random_edges(g, 0.3, seed=1)),
+        "complex-real": (replace(g, bias=g.bias * phases), g),
+        "disordered-clean": (add_diagonal_disorder(g, 1.0, seed=1), g),
+    }
+
+
+def assert_no_shared_memory(*arrays):
+    for a in arrays:
+        assert not np.shares_memory(a, qllab.spectral._operand)
+
+
+class TestKeptOperand:
+    """The full solves and `top_pair`'s Cholesky proof write each graph into
+    one kept n x n array; every result must equal a solve on a fresh
+    `g.adjacency()`."""
+
+    @pytest.mark.parametrize("sequence", ["denser-sparser", "complex-real", "disordered-clean"])
+    def test_same_size_full_solves_match_fresh_solves(self, sequence):
+        for g in same_size_sequences(random_biased_graph(60, 0.3, seed=3))[sequence]:
+            values, spectrum = eigenvalues(g), eigendecompose(g)
+            fresh = g.adjacency()
+            vals, vecs = np.linalg.eigh(fresh)
+            assert np.array_equal(values, np.linalg.eigvalsh(fresh)[::-1])
+            assert np.array_equal(spectrum.eigenvalues, vals[::-1])
+            assert np.array_equal(spectrum.eigenvectors, vecs[:, ::-1])
+            assert_no_shared_memory(values, spectrum.eigenvalues, spectrum.eigenvectors, spectrum.residuals)
+
+    @pytest.mark.parametrize("sequence", ["denser-sparser", "complex-real", "disordered-clean"])
+    def test_same_size_cholesky_proofs_match_fresh_proofs(self, monkeypatch, sequence):
+        first, second = same_size_sequences(signed_witness_graph())[sequence]
+        monkeypatch.setattr(qllab.spectral, "eigendecompose", None)  # no fallback
+        bounds = []
+        for g in (first, second):
+            x = qllab.spectral._lanczos_top(g)
+            theta = float(np.vdot(x, g.operator()(x)).real)
+            bound = theta + 1e-8 * max(1.0, abs(theta))
+            # only the Cholesky proof on g's own matrix proves this pair
+            assert qllab.spectral._scaled_gershgorin(g, x) > bound
+            assert qllab.spectral._all_below(g.adjacency(), bound)
+            value, top = top_pair(g)
+            assert value == theta and np.array_equal(top, x)
+            assert_no_shared_memory(top)
+            bounds.append(bound)
+        if sequence != "complex-real":
+            # the first matrix, left in the operand, would fail the second proof
+            assert not qllab.spectral._all_below(first.adjacency(), bounds[1])
+
+    def test_a_second_same_size_solve_allocates_no_n_by_n_array(self, monkeypatch):
+        n = 200
+        monkeypatch.setattr(qllab.spectral, "_operand", None)
+        peaks = []
+        for seed in (1, 2):
+            g = add_diagonal_disorder(gen_d_regular_random(n, 6, seed), 0.2, seed)
+            tracemalloc.start()
+            try:
+                eigenvalues(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] >= n * n * 8  # the operand itself, made once
+        assert peaks[1] < n * n * 8 / 8
+
+    def test_another_shape_replaces_the_operand(self):
+        eigenvalues(gen_cycle(7))
+        assert qllab.spectral._operand.shape == (7, 7) and qllab.spectral._operand.dtype == float
+        eigenvalues(random_biased_graph(9, 0.5, seed=1))
+        assert qllab.spectral._operand.shape == (9, 9) and qllab.spectral._operand.dtype == complex
 
 
 class TestEmergentState:
