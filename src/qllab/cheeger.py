@@ -7,7 +7,8 @@ so boundary[2^k:2^(k+1)] = boundary[:2^k] + deg(k) - 2|N(k) & mask| and
 size[2^k:2^(k+1)] = size[:2^k] + 1.  That is n whole-array passes plus one
 strided pass per edge, with no Python loop over subsets.  No heuristic
 estimate is ever reported as the exact constant; larger graphs get the
-spectral lower bound as a clearly flagged proxy.
+spectral lower bound of `cheeger_bounds`, which reads the degree off the
+graph itself, as a clearly flagged proxy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRegularError, QllabError, TooLargeError
+from .errors import QllabError, TooLargeError
 from .graph import BiasedGraph, build_graph
 from .spectral import eigenvalues
 
@@ -30,23 +31,13 @@ _MAX_EXACT_N = 22
 
 @dataclass
 class CheegerReport:
-    """Exact isoperimetric data for one graph.
-
-    h = boundary/size for the minimizing subset; the bounds are the
-    d-regular spectral sandwich (d - lambda_1)/2 <= h <= sqrt(2d(d - lambda_1))
-    and are None when the graph is not regular.
-    """
+    """Exact isoperimetric data for one graph: h = boundary/size for the
+    minimizing subset."""
 
     h: float
     subset: list
     boundary: int
     size: int
-    lower_bound: float = None
-    upper_bound: float = None
-
-
-def _subset_from_mask(mask: int, n: int):
-    return [v for v in range(n) if (mask >> v) & 1]
 
 
 def isoperimetric_exact(g: BiasedGraph) -> CheegerReport:
@@ -65,7 +56,7 @@ def isoperimetric_exact(g: BiasedGraph) -> CheegerReport:
     lower = [[] for _ in range(n)]
     for j, k in np.sort(g.edges, axis=1).tolist():
         lower[k].append(j)
-    deg = np.bincount(g.edges.ravel(), minlength=n)
+    deg = g.degrees()
 
     # Mask m stands for the subset {v : bit v of m is set}.  The masks in
     # [2^k, 2^(k+1)) are the masks below 2^k with k added: k brings its
@@ -98,40 +89,23 @@ def isoperimetric_exact(g: BiasedGraph) -> CheegerReport:
     mask = int(ties[0])
     best_b, best_s = int(boundary[mask]), int(size[mask])
 
-    report = CheegerReport(
+    subset = [v for v in range(n) if (mask >> v) & 1]
+    return CheegerReport(
         h=best_b / best_s,
-        subset=_subset_from_mask(mask, n),
+        subset=subset,
         boundary=best_b,
         size=best_s,
     )
-    return _with_bounds(g, report)
 
 
-def _regular_degree(g: BiasedGraph):
+def cheeger_bounds(g: BiasedGraph):
+    """(lower, upper) of the d-regular spectral sandwich (d - lambda_1)/2 <= h
+    <= sqrt(2d(d - lambda_1)), with d read off g.degrees(); None when g has
+    no edges or is not regular."""
     deg = g.degrees()
-    if len(deg) and np.all(deg == deg[0]):
-        return int(deg[0])
-    return None
-
-
-def _with_bounds(g, report: CheegerReport) -> CheegerReport:
-    d = _regular_degree(g)
-    if d is not None and d > 0:
-        lower, upper = cheeger_bounds(g, d)
-        report.lower_bound = lower
-        report.upper_bound = upper
-    return report
-
-
-def cheeger_bounds(g: BiasedGraph, d: int):
-    """Spectral sandwich ((d - lambda_1)/2, sqrt(2d(d - lambda_1))).
-
-    Raises NotRegularError when some vertex does not have degree d.
-    """
-    deg = g.degrees()
-    if not np.all(deg == d):
-        bad = int(np.argmax(deg != d))
-        raise NotRegularError(f"vertex {bad} has degree {int(deg[bad])}, expected {d}")
+    d = int(deg[0]) if len(deg) else 0
+    if d == 0 or np.any(deg != d):
+        return None
     lam1 = float(eigenvalues(g)[1])
     gap = d - lam1
     return gap / 2.0, float(np.sqrt(max(0.0, 2.0 * d * gap)))
@@ -149,22 +123,17 @@ class ProfileRow:
 def expansion_profile(specs) -> list:
     """Per-graph expansion table for eyeballing family boundedness.
 
-    Graphs small enough for enumeration get the exact h with the bounds of
-    the exact report; larger ones report the spectral lower bound as a
-    proxy with is_exact False.  Bounds of an irregular graph are NaN.  Each
-    graph is diagonalized once.  No asymptotic claim is made.
+    Graphs small enough for enumeration get the exact h; larger ones
+    report the spectral lower bound as a proxy with is_exact False.  Every
+    row carries the bounds of `cheeger_bounds`, NaN where it gives none, so
+    each graph is diagonalized once.  No asymptotic claim is made.
     """
     nan = float("nan")
     rows = []
     for spec in specs:
         g = build_graph(spec)
-        if g.n <= _MAX_EXACT_N:
-            report = isoperimetric_exact(g)
-            lower = nan if report.lower_bound is None else report.lower_bound
-            upper = nan if report.upper_bound is None else report.upper_bound
-            rows.append(ProfileRow(g.n, report.h, lower, upper, True))
-        else:
-            d = _regular_degree(g)
-            lower, upper = cheeger_bounds(g, d) if d else (nan, nan)
-            rows.append(ProfileRow(g.n, lower, lower, upper, False))
+        lower, upper = cheeger_bounds(g) or (nan, nan)
+        exact = g.n <= _MAX_EXACT_N
+        h = isoperimetric_exact(g).h if exact else lower
+        rows.append(ProfileRow(g.n, h, lower, upper, exact))
     return rows

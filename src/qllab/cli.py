@@ -436,7 +436,7 @@ def cmd_product(params, seed):
     else:
         values = spectrum.eigenvalues
         states = [
-            state_doc(value, eff.labels, eff.coefficients, eff.residual)
+            state_doc(value, list(g.blocks), eff.coefficients, eff.residual)
             for value, eff in zip(values, project_product_state(g, spectrum.eigenvectors[:, :n_top]))
         ]
     if verify:
@@ -472,7 +472,7 @@ def cmd_witness(params, seed):
         bits = list(spec.qlbits)
         bits[bit_index] = replace(bits[bit_index], connect_bias=bias)
         spec = replace(spec, qlbits=tuple(bits))
-        combined = attach_witness(build_product(spec), spec, bit_index, strength, density=density, seed=trial_seed)
+        combined = attach_witness(spec, bit_index, strength, density=density, seed=trial_seed)
         verdict = witness_readout(combined)
         rows.append((t, verdict, verdict == expected))
     agreement = sum(ok for *_, ok in rows) / trials

@@ -13,10 +13,6 @@ class RetryExhaustedError(QllabError):
     """Randomized graph sampler failed to produce a simple graph."""
 
 
-class NotRegularError(QllabError):
-    """Graph fails an explicit per-vertex degree scan."""
-
-
 class MissingLabelsError(QllabError):
     """Operation requires vertex block labels that are absent."""
 

@@ -289,15 +289,14 @@ def block_basis(g: BiasedGraph, names) -> np.ndarray:
 
 @dataclass
 class EffectiveState:
-    """A vector w read in the block basis J of the blocks `labels`.
+    """A vector w read in the block basis J of the blocks it was projected on.
 
-    coefficients is c = J^H w, one per label; residual is ||w - J c||, the
-    norm of w outside span(J), so |c|^2 + residual^2 = ||w||^2.
+    coefficients is c = J^H w, one per block in that order; residual is
+    ||w - J c||, the norm of w outside span(J), so |c|^2 + residual^2 = ||w||^2.
     """
 
     coefficients: np.ndarray
     residual: float
-    labels: list
 
 
 def project_blocks(g: BiasedGraph, names, w):
@@ -312,7 +311,7 @@ def project_blocks(g: BiasedGraph, names, w):
         c = j.T @ v
         # ||v - J c|| itself: sqrt(||v||^2 - ||c||^2) cancels to a floor of
         # about 1.5e-8
-        return EffectiveState(c.astype(complex), float(np.linalg.norm(v - j @ c)), list(names))
+        return EffectiveState(c.astype(complex), float(np.linalg.norm(v - j @ c)))
 
     w = np.asarray(w)
     if w.ndim == 1:

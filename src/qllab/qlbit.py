@@ -105,7 +105,7 @@ def sample_cross_pairs(policy, n1, n2, block_edges, rng) -> np.ndarray:
     block_edges, the edge count of the two blocks together, sets the size
     of an EdgeBudgetFraction sample.
     """
-    _check_policy(policy, n1, n2, block_edges, "policy")
+    check_policy(policy, n1, n2, block_edges, "policy")
     if isinstance(policy, PairProbability):
         mask = rng.random(n1 * n2) < policy.p
         return _pairs_from_flat(np.flatnonzero(mask), n2)
@@ -117,7 +117,7 @@ def sample_cross_pairs(policy, n1, n2, block_edges, rng) -> np.ndarray:
     raise QllabError(f"unknown connect policy {policy!r}")
 
 
-def _check_policy(policy, n1, n2, block_edges, path):
+def check_policy(policy, n1, n2, block_edges, path):
     """Raise PolicyInfeasibleError unless the policy can join blocks of n1
     and n2 vertices that carry block_edges edges together; the message
     starts with the field at fault, named by the policy's `path`."""
@@ -190,7 +190,7 @@ def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0,
         red_bias=red_bias,
         blue_bias=blue_bias,
     )
-    _check_policy(spec.connect_policy, n, n, n * d, "policy")  # d-regular blocks: n * d edges
+    check_policy(spec.connect_policy, n, n, n * d, "policy")  # d-regular blocks: n * d edges
     return reseeded(spec, seed)
 
 

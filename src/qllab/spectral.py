@@ -100,7 +100,8 @@ from .graph import BiasedGraph, edge_operator
 # Eigenvalues closer than this (times max(1, max |lambda|)) count as degenerate.
 DEGENERACY_TOL = 1e-6
 
-_RESIDUAL_TOL = 1e-8
+# An eigenpair (lambda, v) holds when ||A v - lambda v|| <= this * max(1, |lambda|).
+RESIDUAL_TOL = 1e-8
 
 # |lambda_bottom| outranks |lambda_top| only when larger by this * max(1, max |lambda|)
 _MAGNITUDE_TIE_TOL = 1e-12
@@ -112,7 +113,7 @@ _MAGNITUDE_TIE_TOL = 1e-12
 EQUITABLE_TOL = 1e-12
 
 # Lanczos stops once its Ritz residual estimate is this small (times
-# max(1, |theta|)); far below _RESIDUAL_TOL, so every printed digit holds.
+# max(1, |theta|)); far below RESIDUAL_TOL, so every printed digit holds.
 _LANCZOS_TOL = 1e-13
 # `top_pair`'s Gershgorin scales are |x| floored at this times max |x|.  A
 # converged Ritz vector keeps components of about _LANCZOS_TOL off the top
@@ -135,12 +136,16 @@ class Spectrum:
     column per eigenvalue from `eigendecompose`, but may hold only the
     leading columns (a composed full product's).  residuals[i] bounds
     ||A v_i - lambda_i v_i||: it is that norm from `eigendecompose`, and
-    the sum of the factors' residuals for a composed product.
+    the sum of the factors' residuals for a composed product.  Every pair
+    passes `check_eigenpairs` on construction.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
+
+    def __post_init__(self):
+        check_eigenpairs(self.eigenvalues, self.residuals, "eigenpair")
 
     @property
     def n(self) -> int:
@@ -152,11 +157,20 @@ class Spectrum:
         return _degeneracy_window(self.eigenvalues)
 
 
+def check_eigenpairs(values, residuals, what: str) -> None:
+    """Raise NumericalError unless residuals[i] <= RESIDUAL_TOL * max(1,
+    |values[i]|) for every i; the message names the first failing `what`."""
+    bad = np.flatnonzero(residuals > RESIDUAL_TOL * np.maximum(1.0, np.abs(values)))
+    if len(bad):
+        k = bad[0]
+        raise NumericalError(f"{what} {k} residual {residuals[k]:.3e} exceeds tolerance")
+
+
 def eigendecompose(g: BiasedGraph) -> Spectrum:
     """Diagonalize the adjacency matrix of g.
 
-    Residuals ||A v - lambda v|| are checked against 1e-8 * ||A|| and kept
-    in the Spectrum; failure to meet that raises NumericalError.
+    The residuals ||A v - lambda v|| are kept in the Spectrum, whose
+    construction checks each pair; a failing pair raises NumericalError.
     """
     if g.n < 1:
         raise QllabError("cannot diagonalize an empty vertex set")
@@ -168,11 +182,7 @@ def eigendecompose(g: BiasedGraph) -> Spectrum:
     order = slice(None, None, -1)
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
-    norm = max(1.0, float(np.abs(vals).max()))
     residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    residual = residuals.max()
-    if residual > _RESIDUAL_TOL * norm:
-        raise NumericalError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, residuals=residuals)
 
 
@@ -198,11 +208,11 @@ def eigenvalues(g: BiasedGraph) -> np.ndarray:
     vals = np.ascontiguousarray(vals[::-1])
     norm = max(1.0, float(np.abs(vals).max()))
     trace_error = abs(float(vals.sum()) - float(g.diagonal.sum()))
-    if trace_error > _RESIDUAL_TOL * norm:
+    if trace_error > RESIDUAL_TOL * norm:
         raise NumericalError(f"eigenvalue trace error {trace_error:.3e} exceeds tolerance")
     frobenius = float(g.diagonal @ g.diagonal) + 2 * float(np.vdot(g.bias, g.bias).real)
     square_error = abs(float(vals @ vals) - frobenius)
-    if square_error > _RESIDUAL_TOL * norm * norm:
+    if square_error > RESIDUAL_TOL * norm * norm:
         raise NumericalError(
             f"eigenvalue square-sum error {square_error:.3e} exceeds tolerance"
         )
@@ -241,7 +251,7 @@ def top_pair(g: BiasedGraph):
     x = _lanczos_top(g)
     ax = g.operator()(x)
     theta = float(np.vdot(x, ax).real)
-    tau = _RESIDUAL_TOL * max(1.0, abs(theta))
+    tau = RESIDUAL_TOL * max(1.0, abs(theta))
     if np.linalg.norm(ax - theta * x) <= tau and (
         _scaled_gershgorin(g, x) <= theta + tau or _all_below(_dense(g), theta + tau)
     ):
@@ -388,7 +398,7 @@ def _extreme_index(values) -> int:
     scale = max(1.0, abs(top), abs(bottom))
     if abs(bottom) <= abs(top) + _MAGNITUDE_TIE_TOL * scale:
         return 0
-    return int(np.argmax(np.asarray(values) - bottom <= _RESIDUAL_TOL * max(1.0, abs(bottom))))
+    return int(np.argmax(np.asarray(values) - bottom <= RESIDUAL_TOL * max(1.0, abs(bottom))))
 
 
 def _degeneracy_window(values) -> float:
@@ -491,7 +501,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
     coefficients = []
     lo = 0
     for hi in range(1, len(mu) + 1):
-        if hi < len(mu) and mu[hi - 1] - mu[hi] <= _RESIDUAL_TOL * max(1.0, abs(mu[hi])):
+        if hi < len(mu) and mu[hi - 1] - mu[hi] <= RESIDUAL_TOL * max(1.0, abs(mu[hi])):
             continue
         level = _canonical_basis(u[:, lo:hi]) if hi - lo > 1 else u[:, lo:hi]
         coefficients += [fixed_phase(c) for c in level.T]
@@ -500,10 +510,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
     sizes = np.bincount(g.block_of, minlength=len(mu))
     x = c[g.block_of] / np.sqrt(sizes[g.block_of])[:, None]
     residual = np.linalg.norm(quo.aj @ c - x * mu, axis=0)
-    bad = np.flatnonzero(residual > _RESIDUAL_TOL * np.maximum(1.0, np.abs(mu)))
-    if len(bad):
-        k = bad[0]
-        raise NumericalError(f"quotient state {k} residual {residual[k]:.3e} exceeds tolerance")
+    check_eigenpairs(mu, residual, "quotient state")
 
     window = _degeneracy_window(values)
     near = np.abs(values[None, :] - mu[:, None]) <= window
@@ -526,7 +533,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
         if len(candidates) < hi - lo:
             raise NumericalError(f"spectrum misses quotient eigenvalue {mu[lo]:.12g}")
         distance = np.abs(values[candidates, None] - mu[None, lo:hi]).min(axis=1)
-        distance = np.maximum(distance, _RESIDUAL_TOL * max(1.0, abs(mu[lo])))
+        distance = np.maximum(distance, RESIDUAL_TOL * max(1.0, abs(mu[lo])))
         rank[lo:hi] = np.sort(candidates[np.argsort(distance, kind="stable")[: hi - lo]])
         free[rank[lo:hi]] = False
         lo = hi

@@ -15,10 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import AmbiguousReadoutError, MissingLabelsError, QllabError
+from .errors import AmbiguousReadoutError, QllabError
 from .graph import BiasedGraph, derive_seed, disjoint_union, rng_from
 from .qlbit import build_qlbit, project_two_state
-from .qlproduct import ProductSpec, bit_values
+from .qlproduct import ProductSpec, bit_values, build_product
 from .spectral import top_pair
 
 READOUT_THRESHOLD = 0.05
@@ -27,27 +27,26 @@ WITNESS_BLOCKS = ("x1", "x2")
 
 
 def attach_witness(
-    product: BiasedGraph,
     spec: ProductSpec,
     bit_index: int,
     strength: float,
     density: float = 0.1,
     seed: int = 0,
 ):
-    """Couple a fresh witness QL bit to the like-labeled product blocks.
+    """Build the product of spec, so that it cannot disagree with the spec
+    that picks its blocks, and couple a fresh witness QL bit to the
+    like-labeled ones.
 
     Each witness block gains round(density * n_block) random edges of real
     magnitude `strength` to every product block whose target-bit value
     matches.  Returns the combined graph; the witness vertices follow the
     product's.
     """
-    if product.blocks is None:
-        raise MissingLabelsError("product graph has no block labels")
     if not 0 <= bit_index < spec.q:
         raise IndexError(f"bit index {bit_index} out of range for q={spec.q}")
     if strength < 0:
         raise QllabError("coupling strength must be nonnegative")
-
+    product = build_product(spec)
     bit = spec.qlbits[bit_index]
     witness_bit = replace(
         bit,

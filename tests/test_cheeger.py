@@ -9,29 +9,29 @@ from hypothesis import strategies as st
 
 import qllab.cheeger
 from qllab.cheeger import cheeger_bounds, expansion_profile, isoperimetric_exact
-from qllab.errors import NotRegularError, QllabError, TooLargeError
+from qllab.errors import QllabError, TooLargeError
 from qllab.graph import BiasedGraph, GraphGenSpec, gen_complete, gen_cycle
 from qllab.spectral import eigenvalues
 
 
-def assert_sandwich(report):
-    assert report.lower_bound is not None and report.upper_bound is not None
-    assert report.lower_bound <= report.h + 1e-12
-    assert report.h <= report.upper_bound + 1e-12
+def assert_sandwich(g, report):
+    lower, upper = cheeger_bounds(g)
+    assert lower <= report.h + 1e-12
+    assert report.h <= upper + 1e-12
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_cycle_exact_h_and_bounds(n):
     report = isoperimetric_exact(gen_cycle(n))
     assert report.h == pytest.approx(2 / (n // 2), abs=1e-15)
-    assert_sandwich(report)
+    assert_sandwich(gen_cycle(n), report)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_complete_exact_h_and_bounds(n):
     report = isoperimetric_exact(gen_complete(n))
     assert report.h == math.ceil(n / 2)
-    assert_sandwich(report)
+    assert_sandwich(gen_complete(n), report)
 
 
 def brute_force(n, pairs):
@@ -72,7 +72,7 @@ def test_exact_at_the_size_cap(g, h):
     # every half of K_22 ties at 121/11; the lexicographically first wins
     report = isoperimetric_exact(g)
     assert (report.h, report.subset, report.size) == (h, list(range(11)), 11)
-    assert_sandwich(report)
+    assert_sandwich(g, report)
 
 
 def test_exact_stops_above_the_size_cap():
@@ -101,13 +101,10 @@ def test_expansion_profile_solves_each_graph_once(monkeypatch):
         [GraphGenSpec("cycle", n=8), GraphGenSpec("complete", n=24)]
     )
     assert solved == [8, 24]
+    # the enumeration solves nothing; the bounds are the profile's one solve
     exact = isoperimetric_exact(gen_cycle(8))
-    assert (small.h, small.lower, small.upper, small.is_exact) == (
-        exact.h,
-        exact.lower_bound,
-        exact.upper_bound,
-        True,
-    )
+    assert solved == [8, 24]
+    assert (small.h, small.lower, small.upper, small.is_exact) == (exact.h, *cheeger_bounds(gen_cycle(8)), True)
     assert not large.is_exact and large.h == large.lower
     assert large.lower == pytest.approx(12.0) and np.isfinite(large.upper)
 
@@ -116,15 +113,19 @@ def test_expansion_profile_solves_each_graph_once(monkeypatch):
 def test_cheeger_bounds_closed_forms(n):
     # C_n: d = 2, lambda_1 = 2 cos(2 pi / n); K_n: d = n - 1, lambda_1 = -1
     gap = 2 - 2 * math.cos(2 * math.pi / n)
-    lower, upper = cheeger_bounds(gen_cycle(n), 2)
+    lower, upper = cheeger_bounds(gen_cycle(n))
     assert lower == pytest.approx(gap / 2, abs=1e-12)
     assert upper == pytest.approx(math.sqrt(4 * gap), abs=1e-12)
-    lower, upper = cheeger_bounds(gen_complete(n), n - 1)
+    lower, upper = cheeger_bounds(gen_complete(n))
     assert lower == pytest.approx(n / 2, abs=1e-12)
     assert upper == pytest.approx(math.sqrt(2 * (n - 1) * n), abs=1e-12)
 
 
 def test_cheeger_bounds_reject_an_irregular_graph():
     path = BiasedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(NotRegularError):
-        cheeger_bounds(path, 2)
+    assert cheeger_bounds(path) is None
+
+
+def test_cheeger_bounds_reject_an_edgeless_graph():
+    assert cheeger_bounds(BiasedGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))) is None
+    assert cheeger_bounds(gen_complete(1)) is None

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import json
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -810,7 +812,7 @@ def unphased_product(params, seed):
             return [(s.eigenvalue, list(g.blocks), 0.0, s.coefficients) for s in quotient_states(g, quo)[1][:n_top]]
         spectrum = eigendecompose(g)
     states = project_blocks(g, g.blocks, spectrum.eigenvectors[:, :n_top])
-    return [(v, eff.labels, eff.residual, eff.coefficients) for v, eff in zip(spectrum.eigenvalues, states)]
+    return [(v, list(g.blocks), eff.residual, eff.coefficients) for v, eff in zip(spectrum.eigenvalues, states)]
 
 
 def assert_phase_rule_alone(coefficients, unphased):
@@ -888,6 +890,17 @@ def test_cli_import_loads_no_scipy():
     probe = "import qllab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=CHILD_ENV)
     assert result.stdout.strip() == "False"
+
+
+def test_no_library_module_imports_a_private_name_of_another():
+    # a private name stays in its module; a rule that another module needs is
+    # public.  A private module (_csv) is the package's own, and dunders such
+    # as __version__ are not private.
+    for path in sorted(Path(qllab.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "qllab"):
+                private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, f"{path.name} imports private {private} from {node.module}"
 
 
 def child_argv(tmp_path, name, doc):

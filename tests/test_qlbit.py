@@ -148,7 +148,6 @@ class TestProjections:
         assert eff.coefficients[0] == pytest.approx(1.0)
         assert abs(eff.coefficients[1]) <= 1e-12
         assert eff.residual <= 1e-8
-        assert eff.labels == ["a1", "a2"]
 
     def test_norm_budget_identity(self):
         g = build_qlbit(qlbit_spec(12, 4, seed=1))

@@ -87,6 +87,30 @@ class TestEigendecompose:
             permuted = BiasedGraph.from_edges(g.n, perm[g.edges], g.bias)
             assert np.allclose(eigendecompose(permuted).eigenvalues, base, atol=1e-9)
 
+    def test_each_pair_meets_its_own_residual_bound(self, monkeypatch):
+        # a near-zero pair of a 6-regular graph moved by 3e-8 is within
+        # 1e-8 * max |lambda| = 6e-8, but not within its own 1e-8 * max(1, |lambda|)
+        g = gen_d_regular_random(40, 6, seed=2)
+        solver = np.linalg.eigh
+
+        def moved(a):
+            vals, vecs = solver(a)
+            k = np.argmin(np.abs(vals))
+            assert abs(vals[k]) < 1 and vals.max() == pytest.approx(6)
+            vals = vals.copy()
+            vals[k] += 3e-8
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", moved)
+        with pytest.raises(NumericalError, match="eigenpair .* residual 3.000e-08"):
+            eigendecompose(g)
+
+    def test_spectrum_checks_its_pairs_on_construction(self):
+        vals = np.array([6.0, 0.5])
+        Spectrum(eigenvalues=vals, eigenvectors=np.eye(2), residuals=np.array([6e-8, 1e-8]))
+        with pytest.raises(NumericalError, match="eigenpair 1 residual"):
+            Spectrum(eigenvalues=vals, eigenvectors=np.eye(2), residuals=np.array([0.0, 1.1e-8]))
+
     def test_trace_identity(self):
         g = add_diagonal_disorder(gen_d_regular_random(30, 4, seed=7), 2.0, seed=8)
         spec = eigendecompose(g)
@@ -282,7 +306,7 @@ class TestTopPair:
         # bit; signed, so no diagonal scaling reaches its top eigenvalue
         bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
         spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
-        g = attach_witness(build_contracted_product(spec), spec, 0, 0.25, seed=4)
+        g = attach_witness(spec, 0, 0.25, seed=4)
         a = g.adjacency()
         x = qllab.spectral._lanczos_top(g)
         theta = float(np.vdot(x, g.operator()(x)).real)  # top_pair's Rayleigh quotient
@@ -347,7 +371,7 @@ def signed_witness_graph():
     signed, so no diagonal scaling reaches its top eigenvalue."""
     bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
     spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
-    return attach_witness(build_contracted_product(spec), spec, 0, 0.25, seed=4)
+    return attach_witness(spec, 0, 0.25, seed=4)
 
 
 def same_size_sequences(g):

@@ -31,7 +31,7 @@ def coupling_edges(combined):
 @pytest.mark.parametrize("bit_index", [0, 1])
 def test_witness_blocks_reach_only_matching_product_blocks(bit_index):
     g, spec = small_product()
-    combined = attach_witness(g, spec, bit_index, 0.7, density=0.5, seed=3)
+    combined = attach_witness(spec, bit_index, 0.7, density=0.5, seed=3)
     groups = coupling_edges(combined)
     matching = {
         (w, p)
@@ -46,7 +46,7 @@ def test_witness_blocks_reach_only_matching_product_blocks(bit_index):
 @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 1.0])
 def test_each_block_pair_gets_rounded_density_edges(density):
     g, spec = small_product()
-    combined = attach_witness(g, spec, 0, 1.0, density=density, seed=5)
+    combined = attach_witness(spec, 0, 1.0, density=density, seed=5)
     counts = Counter({key: len(biases) for key, biases in coupling_edges(combined).items()})
     for w in WITNESS_BLOCKS:
         for p, verts in graph_to_json(g)["labels"].items():
@@ -57,7 +57,7 @@ def test_each_block_pair_gets_rounded_density_edges(density):
 def test_strength_zero_is_the_plain_union():
     g, spec = small_product()
     seed = 9
-    combined = attach_witness(g, spec, 1, 0.0, density=0.5, seed=seed)
+    combined = attach_witness(spec, 1, 0.0, density=0.5, seed=seed)
     witness_bit = replace(
         spec.qlbits[1], connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=derive_seed(seed, "witness")
     )
@@ -66,18 +66,17 @@ def test_strength_zero_is_the_plain_union():
 
 
 def prepared(preparation, seed):
-    """A two-bit contracted product whose bit 0 carries the given phase."""
+    """A two-bit contracted product spec whose bit 0 carries the given phase."""
     bits = [qlbit_spec(30, 6, policy=CrossRegular(1), seed=(seed, t)) for t in range(2)]
     bits[0] = replace(bits[0], connect_bias=complex(1 if preparation == "plus" else -1))
-    spec = ProductSpec(qlbits=tuple(bits), mode="contracted", seed=seed)
-    return build_contracted_product(spec), spec
+    return ProductSpec(qlbits=tuple(bits), mode="contracted", seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("preparation, verdict", [("plus", "same"), ("minus", "inverted")])
 def test_strong_coupling_reads_the_prepared_phase(preparation, verdict, seed):
-    g, spec = prepared(preparation, seed)
-    combined = attach_witness(g, spec, 0, 2.0, seed=seed)
+    spec = prepared(preparation, seed)
+    combined = attach_witness(spec, 0, 2.0, seed=seed)
     assert witness_readout(combined) == verdict
 
 
@@ -85,7 +84,7 @@ def test_weak_minus_coupling_is_ambiguous():
     # At s = 0.25 the top eigenvector of the combined graph has almost no
     # weight on the witness blocks: both projections fall below
     # READOUT_THRESHOLD.
-    g, spec = prepared("minus", 0)
-    combined = attach_witness(g, spec, 0, 0.25, seed=0)
+    spec = prepared("minus", 0)
+    combined = attach_witness(spec, 0, 0.25, seed=0)
     with pytest.raises(AmbiguousReadoutError):
         witness_readout(combined)
