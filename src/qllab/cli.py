@@ -14,6 +14,17 @@ path and returns each value through its reader.  `_spec` is the one place
 where a library error, whose message starts with the field at fault,
 becomes a ConfigError at that key path.
 
+A run loads only the library modules its experiment uses.  `graph`,
+`spectral`, `states`, `_csv` and `errors` are imported here; `qlbit`,
+`qlproduct`, `kuramoto`, `witness` and `cheeger` are imported inside the
+readers and runners that use them.  So `spectrum` and `disorder-sweep`
+load none of those five, `kuramoto` loads neither `witness` nor
+`cheeger`, and a process that never writes bytecode compiles no module it
+does not run.  Each function imports from the library module at every
+call and copies no name into this module, so a name patched on its
+library module is the name the call reads.  A reader imports before it
+reads, so a config error still exits 2 before any solver call.
+
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 
@@ -30,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv
-from .cheeger import expansion_profile
 from .errors import ConfigError, QllabError
 from .graph import (
     GraphGenSpec,
@@ -40,36 +50,9 @@ from .graph import (
     derive_seed,
     gen_d_regular_random,
 )
-from .kuramoto import SyncRunConfig, run_sync_experiment
-from .qlbit import (
-    BiasTopology,
-    CrossRegular,
-    EdgeBudgetFraction,
-    PairProbability,
-    QLBitSpec,
-    apply_bias_topology,
-    bias_from_token,
-    build_qlbit,
-    build_regular_qlbit,
-    project_two_state,
-    qlbit_spec,
-    regular_qlbit_spec,
-    reseeded,
-)
-from .qlproduct import (
-    ProductSpec,
-    build_product,
-    cartesian_product,
-    full_product_factors,
-    project_product_state,
-    state_doc,
-    verify_contraction_law,
-    verify_spectrum_composition,
-)
 from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
 from .spectral import extreme_state, fixed_phase, quotient, quotient_states
 from .states import mixture_purity
-from .witness import attach_witness, witness_readout
 
 
 # ----------------------------------------------------------------------
@@ -197,26 +180,28 @@ def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
     return _spec(GraphGenSpec, path, kind, n, d, seed, base)
 
 
-_POLICIES = {
-    "pair_probability": (PairProbability, "p", _float),
-    "budget": (EdgeBudgetFraction, "fraction", _float),
-    "cross_regular": (CrossRegular, "degree", _int),
-}
-
-
 def parse_policy(doc, path):
+    from .qlbit import CrossRegular, EdgeBudgetFraction, PairProbability
+
+    policies = {
+        "pair_probability": (PairProbability, "p", _float),
+        "budget": (EdgeBudgetFraction, "fraction", _float),
+        "cross_regular": (CrossRegular, "degree", _int),
+    }
     # each kind reads its own key; the others' keys are let through unread
-    keys = {"kind": (_as_is, REQUIRED), **{key: (_as_is, None) for _, key, _ in _POLICIES.values()}}
+    keys = {"kind": (_as_is, REQUIRED), **{key: (_as_is, None) for _, key, _ in policies.values()}}
     kind = _read(doc, keys, path)[0]
-    if not isinstance(kind, str) or kind not in _POLICIES:
+    if not isinstance(kind, str) or kind not in policies:
         raise ConfigError(f"unknown policy kind at {path}kind: {kind!r}")
-    policy, key, read = _POLICIES[kind]
+    policy, key, read = policies[kind]
     if key not in doc:
         raise ConfigError(f"missing key {path}{key}")
     return _spec(policy, path, read(doc[key], path + key))
 
 
 def _bias(token, key) -> complex:
+    from .qlbit import bias_from_token
+
     return _spec(bias_from_token, f"{key}: ", token)
 
 
@@ -233,10 +218,14 @@ _QLBIT_KEYS = {
 
 
 def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
+    from .qlbit import qlbit_spec
+
     return _spec(qlbit_spec, path, *_read(doc, {**_QLBIT_KEYS, "seed": (_int, default_seed)}, path))
 
 
 def parse_product(doc, path, default_seed=0) -> ProductSpec:
+    from .qlproduct import ProductSpec
+
     bits, mode, n, d, seed = _read(
         doc,
         {
@@ -257,6 +246,8 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
 
 
 def _table_row(doc, key) -> BiasTopology:
+    from .qlbit import BiasTopology
+
     path = key + "."
     return _spec(BiasTopology, path, *_read(doc, dict.fromkeys(("red", "blue", "conn"), (_bias, REQUIRED)), path))
 
@@ -309,6 +300,8 @@ def cmd_spectrum(params, seed):
         spec = replace(base, seed=derive_seed(seed, "real", i)) if realizations > 1 else base
         g = build_graph(spec)
         for k in range(depth - 1):
+            from .qlproduct import cartesian_product  # so a depth-1 spectrum loads no product code
+
             extra = replace(spec, seed=derive_seed(spec.seed, "factor", k))
             g = cartesian_product(g, build_graph(extra))
         if sigma > 0:
@@ -351,6 +344,16 @@ def cmd_disorder_sweep(params, seed):
 
 
 def cmd_qlbit(params, seed):
+    from .qlbit import (
+        apply_bias_topology,
+        build_qlbit,
+        build_regular_qlbit,
+        project_two_state,
+        qlbit_spec,
+        regular_qlbit_spec,
+        reseeded,
+    )
+
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
         {
@@ -406,6 +409,15 @@ def cmd_qlbit(params, seed):
 
 
 def cmd_product(params, seed):
+    from .qlproduct import (
+        build_product,
+        full_product_factors,
+        project_product_state,
+        state_doc,
+        verify_contraction_law,
+        verify_spectrum_composition,
+    )
+
     spec, verify, n_top = _read(
         params,
         {
@@ -448,6 +460,8 @@ def cmd_product(params, seed):
 
 
 def cmd_witness(params, seed):
+    from .witness import attach_witness, witness_readout
+
     product, bit_index, strength, density, preparation, trials = _read(
         params,
         {
@@ -481,6 +495,8 @@ def cmd_witness(params, seed):
 
 
 def cmd_kuramoto(params, seed):
+    from .kuramoto import SyncRunConfig, run_sync_experiment
+
     *fields, record_every = _read(
         params,
         {
@@ -512,6 +528,8 @@ def _cheeger_spec(doc, path, seed) -> GraphGenSpec:
 
 
 def cmd_cheeger(params, seed):
+    from .cheeger import expansion_profile
+
     # neither reader gives None, so None marks an absent key
     graph, family = _read(params, {"graph": (_nested(_cheeger_spec, seed), None), "family": (_list, None)})
     if (graph is None) == (family is None):

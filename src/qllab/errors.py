@@ -17,10 +17,6 @@ class MissingLabelsError(QllabError):
     """Operation requires vertex block labels that are absent."""
 
 
-class EmptySubgraphError(QllabError):
-    """A constituent subgraph has no vertices."""
-
-
 class PolicyInfeasibleError(QllabError):
     """Connection policy asks for more edges than the block pair admits."""
 

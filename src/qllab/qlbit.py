@@ -26,12 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    EmptySubgraphError,
-    MissingLabelsError,
-    PolicyInfeasibleError,
-    QllabError,
-)
+from .errors import MissingLabelsError, PolicyInfeasibleError, QllabError
 from .graph import (
     BiasedGraph,
     GraphGenSpec,
@@ -214,8 +209,6 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     """
     g1 = build_graph(spec.sub1)
     g2 = build_graph(spec.sub2)
-    if g1.n == 0 or g2.n == 0:
-        raise EmptySubgraphError("QL bit blocks must be nonempty")
     n1, n2 = g1.n, g2.n
     pairs = [g1.edges, g2.edges + n1]
     bias = [g1.bias * spec.blue_bias, g2.bias * spec.red_bias]

@@ -885,11 +885,42 @@ def test_a_zero_entry_never_carries_the_phase():
         assert_phase_rule_alone(np.array([complex(*c) for c in state["coefficients"]]), unphased)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs about 0.2 s to import, paid by every run of the tool
-    probe = "import qllab.cli, sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=CHILD_ENV)
-    assert result.stdout.strip() == "False"
+# The library modules `cli` imports only inside the functions that use them.
+DEFERRED = ("qlbit", "qlproduct", "kuramoto", "witness", "cheeger")
+
+# case: (the config a child runs after `import qllab.cli`, or None for the
+# import alone; the deferred modules loaded after it)
+FOOTPRINT = {
+    "import": (None, set()),
+    "spectrum": ({"experiment": "spectrum", "params": {"graph": SPECTRUM_GRAPH, "bins": 4}}, set()),
+    "disorder-sweep": (
+        {"experiment": "disorder-sweep", "params": {"n": 10, "d": 3, "retentions": [1.0, 0.5], "realizations": 2}},
+        set(),
+    ),
+    "kuramoto": ({"experiment": "kuramoto", "params": KURAMOTO}, {"kuramoto", "qlbit", "qlproduct"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOOTPRINT))
+def test_cli_loads_only_what_its_experiment_uses(tmp_path, case):
+    # scipy costs about 0.2 s to import, paid by every run of the tool; and
+    # where bytecode is not cached, every module a run imports is compiled
+    doc, expected = FOOTPRINT[case]
+    argv = []
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = ["config.json", "--out", "out"]
+    probe = (
+        "import json, sys, qllab.cli\n"
+        "if sys.argv[1:]: assert qllab.cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], cwd=tmp_path, capture_output=True, text=True, check=True, env=CHILD_ENV
+    )
+    modules = json.loads(result.stdout.splitlines()[-1])
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert {name for name in DEFERRED if f"qllab.{name}" in modules} == expected
 
 
 def test_no_library_module_imports_a_private_name_of_another():
