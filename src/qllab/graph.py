@@ -187,6 +187,13 @@ class BiasedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The adjacency entries A[u, v] of `edges`: `bias`, or its real
+        part when no bias has an imaginary part, so that every dense or
+        applied form of a real graph is real."""
+        return self.bias if np.any(self.bias.imag) else self.bias.real
+
     def degrees(self) -> np.ndarray:
         """Per-vertex edge count (bias values ignored)."""
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -194,12 +201,11 @@ class BiasedGraph:
     def adjacency(self, out=None) -> np.ndarray:
         """Dense Hermitian adjacency matrix, diagonal included.
 
-        float64 when no bias has an imaginary part, complex128 otherwise.
-        With `out`, a writable C-contiguous (n, n) array of that dtype, the
-        matrix is written into it after zeroing it, and `out` is returned;
-        any other `out` raises QllabError.
+        In the dtype of `entries`.  With `out`, a writable C-contiguous
+        (n, n) array of that dtype, the matrix is written into it after
+        zeroing it, and `out` is returned; any other `out` raises QllabError.
         """
-        bias = self.bias if np.any(self.bias.imag) else self.bias.real
+        bias = self.entries
         shape = (self.n, self.n)
         if out is None:
             a = np.zeros(shape, dtype=bias.dtype)
@@ -228,8 +234,7 @@ class BiasedGraph:
         (O(m c)).  A x is real when x is real and no bias has an imaginary
         part.
         """
-        bias = self.bias if np.any(self.bias.imag) else self.bias.real
-        return edge_operator(self.n, self.edges, bias, self.diagonal)
+        return edge_operator(self.n, self.edges, self.entries, self.diagonal)
 
 
 def edge_operator(n, edges, weights, diagonal=None):
@@ -344,15 +349,6 @@ class GraphGenSpec:
             _check_size(self.kind, self.n, self.d)
         else:
             raise QllabError(f"kind: unknown graph kind {self.kind!r}")
-
-    def implied_degree(self) -> int:
-        if self.kind in ("d_regular_random", "bipartite_d_regular"):
-            return self.d
-        if self.kind == "cycle":
-            return 2
-        if self.kind == "complete":
-            return self.n - 1
-        return self.base.implied_degree()
 
 
 _KINDS = ("d_regular_random", "cycle", "complete", "bipartite_d_regular")

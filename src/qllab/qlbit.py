@@ -1,7 +1,9 @@
 """Two-level graph bits: construction, bias topologies, and projections.
 
-A QL bit couples two regular subgraphs (blocks a1 and a2) through a sparse
-set of cross edges.  The block structure splits two hybridized levels off
+A QL bit couples two n-vertex d-regular random blocks, a1 and a2, through
+a sparse set of cross edges.  `QLBitSpec` is that one shape, and it checks
+its sizes, connect policy and biases when it is made, so a spec that
+exists can be built.  The block structure splits two hybridized levels off
 the bulk, at its top with +1 block biases and at its bottom with -1 ones;
 they behave as an effective two-level system, and the emergent state is
 the one of largest |lambda|.  A Bloch-row bit is cross-regular, so its two
@@ -22,7 +24,7 @@ bias of i produces the emergent state |a2> + i|a1> at eigenvalue d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .errors import MissingLabelsError, PolicyInfeasibleError, QllabError
 from .graph import (
     BiasedGraph,
     GraphGenSpec,
-    build_graph,
     derive_seed,
+    gen_d_regular_random,
     project_blocks,
     rng_from,
     sample_biregular_pairs,
@@ -45,7 +47,7 @@ from .graph import (
 
 @dataclass(frozen=True)
 class PairProbability:
-    """Each of the n*k cross pairs is an edge independently with probability p."""
+    """Each of the n * n cross pairs is an edge independently with probability p."""
 
     p: float
 
@@ -56,11 +58,9 @@ class PairProbability:
 
 @dataclass(frozen=True)
 class EdgeBudgetFraction:
-    """Exactly round(f * (n+k) * d / 2) cross edges, sampled uniformly.
-
-    The budget is the given fraction of the edges a single d-regular graph
-    on all n+k vertices would carry, computed from the blocks' actual edge
-    counts (identical for regular blocks).
+    """Exactly round(f * n * d) cross edges between two n-vertex d-regular
+    blocks, sampled uniformly: the given fraction of the n * d edges a
+    single d-regular graph on all 2n vertices would carry.
     """
 
     fraction: float
@@ -69,14 +69,14 @@ class EdgeBudgetFraction:
         if self.fraction < 0.0:
             raise QllabError("fraction: budget fraction must be nonnegative")
 
-    def budget(self, block_edges) -> int:
-        """Cross-edge count for blocks that carry block_edges edges together."""
-        return int(round(self.fraction * block_edges))
+    def budget(self, n, d) -> int:
+        """Cross-edge count between two n-vertex d-regular blocks."""
+        return int(round(self.fraction * (n * d)))
 
 
 @dataclass(frozen=True)
 class CrossRegular:
-    """Bipartite k-regular cross edges (requires equal block sizes).
+    """Bipartite k-regular cross edges.
 
     Keeps the block-indicator subspace exactly invariant, which pins the
     emergent eigenvalues and kills projection residuals.
@@ -89,44 +89,32 @@ class CrossRegular:
             raise QllabError("degree: cross degree must be nonnegative")
 
 
-def _pairs_from_flat(flat, n2) -> np.ndarray:
-    """(m, 2) pairs (i, j) of flat indices i * n2 + j."""
-    return np.stack(np.divmod(np.asarray(flat, dtype=np.int64), n2), axis=1)
-
-
-def sample_cross_pairs(policy, n1, n2, block_edges, rng) -> np.ndarray:
-    """(m, 2) cross pairs (i in block1, j in block2) under the given policy.
-
-    block_edges, the edge count of the two blocks together, sets the size
-    of an EdgeBudgetFraction sample.
-    """
-    check_policy(policy, n1, n2, block_edges, "policy")
+def sample_cross_pairs(policy, n, d, rng) -> np.ndarray:
+    """(m, 2) cross pairs (i in block1, j in block2) under the given policy,
+    which `check_policy` passed for two n-vertex d-regular blocks."""
     if isinstance(policy, PairProbability):
-        mask = rng.random(n1 * n2) < policy.p
-        return _pairs_from_flat(np.flatnonzero(mask), n2)
-    if isinstance(policy, EdgeBudgetFraction):
-        picks = rng.choice(n1 * n2, size=policy.budget(block_edges), replace=False)
-        return _pairs_from_flat(picks, n2)
-    if isinstance(policy, CrossRegular):
-        return _pairs_from_flat(sample_biregular_pairs(n1, policy.degree, rng), n2)
-    raise QllabError(f"unknown connect policy {policy!r}")
+        flat = np.flatnonzero(rng.random(n * n) < policy.p)
+    elif isinstance(policy, EdgeBudgetFraction):
+        flat = rng.choice(n * n, size=policy.budget(n, d), replace=False)
+    elif isinstance(policy, CrossRegular):
+        flat = sample_biregular_pairs(n, policy.degree, rng)
+    else:
+        raise QllabError(f"unknown connect policy {policy!r}")
+    return np.stack(np.divmod(flat, n), axis=1)  # flat index i * n + j
 
 
-def check_policy(policy, n1, n2, block_edges, path):
-    """Raise PolicyInfeasibleError unless the policy can join blocks of n1
-    and n2 vertices that carry block_edges edges together; the message
-    starts with the field at fault, named by the policy's `path`."""
-    if isinstance(policy, CrossRegular):
-        if n1 != n2:
-            raise PolicyInfeasibleError(f"{path}: cross-regular policy needs equal block sizes")
-        if policy.degree > n1:
-            raise PolicyInfeasibleError(
-                f"{path}.degree: cross degree {policy.degree} exceeds block size {n1}"
-            )
-    elif isinstance(policy, EdgeBudgetFraction) and policy.budget(block_edges) > n1 * n2:
+def check_policy(policy, n, d, path):
+    """Raise PolicyInfeasibleError unless the policy can join two n-vertex
+    d-regular blocks; the message starts with the field at fault, named by
+    the policy's `path`."""
+    if isinstance(policy, CrossRegular) and policy.degree > n:
         raise PolicyInfeasibleError(
-            f"{path}.fraction: edge budget {policy.budget(block_edges)} exceeds "
-            f"{n1 * n2} available cross pairs"
+            f"{path}.degree: cross degree {policy.degree} exceeds block size {n}"
+        )
+    if isinstance(policy, EdgeBudgetFraction) and policy.budget(n, d) > n * n:
+        raise PolicyInfeasibleError(
+            f"{path}.fraction: edge budget {policy.budget(n, d)} exceeds "
+            f"{n * n} available cross pairs"
         )
 
 
@@ -149,55 +137,43 @@ def _check_biases(conn_field, conn, **signs):
 
 @dataclass(frozen=True)
 class QLBitSpec:
-    """Recipe for one QL bit.
+    """Recipe for one QL bit: two d-regular random blocks of n vertices each.
 
-    sub1/sub2 generate the a1 (blue) and a2 (red) blocks; connect_bias is
-    the unit-modulus cross-edge bias (0 leaves the blocks disconnected);
-    red_bias/blue_bias are +-1 signs applied to the intra-block edges.
+    block_seeds seed the a1 (blue) and a2 (red) blocks; connect_policy
+    samples the cross edges, which carry the unit-modulus connect_bias (0
+    leaves the blocks disconnected); red_bias/blue_bias are +-1 signs on the
+    intra-block edges.  A bad size, policy or bias raises here, with a
+    message that starts with its field (`policy` for connect_policy).
     """
 
-    sub1: GraphGenSpec
-    sub2: GraphGenSpec
-    connect_policy: object = field(default_factory=lambda: EdgeBudgetFraction(0.2))
+    n: int
+    d: int
+    connect_policy: object = EdgeBudgetFraction(0.2)
     connect_bias: complex = 1.0 + 0.0j
     red_bias: float = 1.0
     blue_bias: float = 1.0
     seed: int = 0
+    block_seeds: tuple = (0, 0)
 
     def __post_init__(self):
+        GraphGenSpec("d_regular_random", n=self.n, d=self.d)  # raises unless (n, d) is feasible
         _check_biases(
             "connect_bias", self.connect_bias, red_bias=self.red_bias, blue_bias=self.blue_bias
         )
+        check_policy(self.connect_policy, self.n, self.d, "policy")
 
 
 def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
-    """Convenience constructor: two d-regular random blocks of n vertices each.
-
-    Sizes the blocks cannot have, and a policy that cannot join them (a
-    cross-regular degree above n, an edge budget above n * n), raise at
-    once, with messages that start with the field at fault.
-    """
-    spec = QLBitSpec(
-        sub1=GraphGenSpec("d_regular_random", n=n, d=d),
-        sub2=GraphGenSpec("d_regular_random", n=n, d=d),
-        connect_policy=policy if policy is not None else EdgeBudgetFraction(0.2),
-        connect_bias=connect_bias,
-        red_bias=red_bias,
-        blue_bias=blue_bias,
-    )
-    check_policy(spec.connect_policy, n, n, n * d, "policy")  # d-regular blocks: n * d edges
-    return reseeded(spec, seed)
+    """The QL bit of two d-regular random blocks of n vertices, its blocks
+    seeded from seed as `reseeded` does; policy None is the default one."""
+    policy = QLBitSpec.connect_policy if policy is None else policy
+    return reseeded(QLBitSpec(n, d, policy, connect_bias, red_bias, blue_bias), seed)
 
 
 def reseeded(bit: QLBitSpec, seed) -> QLBitSpec:
-    """bit with the given seed, and its sub1 and sub2 blocks with the seeds
-    `qlbit_spec` derives from it, so a fresh seed draws fresh blocks too."""
-    return replace(
-        bit,
-        seed=seed,
-        sub1=replace(bit.sub1, seed=derive_seed(seed, "sub1")),
-        sub2=replace(bit.sub2, seed=derive_seed(seed, "sub2")),
-    )
+    """bit with the given seed, and its blocks with the seeds `qlbit_spec`
+    derives from it, so a fresh seed draws fresh blocks too."""
+    return replace(bit, seed=seed, block_seeds=(derive_seed(seed, "sub1"), derive_seed(seed, "sub2")))
 
 
 def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
@@ -207,24 +183,21 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     sampled by the connect policy and all carry connect_bias, oriented
     a1 -> a2.
     """
-    g1 = build_graph(spec.sub1)
-    g2 = build_graph(spec.sub2)
-    n1, n2 = g1.n, g2.n
-    pairs = [g1.edges, g2.edges + n1]
-    bias = [g1.bias * spec.blue_bias, g2.bias * spec.red_bias]
+    n = spec.n
+    blue, red = (gen_d_regular_random(n, spec.d, seed) for seed in spec.block_seeds)
+    pairs = [blue.edges, red.edges + n]
+    bias = [blue.bias * spec.blue_bias, red.bias * spec.red_bias]
 
     conn = complex(spec.connect_bias)
     if conn != 0:
-        rng = rng_from(spec.seed, "cross", n1, n2)
-        block_edges = g1.num_edges + g2.num_edges
-        cross = sample_cross_pairs(spec.connect_policy, n1, n2, block_edges, rng)
-        pairs.append(cross + [0, n1])
+        rng = rng_from(spec.seed, "cross", n, n)
+        cross = sample_cross_pairs(spec.connect_policy, n, spec.d, rng)
+        pairs.append(cross + [0, n])
         bias.append(np.full(len(cross), conn))
 
-    diagonal = np.concatenate([g1.diagonal, g2.diagonal])
-    block_of = np.repeat([0, 1], [n1, n2])
+    block_of = np.repeat([0, 1], n)
     return BiasedGraph.from_edges(
-        n1 + n2, np.concatenate(pairs), np.concatenate(bias), diagonal, block_names, block_of
+        2 * n, np.concatenate(pairs), np.concatenate(bias), None, block_names, block_of
     )
 
 
@@ -246,16 +219,12 @@ def regular_qlbit_spec(n_per_side, d, cross_degree, seed=0) -> QLBitSpec:
             f"cross_degree: need 1 <= cross_degree < d = {d} and cross_degree <= n = "
             f"{n_per_side}, got {cross_degree}"
         )
-    intra = d - cross_degree
     return QLBitSpec(
-        sub1=GraphGenSpec(
-            "d_regular_random", n=n_per_side, d=intra, seed=derive_seed(seed, "blue")
-        ),
-        sub2=GraphGenSpec(
-            "d_regular_random", n=n_per_side, d=intra, seed=derive_seed(seed, "red")
-        ),
-        connect_policy=CrossRegular(cross_degree),
+        n_per_side,
+        d - cross_degree,
+        CrossRegular(cross_degree),
         seed=seed,
+        block_seeds=(derive_seed(seed, "blue"), derive_seed(seed, "red")),
     )
 
 

@@ -176,7 +176,7 @@ class ProductSpec:
 
     In contracted mode every one of the 2^q effective blocks is an
     independent d-regular random graph on n vertices (n, d taken from the
-    fields below, falling back to the first bit's sub1 spec), and blocks
+    fields below, falling back to the first bit's n and d), and blocks
     whose labels differ in exactly one position are connected using that
     bit's policy and bias, so every bit's policy must fit n-vertex blocks.
     """
@@ -200,18 +200,18 @@ class ProductSpec:
         if self.mode == "contracted":
             n, d = self.block_size(), self.block_degree()
             GraphGenSpec("d_regular_random", n=n, d=d)  # raises unless (n, d) is feasible
-            for j, bit in enumerate(self.qlbits):  # two d-regular blocks: n * d edges
-                check_policy(bit.connect_policy, n, n, n * d, f"qlbits[{j}].policy")
+            for j, bit in enumerate(self.qlbits):
+                check_policy(bit.connect_policy, n, d, f"qlbits[{j}].policy")
 
     @property
     def q(self) -> int:
         return len(self.qlbits)
 
     def block_size(self) -> int:
-        return self.n if self.n is not None else self.qlbits[0].sub1.n
+        return self.n if self.n is not None else self.qlbits[0].n
 
     def block_degree(self) -> int:
-        return self.d if self.d is not None else self.qlbits[0].sub1.implied_degree()
+        return self.d if self.d is not None else self.qlbits[0].d
 
 
 def bit_values(k: int, q: int):
@@ -278,7 +278,7 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
                 continue
             others = tuple(v for t, v in enumerate(values) if t != j)
             rng = rng_from(spec.seed, "cross", j, others)
-            cross = sample_cross_pairs(bit.connect_policy, n, n, n * d, rng)
+            cross = sample_cross_pairs(bit.connect_policy, n, d, rng)
             # Orientation: value-1 block -> value-2 block carries the bias.
             pairs.append(cross + [k * n, partner * n])
             bias.append(np.full(len(cross), conn))
@@ -342,7 +342,7 @@ def _joins(bit, n, d):
     policy, conn = bit.connect_policy, complex(bit.connect_bias) != 0
     if isinstance(policy, PairProbability):
         return conn and policy.p > 0, conn and policy.p == 1
-    size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(n * d)
+    size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(n, d)
     return conn and size > 0, conn and size > 0
 
 

@@ -273,7 +273,7 @@ def _dense(g: BiasedGraph) -> np.ndarray:
     new, so at most one is held.  Its contents last until the next call.
     """
     global _operand
-    dtype = complex if np.any(g.bias.imag) else float
+    dtype = g.entries.dtype
     if _operand is None or _operand.shape != (g.n, g.n) or _operand.dtype != dtype:
         _operand = None
         _operand = np.empty((g.n, g.n), dtype=dtype)
@@ -311,7 +311,7 @@ def _lanczos_top(g: BiasedGraph) -> np.ndarray:
     """The unit top Ritz vector of g's adjacency from the start 1/sqrt(n),
     once its residual estimate is below _LANCZOS_TOL * max(1, |theta|)."""
     n = g.n
-    dtype = complex if np.any(g.bias.imag) else float
+    dtype = g.entries.dtype
     # row k is the Lanczos vector q_k; rows for the first two Ritz checks,
     # doubled as the steps need them
     basis = np.empty((min(n, 2 * _FIRST_STRIDE), n), dtype=dtype)

@@ -288,7 +288,6 @@ class TestSerialization:
         spec = GraphGenSpec("two_lift", seed=1, base=GraphGenSpec("complete", n=4))
         g = build_graph(spec)
         assert g.n == 8
-        assert spec.implied_degree() == 3
 
 
 def test_disjoint_union_offsets_and_labels():

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qllab.errors import MissingLabelsError, PolicyInfeasibleError, QllabError
-from qllab.graph import GraphGenSpec, block_basis, rng_from
+from qllab.errors import InfeasibleDegreeError, MissingLabelsError, PolicyInfeasibleError, QllabError
+from qllab.graph import BiasedGraph, block_basis, rng_from
 from qllab.qlbit import (
     BLOCH_PROJECTIONS,
     BLOCH_TARGETS,
@@ -17,6 +19,7 @@ from qllab.qlbit import (
     build_regular_qlbit,
     project_two_state,
     qlbit_spec,
+    regular_qlbit_spec,
     reseeded,
 )
 from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
@@ -51,7 +54,22 @@ class TestPolicies:
             qlbit_spec(6, 3, policy=EdgeBudgetFraction(5.0))  # 36 pairs
         with pytest.raises(PolicyInfeasibleError, match="^policy.degree: "):
             qlbit_spec(6, 3, policy=CrossRegular(7))
-        assert qlbit_spec(6, 3, policy=EdgeBudgetFraction(2.0)).connect_policy.budget(18) == 36
+        assert qlbit_spec(6, 3, policy=EdgeBudgetFraction(2.0)).connect_policy.budget(6, 3) == 36
+
+    def test_spec_checks_itself(self):
+        # a directly built spec raises as qlbit_spec does, before any build
+        with pytest.raises(InfeasibleDegreeError, match="^d: n\\*d = 15 must be even"):
+            QLBitSpec(n=5, d=3)
+        with pytest.raises(InfeasibleDegreeError, match="^d: degree 6 infeasible for 6 vertices"):
+            QLBitSpec(n=6, d=6)
+        with pytest.raises(PolicyInfeasibleError, match="^policy.fraction: edge budget 37 exceeds 36"):
+            QLBitSpec(n=6, d=3, connect_policy=EdgeBudgetFraction(37 / 18))
+        with pytest.raises(PolicyInfeasibleError, match="^policy.degree: cross degree 7 exceeds block size 6"):
+            QLBitSpec(n=6, d=3, connect_policy=CrossRegular(7))
+        # so does a spec derived from a valid one
+        with pytest.raises(PolicyInfeasibleError, match="^policy.degree: "):
+            replace(QLBitSpec(n=6, d=3), connect_policy=CrossRegular(7))
+        QLBitSpec(n=6, d=3, connect_policy=EdgeBudgetFraction(2.0))  # all 36 pairs fit
 
     def test_pair_probability_count_scale(self):
         g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.04), seed=1))
@@ -62,15 +80,6 @@ class TestPolicies:
         cross_deg = np.bincount(cross_edges(g).ravel(), minlength=g.n)
         assert (cross_deg == 2).all()
         assert (g.degrees() == 8).all()
-
-    def test_cross_regular_needs_equal_blocks(self):
-        spec = QLBitSpec(
-            sub1=GraphGenSpec("d_regular_random", n=10, d=3, seed=1),
-            sub2=GraphGenSpec("d_regular_random", n=12, d=3, seed=2),
-            connect_policy=CrossRegular(2),
-        )
-        with pytest.raises(PolicyInfeasibleError):
-            build_qlbit(spec)
 
 
 class TestBuildQLBit:
@@ -123,12 +132,7 @@ class TestBuildQLBit:
 
 class TestProjections:
     def test_block_basis_small(self):
-        spec = QLBitSpec(
-            sub1=GraphGenSpec("complete", n=2),
-            sub2=GraphGenSpec("complete", n=2),
-            connect_bias=0.0,
-        )
-        g = build_qlbit(spec)
+        g = BiasedGraph.from_edges(4, [(0, 1), (2, 3)], blocks=("a1", "a2"), block_of=[0, 0, 1, 1])
         j = block_basis(g, g.blocks)
         assert np.allclose(j[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
         assert np.vdot(j[:, 0], j[:, 1]) == 0
@@ -244,6 +248,24 @@ class TestBiasTopology:
         # |<s, target>|^2 maximized over unit s in the span of the projections
         basis, _ = np.linalg.qr(np.array(projected).T)
         assert np.linalg.norm(basis.conj().T @ target) ** 2 >= 1 - 1e-9
+
+    @pytest.mark.parametrize("name", list(BLOCH_PROJECTIONS))
+    def test_row_equals_spec_biases(self, name):
+        # a row applied to the regular bit is the bit built with the row's
+        # biases in its spec: same edges, biases, diagonal and blocks
+        row = BLOCH_PROJECTIONS[name]
+        applied = apply_bias_topology(build_regular_qlbit(20, 6, cross_degree=2, seed=3), row)
+        spec = replace(
+            regular_qlbit_spec(20, 6, 2, seed=3),
+            red_bias=row.red,
+            blue_bias=row.blue,
+            connect_bias=row.conn,
+        )
+        built = build_qlbit(spec)
+        assert np.array_equal(applied.edges, built.edges)
+        assert np.array_equal(applied.bias, built.bias)
+        assert np.array_equal(applied.diagonal, built.diagonal)
+        assert (applied.blocks, applied.block_of.tolist()) == (built.blocks, built.block_of.tolist())
 
     def test_y_row_orientation_convention(self):
         # connecting bias i must put the +i on the a1 (blue) amplitude
