@@ -226,15 +226,9 @@ def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
 def parse_product(doc, path, default_seed=0) -> ProductSpec:
     from .qlproduct import ProductSpec
 
-    bits, mode, n, d, seed = _read(
+    bits, mode, seed = _read(
         doc,
-        {
-            "qlbits": (_as_is, REQUIRED),
-            "mode": (_as_is, "contracted"),
-            "n": (_optional(_int), None),
-            "d": (_optional(_int), None),
-            "seed": (_int, default_seed),
-        },
+        {"qlbits": (_as_is, REQUIRED), "mode": (_as_is, "contracted"), "seed": (_int, default_seed)},
         path,
     )
     if not isinstance(bits, list) or not bits:
@@ -242,7 +236,7 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
     specs = tuple(
         parse_qlbit(b, f"{path}qlbits[{i}].", derive_seed(default_seed, "bit", i)) for i, b in enumerate(bits)
     )
-    return _spec(ProductSpec, path, specs, mode, n, d, seed)
+    return _spec(ProductSpec, path, specs, mode, seed)
 
 
 def _table_row(doc, key) -> BiasTopology:

@@ -89,33 +89,19 @@ class CrossRegular:
             raise QllabError("degree: cross degree must be nonnegative")
 
 
-def sample_cross_pairs(policy, n, d, rng) -> np.ndarray:
-    """(m, 2) cross pairs (i in block1, j in block2) under the given policy,
-    which `check_policy` passed for two n-vertex d-regular blocks."""
+def sample_cross_pairs(bit, rng) -> np.ndarray:
+    """(m, 2) cross pairs (i in block1, j in block2) between two blocks of
+    bit's shape, under its connect policy."""
+    policy, n = bit.connect_policy, bit.n
     if isinstance(policy, PairProbability):
         flat = np.flatnonzero(rng.random(n * n) < policy.p)
     elif isinstance(policy, EdgeBudgetFraction):
-        flat = rng.choice(n * n, size=policy.budget(n, d), replace=False)
+        flat = rng.choice(n * n, size=policy.budget(n, bit.d), replace=False)
     elif isinstance(policy, CrossRegular):
         flat = sample_biregular_pairs(n, policy.degree, rng)
     else:
         raise QllabError(f"unknown connect policy {policy!r}")
     return np.stack(np.divmod(flat, n), axis=1)  # flat index i * n + j
-
-
-def check_policy(policy, n, d, path):
-    """Raise PolicyInfeasibleError unless the policy can join two n-vertex
-    d-regular blocks; the message starts with the field at fault, named by
-    the policy's `path`."""
-    if isinstance(policy, CrossRegular) and policy.degree > n:
-        raise PolicyInfeasibleError(
-            f"{path}.degree: cross degree {policy.degree} exceeds block size {n}"
-        )
-    if isinstance(policy, EdgeBudgetFraction) and policy.budget(n, d) > n * n:
-        raise PolicyInfeasibleError(
-            f"{path}.fraction: edge budget {policy.budget(n, d)} exceeds "
-            f"{n * n} available cross pairs"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +129,9 @@ class QLBitSpec:
     samples the cross edges, which carry the unit-modulus connect_bias (0
     leaves the blocks disconnected); red_bias/blue_bias are +-1 signs on the
     intra-block edges.  A bad size, policy or bias raises here, with a
-    message that starts with its field (`policy` for connect_policy).
+    message that starts with its field (`policy` for connect_policy), so
+    the policy fits these blocks and every block of a contracted product,
+    which shares their (n, d).
     """
 
     n: int
@@ -160,7 +148,16 @@ class QLBitSpec:
         _check_biases(
             "connect_bias", self.connect_bias, red_bias=self.red_bias, blue_bias=self.blue_bias
         )
-        check_policy(self.connect_policy, self.n, self.d, "policy")
+        policy, n = self.connect_policy, self.n
+        if isinstance(policy, CrossRegular) and policy.degree > n:
+            raise PolicyInfeasibleError(
+                f"policy.degree: cross degree {policy.degree} exceeds block size {n}"
+            )
+        if isinstance(policy, EdgeBudgetFraction) and policy.budget(n, self.d) > n * n:
+            raise PolicyInfeasibleError(
+                f"policy.fraction: edge budget {policy.budget(n, self.d)} exceeds "
+                f"{n * n} available cross pairs"
+            )
 
 
 def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
@@ -191,7 +188,7 @@ def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     conn = complex(spec.connect_bias)
     if conn != 0:
         rng = rng_from(spec.seed, "cross", n, n)
-        cross = sample_cross_pairs(spec.connect_policy, n, spec.d, rng)
+        cross = sample_cross_pairs(spec, rng)
         pairs.append(cross + [0, n])
         bias.append(np.full(len(cross), conn))
 

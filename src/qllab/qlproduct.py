@@ -24,11 +24,13 @@ about 7-10 ms, against 16 ms for a check of all N eigenpairs against the
 dense A, and three such bits (N = 13,824, where A and W would each take
 1.5 GB) about 110 ms with a 54 MB peak RSS (one x86 core, one BLAS thread).
 
-Contracted products of cross-regular bits have equitable block partitions,
-so `product` reads their QL states off the block quotient
-(`spectral.quotient_states`) and their spectrum from `eigenvalues`; other
-contracted products go through `eigendecompose`.  `verify_contraction_law`
-checks a contracted product against its spec.
+A contracted product has one n-vertex d-regular block per basis label, in
+the one shape (n, d) that all of its bits share; `ProductSpec` rejects bits
+of another shape.  Contracted products of cross-regular bits have
+equitable block partitions, so `product` reads their QL states off the
+block quotient (`spectral.quotient_states`) and their spectrum from
+`eigenvalues`; other contracted products go through `eigendecompose`.
+`verify_contraction_law` checks a contracted product against its spec.
 
 Every state the `product` experiment reports, on all three paths, goes
 through `state_doc`, which puts it in the one phase of
@@ -46,15 +48,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import MissingLabelsError, NumericalError, QllabError
-from .graph import (
-    BiasedGraph,
-    GraphGenSpec,
-    derive_seed,
-    gen_d_regular_random,
-    project_blocks,
-    rng_from,
-)
-from .qlbit import CrossRegular, PairProbability, build_qlbit, check_policy, sample_cross_pairs
+from .graph import BiasedGraph, derive_seed, gen_d_regular_random, project_blocks, rng_from
+from .qlbit import CrossRegular, PairProbability, build_qlbit, sample_cross_pairs
 from .spectral import EQUITABLE_TOL, RESIDUAL_TOL, Spectrum, eigendecompose, fixed_phase
 
 BIT_NAMES = "abcdefgh"
@@ -174,17 +169,15 @@ def _check_kronecker_sum(product, factors, tol):
 class ProductSpec:
     """Ordered list of QL bits plus the product mode.
 
-    In contracted mode every one of the 2^q effective blocks is an
-    independent d-regular random graph on n vertices (n, d taken from the
-    fields below, falling back to the first bit's n and d), and blocks
-    whose labels differ in exactly one position are connected using that
-    bit's policy and bias, so every bit's policy must fit n-vertex blocks.
+    A full product keeps each bit's own blocks.  In contracted mode every
+    one of the 2^q effective blocks is an independent d-regular random
+    graph on n vertices, the n and d every bit shares, and blocks whose
+    labels differ in exactly one position are connected using that bit's
+    policy and bias, which its spec checked against those blocks.
     """
 
     qlbits: tuple
-    mode: str = "full"
-    n: int = None
-    d: int = None
+    mode: str
     seed: int = 0
 
     def __post_init__(self):
@@ -198,20 +191,17 @@ class ProductSpec:
         if len(self.qlbits) > len(BIT_NAMES):
             raise QllabError(f"qlbits must hold at most {len(BIT_NAMES)} QL bits")
         if self.mode == "contracted":
-            n, d = self.block_size(), self.block_degree()
-            GraphGenSpec("d_regular_random", n=n, d=d)  # raises unless (n, d) is feasible
             for j, bit in enumerate(self.qlbits):
-                check_policy(bit.connect_policy, n, d, f"qlbits[{j}].policy")
+                for field in ("n", "d"):
+                    if getattr(bit, field) != getattr(self.qlbits[0], field):
+                        raise QllabError(
+                            f"qlbits[{j}].{field}: {getattr(bit, field)} differs from "
+                            f"qlbits[0].{field}; a contracted product's bits share one block shape"
+                        )
 
     @property
     def q(self) -> int:
         return len(self.qlbits)
-
-    def block_size(self) -> int:
-        return self.n if self.n is not None else self.qlbits[0].n
-
-    def block_degree(self) -> int:
-        return self.d if self.d is not None else self.qlbits[0].d
 
 
 def bit_values(k: int, q: int):
@@ -250,8 +240,7 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
     if spec.mode != "contracted":
         raise QllabError("spec mode is not 'contracted'")
     q = spec.q
-    n = spec.block_size()
-    d = spec.block_degree()  # ProductSpec checked that (n, d) is feasible
+    n, d = spec.qlbits[0].n, spec.qlbits[0].d  # every bit's blocks, by ProductSpec
     nblocks = 1 << q
 
     pairs, bias = [], []
@@ -278,7 +267,7 @@ def build_contracted_product(spec: ProductSpec) -> BiasedGraph:
                 continue
             others = tuple(v for t, v in enumerate(values) if t != j)
             rng = rng_from(spec.seed, "cross", j, others)
-            cross = sample_cross_pairs(bit.connect_policy, n, d, rng)
+            cross = sample_cross_pairs(bit, rng)
             # Orientation: value-1 block -> value-2 block carries the bias.
             pairs.append(cross + [k * n, partner * n])
             bias.append(np.full(len(cross), conn))
@@ -314,7 +303,7 @@ def contraction_quotient(spec: ProductSpec):
     A bit with connect_bias 0 has no cross edges.  H_eff is then the
     weighted q-dimensional label hypercube, in basis order.
     """
-    q, d = spec.q, spec.block_degree()
+    q, d = spec.q, spec.qlbits[0].d
     weights = []
     for bit in spec.qlbits:
         conn = complex(bit.connect_bias)
@@ -336,13 +325,13 @@ def contraction_quotient(spec: ProductSpec):
     return h
 
 
-def _joins(bit, n, d):
-    """(may, must): whether bit's cross edges may, and must, join two
-    n-vertex d-regular blocks at all."""
+def _joins(bit):
+    """(may, must): whether bit's cross edges may, and must, join two of
+    its blocks at all."""
     policy, conn = bit.connect_policy, complex(bit.connect_bias) != 0
     if isinstance(policy, PairProbability):
         return conn and policy.p > 0, conn and policy.p == 1
-    size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(n, d)
+    size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(bit.n, bit.d)
     return conn and size > 0, conn and size > 0
 
 
@@ -356,7 +345,7 @@ def verify_contraction_law(spec: ProductSpec, g: BiasedGraph, quo) -> None:
     joined label pair must differ in one bit whose policy may join blocks,
     and every pair of a bit whose policy must is joined.
     """
-    q, n, d = spec.q, spec.block_size(), spec.block_degree()
+    q, n = spec.q, spec.qlbits[0].n
     if g.n != n * (1 << q):
         raise QllabError("contraction law check failed: wrong vertex count")
     expected = contraction_quotient(spec)
@@ -365,7 +354,7 @@ def verify_contraction_law(spec: ProductSpec, g: BiasedGraph, quo) -> None:
         may, must = set(), set()
         for j, bit in enumerate(spec.qlbits):
             pairs = {frozenset((labels[k], labels[k ^ 1 << j])) for k in range(1 << q)}
-            bit_may, bit_must = _joins(bit, n, d)
+            bit_may, bit_must = _joins(bit)
             may |= pairs if bit_may else set()
             must |= pairs if bit_must else set()
         if not must <= label_adjacency(g) <= may:

@@ -87,7 +87,7 @@ def run_config(tmp_path, doc, *extra):
 
 
 QLBIT = {"experiment": "qlbit", "params": {"n": 10, "d": 3}}
-WITNESS_PRODUCT = {"qlbits": [{"n": 8, "d": 3}, {"n": 8, "d": 3}], "n": 8, "d": 3}
+WITNESS_PRODUCT = {"qlbits": [{"n": 8, "d": 3}, {"n": 8, "d": 3}]}
 SPECTRUM_GRAPH = {"kind": "d_regular_random", "n": 10, "d": 3}
 QLBIT_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "+1"}}
 KURAMOTO = {"product": WITNESS_PRODUCT, "K": 1.0, "t_end": 0.1}
@@ -186,7 +186,6 @@ NON_NUMERIC = [
     (_with("kuramoto", KURAMOTO, "dt", "small"), "params.dt"),
 ]
 
-CROSS_5_BIT = {"n": 8, "d": 3, "policy": {"kind": "cross_regular", "degree": 5}}
 BUDGET_5_BIT = {"n": 6, "d": 3, "policy": {"kind": "budget", "fraction": 5}}  # 90 edges, 36 pairs
 
 # values out of range, unknown names, and keys the experiment would ignore:
@@ -250,7 +249,13 @@ REJECTED = [
     ("sweep-d-above-n", _with("disorder-sweep", {"n": 10, "retentions": [1.0]}, "d", 12), "params.d"),
     ("graph-d-above-n", _with("spectrum", {"graph": {**SPECTRUM_GRAPH, "d": 12}}, "bins", 4), "params.graph.d"),
     ("graph-d-missing", _with("spectrum", {"graph": {"kind": "d_regular_random", "n": 10}}, "bins", 4), "params.graph.d"),
-    ("product-d-at-n", _with("product", {"product": {**WITNESS_PRODUCT, "d": 8}}, "verify", False), "params.product.d"),
+    # a contracted product's blocks are its bits' blocks: one shape, stated by each bit
+    (
+        "product-bits-differ-in-d",
+        _with("product", {"product": {"qlbits": [{"n": 8, "d": 3}, {"n": 8, "d": 4}]}}, "verify", False),
+        "params.product.qlbits[1].d",
+    ),
+    ("product-n", _with("product", {"product": {**WITNESS_PRODUCT, "n": 8}}, "verify", False), "unknown key params.product.n"),
     ("verify-string", _with("product", {"product": WITNESS_PRODUCT}, "verify", "no"), "params.verify"),
     ("verify-integer", _with("product", {"product": WITNESS_PRODUCT}, "verify", 1), "params.verify"),
     ("bit-index-out-of-range", _with("witness", WITNESS, "bit_index", 2), "params.bit_index"),
@@ -277,11 +282,6 @@ REJECTED = [
         "params.family[1].n",
     ),
     # a connection policy that cannot fit the blocks it would be sampled on
-    (
-        "product-cross-degree-above-block",
-        _with("product", {"product": {"qlbits": [CROSS_5_BIT], "n": 4, "d": 2}}, "verify", False),
-        "params.product.qlbits[0].policy.degree",
-    ),
     ("budget-above-cross-pairs", _with("qlbit", BUDGET_5_BIT, "realizations", 1), "params.policy.fraction"),
     # a bit's policy is an object with a kind, in `qlbit` as in a product
     ("policy-empty", _with("qlbit", QLBIT["params"], "policy", {}), "params.policy.kind"),
@@ -725,7 +725,7 @@ KURAMOTO_SYNC = {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted
 # and 3 of `product-full` and state 1 of `product-contracted` flipped).
 GOLDEN = {
     "product-contracted": (
-        {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted", "n": 8, "d": 3}}},
+        {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted"}}},
         ["product_spectrum.csv", "effective_states.json"],
         "e4d6c9123068d427d521e3fe2f46b384c44481ff666ad290ebd91d61efedcf25",
     ),
@@ -948,7 +948,8 @@ def run_child(tmp_path, name, doc):
     with open(tmp_path / f"{name}.log", "w") as log:
         child = subprocess.Popen(child_argv(tmp_path, name, doc), cwd=tmp_path, stdout=log, env=CHILD_ENV)
         _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
+    assert child.returncode == 0
     return usage
 
 

@@ -347,7 +347,7 @@ def mixed_bits(q):
 
 
 def witness_attached():
-    spec = ProductSpec(qlbits=mixed_bits(2), mode="contracted", n=6, d=3, seed=12)
+    spec = ProductSpec(qlbits=mixed_bits(2), mode="contracted", seed=12)
     return attach_witness(spec, 1, 0.7, density=0.5, seed=15)
 
 
@@ -390,7 +390,7 @@ GOLDEN = {
     ),
     "contracted_q3": (
         lambda: build_contracted_product(
-            ProductSpec(qlbits=mixed_bits(3), mode="contracted", n=6, d=3, seed=11)
+            ProductSpec(qlbits=mixed_bits(3), mode="contracted", seed=11)
         ),
         "63081d4622bc1bab126498ed0202b57c3f98ac2684fdf3619375e875606b99f6",
     ),

@@ -25,7 +25,7 @@ from qllab.spectral import eigendecompose
 
 def two_bit_spec(seed=0):
     bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=(seed, t)) for t in range(2))
-    return ProductSpec(qlbits=bits, mode="contracted", n=8, d=3, seed=seed)
+    return ProductSpec(qlbits=bits, mode="contracted", seed=seed)
 
 
 def phased_product(seed=0):

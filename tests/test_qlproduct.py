@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qllab.errors import MissingLabelsError, NumericalError, PolicyInfeasibleError, QllabError
+from qllab.errors import MissingLabelsError, NumericalError, QllabError
 from qllab.graph import (
     BiasedGraph,
     add_diagonal_disorder,
@@ -360,7 +360,7 @@ class TestComposedAgainstDense:
 class TestContractedProduct:
     def test_q1_is_ordinary_qlbit(self):
         bit = qlbit_spec(14, 4, policy=EdgeBudgetFraction(0.2), seed=1)
-        spec = ProductSpec(qlbits=(bit,), mode="contracted", n=14, d=4, seed=2)
+        spec = ProductSpec(qlbits=(bit,), mode="contracted", seed=2)
         g = build_contracted_product(spec)
         assert g.n == 28
         assert set(g.blocks) == {"a1", "a2"}
@@ -372,7 +372,7 @@ class TestContractedProduct:
 
     def test_q2_label_cycle(self):
         bits = tuple(qlbit_spec(10, 4, seed=t) for t in range(2))
-        spec = ProductSpec(qlbits=bits, mode="contracted", n=10, d=4, seed=0)
+        spec = ProductSpec(qlbits=bits, mode="contracted", seed=0)
         g = build_contracted_product(spec)
         assert g.n == 40
         assert label_adjacency(g) == {
@@ -384,7 +384,7 @@ class TestContractedProduct:
 
     def test_q3_hypercube_connectivity(self):
         bits = tuple(qlbit_spec(8, 4, seed=t) for t in range(3))
-        spec = ProductSpec(qlbits=bits, mode="contracted", n=8, d=4, seed=1)
+        spec = ProductSpec(qlbits=bits, mode="contracted", seed=1)
         g = build_contracted_product(spec)
         assert g.n == 8 * 8
         pairs = label_adjacency(g)
@@ -395,7 +395,7 @@ class TestContractedProduct:
 
     def test_label_pair_law_needs_every_pair_a_budget_must_join(self):
         bits = tuple(qlbit_spec(10, 4, policy=EdgeBudgetFraction(0.2), seed=t) for t in range(2))
-        spec = ProductSpec(qlbits=bits, mode="contracted", n=10, d=4, seed=0)
+        spec = ProductSpec(qlbits=bits, mode="contracted", seed=0)
         g = build_contracted_product(spec)
         verify_contraction_law(spec, g, None)
         side = g.block_of[g.edges]
@@ -414,7 +414,7 @@ class TestContractedProduct:
     def test_vertex_count_law(self):
         for q in (1, 2, 3):
             bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
-            spec = ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=5)
+            spec = ProductSpec(qlbits=bits, mode="contracted", seed=5)
             assert build_contracted_product(spec).n == 6 * 2**q
 
     def test_full_mode_vertex_count(self):
@@ -424,15 +424,19 @@ class TestContractedProduct:
 
 
 class TestProductSpec:
-    def test_contracted_spec_checks_each_policy_against_its_blocks(self):
-        # each bit fits its own 20-vertex blocks but not the product's 4-vertex ones
-        budget = qlbit_spec(20, 3, policy=EdgeBudgetFraction(3.0))  # 24 > 16 pairs at n=4, d=2
-        cross = qlbit_spec(20, 3, policy=CrossRegular(5))
-        fits = qlbit_spec(20, 3)
-        for j, bits in ((0, (budget,)), (1, (fits, budget)), (1, (fits, cross))):
-            with pytest.raises(PolicyInfeasibleError, match=rf"^qlbits\[{j}\]\.policy\."):
-                ProductSpec(qlbits=bits, mode="contracted", n=4, d=2)
-        ProductSpec(qlbits=(budget, cross), mode="full")  # full products keep each bit's blocks
+    def test_contracted_bits_share_one_block_shape(self):
+        # a contracted product's blocks are its bits' blocks, so each bit
+        # must have the first bit's n and d; a full product keeps each bit's own
+        first = qlbit_spec(8, 3)
+        for j, field, bits in (
+            (1, "n", (first, qlbit_spec(10, 3))),
+            (1, "d", (first, qlbit_spec(8, 4))),
+            (2, "n", (first, first, qlbit_spec(6, 3))),
+        ):
+            with pytest.raises(QllabError, match=rf"^qlbits\[{j}\]\.{field}: "):
+                ProductSpec(qlbits=bits, mode="contracted")
+        mixed = ProductSpec(qlbits=(first, qlbit_spec(10, 4)), mode="full")
+        assert build_full_product(mixed).n == 16 * 20
 
 
 class TestBasisAndProjection:
@@ -443,13 +447,13 @@ class TestBasisAndProjection:
         # rule every reader of a product's blocks relies on
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
         mode = "full" if build is build_full_product else "contracted"
-        g = build(ProductSpec(qlbits=bits, mode=mode, n=6, d=3, seed=0))
+        g = build(ProductSpec(qlbits=bits, mode=mode, seed=0))
         assert g.blocks == tuple(block_label(bit_values(k, q)) for k in range(2**q))
 
     def test_block_basis_orthonormal_and_complete(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
+            ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
         j = block_basis(g, g.blocks)
         assert np.abs(j.T @ j - np.eye(4)).max() <= 1e-12
@@ -468,7 +472,7 @@ class TestBasisAndProjection:
     def test_projection_of_indicator(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
+            ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
         eff = project_product_state(g, block_basis(g, ["a1b1"])[:, 0])
         assert np.allclose(eff.coefficients, [1, 0, 0, 0], atol=1e-12)
@@ -477,7 +481,7 @@ class TestBasisAndProjection:
     def test_matrix_projects_each_column_as_a_vector(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
+            ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
         w = eigendecompose(g).eigenvectors[:, :5]
         states = project_product_state(g, w)
@@ -504,7 +508,7 @@ class TestBasisAndProjection:
     def test_norm_budget(self):
         bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=6, d=3, seed=0)
+            ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
         rng = rng_from(17)
         w = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
@@ -527,7 +531,7 @@ class TestBasisAndProjection:
                 qlbit_spec(30, 10, connect_bias=biases[t], seed=(key, t))
                 for t in range(2)
             )
-            spec = ProductSpec(qlbits=bits, mode="contracted", n=30, d=10, seed=3)
+            spec = ProductSpec(qlbits=bits, mode="contracted", seed=3)
             g = build_contracted_product(spec)
             eff = project_product_state(g, eigendecompose(g).eigenvectors[:, 0])
             c = eff.coefficients / np.linalg.norm(eff.coefficients)
@@ -556,7 +560,7 @@ class TestFullVersusContracted:
         full = build_full_product(ProductSpec(qlbits=(bit, bit), mode="full"))
         cbit = qlbit_spec(24, 8, policy=CrossRegular(2), seed=4)
         contracted = build_contracted_product(
-            ProductSpec(qlbits=(cbit, cbit), mode="contracted", n=24, d=8, seed=5)
+            ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
         for g in (full, contracted):
             spec, found = emergent_set(g)
@@ -574,7 +578,7 @@ class TestFullVersusContracted:
     def test_contracted_middle_pair_exactly_degenerate_with_regular_cross(self):
         cbit = qlbit_spec(24, 8, policy=CrossRegular(2), seed=4)
         g = build_contracted_product(
-            ProductSpec(qlbits=(cbit, cbit), mode="contracted", n=24, d=8, seed=5)
+            ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
         spec = eigendecompose(g)
         assert abs(spec.eigenvalues[1] - spec.eigenvalues[2]) <= spec.degeneracy_window()
@@ -588,7 +592,7 @@ class TestFullVersusContracted:
         cbit = qlbit_spec(20, d, policy=EdgeBudgetFraction(f), seed=2)
         contracted_top = eigendecompose(
             build_contracted_product(
-                ProductSpec(qlbits=(cbit, cbit), mode="contracted", n=20, d=d, seed=1)
+                ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=1)
             )
         ).eigenvalues[0]
         assert 2 * d <= full_top <= 2 * d * (1 + 2 * f)
@@ -599,7 +603,7 @@ class TestDetuning:
     def _graph(self):
         bits = tuple(qlbit_spec(8, 3, seed=t) for t in range(2))
         return build_contracted_product(
-            ProductSpec(qlbits=bits, mode="contracted", n=8, d=3, seed=6)
+            ProductSpec(qlbits=bits, mode="contracted", seed=6)
         )
 
     def test_alignment_detuning_targets_aligned_blocks_only(self):
@@ -619,7 +623,7 @@ class TestDetuning:
     def test_alignment_detuning_entangles_partially(self):
         cbit = qlbit_spec(32, 12, policy=CrossRegular(2), seed=1)
         g = build_contracted_product(
-            ProductSpec(qlbits=(cbit, cbit), mode="contracted", n=32, d=12, seed=5)
+            ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
         detuned = apply_alignment_detuning(g, 4.0, 2.0)
         eff = project_product_state(detuned, eigendecompose(detuned).eigenvectors[:, 0])
@@ -652,15 +656,19 @@ def test_basis_count_by_level_occupation():
 
 @st.composite
 def contracted_specs(draw):
-    """Contracted products of 1-3 bits under every policy kind, with empty
-    policies and unconnected bits among them."""
+    """Contracted products of 1-3 bits of one drawn block shape under every
+    policy kind, with empty policies and unconnected bits among them."""
     policies = st.one_of(
         st.builds(PairProbability, st.sampled_from([0.0, 0.02, 0.1, 1.0])),
         st.builds(EdgeBudgetFraction, st.sampled_from([0.0, 0.01, 0.2])),
         st.builds(CrossRegular, st.integers(0, 2)),
     )
+    n = draw(st.integers(4, 8))
+    d = draw(st.integers(2, 3))
+    if n * d % 2:
+        n += 1
     bits = tuple(
-        qlbit_spec(6, 3, policy=draw(policies), connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])))
+        qlbit_spec(n, d, policy=draw(policies), connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])))
         for _ in range(draw(st.integers(1, 3)))
     )
     return ProductSpec(qlbits=bits, mode="contracted", seed=draw(st.integers(0, 2**16)))

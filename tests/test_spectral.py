@@ -583,7 +583,7 @@ class TestEnsembleSpectrum:
                 qlbit_spec(24, 16, policy=CrossRegular(3), connect_bias=1.0, seed=(i, t))
                 for t in range(2)
             )
-            spec = ProductSpec(qlbits=bits, mode="contracted", n=24, d=16, seed=i)
+            spec = ProductSpec(qlbits=bits, mode="contracted", seed=i)
             return build_contracted_product(spec)
 
         reals = 12

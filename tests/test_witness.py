@@ -12,7 +12,7 @@ from qllab.witness import WITNESS_BLOCKS, attach_witness, witness_readout
 
 def small_product():
     bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=(t, "witness")) for t in range(2))
-    spec = ProductSpec(qlbits=bits, mode="contracted", n=8, d=3, seed=4)
+    spec = ProductSpec(qlbits=bits, mode="contracted", seed=4)
     return build_contracted_product(spec), spec
 
 
