@@ -291,7 +291,7 @@ def cmd_spectrum(params, seed):
     )
 
     def make(i):
-        spec = replace(base, seed=derive_seed(seed, "real", i)) if realizations > 1 else base
+        spec = replace(base, seed=derive_seed(base.seed, "real", i)) if realizations > 1 else base
         g = build_graph(spec)
         for k in range(depth - 1):
             from .qlproduct import cartesian_product  # so a depth-1 spectrum loads no product code
@@ -427,8 +427,7 @@ def cmd_product(params, seed):
     else:
         g = build_product(spec)
         quo = quotient(g)
-        if verify:
-            verify_contraction_law(spec, g, quo)
+        verify_contraction_law(spec, g, quo)  # checked, as every full product is
         if quo.equitable:
             values, ql = quotient_states(g, quo)
         else:
@@ -498,8 +497,6 @@ def cmd_kuramoto(params, seed):
             "K": (_float, REQUIRED),
             "t_end": (_float, REQUIRED),
             "dt": (_optional(_float), None),
-            "integrator": (_as_is, "rk4"),
-            "init": (_as_is, "uniform_phases"),
             "init_width": (_float, 2.0 * np.pi),
             "sigma_eps": (_optional(_float), None),
             "realizations": (_count, 1),

@@ -16,16 +16,11 @@ explicit reference.  The ensemble purity at a record is read off the Gram
 matrix of the realizations' record vectors (`states.mixture_purity`), with
 no n x n density matrix.
 
-Both `run_sync_experiment` and `step` integrate through `_stepper`, which
-allocates its work arrays once per realization and updates theta in place.
-Each right-hand side forms M sin and M cos as one (2, n) @ M product, and
-each RK4 step sums its four stages as one (4,) @ (4, n) product.  These
-round differently from the textbook form: the phases agree with it within
-1e-12 after 400 steps, and 4 of 5,280 `sync` benchmark ops printed one
-order parameter one unit off in its 12th significant digit.  At n = 144
-(one x86 core, one OpenBLAS thread) an RK4 step makes 34 numpy calls and
-takes about 0.8x the time of the 46-call two-GEMV form, which itself took
-0.78x the textbook form's.
+Both `run_sync_experiment` and `step` integrate by classical RK4 through
+`_stepper`, which allocates its work arrays once per realization and
+updates theta in place.  Its merged sums round differently from the
+textbook form: 4 of 5,280 `sync` benchmark ops printed one order parameter
+one unit off in its 12th significant digit.
 """
 
 from __future__ import annotations
@@ -82,8 +77,8 @@ def coupling_matrix(g: BiasedGraph) -> np.ndarray:
     return m
 
 
-def _stepper(epsilon, m, k_over_n, dt, integrator):
-    """Return `advance(theta)`, which moves the phases one step in place.
+def _stepper(epsilon, m, k_over_n, dt):
+    """Return `advance(theta)`, which moves the phases one RK4 step in place.
 
     A right-hand side is eps + cos * (M' sin) - sin * (M' cos), with
     M' = (K/N) M.  The stepper owns m and scales it in place, once, so M'
@@ -92,7 +87,7 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
     op.  The 6 calls of a right-hand side are sin and cos into the rows of
     one (2, n) buffer sc, one GEMM sc @ M' = [M' sin; M' cos] (M is
     symmetric), one multiply by the rows swapped, one subtract and one add
-    of eps.  RK4 sums its stages with one more product,
+    of eps.  A step sums its four stages with one more product,
     [dt/6, dt/3, dt/3, dt/6] @ k over the (4, n) stage buffer.  Every step
     raises when |theta_dot| * dt > pi at its first stage, or when theta_dot
     is not finite.  The buffers, their row views and the 0-d scalars are
@@ -104,10 +99,9 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
     x86 core, one OpenBLAS thread) the (2, n) @ M' product took 3.2-4.2 us
     against 6.3-6.7 us for two GEMVs, and an RK4 step, 34 numpy calls, took
     0.79-0.81x the time of the 46-call two-GEMV form (median over 40
-    interleaved runs of 300 steps; about 35 against 44 us).
+    interleaved runs of 300 steps; about 35 against 44 us), which itself
+    took 0.78x the textbook form's.
     """
-    if integrator not in ("euler", "rk4"):
-        raise QllabError(f"unknown integrator {integrator!r}")
     sin, cos, matmul, mul, add, sub = np.sin, np.cos, np.matmul, np.multiply, np.add, np.subtract
     absolute, largest = np.absolute, np.maximum.reduce
     n = len(epsilon)
@@ -138,27 +132,24 @@ def _stepper(epsilon, m, k_over_n, dt, integrator):
             raise NumericalError(
                 "integrator unstable: |theta_dot| * dt exceeds pi; reduce dt"
             )
-        if integrator == "euler":
-            mul(k1, h, x)
-        else:
-            stage(theta, half, k1, k2)
-            stage(theta, half, k2, k3)
-            stage(theta, h, k3, k4)
-            matmul(weights, k, x)
+        stage(theta, half, k1, k2)
+        stage(theta, half, k2, k3)
+        stage(theta, h, k3, k4)
+        matmul(weights, k, x)
         add(theta, x, theta)
 
     return advance
 
 
-def step(state: OscillatorState, g: BiasedGraph, K, dt, integrator="rk4") -> OscillatorState:
-    """Advance the phases by one time step.
+def step(state: OscillatorState, g: BiasedGraph, K, dt) -> OscillatorState:
+    """Advance the phases by one RK4 step.
 
     No experiment calls it; it stays as the one-step reference that the
     integrator tests run `_stepper` against."""
     if dt <= 0:
         raise QllabError("dt must be positive")
     theta = state.theta.copy()
-    _stepper(state.epsilon, coupling_matrix(g), K / g.n, dt, integrator)(theta)
+    _stepper(state.epsilon, coupling_matrix(g), K / g.n, dt)(theta)
     return OscillatorState(theta=theta, epsilon=state.epsilon, t=state.t + dt)
 
 
@@ -188,16 +179,19 @@ class SyncRunConfig:
     """Parameters of one synchronization experiment.
 
     graph may be a built BiasedGraph (shared by all realizations) or a
-    ProductSpec (a fresh graph is drawn per realization).  dt defaults to
-    1e-3 * N / K; sigma_eps defaults to 0.1 * K / N.
+    ProductSpec, from whose seed, not its bits', a fresh graph is drawn per
+    realization.  seed draws the initial phases, uniform on [0, init_width),
+    and the frequency offsets.  dt defaults to min(t_end, 1e-3 * N / K),
+    t_end at K = 0, and sigma_eps to 0.1 * K / N.  So the defaulted dynamics
+    of a graph depend only on tau = K * t / N, and a comparison across sizes
+    must fix tau_end, not t_end: at t_end 10 and K 4, tau_end is 0.28 at
+    N 144 but 0.004 at N 9,216, where the phases barely move.
     """
 
     graph: object
     K: float
     t_end: float
     dt: float = None
-    integrator: str = "rk4"
-    init: str = "uniform_phases"
     init_width: float = 2.0 * np.pi
     sigma_eps: float = None
     realizations: int = 1
@@ -217,10 +211,6 @@ class SyncRunConfig:
             raise QllabError("dt must be positive")
         if self.t_end <= 0:
             raise QllabError("t_end must be positive")
-        if self.integrator not in ("euler", "rk4"):
-            raise QllabError(f"integrator must be 'euler' or 'rk4', got {self.integrator!r}")
-        if self.init not in ("uniform_phases", "normal"):
-            raise QllabError(f"init must be 'uniform_phases' or 'normal', got {self.init!r}")
         if self.init_width < 0:
             raise QllabError("init_width must be nonnegative")
         if self.sigma_eps is not None and self.sigma_eps < 0:
@@ -240,13 +230,8 @@ class SyncResult:
 
 
 def initial_state(n, cfg: SyncRunConfig, rng) -> OscillatorState:
-    if cfg.init == "uniform_phases":
-        theta = rng.uniform(0.0, cfg.init_width, size=n)
-    else:
-        theta = rng.normal(0.0, cfg.init_width, size=n)
-    sigma = cfg.sigma_eps
-    if sigma is None:
-        sigma = 0.1 * cfg.K / n
+    theta = rng.uniform(0.0, cfg.init_width, size=n)
+    sigma = 0.1 * cfg.K / n if cfg.sigma_eps is None else cfg.sigma_eps
     eps = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     eps -= eps.mean()
     return OscillatorState(theta=theta, epsilon=eps, t=0.0)
@@ -257,8 +242,8 @@ def _realization_graph(cfg: SyncRunConfig, r: int) -> BiasedGraph:
     if isinstance(g, BiasedGraph):
         return g
     if isinstance(g, ProductSpec):
-        bits = tuple(reseeded(b, derive_seed(cfg.seed, "bit", r, j)) for j, b in enumerate(g.qlbits))
-        spec = replace(g, qlbits=bits, seed=derive_seed(cfg.seed, "graph", r))
+        bits = tuple(reseeded(b, derive_seed(g.seed, "bit", r, j)) for j, b in enumerate(g.qlbits))
+        spec = replace(g, qlbits=bits, seed=derive_seed(g.seed, "graph", r))
         return build_product(spec)
     raise QllabError("graph must be a BiasedGraph or a ProductSpec")
 
@@ -285,7 +270,7 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     """
     sample = _realization_graph(cfg, 0)
     n = sample.n
-    dt = cfg.dt if cfg.dt is not None else 1e-3 * n / max(cfg.K, 1e-12)
+    dt = cfg.dt if cfg.dt is not None else min(cfg.t_end, 1e-3 * n / cfg.K) if cfg.K > 0 else cfg.t_end
     steps = max(1, int(round(cfg.t_end / dt)))
     record_at = list(range(0, steps + 1, cfg.record_every))
     if record_at[-1] != steps:
@@ -304,7 +289,7 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         top_sum += top
         state = initial_state(n, cfg, rng_from(cfg.seed, "init", r))
         theta = state.theta
-        advance = _stepper(state.epsilon, m, k_over_n, dt, cfg.integrator)
+        advance = _stepper(state.epsilon, m, k_over_n, dt)
         done = 0
         for i, target in enumerate(record_at):
             for _ in range(target - done):

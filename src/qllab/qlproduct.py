@@ -173,7 +173,10 @@ class ProductSpec:
     one of the 2^q effective blocks is an independent d-regular random
     graph on n vertices, the n and d every bit shares, and blocks whose
     labels differ in exactly one position are connected using that bit's
-    policy and bias, which its spec checked against those blocks.
+    policy and bias, which its spec checked against those blocks.  seed
+    draws a contracted product's blocks and cross edges; a bit's own seed is
+    read only where its blocks are drawn: by `build_qlbit`, in a full
+    product and in `attach_witness`'s witness copy.
     """
 
     qlbits: tuple

@@ -221,14 +221,11 @@ REJECTED = [
         _with("product", {"product": {**WITNESS_PRODUCT, "mode": "half"}}, "verify", False),
         "params.product.mode",
     ),
-    ("unknown-integrator", _with("kuramoto", KURAMOTO, "integrator", "leapfrog"), "params.integrator"),
-    ("unknown-init", _with("kuramoto", KURAMOTO, "init", "random"), "params.init"),
+    # RK4 and uniform initial phases are the only Kuramoto behaviour, so
+    # their old keys are rejected even at their old defaults
+    ("unknown-integrator", _with("kuramoto", KURAMOTO, "integrator", "rk4"), "unknown key params.integrator"),
+    ("unknown-init", _with("kuramoto", KURAMOTO, "init", "uniform_phases"), "unknown key params.init"),
     ("negative-sigma-eps", _with("kuramoto", KURAMOTO, "sigma_eps", -0.5), "params.sigma_eps"),
-    (
-        "negative-normal-init-width",
-        _with("kuramoto", {**KURAMOTO, "init": "normal"}, "init_width", -1.0),
-        "params.init_width",
-    ),
     ("negative-uniform-init-width", _with("kuramoto", KURAMOTO, "init_width", -1.0), "params.init_width"),
     ("unknown-bias-token", _with("qlbit", QLBIT["params"], "table_row", {"red": "+1", "blue": "+1", "conn": "2"}), "params.table_row"),
     ("table-row-red-i", _with("qlbit", QLBIT["params"], "table_row", {"red": "i", "blue": "+1", "conn": "+1"}), "params.table_row.red"),
@@ -571,9 +568,11 @@ def test_contracted_verify_catches_the_right_number_of_wrong_label_pairs(tmp_pat
 
     monkeypatch.setattr(qllab.qlproduct, "build_contracted_product", swapped_labels)
     product = {"qlbits": [BUDGET_BIT, BUDGET_BIT], "mode": "contracted"}
-    doc = {"experiment": "product", "params": {"product": product, "verify": True}}
-    assert run_config(tmp_path, doc, "--seed", "3") == 3
-    assert "wrong label pairs" in capsys.readouterr().err
+    # every contracted product is checked against its law; verify only prints the OK line
+    for verify in (True, False):
+        doc = {"experiment": "product", "params": {"product": product, "verify": verify}}
+        assert run_config(tmp_path, doc, "--seed", "3") == 3
+        assert "wrong label pairs" in capsys.readouterr().err
 
 
 def test_equitable_product_reports_ranked_quotient_states(tmp_path, capsys):
@@ -685,6 +684,37 @@ def body_digest(out, names):
 # at seed 11, recorded before purity moved to the Gram matrix of the top
 # vectors; the sweep must stay byte-identical.
 SWEEP_GOLDEN = "ddd09ff77bc3f2fdb8f2eb050a93439813f14709742f48d059446c3c49d7ebcc"
+
+
+@pytest.mark.parametrize("K", [0.0, 1e-9])
+def test_weak_coupling_records_end_at_t_end(tmp_path, K):
+    # the default dt is at most t_end: 1e-3 * N / K would step past it
+    params = {"product": WITNESS_PRODUCT, "K": K, "t_end": 10.0}
+    assert run_config(tmp_path, {"experiment": "kuramoto", "params": params}, "--seed", "1") == 0
+    assert [float(row["t"]) for row in read_rows(tmp_path / "out" / "kuramoto.csv")] == [0.0, 10.0]
+
+
+# case: (experiment, params, the key of the object whose seed draws every
+# realization, artifacts)
+OWN_SEEDS = {
+    "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2, "bins": 8}, "graph", ["spectrum.csv", "histogram.csv"]),
+    "kuramoto": ("kuramoto", {**KURAMOTO, "realizations": 2}, "product", ["kuramoto.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWN_SEEDS))
+def test_realizations_derive_from_the_objects_own_seed(tmp_path, case):
+    experiment, params, key, names = OWN_SEEDS[case]
+
+    def digest(**seed):
+        doc = {"experiment": experiment, "params": {**params, key: {**params[key], **seed}}}
+        assert run_config(tmp_path, doc, "--seed", "7") == 0
+        return body_digest(tmp_path / "out", names)
+
+    # the object's seed defaults to the run seed
+    unset = digest()
+    assert digest(seed=7) == unset
+    assert digest(seed=8) != unset
 
 
 def test_disorder_sweep_body_is_golden(tmp_path):

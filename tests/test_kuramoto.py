@@ -65,7 +65,7 @@ def reference_run(cfg):
                 r_sum[i] += order_parameter(state.theta)
                 top_sum[i] += spec.eigenvalues[0]
             if k < steps:
-                state = step(state, g, cfg.K, cfg.dt, cfg.integrator)
+                state = step(state, g, cfg.K, cfg.dt)
     purity = [np.trace(rho @ rho).real / cfg.realizations**2 for rho in rhos]
     return (
         np.array([k * cfg.dt for k in record_at]),
@@ -178,13 +178,11 @@ class TestDynamics:
         # two uncoupled ones with opposite offsets each follow theta0 + eps t
         g = BiasedGraph(n=2)
         theta0, eps = np.array([0.3, 1.1]), np.array([0.25, -0.25])
-        state = OscillatorState(theta=theta0, epsilon=eps)
-        for integrator in ("euler", "rk4"):
-            s = state
-            for _ in range(40):
-                s = step(s, g, K=0.0, dt=0.05, integrator=integrator)
-            assert s.t == pytest.approx(2.0)
-            assert np.allclose(s.theta, theta0 + eps * s.t, rtol=0, atol=1e-12)
+        s = OscillatorState(theta=theta0, epsilon=eps)
+        for _ in range(40):
+            s = step(s, g, K=0.0, dt=0.05)
+        assert s.t == pytest.approx(2.0)
+        assert np.allclose(s.theta, theta0 + eps * s.t, rtol=0, atol=1e-12)
 
     def test_strong_coupling_synchronizes(self):
         cfg = SyncRunConfig(graph=gen_complete(12), K=12.0, t_end=3.0, seed=4)
@@ -202,7 +200,7 @@ class TestDynamics:
                 SyncRunConfig(graph=two_oscillators(), K=10.0, t_end=2.0, dt=1.0)
             )
 
-    @pytest.mark.parametrize("integrator, ratio", [("euler", 2.0), ("rk4", 16.0)])
+    @pytest.mark.parametrize("integrator, ratio", [("rk4", 16.0)])
     def test_convergence_order(self, integrator, ratio):
         # two coupled oscillators with K = 1: psi = theta_1 - theta_0 obeys
         # psi' = -sin(psi), so tan(psi / 2) = tan(psi_0 / 2) exp(-t)
@@ -212,7 +210,7 @@ class TestDynamics:
         def error(dt):
             s = OscillatorState(theta=np.array([-psi0 / 2, psi0 / 2]), epsilon=np.zeros(2))
             for _ in range(int(round(t_end / dt))):
-                s = step(s, g, K=1.0, dt=dt, integrator=integrator)
+                s = step(s, g, K=1.0, dt=dt)
             return abs((s.theta[1] - s.theta[0]) - psi_exact)
 
         observed = error(0.1) / error(0.05)
@@ -225,13 +223,11 @@ def _rhs(theta, epsilon, m, k_over_n):
     return epsilon + k_over_n * (c * (m @ s) - s * (m @ c))
 
 
-def _advance(theta, epsilon, m, k_over_n, dt, integrator):
-    """One step in the textbook form: the oracle `_stepper` must match within `ORACLE_TOL`."""
+def _advance(theta, epsilon, m, k_over_n, dt):
+    """One RK4 step in the textbook form: the oracle `_stepper` must match within `ORACLE_TOL`."""
     k1 = _rhs(theta, epsilon, m, k_over_n)
     if np.abs(k1).max() * dt > np.pi:
         raise NumericalError("integrator unstable")
-    if integrator == "euler":
-        return theta + dt * k1
     k2 = _rhs(theta + 0.5 * dt * k1, epsilon, m, k_over_n)
     k3 = _rhs(theta + 0.5 * dt * k2, epsilon, m, k_over_n)
     k4 = _rhs(theta + dt * k3, epsilon, m, k_over_n)
@@ -260,8 +256,12 @@ def steps_until_unstable(advance, theta, limit):
     return limit
 
 
+# RK4 is the one integrator; the parameter keeps its name in the test ids
+ONE_INTEGRATOR = pytest.mark.parametrize("integrator", ["rk4"])
+
+
 class TestStepper:
-    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @ONE_INTEGRATOR
     @pytest.mark.parametrize("graph", [sync_product, phased_product, two_oscillators], ids=["sync-144", "phased", "n2"])
     def test_matches_the_textbook_form_within_1e_12(self, graph, integrator):
         g = graph()
@@ -272,37 +272,37 @@ class TestStepper:
         m, k_over_n, dt = coupling_matrix(g), 4.0 / g.n, 0.05
         expected, got = theta.copy(), theta.copy()
         # the stepper scales its own matrix in place
-        advance = _stepper(eps, coupling_matrix(g), k_over_n, dt, integrator)
+        advance = _stepper(eps, coupling_matrix(g), k_over_n, dt)
         for _ in range(400):
-            expected = _advance(expected, eps, m, k_over_n, dt, integrator)
+            expected = _advance(expected, eps, m, k_over_n, dt)
             advance(got)
         assert np.abs(got - expected).max() <= ORACLE_TOL
         assert not np.array_equal(got, theta)
 
-    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @ONE_INTEGRATOR
     def test_raises_at_the_oracles_step(self, integrator):
         # psi = theta_1 - theta_0 drifts (|eps| > K/2), so |theta_dot_0| =
         # |3 + sin psi| swings between 2 and 4 and crosses pi / dt = 3.93
         # only after some steps
         m, eps, dt = coupling_matrix(two_oscillators()), np.array([3.0, -3.0]), 0.8
         start = np.array([0.0, -np.pi / 2])
-        expected = steps_until_unstable(lambda t: _advance(t, eps, m, 1.0, dt, integrator), start, 100)
+        expected = steps_until_unstable(lambda t: _advance(t, eps, m, 1.0, dt), start, 100)
         theta = start.copy()
-        advance = _stepper(eps, coupling_matrix(two_oscillators()), 1.0, dt, integrator)
+        advance = _stepper(eps, coupling_matrix(two_oscillators()), 1.0, dt)
         # advance updates theta in place and returns None
         got = steps_until_unstable(lambda t: advance(t) or t, theta, 100)
         assert 0 < expected < 100
         assert got == expected
         # the raising step leaves theta as the last stable step made it
         for _ in range(expected):
-            start = _advance(start, eps, m, 1.0, dt, integrator)
+            start = _advance(start, eps, m, 1.0, dt)
         assert np.abs(theta - start).max() <= ORACLE_TOL
 
-    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @ONE_INTEGRATOR
     def test_nan_phase_raises(self, integrator):
         # nan * dt > pi is False: the gate must fail a rate that is not finite
         m = coupling_matrix(two_oscillators())
-        advance = _stepper(np.zeros(2), m, 1.0, 0.01, integrator)
+        advance = _stepper(np.zeros(2), m, 1.0, 0.01)
         with pytest.raises(NumericalError):
             advance(np.array([np.nan, 0.0]))
 
