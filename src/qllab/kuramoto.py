@@ -17,10 +17,11 @@ matrix of the realizations' record vectors (`states.mixture_purity`), with
 no n x n density matrix.
 
 Both `run_sync_experiment` and `step` integrate by classical RK4 through
-`_stepper`, which allocates its work arrays once per realization and
-updates theta in place.  Its merged sums round differently from the
-textbook form: 4 of 5,280 `sync` benchmark ops printed one order parameter
-one unit off in its 12th significant digit.
+`_stepper`, which updates theta in place, a record interval per call, and
+checks its stability gate per step only where one bound does not prove it.
+Its merged sums round differently from the textbook form: 4 of 5,280 `sync`
+benchmark ops printed one order parameter one unit off in its 12th
+significant digit.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class OscillatorState:
         self.epsilon = np.asarray(self.epsilon, dtype=float)
         if self.theta.shape != self.epsilon.shape:
             raise QllabError("theta and epsilon must have matching shapes")
-        if self.epsilon.size and abs(self.epsilon.mean()) > 1e-12:
+        # initial_state removes the mean, which leaves a rounding that grows with |eps|
+        if self.epsilon.size and abs(self.epsilon.mean()) > 1e-12 * max(1.0, np.abs(self.epsilon).max()):
             raise QllabError("epsilon must be mean-free (rotating frame)")
 
 
@@ -77,37 +79,51 @@ def coupling_matrix(g: BiasedGraph) -> np.ndarray:
     return m
 
 
-def _stepper(epsilon, m, k_over_n, dt):
-    """Return `advance(theta)`, which moves the phases one RK4 step in place.
+def _stepper(epsilon, m, k_over_n, dt, prove=True):
+    """Return `advance(theta, steps=1)`, which moves the phases `steps` RK4 steps in place.
 
     A right-hand side is eps + cos * (M' sin) - sin * (M' cos), with
     M' = (K/N) M.  The stepper owns m and scales it in place, once, so M'
     keeps `coupling_matrix`'s 64-byte alignment; a scaled copy cost a
     second n x n array, whose pages were faulted in again on every `sync`
-    op.  The 6 calls of a right-hand side are sin and cos into the rows of
-    one (2, n) buffer sc, one GEMM sc @ M' = [M' sin; M' cos] (M is
-    symmetric), one multiply by the rows swapped, one subtract and one add
-    of eps.  A step sums its four stages with one more product,
-    [dt/6, dt/3, dt/3, dt/6] @ k over the (4, n) stage buffer.  Every step
-    raises when |theta_dot| * dt > pi at its first stage, or when theta_dot
-    is not finite.  The buffers, their row views and the 0-d scalars are
-    made once per realization.
+    op.  A right-hand side is sin and cos into the rows of one (2, n)
+    buffer sc, one GEMM sc @ M' = [M' sin; M' cos] (M is symmetric), a 1-D
+    multiply of each row by cos and by sin, one subtract and one add of eps.
+    A step sums its four stages with one more product, [dt/6, dt/3, dt/3,
+    dt/6] @ k over the (4, n) stage buffer.  Both products call np.dot,
+    which runs np.matmul's BLAS routines with less overhead.  The buffers,
+    their row views and the 0-d scalars are made once per realization.
+
+    The gate raises when |theta_dot| * dt > pi at a step's first stage, or
+    when theta_dot is not finite, leaving theta as the last stable step
+    made it.  As |sin| <= 1 and M' >= 0, B = max_i(|eps_i| + sum_j M'_ij)
+    bounds every |theta_dot_i| at every finite theta, so when
+    B * dt * (1 + 1e-6) <= pi the gate cannot fire and is skipped
+    (`advance.proven`; B is `advance.bound`).  The 1e-6 covers the rounding
+    of the GEMM, the row sums and the products, under n * 1.1e-16 each for
+    any n below 1e9.  Otherwise, as at a NaN or infinite eps (B is then not
+    finite) or with `prove=False`, which the tests compare against, the
+    gate runs on every step.  A proven step keeps a finite theta finite, so
+    `advance` checks theta once per call.
 
     The merged sums round differently from the textbook form (kept in
     `tests/test_kuramoto.py` as the oracle): after 400 steps the phases
-    agree with it within 1e-12 (measured below 5e-15).  At n = 144 (one
-    x86 core, one OpenBLAS thread) the (2, n) @ M' product took 3.2-4.2 us
-    against 6.3-6.7 us for two GEMVs, and an RK4 step, 34 numpy calls, took
-    0.79-0.81x the time of the 46-call two-GEMV form (median over 40
-    interleaved runs of 300 steps; about 35 against 44 us), which itself
-    took 0.78x the textbook form's.
+    agree with it within 1e-12 (measured below 5e-15).  At n = 144 (one x86
+    core, one OpenBLAS thread; medians over 40 interleaved runs of 278
+    steps, three probes) a proven 278-step call took 0.86-0.87x the time of
+    278 calls of the gated form that multiplied by the swapped rows
+    sc[::-1] and called np.matmul (52 against 60-62 us per step), and
+    0.89-0.93x with np.matmul.  The gate is about 5% of a step.
     """
-    sin, cos, matmul, mul, add, sub = np.sin, np.cos, np.matmul, np.multiply, np.add, np.subtract
+    sin, cos, dot, mul, add, sub = np.sin, np.cos, np.dot, np.multiply, np.add, np.subtract
     absolute, largest = np.absolute, np.maximum.reduce
     n = len(epsilon)
     mul(m, k_over_n, m)  # M' = (K/N) M
+    bound = largest(absolute(epsilon) + m.sum(axis=1), initial=0.0)
+    proven = prove and bool(bound * dt * (1.0 + 1e-6) <= np.pi)
+    unstable = "integrator unstable: |theta_dot| * dt exceeds pi; reduce dt"
     sc, msc, k, x = np.empty((2, n)), np.empty((2, n)), np.empty((4, n)), np.empty(n)
-    (s, c), cs, (cos_m_sin, sin_m_cos), (k1, k2, k3, k4) = sc, sc[::-1], msc, k
+    (s, c), (m_sin, m_cos), (k1, k2, k3, k4) = sc, msc, k
     # 0-d arrays: a ufunc takes them faster than Python floats, at the same value
     h, half = np.array(dt), np.array(0.5 * dt)
     weights = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
@@ -115,9 +131,10 @@ def _stepper(epsilon, m, k_over_n, dt):
     def rhs(theta, out):
         sin(theta, s)
         cos(theta, c)
-        matmul(sc, m, msc)  # rows: M' sin, M' cos
-        mul(msc, cs, msc)  # rows: cos (M' sin), sin (M' cos)
-        sub(cos_m_sin, sin_m_cos, out)
+        dot(sc, m, msc)  # rows: M' sin, M' cos
+        mul(m_sin, c, m_sin)
+        mul(m_cos, s, m_cos)
+        sub(m_sin, m_cos, out)
         add(out, epsilon, out)
 
     def stage(theta, step, k_in, k_out):
@@ -125,19 +142,21 @@ def _stepper(epsilon, m, k_over_n, dt):
         add(theta, x, x)
         rhs(x, k_out)
 
-    def advance(theta):
-        rhs(theta, k1)
-        # written so that a NaN rate fails it too
-        if not largest(absolute(k1, x)) * dt <= np.pi:
-            raise NumericalError(
-                "integrator unstable: |theta_dot| * dt exceeds pi; reduce dt"
-            )
-        stage(theta, half, k1, k2)
-        stage(theta, half, k2, k3)
-        stage(theta, h, k3, k4)
-        matmul(weights, k, x)
-        add(theta, x, theta)
+    def advance(theta, steps=1):
+        if not np.isfinite(theta).all():
+            raise NumericalError(unstable)
+        for _ in range(steps):
+            rhs(theta, k1)
+            # written so that a NaN rate fails it too
+            if not proven and not largest(absolute(k1, x)) * dt <= np.pi:
+                raise NumericalError(unstable)
+            stage(theta, half, k1, k2)
+            stage(theta, half, k2, k3)
+            stage(theta, h, k3, k4)
+            dot(weights, k, x)
+            add(theta, x, theta)
 
+    advance.bound, advance.proven = bound, proven
     return advance
 
 
@@ -181,11 +200,12 @@ class SyncRunConfig:
     graph may be a built BiasedGraph (shared by all realizations) or a
     ProductSpec, from whose seed, not its bits', a fresh graph is drawn per
     realization.  seed draws the initial phases, uniform on [0, init_width),
-    and the frequency offsets.  dt defaults to min(t_end, 1e-3 * N / K),
-    t_end at K = 0, and sigma_eps to 0.1 * K / N.  So the defaulted dynamics
-    of a graph depend only on tau = K * t / N, and a comparison across sizes
-    must fix tau_end, not t_end: at t_end 10 and K 4, tau_end is 0.28 at
-    N 144 but 0.004 at N 9,216, where the phases barely move.
+    and the frequency offsets.  sigma_eps defaults to 0.1 * K / N and dt to
+    min(t_end, 1e-3 / max(K / N, sigma_eps)), t_end when both are 0.  So the
+    defaulted dynamics of a graph depend only on tau = K * t / N, and a
+    comparison across sizes must fix tau_end, not t_end: at t_end 10 and
+    K 4, tau_end is 0.28 at N 144 but 0.004 at N 9,216, where the phases
+    barely move.
     """
 
     graph: object
@@ -229,9 +249,27 @@ class SyncResult:
     eigenvalue_top: np.ndarray
 
 
+def _spread(cfg: SyncRunConfig, n) -> float:
+    """The frequency spread: sigma_eps, or 0.1 * K / N when it is unset."""
+    return 0.1 * cfg.K / n if cfg.sigma_eps is None else cfg.sigma_eps
+
+
+def _default_dt(cfg: SyncRunConfig, n) -> float:
+    """min(t_end, 1e-3 / max(K / N, sigma)), or t_end when both are 0.
+
+    At sigma <= K / N it reads K alone, as 1e-3 * N / K, which keeps the
+    bytes of every run with sigma_eps unset.  An infinite or NaN sigma
+    reads K alone too, so its run fails the stepper's gate, not dt = 0.
+    """
+    sigma = _spread(cfg, n)
+    if cfg.K / n < sigma < np.inf:
+        return min(cfg.t_end, 1e-3 / sigma)
+    return min(cfg.t_end, 1e-3 * n / cfg.K) if cfg.K > 0 else cfg.t_end
+
+
 def initial_state(n, cfg: SyncRunConfig, rng) -> OscillatorState:
     theta = rng.uniform(0.0, cfg.init_width, size=n)
-    sigma = 0.1 * cfg.K / n if cfg.sigma_eps is None else cfg.sigma_eps
+    sigma = _spread(cfg, n)
     eps = rng.normal(0.0, sigma, size=n) if sigma > 0 else np.zeros(n)
     eps -= eps.mean()
     return OscillatorState(theta=theta, epsilon=eps, t=0.0)
@@ -270,7 +308,7 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     """
     sample = _realization_graph(cfg, 0)
     n = sample.n
-    dt = cfg.dt if cfg.dt is not None else min(cfg.t_end, 1e-3 * n / cfg.K) if cfg.K > 0 else cfg.t_end
+    dt = cfg.dt if cfg.dt is not None else _default_dt(cfg, n)
     steps = max(1, int(round(cfg.t_end / dt)))
     record_at = list(range(0, steps + 1, cfg.record_every))
     if record_at[-1] != steps:
@@ -290,11 +328,8 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
         state = initial_state(n, cfg, rng_from(cfg.seed, "init", r))
         theta = state.theta
         advance = _stepper(state.epsilon, m, k_over_n, dt)
-        done = 0
-        for i, target in enumerate(record_at):
-            for _ in range(target - done):
-                advance(theta)
-            done = target
+        for i, (done, target) in enumerate(zip([0, *record_at], record_at)):
+            advance(theta, target - done)
             vectors[i, :, r] = np.exp(-1j * theta) * v0
             r_sum[i] += order_parameter(theta)
 

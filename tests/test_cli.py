@@ -694,6 +694,23 @@ def test_weak_coupling_records_end_at_t_end(tmp_path, K):
     assert [float(row["t"]) for row in read_rows(tmp_path / "out" / "kuramoto.csv")] == [0.0, 10.0]
 
 
+@pytest.mark.parametrize("K", [0.0, 0.01])
+def test_the_default_dt_reads_a_set_frequency_spread(tmp_path, K):
+    # sigma_eps above K / N sets dt = 1e-3 / sigma_eps; a default that read
+    # K alone tripped the stability gate at K 0 and 0.01
+    params = {"product": WITNESS_PRODUCT, "K": K, "t_end": 10.0, "sigma_eps": 1.0, "record_every": 2500}
+    assert run_config(tmp_path, {"experiment": "kuramoto", "params": params}, "--seed", "1") == 0
+    assert [float(row["t"]) for row in read_rows(tmp_path / "out" / "kuramoto.csv")] == [2.5 * i for i in range(5)]
+
+
+@pytest.mark.parametrize("seed", ["3", "5"])
+def test_a_wide_frequency_spread_is_mean_free(tmp_path, seed):
+    # the rounding left by removing the mean of sigma_eps 1e5 offsets
+    # exceeded an absolute 1e-12
+    params = {"product": WITNESS_PRODUCT, "K": 1.0, "t_end": 1e-6, "dt": 1e-9, "sigma_eps": 1e5}
+    assert run_config(tmp_path, {"experiment": "kuramoto", "params": params}, "--seed", seed) == 0
+
+
 # case: (experiment, params, the key of the object whose seed draws every
 # realization, artifacts)
 OWN_SEEDS = {

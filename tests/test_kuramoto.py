@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qllab.errors import NumericalError, QllabError
 from qllab.graph import BiasedGraph, gen_complete, gen_d_regular_random, rng_from
 from qllab.kuramoto import (
     OscillatorState,
     SyncRunConfig,
+    _default_dt,
     _realization_graph,
     _stepper,
     coupling_matrix,
@@ -312,6 +315,103 @@ class TestStepper:
         cfg = SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=0.1, sigma_eps=np.inf)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             run_sync_experiment(cfg)
+
+
+@st.composite
+def stepper_cases(draw):
+    """A small weighted graph, mean-free offsets, finite phases, K / N and dt."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    bias = [draw(st.floats(0.1, 3.0)) for _ in edges]
+    g = BiasedGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), bias=np.array(bias))
+    eps = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(n)])
+    eps -= eps.mean()
+    # quarter turns put sin(theta_j - theta_i) at +-1, where |theta_dot| meets B
+    phase = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 2]))
+    theta = np.array([draw(phase) for _ in range(n)])
+    k_over_n = draw(st.floats(0.0, 2.0))
+    # dt about pi / B, where a proof without its margin, or with a looser one, would be wrong
+    rate = np.max(np.abs(eps) + k_over_n * coupling_matrix(g).sum(axis=1))
+    return g, eps, theta, k_over_n, draw(st.floats(0.25, 1.5)) * np.pi / max(rate, 1.0)
+
+
+class TestProvenGate:
+    @settings(max_examples=100, deadline=None)
+    @given(stepper_cases())
+    def test_a_proven_gate_cannot_fire_and_moves_no_bit(self, case):
+        g, eps, theta, k_over_n, dt = case
+        advance = _stepper(eps, coupling_matrix(g), k_over_n, dt)
+        assume(advance.proven)
+        # B bounds the rate at any finite theta, within the margin kept for rounding
+        assert np.abs(_rhs(theta, eps, coupling_matrix(g), k_over_n)).max() <= advance.bound * (1 + 1e-6)
+        gated = _stepper(eps, coupling_matrix(g), k_over_n, dt, prove=False)
+        assert not gated.proven
+        got, expected = theta.copy(), theta.copy()
+        advance(got, 30)
+        for _ in range(30):
+            gated(expected)  # raises if the gate fires
+        assert np.array_equal(got, expected)
+
+    def test_the_bound_is_the_largest_row_rate(self):
+        m, eps = coupling_matrix(two_oscillators()), np.array([0.5, -0.5])
+        assert _stepper(eps, m.copy(), 2.0, 0.1).bound == 2.5
+        assert _stepper(eps, m.copy(), 2.0, np.pi / 2.5 / (1 + 1e-5)).proven
+        # B * dt = pi exactly leaves no room for rounding
+        assert not _stepper(eps, m.copy(), 2.0, np.pi / 2.5).proven
+        assert not _stepper(np.array([np.nan, 0.0]), m.copy(), 1.0, 1e-3).proven
+        assert not _stepper(np.array([np.inf, -np.inf]), m.copy(), 1.0, 1e-3).proven
+
+    @pytest.mark.parametrize("prove", [True, False], ids=["proven", "gated"])
+    def test_steps_per_call_equal_single_steps(self, prove):
+        g = sync_product()
+        rng = rng_from(9, "steps", g.n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=g.n)
+        eps = rng.normal(0.0, 0.05, size=g.n)
+        eps -= eps.mean()
+        many = _stepper(eps, coupling_matrix(g), 4.0 / g.n, 0.05, prove=prove)
+        one = _stepper(eps, coupling_matrix(g), 4.0 / g.n, 0.05, prove=prove)
+        assert many.proven == prove
+        got, expected = theta.copy(), theta.copy()
+        many(got, 0)
+        assert np.array_equal(got, theta)
+        many(got, 25)
+        for _ in range(25):
+            one(expected)
+        assert np.array_equal(got, expected)
+
+    def test_the_nan_phase_stepper_is_proven(self):
+        # test_nan_phase_raises reaches the entry check only on a proven stepper
+        assert _stepper(np.zeros(2), coupling_matrix(two_oscillators()), 1.0, 0.01).proven
+
+
+def test_removing_the_mean_passes_the_mean_free_check_at_any_spread():
+    # the rounding left by removing the mean grows with |eps|
+    spreads = 10.0 ** rng_from(1, "spreads").uniform(4.0, 8.0, size=300)
+    for seed, sigma in enumerate(spreads):
+        cfg = SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=1.0, sigma_eps=sigma)
+        initial_state(144, cfg, rng_from(seed, "init", 0))
+
+
+def test_a_shifted_epsilon_is_not_mean_free():
+    eps = rng_from(2, "eps").normal(0.0, 1e5, size=144)
+    eps -= eps.mean()
+    OscillatorState(theta=np.zeros(144), epsilon=eps)
+    with pytest.raises(QllabError, match="mean-free"):
+        OscillatorState(theta=np.zeros(144), epsilon=eps + 1e-6 * 1e5)
+
+
+def test_the_default_dt_reads_the_larger_rate():
+    def default_dt(**fields):
+        return _default_dt(SyncRunConfig(graph=two_bit_spec(), **{"t_end": 10.0, **fields}), 32)
+
+    # sigma_eps <= K / N keeps the form 1e-3 * N / K, and so the bytes of
+    # every run whose sigma_eps is unset
+    for sigma in (None, 0.0, 1.0 / 32):
+        assert default_dt(K=1.0, sigma_eps=sigma) == 1e-3 * 32
+    assert default_dt(K=1.0, sigma_eps=0.5) == default_dt(K=0.0, sigma_eps=0.5) == 1e-3 / 0.5
+    assert default_dt(K=0.0) == 10.0
+    assert default_dt(K=0.0, sigma_eps=0.5, t_end=1e-4) == 1e-4
 
 
 @pytest.mark.parametrize(
