@@ -12,7 +12,10 @@ One table per config object, each key named once: `_read` takes the table
 {key: (reader, default)}, rejects unknown and missing keys with their key
 path and returns each value through its reader.  `_spec` is the one place
 where a library error, whose message starts with the field at fault,
-becomes a ConfigError at that key path.
+becomes a ConfigError at that key path.  A graph or a policy reads only
+the keys of its kind: `cycle` and `complete` read `n`, the random regular
+kinds `n` and `d`, `two_lift` its `base`, and every graph kind `seed`,
+which only the random kinds draw from; a policy reads its kind's one key.
 
 A run loads only the library modules its experiment uses.  `graph`,
 `spectral`, `states`, `_csv` and `errors` are imported here; `qlbit`,
@@ -160,43 +163,29 @@ def _nested(parse, seed):
 
 
 def parse_graph_spec(doc, path, default_seed=0) -> GraphGenSpec:
-    kind, n, d, seed, base = _read(
-        doc,
-        {
-            "kind": (_as_is, REQUIRED),
-            "n": (_int, 0),
-            "d": (_optional(_int), None),
-            "seed": (_int, default_seed),
-            "base": (_as_is, None),
-        },
-        path,
-    )
-    if kind != "two_lift":
-        base = None  # only a two_lift reads its base
-    elif base is None:
-        raise ConfigError(f"missing key {path}base")
-    else:
-        base = parse_graph_spec(base, path + "base.", default_seed)
-    return _spec(GraphGenSpec, path, kind, n, d, seed, base)
+    keys = {"kind": (_as_is, REQUIRED), "n": (_int, None), "d": (_int, None), "seed": (_int, default_seed)}
+    keys["base"] = (_nested(parse_graph_spec, default_seed), None)
+    # GraphGenSpec rejects a field that its kind does not read
+    return _spec(GraphGenSpec, path, *_read(doc, keys, path))
 
 
 def parse_policy(doc, path):
     from .qlbit import CrossRegular, EdgeBudgetFraction, PairProbability
 
+    # the one key each kind reads besides its kind
     policies = {
         "pair_probability": (PairProbability, "p", _float),
         "budget": (EdgeBudgetFraction, "fraction", _float),
         "cross_regular": (CrossRegular, "degree", _int),
     }
-    # each kind reads its own key; the others' keys are let through unread
-    keys = {"kind": (_as_is, REQUIRED), **{key: (_as_is, None) for _, key, _ in policies.values()}}
-    kind = _read(doc, keys, path)[0]
+    if not isinstance(doc, dict) or "kind" not in doc:
+        _read(doc, {"kind": (_as_is, REQUIRED)}, path)  # raises: without a kind, the table is {kind}
+    kind = doc["kind"]
     if not isinstance(kind, str) or kind not in policies:
         raise ConfigError(f"unknown policy kind at {path}kind: {kind!r}")
     policy, key, read = policies[kind]
-    if key not in doc:
-        raise ConfigError(f"missing key {path}{key}")
-    return _spec(policy, path, read(doc[key], path + key))
+    _, value = _read(doc, {"kind": (_as_is, REQUIRED), key: (read, REQUIRED)}, path)
+    return _spec(policy, path, value)
 
 
 def _bias(token, key) -> complex:

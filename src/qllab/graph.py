@@ -328,13 +328,14 @@ def project_blocks(g: BiasedGraph, names, w):
 class GraphGenSpec:
     """Recipe for a deterministic graph sample.
 
-    kind is one of 'd_regular_random', 'cycle', 'complete',
-    'bipartite_d_regular', or 'two_lift' (with `base` set).  For the
-    bipartite kind, `n` counts vertices per side.
+    Each kind sets exactly the fields it reads, the rest None: 'cycle' and
+    'complete' read `n`, 'd_regular_random' and 'bipartite_d_regular' (n per
+    side) `n` and `d`, and 'two_lift' `base`.  Every kind takes a seed; only
+    the random ones, all but 'cycle' and 'complete', draw from it.
     """
 
     kind: str
-    n: int = 0
+    n: int = None
     d: int = None
     seed: int = 0
     base: "GraphGenSpec" = None
@@ -342,16 +343,24 @@ class GraphGenSpec:
     def __post_init__(self):
         # Each message starts with the field it names, so the CLI can
         # prefix the config path.
-        if self.kind == "two_lift":
-            if self.base is None:
-                raise QllabError("base: a two_lift needs a base graph")
-        elif self.kind in _KINDS:
-            _check_size(self.kind, self.n, self.d)
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _READS:
             raise QllabError(f"kind: unknown graph kind {self.kind!r}")
+        for name in ("n", "d", "base"):
+            if (getattr(self, name) is None) == (name in _READS[self.kind]):
+                verb = "takes no" if getattr(self, name) is not None else "needs"
+                raise QllabError(f"{name}: a {self.kind} graph {verb} {name}")
+        if self.kind != "two_lift":
+            _check_size(self.kind, self.n, self.d)
 
 
-_KINDS = ("d_regular_random", "cycle", "complete", "bipartite_d_regular")
+# the fields besides seed that each graph kind reads
+_READS = {
+    "d_regular_random": ("n", "d"),
+    "cycle": ("n",),
+    "complete": ("n",),
+    "bipartite_d_regular": ("n", "d"),
+    "two_lift": ("base",),
+}
 
 
 def _check_size(kind, n, d=None):

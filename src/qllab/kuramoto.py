@@ -221,7 +221,7 @@ class SyncRunConfig:
     def __post_init__(self):
         # Each message starts with the field it names, so the CLI can
         # prefix the config path.
-        for name in ("K", "t_end", "dt"):
+        for name in ("K", "t_end", "dt", "init_width", "sigma_eps"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise QllabError(f"{name} must be finite, got {value!r}")

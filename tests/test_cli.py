@@ -293,6 +293,34 @@ REJECTED = [
         _with("product", {"product": {"qlbits": [BUDGET_5_BIT]}}, "verify", False),
         "params.product.qlbits[0].policy.fraction",
     ),
+    # a graph or a policy reads only the keys of its kind
+    ("cycle-d", _with("cheeger", {}, "graph", {"kind": "cycle", "n": 6, "d": 2}), "params.graph.d: a cycle graph takes no d"),
+    ("complete-d", _with("cheeger", {}, "graph", {"kind": "complete", "n": 4, "d": 3}), "params.graph.d: a complete graph takes no d"),
+    (
+        "two-lift-n",
+        _with("spectrum", {"graph": {"kind": "two_lift", "base": SPECTRUM_GRAPH, "n": 20}}, "bins", 4),
+        "params.graph.n: a two_lift graph takes no n",
+    ),
+    (
+        "two-lift-d",
+        _with("spectrum", {"graph": {"kind": "two_lift", "base": SPECTRUM_GRAPH, "d": 3}}, "bins", 4),
+        "params.graph.d: a two_lift graph takes no d",
+    ),
+    (
+        "d-regular-base",
+        _with("spectrum", {"graph": {**SPECTRUM_GRAPH, "base": {"kind": "cycle", "n": 5}}}, "bins", 4),
+        "params.graph.base: a d_regular_random graph takes no base",
+    ),
+    (
+        "budget-p",
+        _with("qlbit", QLBIT["params"], "policy", {"kind": "budget", "fraction": 0.2, "p": 0.9}),
+        "unknown key params.policy.p",
+    ),
+    (
+        "cross-regular-fraction",
+        _with("qlbit", QLBIT["params"], "policy", {"kind": "cross_regular", "degree": 1, "fraction": 0.2}),
+        "unknown key params.policy.fraction",
+    ),
 ]
 
 

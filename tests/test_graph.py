@@ -290,6 +290,36 @@ class TestSerialization:
         assert g.n == 8
 
 
+K4 = GraphGenSpec("complete", n=4)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "cycle", "n": 6, "d": 2}, "d: a cycle graph takes no d"),
+        ({"kind": "complete", "n": 4, "d": 3}, "d: a complete graph takes no d"),
+        ({"kind": "two_lift", "n": 8, "base": K4}, "n: a two_lift graph takes no n"),
+        ({"kind": "two_lift", "d": 3, "base": K4}, "d: a two_lift graph takes no d"),
+        ({"kind": "d_regular_random", "n": 10, "d": 3, "base": K4}, "base: a d_regular_random graph takes no base"),
+        ({"kind": "bipartite_d_regular", "n": 5, "d": 2, "base": K4}, "base: a bipartite_d_regular graph takes no base"),
+        ({"kind": "two_lift"}, "base: a two_lift graph needs base"),
+        ({"kind": "cycle"}, "n: a cycle graph needs n"),
+        ({"kind": "bipartite_d_regular", "n": 5}, "d: a bipartite_d_regular graph needs d"),
+        ({"kind": ["cycle"], "n": 6}, "kind: unknown graph kind"),
+    ],
+)
+def test_graph_spec_sets_exactly_the_fields_its_kind_reads(fields, message):
+    with pytest.raises(QllabError, match=f"^{re.escape(message)}"):
+        GraphGenSpec(**fields)
+
+
+@pytest.mark.parametrize("kind", ["cycle", "complete"])
+def test_graph_spec_seed_of_a_fixed_kind_draws_nothing(kind):
+    # every kind takes a seed; only the random kinds draw from it
+    first, second = (graph_to_json(build_graph(GraphGenSpec(kind, n=5, seed=s))) for s in (1, 2))
+    assert first == second
+
+
 def test_disjoint_union_offsets_and_labels():
     a = replace(gen_complete(4), blocks=("a1", "a2"), block_of=[0, 0, 1, 1])
     b = replace(gen_complete(3), blocks=("x1", "x2"), block_of=[0, 1, 1])

@@ -310,11 +310,10 @@ class TestStepper:
             advance(np.array([np.nan, 0.0]))
 
     def test_infinite_disorder_raises(self):
-        # a library-built config skips the CLI's finiteness check; infinite
-        # frequency offsets are NaN once their mean (inf - inf) is removed
-        cfg = SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=0.1, sigma_eps=np.inf)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-            run_sync_experiment(cfg)
+        # a library-built config skips the CLI's finiteness check, so the
+        # config itself rejects infinite disorder before any run
+        with pytest.raises(QllabError, match="^sigma_eps must be finite"):
+            SyncRunConfig(graph=two_bit_spec(), K=1.0, t_end=0.1, sigma_eps=np.inf)
 
 
 @st.composite
@@ -416,12 +415,15 @@ def test_the_default_dt_reads_the_larger_rate():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("K", np.nan), ("K", np.inf), ("t_end", np.inf), ("t_end", np.nan), ("dt", np.nan), ("dt", np.inf)],
+    [("K", np.nan), ("K", np.inf), ("t_end", np.inf), ("t_end", np.nan), ("dt", np.nan), ("dt", np.inf)]
+    + [("sigma_eps", np.nan), ("sigma_eps", np.inf), ("init_width", np.nan), ("init_width", np.inf)],
 )
 def test_non_finite_run_numbers_are_rejected_by_field(field, value):
     # a library-built config skips the CLI's finiteness check; unchecked,
-    # these reach int(round(t_end / dt)) in run_sync_experiment as a bare
-    # ValueError, OverflowError or ZeroDivisionError.  The message starts
-    # with the field, so the CLI can prefix the config path
+    # K, t_end and dt reach int(round(t_end / dt)) in run_sync_experiment
+    # as a bare ValueError, OverflowError or ZeroDivisionError, a NaN
+    # sigma_eps runs as zero disorder and a non-finite init_width fails the
+    # phase draw with a bare OverflowError.  The message starts with the
+    # field, so the CLI can prefix the config path
     with pytest.raises(QllabError, match=f"^{field} must be finite"):
         SyncRunConfig(graph=two_bit_spec(), **{"K": 1.0, "t_end": 0.1, field: value})
