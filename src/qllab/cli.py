@@ -17,6 +17,12 @@ the keys of its kind: `cycle` and `complete` read `n`, the random regular
 kinds `n` and `d`, `two_lift` its `base`, and every graph kind `seed`,
 which only the random kinds draw from; a policy reads its kind's one key.
 
+Seeds follow one chain, run seed -> `product.seed` -> bit j: the run seed
+(in `witness`, each trial's seed derived from it) is the default of a
+product's `seed`, and bit j is seeded derive_seed(product seed, "bit", j),
+so a product bit takes no `seed`.  `kuramoto` realizations reseed the
+bits from `product.seed`.
+
 A run loads only the library modules its experiment uses.  `graph`,
 `spectral`, `states`, `_csv` and `errors` are imported here; `qlbit`,
 `qlproduct`, `kuramoto`, `witness` and `cheeger` are imported inside the
@@ -194,8 +200,8 @@ def _bias(token, key) -> complex:
     return _spec(bias_from_token, f"{key}: ", token)
 
 
-# The keys of one QL bit, in the order `qlbit_spec` takes them; a product's
-# bit adds its seed, and the `qlbit` experiment its own keys.
+# The keys of one QL bit, named as `qlbit_spec` takes them; the `qlbit`
+# experiment adds its own keys.
 _QLBIT_KEYS = {
     "n": (_int, REQUIRED),
     "d": (_int, REQUIRED),
@@ -206,13 +212,11 @@ _QLBIT_KEYS = {
 }
 
 
-def parse_qlbit(doc, path, default_seed=0) -> QLBitSpec:
+def parse_product(doc, path, default_seed=0, fixed=None) -> ProductSpec:
+    """The product doc states, its seed defaulting to default_seed; fixed
+    maps a bit's index to the fields the experiment sets on it, for which
+    that bit takes no key."""
     from .qlbit import qlbit_spec
-
-    return _spec(qlbit_spec, path, *_read(doc, {**_QLBIT_KEYS, "seed": (_int, default_seed)}, path))
-
-
-def parse_product(doc, path, default_seed=0) -> ProductSpec:
     from .qlproduct import ProductSpec
 
     bits, mode, seed = _read(
@@ -222,9 +226,12 @@ def parse_product(doc, path, default_seed=0) -> ProductSpec:
     )
     if not isinstance(bits, list) or not bits:
         raise ConfigError(f"{path}qlbits must be a nonempty list")
-    specs = tuple(
-        parse_qlbit(b, f"{path}qlbits[{i}].", derive_seed(default_seed, "bit", i)) for i, b in enumerate(bits)
-    )
+    specs = []
+    for i, bit in enumerate(bits):
+        given = (fixed or {}).get(i, {})
+        keys = {key: entry for key, entry in _QLBIT_KEYS.items() if key not in given}
+        fields = dict(zip(keys, _read(bit, keys, f"{path}qlbits[{i}].")), **given)
+        specs.append(_spec(qlbit_spec, f"{path}qlbits[{i}].", **fields, seed=derive_seed(seed, "bit", i)))
     return _spec(ProductSpec, path, specs, mode, seed)
 
 
@@ -327,15 +334,7 @@ def cmd_disorder_sweep(params, seed):
 
 
 def cmd_qlbit(params, seed):
-    from .qlbit import (
-        apply_bias_topology,
-        build_qlbit,
-        build_regular_qlbit,
-        project_two_state,
-        qlbit_spec,
-        regular_qlbit_spec,
-        reseeded,
-    )
+    from .qlbit import build_qlbit, project_two_state, qlbit_spec, regular_qlbit_spec, reseeded
 
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
@@ -346,13 +345,15 @@ def cmd_qlbit(params, seed):
             "cross_degree": (_int, 1),
         },
     )
-    # A table row sets every bias and the cross edges itself; a bit without
-    # one is built from its policy and biases and has no cross degree.
+    # A table row sets every bias of the bit that is d-regular with its cross
+    # edges, cross_degree per vertex; a bit without one is built from its
+    # policy and biases and has no cross degree.
     if table_row is None:
         bit = _spec(qlbit_spec, "params.", n, d, *bit)
         ignored, context = ("cross_degree",), "without"
     else:
         _spec(regular_qlbit_spec, "params.", n, d, cross_degree)
+        biases = {"red_bias": table_row.red, "blue_bias": table_row.blue, "connect_bias": table_row.conn}
         ignored, context = ("policy", "connect_bias", "red_bias", "blue_bias"), "with"
     for key in ignored:
         if key in params:
@@ -360,11 +361,10 @@ def cmd_qlbit(params, seed):
     rows = []
     for i in range(realizations):
         bit_seed = derive_seed(seed, "bit", i)
-        if table_row is not None:
-            g = build_regular_qlbit(n, d, cross_degree=cross_degree, seed=bit_seed)
-            g = apply_bias_topology(g, table_row)
-        else:
+        if table_row is None:
             g = build_qlbit(reseeded(bit, bit_seed))
+        else:
+            g = build_qlbit(replace(regular_qlbit_spec(n, d, cross_degree, bit_seed), **biases))
         quo = quotient(g)
         # an equitable bit (a table row, cross-regular or unconnected cross
         # edges) reports its canonical extreme QL state
@@ -458,16 +458,15 @@ def cmd_witness(params, seed):
     if preparation not in ("plus", "minus"):
         raise ConfigError("params.preparation must be 'plus' or 'minus'")
     expected, bias = ("same", 1 + 0j) if preparation == "plus" else ("inverted", -1 + 0j)
-    # every trial's product, each read at its trial's seed, before any build
+    # every trial's product, each read at its trial's seed, before any build;
+    # preparation sets the target bit's connect_bias, so that bit takes none
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
-    specs = [parse_product(product, "params.product.", trial_seed) for trial_seed in seeds]
+    target = {bit_index: {"connect_bias": bias}}
+    specs = [parse_product(product, "params.product.", trial_seed, target) for trial_seed in seeds]
     if not 0 <= bit_index < specs[0].q:
         raise ConfigError("params.bit_index out of range")
     rows = []
     for t, (spec, trial_seed) in enumerate(zip(specs, seeds)):
-        bits = list(spec.qlbits)
-        bits[bit_index] = replace(bits[bit_index], connect_bias=bias)
-        spec = replace(spec, qlbits=tuple(bits))
         combined = attach_witness(spec, bit_index, strength, density=density, seed=trial_seed)
         verdict = witness_readout(combined)
         rows.append((t, verdict, verdict == expected))

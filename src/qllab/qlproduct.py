@@ -176,7 +176,8 @@ class ProductSpec:
     policy and bias, which its spec checked against those blocks.  seed
     draws a contracted product's blocks and cross edges; a bit's own seed is
     read only where its blocks are drawn: by `build_qlbit`, in a full
-    product and in `attach_witness`'s witness copy.
+    product and in `attach_witness`'s witness copy.  A config derives each
+    bit's seed from seed, by the one seed chain in `qllab.cli`.
     """
 
     qlbits: tuple

@@ -187,6 +187,8 @@ NON_NUMERIC = [
 ]
 
 BUDGET_5_BIT = {"n": 6, "d": 3, "policy": {"kind": "budget", "fraction": 5}}  # 90 edges, 36 pairs
+SEEDED_BIT_PRODUCT = {"qlbits": [{"n": 8, "d": 3, "seed": 77}, {"n": 8, "d": 3}]}
+BIT_SEED_KEY = "unknown key params.product.qlbits[0].seed"
 
 # values out of range, unknown names, and keys the experiment would ignore:
 # (test id, config, the key path the error must name)
@@ -234,8 +236,17 @@ REJECTED = [
     ("row-with-red-bias", _with("qlbit", QLBIT_ROW, "red_bias", -1), "params.red_bias"),
     ("row-with-blue-bias", _with("qlbit", QLBIT_ROW, "blue_bias", -1), "params.blue_bias"),
     ("cross-degree-without-row", _with("qlbit", QLBIT["params"], "cross_degree", 2), "params.cross_degree"),
-    # a product's bit takes a seed, the `qlbit` experiment does not
+    # a bit is seeded from its product's seed, so no bit takes a seed
     ("qlbit-seed", _with("qlbit", QLBIT["params"], "seed", 4), "unknown key params.seed"),
+    ("product-bit-seed", _with("product", {"product": SEEDED_BIT_PRODUCT}, "verify", False), BIT_SEED_KEY),
+    ("kuramoto-bit-seed", _with("kuramoto", KURAMOTO, "product", SEEDED_BIT_PRODUCT), BIT_SEED_KEY),
+    ("witness-bit-seed", _with("witness", WITNESS, "product", SEEDED_BIT_PRODUCT), BIT_SEED_KEY),
+    # preparation sets the witness target bit's connect_bias
+    (
+        "witness-target-connect-bias",
+        _with("witness", WITNESS, "product", {"qlbits": [{"n": 8, "d": 3, "connect_bias": "-1"}, {"n": 8, "d": 3}]}),
+        "unknown key params.product.qlbits[0].connect_bias",
+    ),
     # names that are not strings, looked up in a dict
     ("policy-kind-not-a-name", _with("qlbit", QLBIT["params"], "policy", {"kind": ["budget"]}), "params.policy.kind"),
     ("experiment-not-a-name", {"experiment": ["qlbit"], "params": QLBIT["params"]}, "experiment"),
@@ -744,6 +755,13 @@ def test_a_wide_frequency_spread_is_mean_free(tmp_path, seed):
 OWN_SEEDS = {
     "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2, "bins": 8}, "graph", ["spectrum.csv", "histogram.csv"]),
     "kuramoto": ("kuramoto", {**KURAMOTO, "realizations": 2}, "product", ["kuramoto.csv"]),
+    # a full product's bits draw their blocks from the product seed
+    "product-full": (
+        "product",
+        {"product": {"mode": "full", "qlbits": [{"n": 4, "d": 2}, {"n": 5, "d": 2}]}},
+        "product",
+        ["product_spectrum.csv", "effective_states.json"],
+    ),
 }
 
 
@@ -760,6 +778,15 @@ def test_realizations_derive_from_the_objects_own_seed(tmp_path, case):
     unset = digest()
     assert digest(seed=7) == unset
     assert digest(seed=8) != unset
+
+
+def test_product_bits_are_seeded_from_the_product_seed():
+    # a witness parses its product at each trial's seed; a set product seed
+    # seeds every trial's bits alike, and an unset one seeds them apart
+    for doc, seeds in ((WITNESS_PRODUCT, (3, 4)), ({**WITNESS_PRODUCT, "seed": 9}, (9, 9))):
+        for trial_seed, product_seed in zip((3, 4), seeds):
+            spec = parse_product(doc, "params.product.", trial_seed)
+            assert [bit.seed for bit in spec.qlbits] == [derive_seed(product_seed, "bit", i) for i in range(2)]
 
 
 def test_disorder_sweep_body_is_golden(tmp_path):
