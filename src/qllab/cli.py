@@ -20,8 +20,8 @@ which only the random kinds draw from; a policy reads its kind's one key.
 Seeds follow one chain, run seed -> `product.seed` -> bit j: the run seed
 (in `witness`, each trial's seed derived from it) is the default of a
 product's `seed`, and bit j is seeded derive_seed(product seed, "bit", j),
-so a product bit takes no `seed`.  `kuramoto` realizations reseed the
-bits from `product.seed`.
+so a product bit takes no `seed`; bit j's seed draws its blocks and cross
+edges.  `kuramoto` realizations reseed the bits from `product.seed`.
 
 A run loads only the library modules its experiment uses.  `graph`,
 `spectral`, `states`, `_csv` and `errors` are imported here; `qlbit`,
@@ -334,7 +334,7 @@ def cmd_disorder_sweep(params, seed):
 
 
 def cmd_qlbit(params, seed):
-    from .qlbit import build_qlbit, project_two_state, qlbit_spec, regular_qlbit_spec, reseeded
+    from .qlbit import build_qlbit, project_two_state, qlbit_spec, regular_qlbit_spec
 
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
@@ -352,19 +352,15 @@ def cmd_qlbit(params, seed):
         bit = _spec(qlbit_spec, "params.", n, d, *bit)
         ignored, context = ("cross_degree",), "without"
     else:
-        _spec(regular_qlbit_spec, "params.", n, d, cross_degree)
-        biases = {"red_bias": table_row.red, "blue_bias": table_row.blue, "connect_bias": table_row.conn}
+        bit = _spec(regular_qlbit_spec, "params.", n, d, cross_degree)
+        bit = replace(bit, red_bias=table_row.red, blue_bias=table_row.blue, connect_bias=table_row.conn)
         ignored, context = ("policy", "connect_bias", "red_bias", "blue_bias"), "with"
     for key in ignored:
         if key in params:
             raise ConfigError(f"params.{key} has no effect {context} params.table_row")
     rows = []
     for i in range(realizations):
-        bit_seed = derive_seed(seed, "bit", i)
-        if table_row is None:
-            g = build_qlbit(reseeded(bit, bit_seed))
-        else:
-            g = build_qlbit(replace(regular_qlbit_spec(n, d, cross_degree, bit_seed), **biases))
+        g = build_qlbit(replace(bit, seed=derive_seed(seed, "bit", i)))
         quo = quotient(g)
         # an equitable bit (a table row, cross-regular or unconnected cross
         # edges) reports its canonical extreme QL state

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import NumericalError, QllabError
 from .graph import BiasedGraph, derive_seed, rng_from
-from .qlbit import reseeded
 from .qlproduct import ProductSpec, build_product
 from .spectral import top_pair
 from .states import mixture_purity
@@ -280,7 +279,7 @@ def _realization_graph(cfg: SyncRunConfig, r: int) -> BiasedGraph:
     if isinstance(g, BiasedGraph):
         return g
     if isinstance(g, ProductSpec):
-        bits = tuple(reseeded(b, derive_seed(g.seed, "bit", r, j)) for j, b in enumerate(g.qlbits))
+        bits = tuple(replace(b, seed=derive_seed(g.seed, "bit", r, j)) for j, b in enumerate(g.qlbits))
         spec = replace(g, qlbits=bits, seed=derive_seed(g.seed, "graph", r))
         return build_product(spec)
     raise QllabError("graph must be a BiasedGraph or a ProductSpec")

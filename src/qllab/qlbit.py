@@ -15,7 +15,8 @@ equitable: `qlbit` reads its one emergent eigenpair by the same rule
 amplitudes (alpha, beta) off that eigenvector through
 `graph.project_blocks`, the one projection onto unit block indicators, as
 a product's projection does.  Both paths report (alpha, beta) in the phase
-of `spectral.fixed_phase`.
+of `spectral.fixed_phase`.  A bit's one seed draws both blocks and the
+cross edges, so the same bit with another seed is a fresh copy of it.
 
 Cross-edge orientation convention: the adjacency entry from an a1 (blue)
 vertex to an a2 (red) vertex equals the connecting bias, so a connecting
@@ -125,13 +126,14 @@ def _check_biases(conn_field, conn, **signs):
 class QLBitSpec:
     """Recipe for one QL bit: two d-regular random blocks of n vertices each.
 
-    block_seeds seed the a1 (blue) and a2 (red) blocks; connect_policy
-    samples the cross edges, which carry the unit-modulus connect_bias (0
-    leaves the blocks disconnected); red_bias/blue_bias are +-1 signs on the
-    intra-block edges.  A bad size, policy or bias raises here, with a
-    message that starts with its field (`policy` for connect_policy), so
-    the policy fits these blocks and every block of a contracted product,
-    which shares their (n, d).
+    seed is the bit's one seed: it draws the a1 (blue) and a2 (red) blocks
+    and the cross edges, so a bit with a fresh seed is a fresh bit;
+    connect_policy samples the cross edges, which carry the unit-modulus
+    connect_bias (0 leaves the blocks disconnected); red_bias/blue_bias are
+    +-1 signs on the intra-block edges.  A bad size, policy or bias raises
+    here, with a message that starts with its field (`policy` for
+    connect_policy), so the policy fits these blocks and every block of a
+    contracted product, which shares their (n, d).
     """
 
     n: int
@@ -141,7 +143,6 @@ class QLBitSpec:
     red_bias: float = 1.0
     blue_bias: float = 1.0
     seed: int = 0
-    block_seeds: tuple = (0, 0)
 
     def __post_init__(self):
         GraphGenSpec("d_regular_random", n=self.n, d=self.d)  # raises unless (n, d) is feasible
@@ -161,27 +162,22 @@ class QLBitSpec:
 
 
 def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
-    """The QL bit of two d-regular random blocks of n vertices, its blocks
-    seeded from seed as `reseeded` does; policy None is the default one."""
+    """The QL bit of two d-regular random blocks of n vertices, drawn from
+    seed; policy None is the default one."""
     policy = QLBitSpec.connect_policy if policy is None else policy
-    return reseeded(QLBitSpec(n, d, policy, connect_bias, red_bias, blue_bias), seed)
-
-
-def reseeded(bit: QLBitSpec, seed) -> QLBitSpec:
-    """bit with the given seed, and its blocks with the seeds `qlbit_spec`
-    derives from it, so a fresh seed draws fresh blocks too."""
-    return replace(bit, seed=seed, block_seeds=(derive_seed(seed, "sub1"), derive_seed(seed, "sub2")))
+    return QLBitSpec(n, d, policy, connect_bias, red_bias, blue_bias, seed)
 
 
 def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:
     """Assemble the labeled QL bit graph from its spec.
 
-    Block a1 occupies vertices 0..n-1, block a2 the rest.  Cross edges are
-    sampled by the connect policy and all carry connect_bias, oriented
+    Block a1 occupies vertices 0..n-1, block a2 the rest; each is drawn
+    from the seed derive_seed(spec.seed, "sub1") or "sub2".  Cross edges
+    are sampled by the connect policy and all carry connect_bias, oriented
     a1 -> a2.
     """
     n = spec.n
-    blue, red = (gen_d_regular_random(n, spec.d, seed) for seed in spec.block_seeds)
+    blue, red = (gen_d_regular_random(n, spec.d, derive_seed(spec.seed, s)) for s in ("sub1", "sub2"))
     pairs = [blue.edges, red.edges + n]
     bias = [blue.bias * spec.blue_bias, red.bias * spec.red_bias]
 
@@ -216,13 +212,7 @@ def regular_qlbit_spec(n_per_side, d, cross_degree, seed=0) -> QLBitSpec:
             f"cross_degree: need 1 <= cross_degree < d = {d} and cross_degree <= n = "
             f"{n_per_side}, got {cross_degree}"
         )
-    return QLBitSpec(
-        n_per_side,
-        d - cross_degree,
-        CrossRegular(cross_degree),
-        seed=seed,
-        block_seeds=(derive_seed(seed, "blue"), derive_seed(seed, "red")),
-    )
+    return QLBitSpec(n_per_side, d - cross_degree, CrossRegular(cross_degree), seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -174,10 +174,11 @@ class ProductSpec:
     graph on n vertices, the n and d every bit shares, and blocks whose
     labels differ in exactly one position are connected using that bit's
     policy and bias, which its spec checked against those blocks.  seed
-    draws a contracted product's blocks and cross edges; a bit's own seed is
-    read only where its blocks are drawn: by `build_qlbit`, in a full
-    product and in `attach_witness`'s witness copy.  A config derives each
-    bit's seed from seed, by the one seed chain in `qllab.cli`.
+    draws a contracted product's blocks and cross edges; a bit's own seed,
+    which draws its blocks and cross edges, is read only where the bit is
+    built: by `build_qlbit`, in a full product and for `attach_witness`'s
+    witness copy.  A config derives each bit's seed from seed, by the one
+    seed chain in `qllab.cli`.
     """
 
     qlbits: tuple

@@ -1,12 +1,13 @@
 """Witness QL bits: spatially separable read-out ports for product graphs.
 
-A witness is a fresh copy of one constituent QL bit, prepared with known
-(all-positive) biases so its own emergent state is |x1> + |x2>.  Its x1
-block couples only to product blocks whose target-bit value is 1, and x2
-only to value-2 blocks.  After coupling, the relative sign of the witness
-block amplitudes inside the emergent state of the combined graph reveals
-whether the target bit's phase matches the witness ('same') or is opposite
-('inverted').
+A witness is a fresh copy of one constituent QL bit: the bit's spec with a
+seed of its own, so its blocks and cross edges are drawn anew, prepared
+with known (all-positive) biases so its own emergent state is |x1> + |x2>.
+Its x1 block couples only to product blocks whose target-bit value is 1,
+and x2 only to value-2 blocks.  After coupling, the relative sign of the
+witness block amplitudes inside the emergent state of the combined graph
+reveals whether the target bit's phase matches the witness ('same') or is
+opposite ('inverted').
 """
 
 from __future__ import annotations

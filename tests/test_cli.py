@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import qllab.cheeger
 import qllab.cli
+import qllab.graph
 import qllab.kuramoto
+import qllab.qlbit
 import qllab.qlproduct
 import qllab.spectral
 import qllab.witness
@@ -32,7 +34,6 @@ from qllab.qlbit import (
     build_regular_qlbit,
     project_two_state,
     qlbit_spec,
-    reseeded,
 )
 from qllab.qlproduct import build_product, full_product_factors, label_adjacency, verify_spectrum_composition
 from qllab.spectral import (
@@ -780,6 +781,43 @@ def test_realizations_derive_from_the_objects_own_seed(tmp_path, case):
     assert digest(seed=8) != unset
 
 
+FULL_PRODUCT = {**WITNESS_PRODUCT, "mode": "full"}
+TREE_WITNESS = {"bit_index": 0, "strength": 3.0, "trials": 2}
+
+# case: (experiment, params); one per experiment that draws QL bits, in
+# each of its modes
+SEED_TREE = {
+    "product-full": ("product", {"product": FULL_PRODUCT}),
+    "product-contracted": ("product", {"product": WITNESS_PRODUCT}),
+    "witness-full": ("witness", {**TREE_WITNESS, "product": FULL_PRODUCT}),
+    "witness-contracted": ("witness", {**TREE_WITNESS, "product": WITNESS_PRODUCT}),
+    "kuramoto-full": ("kuramoto", {**KURAMOTO, "product": FULL_PRODUCT, "realizations": 2}),
+    "kuramoto-contracted": ("kuramoto", {**KURAMOTO, "realizations": 2}),
+    "qlbit": ("qlbit", {**QLBIT["params"], "realizations": 2}),
+    "qlbit-table-row": ("qlbit", {**QLBIT_ROW, "realizations": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_TREE))
+def test_no_stream_is_drawn_twice_in_a_run(tmp_path, monkeypatch, case):
+    # every random draw goes through rng_from; the keys of one run are a
+    # seed tree, so no two draws (two blocks, two trials, a witness and its
+    # target) share a stream
+    experiment, params = SEED_TREE[case]
+    keys, rng_from = [], qllab.graph.rng_from
+
+    def recording(*parts):
+        keys.append(parts)
+        return rng_from(*parts)
+
+    for module in (qllab.graph, qllab.qlbit, qllab.qlproduct, qllab.witness, qllab.kuramoto):
+        monkeypatch.setattr(module, "rng_from", recording)
+    assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "3") == 0
+    assert keys
+    repeated = {key for key in keys if keys.count(key) > 1}
+    assert not repeated, f"{len(repeated)} keys drawn twice in {len(keys)} draws: {sorted(map(repr, repeated))}"
+
+
 def test_product_bits_are_seeded_from_the_product_seed():
     # a witness parses its product at each trial's seed; a set product seed
     # seeds every trial's bits alike, and an unset one seeds them apart
@@ -894,7 +932,7 @@ def unphased_bit(params, seed):
         g = apply_bias_topology(build_regular_qlbit(params["n"], params["d"], seed=bit_seed), row)
         state = extreme_state(quotient_states(g, quotient(g))[1])
         return state.eigenvalue, 0.0, state.coefficients
-    g = build_qlbit(reseeded(qlbit_spec(params["n"], params["d"]), bit_seed))
+    g = build_qlbit(qlbit_spec(params["n"], params["d"], seed=bit_seed))
     state = emergent_state(g)
     eff = project_two_state(g, state.eigenvector)
     return state.eigenvalue, eff.residual, eff.coefficients

@@ -412,11 +412,14 @@ GOLDEN = {
         ),
         "b57503d68239537e9a5ec8f975ea6eeaf8350fbeeab1f18905219037d0f08780",
     ),
+    # re-recorded when a bit's one seed drew its blocks: the regular bit's
+    # blocks are drawn from derive_seed(seed, "sub1") and "sub2", as every
+    # other bit's, where they used "blue" and "red"
     "bias_topology_y_minus": (
         lambda: apply_bias_topology(
             build_regular_qlbit(10, 4, cross_degree=1, seed=10), BLOCH_PROJECTIONS["y-"]
         ),
-        "4eb5b72af27de23fc1e6200ed3b5d0489a5d856e1bec1f0285f4367e731cb4cc",
+        "7a4d76a67373814536b3cc000d7a022843e68b21cff34e3be78cf0b4e74ae151",
     ),
     "contracted_q3": (
         lambda: build_contracted_product(
@@ -436,9 +439,11 @@ GOLDEN = {
         ),
         "cf0e8db41e8cca81b0e798b74b750aad1c969ead51db36b357945ecca601f1eb",
     ),
+    # re-recorded when a bit's one seed drew its blocks: the witness's own
+    # seed now draws fresh blocks, where it kept its target bit's
     "witness_attached": (
         witness_attached,
-        "c338f399ce9f137c2369f3afa19cffb3d2948d715dd932ec774fa8b0c405fe45",
+        "546ac96dc956c84d4920243d0516291219894dd8a6089c77b3f7887f9f58dcbb",
     ),
 }
 

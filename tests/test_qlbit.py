@@ -20,7 +20,6 @@ from qllab.qlbit import (
     project_two_state,
     qlbit_spec,
     regular_qlbit_spec,
-    reseeded,
 )
 from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
 
@@ -314,7 +313,20 @@ def test_emergent_pair_orthogonal_in_effective_space():
     assert np.mean(overlaps) <= 0.1
 
 
-def test_reseeded_bit_is_the_spec_built_with_that_seed():
-    policy = CrossRegular(2)
-    bit = reseeded(qlbit_spec(10, 3, policy, connect_bias=-1.0, seed=1), 5)
-    assert bit == qlbit_spec(10, 3, policy, connect_bias=-1.0, seed=5)
+def block_edges(g, name):
+    """The edge set of block `name` of g, in its own vertex numbering."""
+    verts = np.flatnonzero(g.block_of == g.blocks.index(name))
+    inside = np.isin(g.edges, verts).all(axis=1)
+    return {tuple(e) for e in (g.edges[inside] - verts[0]).tolist()}
+
+
+def test_the_two_blocks_of_a_bit_differ():
+    g = build_qlbit(QLBitSpec(10, 3))
+    assert block_edges(g, "a1") != block_edges(g, "a2")
+
+
+def test_a_bit_with_another_seed_has_other_blocks():
+    bit = qlbit_spec(10, 3, CrossRegular(2), connect_bias=-1.0, seed=1)
+    g, h = build_qlbit(bit), build_qlbit(replace(bit, seed=5))
+    for name in ("a1", "a2"):
+        assert block_edges(g, name) != block_edges(h, name)

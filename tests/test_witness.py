@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qllab.errors import AmbiguousReadoutError
@@ -63,6 +64,26 @@ def test_strength_zero_is_the_plain_union():
     )
     witness = build_qlbit(witness_bit, block_names=WITNESS_BLOCKS)
     assert graph_to_json(combined) == graph_to_json(disjoint_union(g, witness))
+
+
+def block_edges(g, name):
+    """The edge set of block `name` of g, in its own vertex numbering."""
+    verts = np.flatnonzero(g.block_of == g.blocks.index(name))
+    inside = np.isin(g.edges, verts).all(axis=1)
+    return {tuple(e) for e in (g.edges[inside] - verts[0]).tolist()}
+
+
+@pytest.mark.parametrize("bit_index", [0, 1])
+def test_a_full_product_witness_draws_fresh_blocks(bit_index):
+    # the witness is a fresh copy of the target bit: none of its blocks is
+    # one of the target bit's own, which the full product carries
+    bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=t) for t in range(2))
+    spec = ProductSpec(qlbits=bits, mode="full", seed=4)
+    combined = attach_witness(spec, bit_index, 1.0, seed=3)
+    target = build_qlbit(spec.qlbits[bit_index])
+    for w in WITNESS_BLOCKS:
+        for a in target.blocks:
+            assert block_edges(combined, w) != block_edges(target, a)
 
 
 def prepared(preparation, seed):
