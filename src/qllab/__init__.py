@@ -13,7 +13,7 @@ Importing the package loads no module; callers import the one they use:
 - `qllab.kuramoto`: Kuramoto phase dynamics on a product.
 - `qllab.witness`: witness bits that read a product bit's phase.
 - `qllab.cheeger`: exact isoperimetric constants and Cheeger bounds.
-- `qllab.states`: density matrices and the quantities read off them.
+- `qllab.states`: the purity of a state ensemble, a two-bit concurrence.
 - `qllab.errors`: the exception types.
 - `qllab.cli`: the `qllab` command, which runs each reading as a named
   experiment over a JSON config.

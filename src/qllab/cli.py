@@ -200,8 +200,8 @@ def _bias(token, key) -> complex:
     return _spec(bias_from_token, f"{key}: ", token)
 
 
-# The keys of one QL bit, named as `qlbit_spec` takes them; the `qlbit`
-# experiment adds its own keys.
+# The keys of one QL bit, named as the `QLBitSpec` fields they set; the
+# `qlbit` experiment adds its own keys.
 _QLBIT_KEYS = {
     "n": (_int, REQUIRED),
     "d": (_int, REQUIRED),
@@ -216,7 +216,7 @@ def parse_product(doc, path, default_seed=0, fixed=None) -> ProductSpec:
     """The product doc states, its seed defaulting to default_seed; fixed
     maps a bit's index to the fields the experiment sets on it, for which
     that bit takes no key."""
-    from .qlbit import qlbit_spec
+    from .qlbit import QLBitSpec
     from .qlproduct import ProductSpec
 
     bits, mode, seed = _read(
@@ -231,7 +231,7 @@ def parse_product(doc, path, default_seed=0, fixed=None) -> ProductSpec:
         given = (fixed or {}).get(i, {})
         keys = {key: entry for key, entry in _QLBIT_KEYS.items() if key not in given}
         fields = dict(zip(keys, _read(bit, keys, f"{path}qlbits[{i}].")), **given)
-        specs.append(_spec(qlbit_spec, f"{path}qlbits[{i}].", **fields, seed=derive_seed(seed, "bit", i)))
+        specs.append(_spec(QLBitSpec, f"{path}qlbits[{i}].", **fields, seed=derive_seed(seed, "bit", i)))
     return _spec(ProductSpec, path, specs, mode, seed)
 
 
@@ -334,7 +334,7 @@ def cmd_disorder_sweep(params, seed):
 
 
 def cmd_qlbit(params, seed):
-    from .qlbit import build_qlbit, project_two_state, qlbit_spec, regular_qlbit_spec
+    from .qlbit import QLBitSpec, build_qlbit, project_two_state, regular_qlbit_spec
 
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
@@ -349,7 +349,7 @@ def cmd_qlbit(params, seed):
     # edges, cross_degree per vertex; a bit without one is built from its
     # policy and biases and has no cross degree.
     if table_row is None:
-        bit = _spec(qlbit_spec, "params.", n, d, *bit)
+        bit = _spec(QLBitSpec, "params.", n, d, *bit)
         ignored, context = ("cross_degree",), "without"
     else:
         bit = _spec(regular_qlbit_spec, "params.", n, d, cross_degree)

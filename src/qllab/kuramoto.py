@@ -26,6 +26,7 @@ significant digit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -304,11 +305,20 @@ def run_sync_experiment(cfg: SyncRunConfig) -> SyncResult:
     projection of 1/sqrt(n) onto its eigenspace, one fixed vector carried
     through every record (a per-record solve would pick an arbitrary member
     each time).
+
+    The step count round(t_end / dt), with dt set or defaulted, must be
+    below sys.maxsize, or the run raises a QllabError that names dt before
+    any step.  A count that fits but is huge is not bounded here: that
+    takes a size budget checked before the run, which the lab does not
+    have yet.
     """
     sample = _realization_graph(cfg, 0)
     n = sample.n
     dt = cfg.dt if cfg.dt is not None else _default_dt(cfg, n)
-    steps = max(1, int(round(cfg.t_end / dt)))
+    count = cfg.t_end / dt
+    if not count < sys.maxsize:
+        raise QllabError(f"dt {dt!r} makes t_end / dt = {count:.3g} steps, more than can be counted")
+    steps = max(1, int(round(count)))
     record_at = list(range(0, steps + 1, cfg.record_every))
     if record_at[-1] != steps:
         record_at.append(steps)

@@ -93,7 +93,7 @@ class CrossRegular:
 def sample_cross_pairs(bit, rng) -> np.ndarray:
     """(m, 2) cross pairs (i in block1, j in block2) between two blocks of
     bit's shape, under its connect policy."""
-    policy, n = bit.connect_policy, bit.n
+    policy, n = bit.policy, bit.n
     if isinstance(policy, PairProbability):
         flat = np.flatnonzero(rng.random(n * n) < policy.p)
     elif isinstance(policy, EdgeBudgetFraction):
@@ -127,18 +127,18 @@ class QLBitSpec:
     """Recipe for one QL bit: two d-regular random blocks of n vertices each.
 
     seed is the bit's one seed: it draws the a1 (blue) and a2 (red) blocks
-    and the cross edges, so a bit with a fresh seed is a fresh bit;
-    connect_policy samples the cross edges, which carry the unit-modulus
-    connect_bias (0 leaves the blocks disconnected); red_bias/blue_bias are
-    +-1 signs on the intra-block edges.  A bad size, policy or bias raises
-    here, with a message that starts with its field (`policy` for
-    connect_policy), so the policy fits these blocks and every block of a
-    contracted product, which shares their (n, d).
+    and the cross edges, so a bit with a fresh seed is a fresh bit; policy
+    samples the cross edges (None is the default, an edge budget of 0.2),
+    which carry the unit-modulus connect_bias (0 leaves the blocks
+    disconnected); red_bias/blue_bias are +-1 signs on the intra-block
+    edges.  A bad size, policy or bias raises here, with a message that
+    starts with its field, so the policy fits these blocks and every block
+    of a contracted product, which shares their (n, d).
     """
 
     n: int
     d: int
-    connect_policy: object = EdgeBudgetFraction(0.2)
+    policy: object = None
     connect_bias: complex = 1.0 + 0.0j
     red_bias: float = 1.0
     blue_bias: float = 1.0
@@ -149,7 +149,9 @@ class QLBitSpec:
         _check_biases(
             "connect_bias", self.connect_bias, red_bias=self.red_bias, blue_bias=self.blue_bias
         )
-        policy, n = self.connect_policy, self.n
+        if self.policy is None:
+            object.__setattr__(self, "policy", EdgeBudgetFraction(0.2))
+        policy, n = self.policy, self.n
         if isinstance(policy, CrossRegular) and policy.degree > n:
             raise PolicyInfeasibleError(
                 f"policy.degree: cross degree {policy.degree} exceeds block size {n}"
@@ -159,13 +161,6 @@ class QLBitSpec:
                 f"policy.fraction: edge budget {policy.budget(n, self.d)} exceeds "
                 f"{n * n} available cross pairs"
             )
-
-
-def qlbit_spec(n, d, policy=None, connect_bias=1.0, red_bias=1.0, blue_bias=1.0, seed=0):
-    """The QL bit of two d-regular random blocks of n vertices, drawn from
-    seed; policy None is the default one."""
-    policy = QLBitSpec.connect_policy if policy is None else policy
-    return QLBitSpec(n, d, policy, connect_bias, red_bias, blue_bias, seed)
 
 
 def build_qlbit(spec: QLBitSpec, block_names=("a1", "a2")) -> BiasedGraph:

@@ -314,8 +314,8 @@ def contraction_quotient(spec: ProductSpec):
         conn = complex(bit.connect_bias)
         if conn == 0:
             weights.append(0.0)
-        elif isinstance(bit.connect_policy, CrossRegular):
-            weights.append(bit.connect_policy.degree * conn)
+        elif isinstance(bit.policy, CrossRegular):
+            weights.append(bit.policy.degree * conn)
         else:
             return None
     h = np.zeros((1 << q, 1 << q), dtype=complex)
@@ -333,7 +333,7 @@ def contraction_quotient(spec: ProductSpec):
 def _joins(bit):
     """(may, must): whether bit's cross edges may, and must, join two of
     its blocks at all."""
-    policy, conn = bit.connect_policy, complex(bit.connect_bias) != 0
+    policy, conn = bit.policy, complex(bit.connect_bias) != 0
     if isinstance(policy, PairProbability):
         return conn and policy.p > 0, conn and policy.p == 1
     size = policy.degree if isinstance(policy, CrossRegular) else policy.budget(bit.n, bit.d)

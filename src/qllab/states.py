@@ -1,56 +1,17 @@
-"""Density matrices of effective states and the quantities read off them.
+"""Quantities read off effective states.
 
-`mixture_purity` gives the purity of an equal-weight ensemble of state
-vectors from their Gram matrix; `disorder-sweep` reports it.  `DensityMatrix`
-checks the density-matrix axioms, and `concurrence` is the Wootters
-two-qubit entanglement measure of a 4 x 4 density matrix, the quantity the
-two-bit product states are tested against.
+Every state the lab reports is a unit vector on the block basis, a pure
+state.  `mixture_purity` gives the purity of an equal-weight ensemble of
+such vectors from their Gram matrix; `disorder-sweep` and `kuramoto` report
+it.  `concurrence` is the entanglement of one two-bit state, read off its
+four coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import QllabError
-
-_TOL = 1e-10
-
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise QllabError("density matrix must be square")
-        if abs(np.trace(m) - 1.0) > _TOL:
-            raise QllabError(f"trace {np.trace(m):.12g} is not 1")
-        if np.abs(m - m.T.conj()).max() > _TOL:
-            raise QllabError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -_TOL:
-            raise QllabError(f"negative eigenvalue {evals.min():.3e}")
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def density_from_state(c) -> DensityMatrix:
-    """Pure-state density matrix |c><c| from a normalized coefficient vector."""
-    c = np.asarray(c, dtype=complex)
-    norm = np.linalg.norm(c)
-    if abs(norm - 1.0) > 1e-8:
-        raise QllabError(f"state norm {norm:.12g} is not 1")
-    return DensityMatrix(np.outer(c, c.conj()))
 
 
 def mixture_purity(vectors) -> float:
@@ -65,18 +26,16 @@ def mixture_purity(vectors) -> float:
     return float((np.abs(gram) ** 2).sum()) / w.shape[1] ** 2
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters two-qubit concurrence.
+def concurrence(c) -> float:
+    """Concurrence 2 |c0 c3 - c1 c2| of a pure two-bit state.
 
-    max(0, s1 - s2 - s3 - s4) with s_i the decreasing square roots of the
-    eigenvalues of rho (Y x Y) rho* (Y x Y).  Computed as the singular
-    values of sqrt(rho) (Y x Y) sqrt(rho)*, which is the same set but
-    avoids taking square roots of eigensolver noise near zero.
+    c is the state's four coefficients in basis order.  On a pure state
+    Wootters' (1998) measure reduces to this, which is 2 s1 s2 over the
+    singular values of the 2 x 2 coefficient matrix: 0 on a product state,
+    1 on a Bell state.  Raises unless c is a unit vector of shape (4,).
     """
-    if rho.dim != 4:
-        raise QllabError("concurrence is defined for 4x4 density matrices")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    evals, vecs = np.linalg.eigh(rho.matrix)
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.T.conj()
-    s = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    c = np.asarray(c, dtype=complex)
+    norm = np.linalg.norm(c)
+    if c.shape != (4,) or not abs(norm - 1.0) <= 1e-8:
+        raise QllabError(f"concurrence needs a unit vector of shape (4,), got shape {c.shape}, norm {norm:.12g}")
+    return float(2.0 * abs(c[0] * c[3] - c[1] * c[2]))

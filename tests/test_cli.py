@@ -28,12 +28,12 @@ from qllab.qlbit import (
     BLOCH_PROJECTIONS,
     BLOCH_TARGETS,
     BiasTopology,
+    QLBitSpec,
     apply_bias_topology,
     bias_from_token,
     build_qlbit,
     build_regular_qlbit,
     project_two_state,
-    qlbit_spec,
 )
 from qllab.qlproduct import build_product, full_product_factors, label_adjacency, verify_spectrum_composition
 from qllab.spectral import (
@@ -484,6 +484,15 @@ def test_full_product_forms_no_n_by_n_array(tmp_path):
     assert len(json.loads((tmp_path / "out" / "effective_states.json").read_text())) == 8
 
 
+@pytest.mark.parametrize("timing", [{"dt": 1e-300}, {"K": 1e300}], ids=["explicit-dt", "default-dt"])
+def test_a_kuramoto_step_count_that_cannot_be_counted_exits_3(tmp_path, capsys, timing):
+    doc = {"experiment": "kuramoto", "params": {**KURAMOTO, "t_end": 1.0, **timing}}
+    assert run_config(tmp_path, doc, "--seed", "3") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt ") and err.count("\n") == 1
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_full_product_that_is_not_cartesian_exits_3(tmp_path, capsys, monkeypatch):
     cartesian_product = qllab.qlproduct.cartesian_product
 
@@ -932,7 +941,7 @@ def unphased_bit(params, seed):
         g = apply_bias_topology(build_regular_qlbit(params["n"], params["d"], seed=bit_seed), row)
         state = extreme_state(quotient_states(g, quotient(g))[1])
         return state.eigenvalue, 0.0, state.coefficients
-    g = build_qlbit(qlbit_spec(params["n"], params["d"], seed=bit_seed))
+    g = build_qlbit(QLBitSpec(params["n"], params["d"], seed=bit_seed))
     state = emergent_state(g)
     eff = project_two_state(g, state.eigenvector)
     return state.eigenvalue, eff.residual, eff.coefficients

@@ -31,10 +31,10 @@ from qllab.qlbit import (
     CrossRegular,
     EdgeBudgetFraction,
     PairProbability,
+    QLBitSpec,
     apply_bias_topology,
     build_qlbit,
     build_regular_qlbit,
-    qlbit_spec,
 )
 from qllab.qlproduct import (
     ProductSpec,
@@ -364,7 +364,7 @@ def complex_k4():
 def mixed_bits(q):
     policies = (EdgeBudgetFraction(0.25), CrossRegular(1), PairProbability(0.2))
     return tuple(
-        qlbit_spec(
+        QLBitSpec(
             6,
             3,
             policy=policies[t],
@@ -408,7 +408,7 @@ GOLDEN = {
     ),
     "budget_qlbit_bias_i": (
         lambda: build_qlbit(
-            qlbit_spec(12, 4, policy=EdgeBudgetFraction(0.2), connect_bias=1j, seed=9)
+            QLBitSpec(12, 4, policy=EdgeBudgetFraction(0.2), connect_bias=1j, seed=9)
         ),
         "b57503d68239537e9a5ec8f975ea6eeaf8350fbeeab1f18905219037d0f08780",
     ),
@@ -431,8 +431,8 @@ GOLDEN = {
         lambda: build_full_product(
             ProductSpec(
                 qlbits=(
-                    qlbit_spec(5, 2, connect_bias=1j, seed=13),
-                    qlbit_spec(4, 3, policy=PairProbability(0.5), blue_bias=-1.0, seed=14),
+                    QLBitSpec(5, 2, connect_bias=1j, seed=13),
+                    QLBitSpec(4, 3, policy=PairProbability(0.5), blue_bias=-1.0, seed=14),
                 ),
                 mode="full",
             )

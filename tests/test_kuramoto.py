@@ -21,13 +21,13 @@ from qllab.kuramoto import (
     run_sync_experiment,
     step,
 )
-from qllab.qlbit import CrossRegular, qlbit_spec
+from qllab.qlbit import CrossRegular, QLBitSpec
 from qllab.qlproduct import ProductSpec, build_product
 from qllab.spectral import eigendecompose
 
 
 def two_bit_spec(seed=0):
-    bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=(seed, t)) for t in range(2))
+    bits = tuple(QLBitSpec(8, 3, policy=CrossRegular(1), seed=(seed, t)) for t in range(2))
     return ProductSpec(qlbits=bits, mode="contracted", seed=seed)
 
 
@@ -118,7 +118,7 @@ class TestClosedForm:
 def test_records_keep_no_n_by_n_density_matrix():
     # the `sync` benchmark size: N = 144 vertices and 13 records, whose
     # n x n density matrices alone would take 13 * 144^2 * 16 B = 4.3 MB
-    bit = qlbit_spec(36, 6, policy=CrossRegular(1))
+    bit = QLBitSpec(36, 6, policy=CrossRegular(1))
     cfg = SyncRunConfig(graph=ProductSpec(qlbits=(bit, bit), mode="contracted"), K=4.0, t_end=10.0, record_every=25)
     tracemalloc.start()
     try:
@@ -160,7 +160,7 @@ def test_coupling_matrix_makes_one_n_by_n_array(phased):
 
 
 def test_full_mode_realizations_draw_fresh_blocks():
-    bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+    bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(2))
     cfg = SyncRunConfig(graph=ProductSpec(qlbits=bits, mode="full"), K=1.0, t_end=0.1, seed=5)
 
     def intra_block_edges(g):
@@ -245,7 +245,7 @@ ORACLE_TOL = 1e-12
 
 def sync_product():
     # the `sync` benchmark size: a contracted product of two 72-vertex bits
-    bit = qlbit_spec(36, 6, policy=CrossRegular(1))
+    bit = QLBitSpec(36, 6, policy=CrossRegular(1))
     return build_product(ProductSpec(qlbits=(bit, bit), mode="contracted"))
 
 
@@ -427,3 +427,16 @@ def test_non_finite_run_numbers_are_rejected_by_field(field, value):
     # field, so the CLI can prefix the config path
     with pytest.raises(QllabError, match=f"^{field} must be finite"):
         SyncRunConfig(graph=two_bit_spec(), **{"K": 1.0, "t_end": 0.1, field: value})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"dt": 1e-300}, {"K": 1e300}, {"t_end": 1e300, "dt": 1e-10}],
+    ids=["explicit-dt", "default-dt", "infinite-count"],
+)
+def test_a_step_count_that_cannot_be_counted_raises_naming_dt(fields):
+    # the default dt of K 1e300 is about 1e-302, and t_end / dt of the last
+    # case overflows to inf
+    cfg = SyncRunConfig(graph=two_bit_spec(), **{"K": 1.0, "t_end": 1.0, **fields})
+    with pytest.raises(QllabError, match="^dt .* more than can be counted"):
+        run_sync_experiment(cfg)

@@ -18,7 +18,6 @@ from qllab.qlbit import (
     build_qlbit,
     build_regular_qlbit,
     project_two_state,
-    qlbit_spec,
     regular_qlbit_spec,
 )
 from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
@@ -40,42 +39,47 @@ class TestPolicies:
             CrossRegular(-1)
 
     def test_budget_edge_count_exact(self):
-        g = build_qlbit(qlbit_spec(50, 10, policy=EdgeBudgetFraction(0.2), seed=0))
+        g = build_qlbit(QLBitSpec(50, 10, policy=EdgeBudgetFraction(0.2), seed=0))
         # budget = 0.2 * (100 * 10 / 2) = 100
         assert len(cross_edges(g)) == 100
 
     def test_budget_infeasible(self):
         with pytest.raises(PolicyInfeasibleError):
-            build_qlbit(qlbit_spec(6, 4, policy=EdgeBudgetFraction(5.0), seed=0))
+            build_qlbit(QLBitSpec(6, 4, policy=EdgeBudgetFraction(5.0), seed=0))
 
     def test_spec_checks_policy_against_its_blocks(self):
         with pytest.raises(PolicyInfeasibleError, match="^policy.fraction: edge budget 90 exceeds"):
-            qlbit_spec(6, 3, policy=EdgeBudgetFraction(5.0))  # 36 pairs
+            QLBitSpec(6, 3, policy=EdgeBudgetFraction(5.0))  # 36 pairs
         with pytest.raises(PolicyInfeasibleError, match="^policy.degree: "):
-            qlbit_spec(6, 3, policy=CrossRegular(7))
-        assert qlbit_spec(6, 3, policy=EdgeBudgetFraction(2.0)).connect_policy.budget(6, 3) == 36
+            QLBitSpec(6, 3, policy=CrossRegular(7))
+        assert QLBitSpec(6, 3, policy=EdgeBudgetFraction(2.0)).policy.budget(6, 3) == 36
 
     def test_spec_checks_itself(self):
-        # a directly built spec raises as qlbit_spec does, before any build
+        # a spec raises when it is made, before any build
         with pytest.raises(InfeasibleDegreeError, match="^d: n\\*d = 15 must be even"):
             QLBitSpec(n=5, d=3)
         with pytest.raises(InfeasibleDegreeError, match="^d: degree 6 infeasible for 6 vertices"):
             QLBitSpec(n=6, d=6)
         with pytest.raises(PolicyInfeasibleError, match="^policy.fraction: edge budget 37 exceeds 36"):
-            QLBitSpec(n=6, d=3, connect_policy=EdgeBudgetFraction(37 / 18))
+            QLBitSpec(n=6, d=3, policy=EdgeBudgetFraction(37 / 18))
         with pytest.raises(PolicyInfeasibleError, match="^policy.degree: cross degree 7 exceeds block size 6"):
-            QLBitSpec(n=6, d=3, connect_policy=CrossRegular(7))
+            QLBitSpec(n=6, d=3, policy=CrossRegular(7))
         # so does a spec derived from a valid one
         with pytest.raises(PolicyInfeasibleError, match="^policy.degree: "):
-            replace(QLBitSpec(n=6, d=3), connect_policy=CrossRegular(7))
-        QLBitSpec(n=6, d=3, connect_policy=EdgeBudgetFraction(2.0))  # all 36 pairs fit
+            replace(QLBitSpec(n=6, d=3), policy=CrossRegular(7))
+        QLBitSpec(n=6, d=3, policy=EdgeBudgetFraction(2.0))  # all 36 pairs fit
+
+    def test_policy_none_is_the_default_budget(self):
+        default = QLBitSpec(6, 3, policy=EdgeBudgetFraction(0.2))
+        assert QLBitSpec(6, 3) == QLBitSpec(6, 3, None) == default
+        assert replace(default, policy=None) == default
 
     def test_pair_probability_count_scale(self):
-        g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.04), seed=1))
+        g = build_qlbit(QLBitSpec(50, 10, policy=PairProbability(0.04), seed=1))
         assert 60 <= len(cross_edges(g)) <= 140  # Binomial(2500, .04) within 4 sigma
 
     def test_cross_regular_degrees(self):
-        g = build_qlbit(qlbit_spec(20, 6, policy=CrossRegular(2), seed=2))
+        g = build_qlbit(QLBitSpec(20, 6, policy=CrossRegular(2), seed=2))
         cross_deg = np.bincount(cross_edges(g).ravel(), minlength=g.n)
         assert (cross_deg == 2).all()
         assert (g.degrees() == 8).all()
@@ -83,7 +87,7 @@ class TestPolicies:
 
 class TestBuildQLBit:
     def test_disconnected_when_bias_zero(self):
-        g = build_qlbit(qlbit_spec(20, 6, connect_bias=0.0, seed=3))
+        g = build_qlbit(QLBitSpec(20, 6, connect_bias=0.0, seed=3))
         assert len(cross_edges(g)) == 0
         spec = eigendecompose(g)
         # both block Perron states sit at d, exactly degenerate
@@ -101,7 +105,7 @@ class TestBuildQLBit:
     def test_positive_bias_superposition_ensemble(self):
         alphas, betas = [], []
         for seed in range(25):
-            g = build_qlbit(qlbit_spec(50, 10, connect_bias=1.0, seed=seed))
+            g = build_qlbit(QLBitSpec(50, 10, connect_bias=1.0, seed=seed))
             state = emergent_state(g)
             alpha, beta = project_two_state(g, state.eigenvector).coefficients
             alphas.append(abs(alpha))
@@ -113,19 +117,19 @@ class TestBuildQLBit:
 
     def test_negative_bias_flips_ordering(self):
         for seed in range(10):
-            g = build_qlbit(qlbit_spec(50, 10, connect_bias=-1.0, seed=seed))
+            g = build_qlbit(QLBitSpec(50, 10, connect_bias=-1.0, seed=seed))
             state = emergent_state(g)
             alpha, beta = project_two_state(g, state.eigenvector).coefficients
             assert (alpha.conjugate() * beta).real < 0  # out-of-phase on top
 
     def test_pair_probability_fig_caption_form(self):
-        g = build_qlbit(qlbit_spec(50, 10, policy=PairProbability(0.2), connect_bias=1.0, seed=4))
+        g = build_qlbit(QLBitSpec(50, 10, policy=PairProbability(0.2), connect_bias=1.0, seed=4))
         alpha, beta = project_two_state(g, emergent_state(g).eigenvector).coefficients
         assert abs(abs(alpha) - 1 / np.sqrt(2)) <= 0.08
         assert (alpha.conjugate() * beta).real > 0
 
     def test_block_names(self):
-        g = build_qlbit(qlbit_spec(10, 3, seed=1), block_names=("b1", "b2"))
+        g = build_qlbit(QLBitSpec(10, 3, seed=1), block_names=("b1", "b2"))
         assert set(g.blocks) == {"b1", "b2"}
 
 
@@ -146,14 +150,14 @@ class TestProjections:
             project_two_state(gen_cycle(4), np.ones(4) / 2)
 
     def test_projection_of_indicator(self):
-        g = build_qlbit(qlbit_spec(12, 4, seed=0))
+        g = build_qlbit(QLBitSpec(12, 4, seed=0))
         eff = project_two_state(g, block_basis(g, ("a1",))[:, 0])
         assert eff.coefficients[0] == pytest.approx(1.0)
         assert abs(eff.coefficients[1]) <= 1e-12
         assert eff.residual <= 1e-8
 
     def test_norm_budget_identity(self):
-        g = build_qlbit(qlbit_spec(12, 4, seed=1))
+        g = build_qlbit(QLBitSpec(12, 4, seed=1))
         j1, j2 = block_basis(g, ("a1", "a2")).T
         rng = rng_from(3)
         for _ in range(10):
@@ -175,7 +179,7 @@ class TestProjections:
     def test_bulk_states_have_small_uniform_overlap(self):
         vals = []
         for seed in range(8):
-            g = build_qlbit(qlbit_spec(30, 8, seed=seed))
+            g = build_qlbit(QLBitSpec(30, 8, seed=seed))
             spec = eigendecompose(g)
             mid = spec.n // 2
             for i in (mid - 1, mid, mid + 1):
@@ -203,14 +207,14 @@ class TestBiasTopology:
     def test_spec_and_row_share_the_bias_rules(self):
         # signs are real +-1 in both; each message leads with its field
         with pytest.raises(QllabError, match="^red_bias: "):
-            qlbit_spec(10, 3, red_bias=1j)
+            QLBitSpec(10, 3, red_bias=1j)
         with pytest.raises(QllabError, match="^red: "):
             BiasTopology(red=1j, blue=1, conn=1)
         with pytest.raises(QllabError, match="^connect_bias: "):
-            qlbit_spec(10, 3, connect_bias=0.5)
+            QLBitSpec(10, 3, connect_bias=0.5)
         with pytest.raises(QllabError, match="^conn: "):
             BiasTopology(red=1, blue=1, conn=0.5)
-        assert qlbit_spec(10, 3, connect_bias=1j, blue_bias=-1.0).blue_bias == -1.0
+        assert QLBitSpec(10, 3, connect_bias=1j, blue_bias=-1.0).blue_bias == -1.0
 
     def test_regular_qlbit_is_regular(self):
         g = build_regular_qlbit(16, 9, cross_degree=2, seed=5)
@@ -303,7 +307,7 @@ class TestBiasTopology:
 def test_emergent_pair_orthogonal_in_effective_space():
     overlaps = []
     for seed in range(15):
-        g = build_qlbit(qlbit_spec(30, 8, seed=seed))
+        g = build_qlbit(QLBitSpec(30, 8, seed=seed))
         spec = eigendecompose(g)
         pair = []
         for i in (0, 1):
@@ -326,7 +330,7 @@ def test_the_two_blocks_of_a_bit_differ():
 
 
 def test_a_bit_with_another_seed_has_other_blocks():
-    bit = qlbit_spec(10, 3, CrossRegular(2), connect_bias=-1.0, seed=1)
+    bit = QLBitSpec(10, 3, CrossRegular(2), connect_bias=-1.0, seed=1)
     g, h = build_qlbit(bit), build_qlbit(replace(bit, seed=5))
     for name in ("a1", "a2"):
         assert block_edges(g, name) != block_edges(h, name)

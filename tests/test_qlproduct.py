@@ -22,9 +22,9 @@ from qllab.qlbit import (
     CrossRegular,
     EdgeBudgetFraction,
     PairProbability,
+    QLBitSpec,
     build_qlbit,
     project_two_state,
-    qlbit_spec,
 )
 from qllab.qlproduct import (
     ProductSpec,
@@ -40,8 +40,8 @@ from qllab.qlproduct import (
     verify_contraction_law,
     verify_spectrum_composition,
 )
-from qllab.spectral import eigendecompose, quotient
-from qllab.states import concurrence, density_from_state
+from qllab.spectral import eigendecompose, quotient, quotient_states
+from qllab.states import concurrence
 
 # The four equal-weight 2-bit sign patterns in basis order a1b1, a2b1, a1b2,
 # a2b2: key "+-" has bit a symmetric and bit b antisymmetric.
@@ -199,7 +199,7 @@ def kron_oracle(*factors):
 
 def _bit6(connect_bias=1.0, sigma=0.0, seed=4):
     """A 6-vertex QL bit, optionally with diagonal disorder."""
-    bit = build_qlbit(qlbit_spec(3, 2, connect_bias=connect_bias, seed=seed))
+    bit = build_qlbit(QLBitSpec(3, 2, connect_bias=connect_bias, seed=seed))
     return add_diagonal_disorder(bit, sigma, seed=seed) if sigma else bit
 
 
@@ -276,7 +276,7 @@ def _clusters(spectrum):
 
 
 def _full_factors(q, connect_bias, sigma):
-    bits = tuple(qlbit_spec(4, 3, connect_bias=connect_bias, seed=20 + j) for j in range(q))
+    bits = tuple(QLBitSpec(4, 3, connect_bias=connect_bias, seed=20 + j) for j in range(q))
     factors = full_product_factors(ProductSpec(qlbits=bits, mode="full"))
     if sigma:
         factors = [add_diagonal_disorder(f, sigma, seed=j) for j, f in enumerate(factors)]
@@ -329,7 +329,7 @@ class TestComposedAgainstDense:
         # spectra is the spectrum of the Cartesian product
         factors = []
         for (n, d), connect_bias, sigma, seed in bits:
-            bit = build_qlbit(qlbit_spec(n, d, connect_bias=connect_bias, seed=seed))
+            bit = build_qlbit(QLBitSpec(n, d, connect_bias=connect_bias, seed=seed))
             factors.append(add_diagonal_disorder(bit, sigma, seed=seed) if sigma else bit)
         product, spectrum = verify_spectrum_composition(*factors)
         expected = np.linalg.eigvalsh(product.adjacency())[::-1]
@@ -351,7 +351,7 @@ class TestComposedAgainstDense:
         assert np.array_equal(spectrum.eigenvectors, expected)
 
     def test_product_is_the_built_full_product(self):
-        bits = (qlbit_spec(4, 3, seed=1), qlbit_spec(4, 3, connect_bias=1j, seed=2))
+        bits = (QLBitSpec(4, 3, seed=1), QLBitSpec(4, 3, connect_bias=1j, seed=2))
         spec = ProductSpec(qlbits=bits, mode="full")
         product, _ = verify_spectrum_composition(*full_product_factors(spec))
         assert graph_to_json(product) == graph_to_json(build_full_product(spec))
@@ -359,7 +359,7 @@ class TestComposedAgainstDense:
 
 class TestContractedProduct:
     def test_q1_is_ordinary_qlbit(self):
-        bit = qlbit_spec(14, 4, policy=EdgeBudgetFraction(0.2), seed=1)
+        bit = QLBitSpec(14, 4, policy=EdgeBudgetFraction(0.2), seed=1)
         spec = ProductSpec(qlbits=(bit,), mode="contracted", seed=2)
         g = build_contracted_product(spec)
         assert g.n == 28
@@ -371,7 +371,7 @@ class TestContractedProduct:
         assert np.count_nonzero(~same) == round(0.2 * 14 * 4)
 
     def test_q2_label_cycle(self):
-        bits = tuple(qlbit_spec(10, 4, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(10, 4, seed=t) for t in range(2))
         spec = ProductSpec(qlbits=bits, mode="contracted", seed=0)
         g = build_contracted_product(spec)
         assert g.n == 40
@@ -383,7 +383,7 @@ class TestContractedProduct:
         }
 
     def test_q3_hypercube_connectivity(self):
-        bits = tuple(qlbit_spec(8, 4, seed=t) for t in range(3))
+        bits = tuple(QLBitSpec(8, 4, seed=t) for t in range(3))
         spec = ProductSpec(qlbits=bits, mode="contracted", seed=1)
         g = build_contracted_product(spec)
         assert g.n == 8 * 8
@@ -394,7 +394,7 @@ class TestContractedProduct:
             assert sum(x != y for x, y in zip(va, vb)) == 1
 
     def test_label_pair_law_needs_every_pair_a_budget_must_join(self):
-        bits = tuple(qlbit_spec(10, 4, policy=EdgeBudgetFraction(0.2), seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(10, 4, policy=EdgeBudgetFraction(0.2), seed=t) for t in range(2))
         spec = ProductSpec(qlbits=bits, mode="contracted", seed=0)
         g = build_contracted_product(spec)
         verify_contraction_law(spec, g, None)
@@ -405,7 +405,7 @@ class TestContractedProduct:
             verify_contraction_law(spec, cut, None)
 
     def test_label_pair_law_lets_chance_leave_a_pair_unjoined(self):
-        bits = (qlbit_spec(6, 3, policy=PairProbability(0.05), seed=0), qlbit_spec(6, 3, seed=1))
+        bits = (QLBitSpec(6, 3, policy=PairProbability(0.05), seed=0), QLBitSpec(6, 3, seed=1))
         spec = ProductSpec(qlbits=bits, mode="contracted", seed=3)
         g = build_contracted_product(spec)
         assert len(label_adjacency(g)) == 3  # one pair of bit a drew no edge
@@ -413,12 +413,12 @@ class TestContractedProduct:
 
     def test_vertex_count_law(self):
         for q in (1, 2, 3):
-            bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
+            bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(q))
             spec = ProductSpec(qlbits=bits, mode="contracted", seed=5)
             assert build_contracted_product(spec).n == 6 * 2**q
 
     def test_full_mode_vertex_count(self):
-        bits = tuple(qlbit_spec(5, 2, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(5, 2, seed=t) for t in range(2))
         g = build_full_product(ProductSpec(qlbits=bits, mode="full"))
         assert g.n == 10**2
 
@@ -427,15 +427,15 @@ class TestProductSpec:
     def test_contracted_bits_share_one_block_shape(self):
         # a contracted product's blocks are its bits' blocks, so each bit
         # must have the first bit's n and d; a full product keeps each bit's own
-        first = qlbit_spec(8, 3)
+        first = QLBitSpec(8, 3)
         for j, field, bits in (
-            (1, "n", (first, qlbit_spec(10, 3))),
-            (1, "d", (first, qlbit_spec(8, 4))),
-            (2, "n", (first, first, qlbit_spec(6, 3))),
+            (1, "n", (first, QLBitSpec(10, 3))),
+            (1, "d", (first, QLBitSpec(8, 4))),
+            (2, "n", (first, first, QLBitSpec(6, 3))),
         ):
             with pytest.raises(QllabError, match=rf"^qlbits\[{j}\]\.{field}: "):
                 ProductSpec(qlbits=bits, mode="contracted")
-        mixed = ProductSpec(qlbits=(first, qlbit_spec(10, 4)), mode="full")
+        mixed = ProductSpec(qlbits=(first, QLBitSpec(10, 4)), mode="full")
         assert build_full_product(mixed).n == 16 * 20
 
 
@@ -445,13 +445,13 @@ class TestBasisAndProjection:
     def test_blocks_are_built_in_basis_order(self, build, q):
         # block k carries bit_values(k, q), the first bit fastest: the one
         # rule every reader of a product's blocks relies on
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(q))
+        bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(q))
         mode = "full" if build is build_full_product else "contracted"
         g = build(ProductSpec(qlbits=bits, mode=mode, seed=0))
         assert g.blocks == tuple(block_label(bit_values(k, q)) for k in range(2**q))
 
     def test_block_basis_orthonormal_and_complete(self):
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
@@ -470,7 +470,7 @@ class TestBasisAndProjection:
         assert np.allclose(project_product_state(g, j[:, 1]).coefficients, [0, 1])
 
     def test_projection_of_indicator(self):
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
@@ -479,7 +479,7 @@ class TestBasisAndProjection:
         assert eff.residual <= 1e-8
 
     def test_matrix_projects_each_column_as_a_vector(self):
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
@@ -493,7 +493,7 @@ class TestBasisAndProjection:
         assert project_product_state(g, w[:, :0]) == []
 
     def test_one_bit_graph_projects_alike_on_both_paths(self):
-        g = build_qlbit(qlbit_spec(12, 4, seed=2))
+        g = build_qlbit(QLBitSpec(12, 4, seed=2))
         rng = rng_from(5)
         w = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
         for v in (*eigendecompose(g).eigenvectors[:, :3].T, w / np.linalg.norm(w)):
@@ -506,7 +506,7 @@ class TestBasisAndProjection:
             project_product_state(gen_cycle(4), np.ones(4) / 2)
 
     def test_norm_budget(self):
-        bits = tuple(qlbit_spec(6, 3, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(6, 3, seed=t) for t in range(2))
         g = build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", seed=0)
         )
@@ -519,7 +519,7 @@ class TestBasisAndProjection:
 
     def test_residual_of_an_exact_state_has_no_cancellation_floor(self):
         # sqrt(||w||^2 - ||c||^2) of the top state read 1.05e-8 here
-        bit = qlbit_spec(10, 4, policy=CrossRegular(1), seed=8)
+        bit = QLBitSpec(10, 4, policy=CrossRegular(1), seed=8)
         g = build_contracted_product(ProductSpec(qlbits=(bit, bit), mode="contracted", seed=8))
         eff = project_product_state(g, eigendecompose(g).eigenvectors[:, 0])
         assert eff.residual <= 1e-13
@@ -528,7 +528,7 @@ class TestBasisAndProjection:
         for key in ("++", "-+", "+-", "--"):
             biases = [1.0 if c == "+" else -1.0 for c in key]
             bits = tuple(
-                qlbit_spec(30, 10, connect_bias=biases[t], seed=(key, t))
+                QLBitSpec(30, 10, connect_bias=biases[t], seed=(key, t))
                 for t in range(2)
             )
             spec = ProductSpec(qlbits=bits, mode="contracted", seed=3)
@@ -540,7 +540,7 @@ class TestBasisAndProjection:
 
 class TestFullVersusContracted:
     def test_full_product_identical_bits_middle_pair_exact(self):
-        bit = qlbit_spec(10, 5, policy=EdgeBudgetFraction(0.2), seed=9)
+        bit = QLBitSpec(10, 5, policy=EdgeBudgetFraction(0.2), seed=9)
         g = build_full_product(ProductSpec(qlbits=(bit, bit), mode="full"))
         spec = eigendecompose(g)
         assert abs(spec.eigenvalues[1] - spec.eigenvalues[2]) <= spec.degeneracy_window()
@@ -556,9 +556,9 @@ class TestFullVersusContracted:
                     found.append((spec.eigenvalues[i], eff.coefficients / np.sqrt(weight)))
             return spec, found
 
-        bit = qlbit_spec(10, 5, policy=EdgeBudgetFraction(0.2), seed=9)
+        bit = QLBitSpec(10, 5, policy=EdgeBudgetFraction(0.2), seed=9)
         full = build_full_product(ProductSpec(qlbits=(bit, bit), mode="full"))
-        cbit = qlbit_spec(24, 8, policy=CrossRegular(2), seed=4)
+        cbit = QLBitSpec(24, 8, policy=CrossRegular(2), seed=4)
         contracted = build_contracted_product(
             ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
@@ -576,7 +576,7 @@ class TestFullVersusContracted:
             assert np.linalg.norm(middle.conj().T @ SIGN_PATTERNS["-+"]) ** 2 >= 0.9
 
     def test_contracted_middle_pair_exactly_degenerate_with_regular_cross(self):
-        cbit = qlbit_spec(24, 8, policy=CrossRegular(2), seed=4)
+        cbit = QLBitSpec(24, 8, policy=CrossRegular(2), seed=4)
         g = build_contracted_product(
             ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
@@ -585,11 +585,11 @@ class TestFullVersusContracted:
 
     def test_emergent_scale_full_2d_contracted_d(self):
         d, f = 8, 0.2
-        bit = qlbit_spec(10, d, policy=EdgeBudgetFraction(f), seed=2)
+        bit = QLBitSpec(10, d, policy=EdgeBudgetFraction(f), seed=2)
         full_top = eigendecompose(
             build_full_product(ProductSpec(qlbits=(bit, bit), mode="full"))
         ).eigenvalues[0]
-        cbit = qlbit_spec(20, d, policy=EdgeBudgetFraction(f), seed=2)
+        cbit = QLBitSpec(20, d, policy=EdgeBudgetFraction(f), seed=2)
         contracted_top = eigendecompose(
             build_contracted_product(
                 ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=1)
@@ -601,7 +601,7 @@ class TestFullVersusContracted:
 
 class TestDetuning:
     def _graph(self):
-        bits = tuple(qlbit_spec(8, 3, seed=t) for t in range(2))
+        bits = tuple(QLBitSpec(8, 3, seed=t) for t in range(2))
         return build_contracted_product(
             ProductSpec(qlbits=bits, mode="contracted", seed=6)
         )
@@ -621,18 +621,38 @@ class TestDetuning:
             assert np.allclose(delta[list(verts)], expected)
 
     def test_alignment_detuning_entangles_partially(self):
-        cbit = qlbit_spec(32, 12, policy=CrossRegular(2), seed=1)
+        cbit = QLBitSpec(32, 12, policy=CrossRegular(2), seed=1)
         g = build_contracted_product(
             ProductSpec(qlbits=(cbit, cbit), mode="contracted", seed=5)
         )
         detuned = apply_alignment_detuning(g, 4.0, 2.0)
         eff = project_product_state(detuned, eigendecompose(detuned).eigenvectors[:, 0])
-        c = concurrence(density_from_state(eff.coefficients / np.linalg.norm(eff.coefficients)))
+        c = concurrence(eff.coefficients / np.linalg.norm(eff.coefficients))
         assert 0.05 < c < 0.95
 
     def test_missing_labels(self):
         with pytest.raises(MissingLabelsError):
             apply_alignment_detuning(gen_cycle(4), 1.0, 2.0)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_entanglement_law_of_the_aligned_detuning(self, omega):
+        # Detuning the aligned blocks of a q 2 product of cross-regular bits
+        # keeps the partition equitable.  On the symmetric states
+        # (|11> + |22>)/sqrt(2) and (|21> + |12>)/sqrt(2), H_eff - d is
+        # [[omega, 2c], [2c, 0]], so the top level is d + e with
+        # e = (omega + sqrt(omega^2 + 16 c^2)) / 2, and its state has
+        # concurrence e omega / (e omega + 8 c^2): 0 undetuned, rising
+        # toward a Bell state as omega grows.
+        d, c = 6, 1
+        bit = QLBitSpec(30, d, CrossRegular(c))
+        g = build_contracted_product(ProductSpec(qlbits=(bit, bit), mode="contracted", seed=11))
+        detuned = apply_alignment_detuning(g, omega, omega)
+        quo = quotient(detuned)
+        assert quo.equitable
+        top = quotient_states(detuned, quo)[1][0]
+        e = (omega + math.sqrt(omega**2 + 16 * c**2)) / 2
+        assert abs(top.eigenvalue - (d + e)) <= 1e-12
+        assert abs(concurrence(top.coefficients) - e * omega / (e * omega + 8 * c**2)) <= 1e-12
 
 
 def test_bit_values_enumeration():
@@ -668,7 +688,7 @@ def contracted_specs(draw):
     if n * d % 2:
         n += 1
     bits = tuple(
-        qlbit_spec(n, d, policy=draw(policies), connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])))
+        QLBitSpec(n, d, policy=draw(policies), connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])))
         for _ in range(draw(st.integers(1, 3)))
     )
     return ProductSpec(qlbits=bits, mode="contracted", seed=draw(st.integers(0, 2**16)))
@@ -685,4 +705,4 @@ def test_product_spec_validation():
     with pytest.raises(QllabError):
         ProductSpec(qlbits=(), mode="full")
     with pytest.raises(QllabError):
-        ProductSpec(qlbits=(qlbit_spec(6, 3),), mode="sideways")
+        ProductSpec(qlbits=(QLBitSpec(6, 3),), mode="sideways")

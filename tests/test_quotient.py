@@ -17,9 +17,9 @@ from qllab.graph import BiasedGraph, add_diagonal_disorder, gen_cycle
 from qllab.qlbit import (
     BLOCH_PROJECTIONS,
     CrossRegular,
+    QLBitSpec,
     apply_bias_topology,
     build_regular_qlbit,
-    qlbit_spec,
 )
 from qllab.qlproduct import (
     ProductSpec,
@@ -75,7 +75,7 @@ class TestQuotient:
             quotient_states(g, quo)
 
     def test_diagonal_disorder_breaks_equitability(self):
-        bit = qlbit_spec(10, 3, policy=CrossRegular(1), seed=2)
+        bit = QLBitSpec(10, 3, policy=CrossRegular(1), seed=2)
         g = build_contracted_product(ProductSpec(qlbits=(bit,), mode="contracted", seed=3))
         assert quotient(g).deviation == 0.0
         assert quotient(add_diagonal_disorder(g, 1e-9, seed=1)).deviation > EQUITABLE_TOL
@@ -93,7 +93,7 @@ def cross_regular_specs(draw):
     if n * d % 2:
         n += 1
     bits = tuple(
-        qlbit_spec(
+        QLBitSpec(
             n,
             d,
             policy=CrossRegular(draw(st.integers(1, 2))),
@@ -110,8 +110,8 @@ def cross_regular_specs(draw):
 # QL level -1.2360680, inside its 3.24e-6 degeneracy window
 BULK_IN_WINDOW = ProductSpec(
     qlbits=(
-        qlbit_spec(8, 2, policy=CrossRegular(1), red_bias=1.0, blue_bias=-1.0),
-        qlbit_spec(8, 2, policy=CrossRegular(1), red_bias=-1.0, blue_bias=-1.0),
+        QLBitSpec(8, 2, policy=CrossRegular(1), red_bias=1.0, blue_bias=-1.0),
+        QLBitSpec(8, 2, policy=CrossRegular(1), red_bias=-1.0, blue_bias=-1.0),
     ),
     mode="contracted",
     seed=8,
@@ -171,7 +171,7 @@ def test_a_bulk_value_inside_the_window_stays_in_the_bulk():
 
 class TestCanonicalBasis:
     def product(self, q, conn=1.0, seed=7):
-        bit = qlbit_spec(12, 3, policy=CrossRegular(1), connect_bias=conn)
+        bit = QLBitSpec(12, 3, policy=CrossRegular(1), connect_bias=conn)
         return build_contracted_product(ProductSpec(qlbits=(bit,) * q, mode="contracted", seed=seed))
 
     def test_hypercube_levels_in_the_canonical_basis(self):

@@ -18,7 +18,7 @@ from qllab.graph import (
     gen_d_regular_random,
     rng_from,
 )
-from qllab.qlbit import CrossRegular, EdgeBudgetFraction, PairProbability, build_qlbit, qlbit_spec
+from qllab.qlbit import CrossRegular, EdgeBudgetFraction, PairProbability, QLBitSpec, build_qlbit
 from qllab.qlproduct import ProductSpec, build_contracted_product
 from qllab.spectral import (
     Spectrum,
@@ -304,7 +304,7 @@ class TestTopPair:
     def test_signed_graph_proves_its_pair_by_cholesky(self, monkeypatch):
         # the `minus` witness graph: an inverted bit coupled to a witness
         # bit; signed, so no diagonal scaling reaches its top eigenvalue
-        bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
+        bit = QLBitSpec(30, 6, policy=CrossRegular(1), seed=4)
         spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
         g = attach_witness(spec, 0, 0.25, seed=4)
         a = g.adjacency()
@@ -369,7 +369,7 @@ class TestTopPair:
 def signed_witness_graph():
     """The `minus` witness graph: an inverted bit coupled to a witness bit;
     signed, so no diagonal scaling reaches its top eigenvalue."""
-    bit = qlbit_spec(30, 6, policy=CrossRegular(1), seed=4)
+    bit = QLBitSpec(30, 6, policy=CrossRegular(1), seed=4)
     spec = ProductSpec(qlbits=(replace(bit, connect_bias=-1.0), bit), mode="contracted", seed=4)
     return attach_witness(spec, 0, 0.25, seed=4)
 
@@ -465,7 +465,7 @@ class TestEmergentState:
         # the bits the dense `qlbit` path reads: budget and pair-probability
         # policies, whose block partitions are not equitable
         policy = EdgeBudgetFraction(x) if kind == "budget" else PairProbability(x)
-        g = build_qlbit(qlbit_spec(2 * half, d, policy, conn, red, blue, seed))
+        g = build_qlbit(QLBitSpec(2 * half, d, policy, conn, red, blue, seed))
         state = emergent_state(g)
         spec = eigendecompose(g)
         vals = spec.eigenvalues
@@ -580,7 +580,7 @@ class TestEnsembleSpectrum:
         # emergent eigenvalues sit at d +- k(+-1 +-1): 22, 16 (x2), 10
         def make(i):
             bits = tuple(
-                qlbit_spec(24, 16, policy=CrossRegular(3), connect_bias=1.0, seed=(i, t))
+                QLBitSpec(24, 16, policy=CrossRegular(3), connect_bias=1.0, seed=(i, t))
                 for t in range(2)
             )
             spec = ProductSpec(qlbits=bits, mode="contracted", seed=i)

@@ -3,7 +3,7 @@ import pytest
 
 from qllab.errors import QllabError
 from qllab.graph import rng_from
-from qllab.states import DensityMatrix, concurrence, density_from_state, mixture_purity
+from qllab.states import concurrence, mixture_purity
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
 
@@ -27,37 +27,6 @@ def random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestDensityMatrix:
-    def test_pure_state_basics(self):
-        rho = density_from_state([1.0, 0.0])
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
-
-    def test_bell_density_corners(self):
-        rho = density_from_state(PHI_PLUS)
-        assert rho.matrix[0, 0] == pytest.approx(0.5)
-        assert rho.matrix[0, 3] == pytest.approx(0.5)
-        assert rho.matrix[1, 1] == pytest.approx(0.0)
-
-    def test_rank_one(self):
-        rng = rng_from(1)
-        for _ in range(5):
-            rho = density_from_state(random_state(rng, 6))
-            evals = np.sort(np.linalg.eigvalsh(rho.matrix))
-            assert evals[-1] == pytest.approx(1.0, abs=1e-10)
-            assert np.abs(evals[:-1]).max() <= 1e-10
-
-    def test_validation(self):
-        with pytest.raises(QllabError):
-            density_from_state([1.0, 1.0])  # not normalized
-        with pytest.raises(QllabError):
-            DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
-        with pytest.raises(QllabError):
-            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-        with pytest.raises(QllabError):
-            DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
 class TestPurityAndConcurrence:
@@ -91,39 +60,34 @@ class TestPurityAndConcurrence:
         assert 1.0 / min(dim, count) - 1e-12 <= mixture_purity(w) <= 1.0 + 1e-12
 
     def test_bell_state_concurrence_one(self):
-        rho = density_from_state(PHI_PLUS)
-        assert abs(concurrence(rho) - 1.0) <= 1e-9
-
-    def test_expected_mixture_concurrence_zero(self):
-        assert concurrence(DensityMatrix(EXPECTED_MIXTURE)) == 0.0
+        assert abs(concurrence(PHI_PLUS) - 1.0) <= 1e-12
 
     def test_product_states_are_separable(self):
         rng = rng_from(9)
         for _ in range(5):
             a = random_state(rng, 2)
             b = random_state(rng, 2)
-            rho = density_from_state(np.kron(b, a))
-            assert concurrence(rho) <= 1e-10
+            assert concurrence(np.kron(b, a)) <= 1e-12
 
     def test_pure_state_formula_oracle(self):
-        # for pure two-qubit states concurrence = 2 |c1 c4 - c2 c3|
+        # the 2 x 2 coefficient matrix has singular values s1, s2 with
+        # s1^2 + s2^2 = 1, and the concurrence of a pure state is 2 s1 s2
         rng = rng_from(11)
         for _ in range(10):
             c = random_state(rng, 4)
-            expected = 2 * abs(c[0] * c[3] - c[1] * c[2])
-            got = concurrence(density_from_state(c))
-            assert got == pytest.approx(expected, abs=1e-9)
+            s1, s2 = np.linalg.svd(c.reshape(2, 2), compute_uv=False)
+            assert abs(concurrence(c) - 2 * s1 * s2) <= 1e-12
 
     def test_local_unitary_invariance(self):
         rng = rng_from(13)
         c = random_state(rng, 4)
-        rho = density_from_state(c)
-        base = concurrence(rho)
+        base = concurrence(c)
         for _ in range(8):
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            rotated = DensityMatrix(u @ rho.matrix @ u.T.conj())
-            assert concurrence(rotated) == pytest.approx(base, abs=1e-8)
+            assert concurrence(u @ c) == pytest.approx(base, abs=1e-12)
 
     def test_dimension_guard(self):
-        with pytest.raises(QllabError):
-            concurrence(DensityMatrix(np.eye(2) / 2))
+        # two or eight coefficients, a matrix, and four that are not unit
+        for c in ([1.0, 0.0], np.eye(4) / 2, np.ones(8) / np.sqrt(8), [1.0, 1.0, 0.0, 0.0]):
+            with pytest.raises(QllabError):
+                concurrence(c)

@@ -6,13 +6,13 @@ import pytest
 
 from qllab.errors import AmbiguousReadoutError
 from qllab.graph import derive_seed, disjoint_union, graph_to_json
-from qllab.qlbit import CrossRegular, build_qlbit, qlbit_spec
+from qllab.qlbit import CrossRegular, QLBitSpec, build_qlbit
 from qllab.qlproduct import ProductSpec, bit_values, build_contracted_product
 from qllab.witness import WITNESS_BLOCKS, attach_witness, witness_readout
 
 
 def small_product():
-    bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=(t, "witness")) for t in range(2))
+    bits = tuple(QLBitSpec(8, 3, policy=CrossRegular(1), seed=(t, "witness")) for t in range(2))
     spec = ProductSpec(qlbits=bits, mode="contracted", seed=4)
     return build_contracted_product(spec), spec
 
@@ -77,7 +77,7 @@ def block_edges(g, name):
 def test_a_full_product_witness_draws_fresh_blocks(bit_index):
     # the witness is a fresh copy of the target bit: none of its blocks is
     # one of the target bit's own, which the full product carries
-    bits = tuple(qlbit_spec(8, 3, policy=CrossRegular(1), seed=t) for t in range(2))
+    bits = tuple(QLBitSpec(8, 3, policy=CrossRegular(1), seed=t) for t in range(2))
     spec = ProductSpec(qlbits=bits, mode="full", seed=4)
     combined = attach_witness(spec, bit_index, 1.0, seed=3)
     target = build_qlbit(spec.qlbits[bit_index])
@@ -88,7 +88,7 @@ def test_a_full_product_witness_draws_fresh_blocks(bit_index):
 
 def prepared(preparation, seed):
     """A two-bit contracted product spec whose bit 0 carries the given phase."""
-    bits = [qlbit_spec(30, 6, policy=CrossRegular(1), seed=(seed, t)) for t in range(2)]
+    bits = [QLBitSpec(30, 6, policy=CrossRegular(1), seed=(seed, t)) for t in range(2)]
     bits[0] = replace(bits[0], connect_bias=complex(1 if preparation == "plus" else -1))
     return ProductSpec(qlbits=tuple(bits), mode="contracted", seed=seed)
 
