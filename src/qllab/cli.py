@@ -60,7 +60,7 @@ from .graph import (
     gen_d_regular_random,
 )
 from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
-from .spectral import extreme_state, fixed_phase, quotient, quotient_states
+from .spectral import emergent_quotient_state, fixed_phase, quotient, quotient_states
 from .states import mixture_purity
 
 
@@ -363,19 +363,23 @@ def cmd_qlbit(params, seed):
         g = build_qlbit(replace(bit, seed=derive_seed(seed, "bit", i)))
         quo = quotient(g)
         # an equitable bit (a table row, cross-regular or unconnected cross
-        # edges) reports its canonical extreme QL state
+        # edges) reports its canonical extreme QL state, x = J u, whose
+        # projection residual is 0; degenerate flags any tie at the level on
+        # both paths.  Neither path solves an eigenvalue when one Cholesky
+        # proves the level simple: a Bloch row, or a bit whose biases are
+        # all +1.
         if quo.equitable:
-            state = extreme_state(quotient_states(g, quo)[1])
-            # x = J u has projection residual 0; degenerate flags any tie
-            # at the level, as emergent_state does on the dense path
-            coefficients, residual, degenerate = state.coefficients, 0.0, state.multiplicity > 1
+            eigenvalue, coefficients, degenerate = emergent_quotient_state(g, quo)
+            residual = 0.0
         else:
             state = emergent_state(g)
             eff = project_two_state(g, state.eigenvector)
-            coefficients, residual, degenerate = eff.coefficients, eff.residual, state.degenerate
+            eigenvalue, coefficients, residual, degenerate = (
+                state.eigenvalue, eff.coefficients, eff.residual, state.degenerate
+            )
         alpha, beta = fixed_phase(coefficients)  # one phase on both paths
         row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
-        rows.append((i, state.eigenvalue, *row))
+        rows.append((i, eigenvalue, *row))
     arr = np.array(rows)
     summary = {
         "mean_eigenvalue": float(arr[:, 1].mean()),

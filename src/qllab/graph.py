@@ -353,7 +353,11 @@ class GraphGenSpec:
             _check_size(self.kind, self.n, self.d)
 
 
-# the fields besides seed that each graph kind reads
+# the fields besides seed that each graph kind reads.  Only
+# d_regular_random builds a benchmarked graph; the other kinds stay as
+# closed-form oracles for the tests: cycle and complete graphs for the
+# `cheeger` and `spectrum` tests, a two-lift's spectrum holding its base's,
+# and a bipartite graph's symmetric spectrum.
 _READS = {
     "d_regular_random": ("n", "d"),
     "cycle": ("n",),

@@ -13,10 +13,10 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
   residuals, with no operator on the product's N vertices.
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead, with tr A and ||A||_F^2
-  read off the edge arrays.  `spectrum`, `cheeger`, the quotient states
-  and the emergent state below use it.  At n = 512 (a random 6-regular
-  graph with sigma = 0.2 disorder) it takes about 17-20 ms against
-  50-60 ms for `eigendecompose`.
+  read off the edge arrays.  `spectrum`, `cheeger` and `quotient_states`
+  use it, and so does the emergent state below when no proof places it.
+  At n = 512 (a random 6-regular graph with sigma = 0.2 disorder) it takes
+  about 17-20 ms against 50-60 ms for `eigendecompose`.
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
   Lanczos on the edge-array operator, and proves both before returning
   them; when a proof fails it returns the top pair of `eigendecompose`.
@@ -33,16 +33,21 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
   tridiagonal Ritz problem.  At n = 4096 and r = 0.7 it takes about 50 ms
   with a 5 MB peak, where one dense n x n array takes 134 MB.  The
   emergent state below reads its one vector through it.
+- `level_is_simple` proves an extreme eigenvalue with a known eigenvector
+  x simple by one Cholesky factorization of (lambda - window) I - A +
+  c x x^H (or its mirror for a bottom level), with no eigenvalue solved: it
+  generalizes `top_pair`'s Cholesky proof, and both QL-bit readings of the
+  emergent state below use it.
 
 Times are for one x86 core and one BLAS thread.
 
-The dense operand.  `eigendecompose`, `eigenvalues` and `top_pair`'s
-Cholesky proof all read one n x n array that this module keeps: `_dense`
-writes g's adjacency into it through `BiasedGraph.adjacency(out=)`, and
-the Cholesky proof forms (theta + tau) I - A in it in place.  It lives
-from the first dense solve until a solve of another (n, dtype) replaces
-it, so the process holds at most one, of the last shape solved, and no
-returned array shares its memory.  A fresh operand per solve, and the
+The dense operand.  `eigendecompose`, `eigenvalues` and the Cholesky
+proofs all read one n x n array that this module keeps: `_dense` writes
+g's adjacency into it through `BiasedGraph.adjacency(out=)`, and each
+Cholesky proof forms its matrix in it in place.  It lives from the first
+dense solve until a solve of another (n, dtype) replaces it, so the
+process holds at most one, of the last shape solved, and no returned array
+shares its memory.  A fresh operand per solve, and the
 work copy numpy makes of it, faulted their pages in again on every
 solve: 1,987 minor faults per `ensemble` op (two n = 512 solves), against
 1 with the kept operand.  Because two solves would write the same array,
@@ -63,18 +68,28 @@ A QL bit's emergent state is the level its block structure splits off the
 bulk: the top with positive block biases, the bottom with negative ones.
 One rule picks it, the extreme value of largest |lambda| with ties sent to
 the top: `emergent_state` applies it to a graph (`qlbit` reaches it with
-budget and pair-probability bits, which the quotient cannot read), and
-`extreme_state` to quotient states.  Both read degeneracy in one window,
-DEGENERACY_TOL * max(1, max |lambda|).  `emergent_state` pays for one
-eigenpair, not the eigensystem: the values from `eigenvalues` pick and
-flag the level, and `top_pair` on the graph, or on its negation for a
-bottom level, gives the vector.  On a 160-vertex budget bit that takes
-about 1.8 ms against 2.8 ms for `eigendecompose`; a `qlbit` run on a
-2000-vertex one takes 1.1 s and 100 MB max RSS, against 2.4 s and 196 MB
-with the full eigensystem.  `ensemble_spectrum` histograms the
-eigenvalues of many realizations; a QL state's distance to the bulk is the
-`gap` of `quotient_states`.  Graphs that reach these solvers are small
-enough for exact dense solves.
+budget and pair-probability bits, which the quotient cannot read),
+`extreme_state` to quotient states, and `emergent_quotient_state` to the
+levels of an equitable bit.  All read degeneracy in one window,
+DEGENERACY_TOL * max(1, max |lambda|).  None solves the eigensystem, and
+none solves a single eigenvalue where a bound places the level at the end
+of the spectrum and `level_is_simple` flags it:
+- on a graph with real nonnegative entries and diagonal (Perron-Frobenius
+  puts the level at the top), `emergent_state` takes the pair from
+  `top_pair` and one Cholesky.  On a 160-vertex budget bit that takes
+  about 1.7 ms, against 2.6 ms for the values from `eigenvalues` and the
+  pair from `top_pair` (the path of any other graph) and 3.7 ms for
+  `eigendecompose`.  A `qlbit` run on a 2000-vertex one takes 0.35-0.55 s
+  and 136 MB max RSS (the factor and numpy's work copy of the operand),
+  against 1.1-1.3 s and 99 MB with the values from `eigenvalues`;
+- on an equitable bit whose level meets a Gershgorin bound of A,
+  `emergent_quotient_state` reads the state off H_eff and the flag off one
+  Cholesky: every Bloch row, about 1.3 ms against 2.6 ms through
+  `quotient_states` on a 160-vertex y- row.
+The Cholesky alone takes 0.2 ms at n = 160.  `ensemble_spectrum`
+histograms the eigenvalues of many realizations; a QL state's distance to
+the bulk is the `gap` of `quotient_states`.  Graphs that reach these
+solvers are small enough for exact dense solves.
 
 Phase rule.  A state read in the block basis is defined only up to a
 global phase, so every reported state is put in one canonical phase by
@@ -295,6 +310,29 @@ def _scaled_gershgorin(g: BiasedGraph, x: np.ndarray) -> float:
     return float((g.diagonal + edge_operator(g.n, g.edges, np.abs(g.bias))(y) / y).max())
 
 
+def level_is_simple(g: BiasedGraph, value: float, x: np.ndarray, window: float, top: bool) -> bool:
+    """Whether the extreme eigenvalue `value` of g's adjacency A, with its
+    known unit eigenvector x, is the only eigenvalue within `window` of it;
+    proved by one Cholesky factorization.
+
+    For a top level (top=True) the factorized matrix is
+    (value - window) I - A + c x x^H, with c = max(1, |value|); for a
+    bottom one, A - (value + window) I + c x x^H.  On x it reads
+    c - window > 0, so it is positive definite exactly when every other
+    eigenvalue lies more than window inside the level.  The caller must
+    know that none lies beyond value (by more than a rounding of it): then
+    a failed factorization puts another eigenvalue within window of the
+    level.  The matrix is formed in the kept dense operand, with one n x n
+    temporary for the outer product.
+    """
+    a = _dense(g)
+    if not top:
+        np.negative(a, out=a)
+        value = -value
+    a -= np.outer(max(1.0, abs(value)) * x, x.conj())
+    return _all_below(a, value - window)
+
+
 def _all_below(a: np.ndarray, bound: float) -> bool:
     """Whether every eigenvalue of the Hermitian `a` is below bound, proved
     by a Cholesky factorization of bound * I - a, formed in `a` itself."""
@@ -375,11 +413,22 @@ def emergent_state(g: BiasedGraph) -> EmergentState:
     |lambda| (`_extreme_index`), flagged degenerate when any other
     eigenvalue falls inside the degeneracy window.
 
-    The values come from `eigenvalues`.  The one vector comes from
-    `top_pair`, on g for a top level and on -g (biases and diagonal
-    negated) for a bottom one, with its residual gate, proof and
-    `eigendecompose` fallback; on a tied level it is `top_pair`'s fixed
+    On a graph whose entries and diagonal are real and nonnegative the
+    level is the top (Perron-Frobenius: lambda_max is the spectral radius),
+    and the window is DEGENERACY_TOL * max(1, theta).  The pair (theta, x)
+    comes from `top_pair`, which proves lambda_max <= theta + 1e-8 * max(1,
+    theta), and `level_is_simple` flags the level: no eigenvalue is solved.
+    On any other graph the values come from `eigenvalues`, which pick and
+    flag the level, and the one vector from `top_pair` on g for a top level
+    and on -g (biases and diagonal negated) for a bottom one.  Either way
+    the vector passed `top_pair`'s residual gate and proof, or is its
+    `eigendecompose` fallback's; on a tied level it is `top_pair`'s fixed
     member."""
+    if not np.iscomplexobj(g.entries) and (g.entries >= 0).all() and (g.diagonal >= 0).all():
+        theta, x = top_pair(g)
+        window = DEGENERACY_TOL * max(1.0, theta)
+        simple = level_is_simple(g, theta, x, window, top=True)
+        return EmergentState(eigenvalue=theta, eigenvector=x, degenerate=not simple)
     vals = eigenvalues(g)
     idx = _extreme_index(vals)
     others = np.delete(vals, idx)
@@ -485,33 +534,21 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
     level of H_eff (values within 1e-8 * max(1, |mu|)) the basis is the
     Gram-Schmidt orthonormalization of P e_0, P e_1, ... in block order,
     with P the level's projector and remainders below DEGENERACY_TOL
-    skipped.  Each state takes the phase of `fixed_phase`.
+    skipped.  Each state takes the phase of `fixed_phase`.  These levels,
+    their coefficients and the residual gate below are read by
+    `_quotient_levels`, which `emergent_quotient_state` shares, so both
+    report one state bit for bit.
 
     Each state x must pass ||A x - mu x|| <= 1e-8 * max(1, |mu|); a unit
     x with that residual proves an eigenvalue within it.  The spectrum
     must hold every QL value within the degeneracy window DEGENERACY_TOL *
     max(1, max |lambda|) as often as H_eff does.  Failure of either raises
-    NumericalError.  Returns (eigenvalues, list of QuotientState).
+    NumericalError.  Returns (eigenvalues, list of QuotientState).  A
+    contracted `product` reads every state, so it solves the spectrum; a
+    `qlbit` run reads one, and comes here only when no bound places it.
     """
-    if not quo.equitable:
-        raise QllabError(f"block partition is not equitable (deviation {quo.deviation:.3e})")
+    mu, c, _, residual = _quotient_levels(g, quo)
     values = eigenvalues(g)
-    mu, u = np.linalg.eigh(quo.h)
-    mu, u = mu[::-1], u[:, ::-1]
-    coefficients = []
-    lo = 0
-    for hi in range(1, len(mu) + 1):
-        if hi < len(mu) and mu[hi - 1] - mu[hi] <= RESIDUAL_TOL * max(1.0, abs(mu[hi])):
-            continue
-        level = _canonical_basis(u[:, lo:hi]) if hi - lo > 1 else u[:, lo:hi]
-        coefficients += [fixed_phase(c) for c in level.T]
-        lo = hi
-    c = np.stack(coefficients, axis=1)
-    sizes = np.bincount(g.block_of, minlength=len(mu))
-    x = c[g.block_of] / np.sqrt(sizes[g.block_of])[:, None]
-    residual = np.linalg.norm(quo.aj @ c - x * mu, axis=0)
-    check_eigenpairs(mu, residual, "quotient state")
-
     window = _degeneracy_window(values)
     near = np.abs(values[None, :] - mu[:, None]) <= window
     ties = np.abs(mu[None, :] - mu[:, None]) <= window
@@ -553,6 +590,59 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
             )
         )
     return values, states
+
+
+def _quotient_levels(g: BiasedGraph, quo: Quotient):
+    """The levels of an equitable quotient, checked as `quotient_states`
+    describes: (mu non-increasing, coefficients U (k x k), states x = J U
+    (n x k), eigen residuals ||A x - mu x||)."""
+    if not quo.equitable:
+        raise QllabError(f"block partition is not equitable (deviation {quo.deviation:.3e})")
+    mu, u = np.linalg.eigh(quo.h)
+    mu, u = mu[::-1], u[:, ::-1]
+    coefficients = []
+    lo = 0
+    for hi in range(1, len(mu) + 1):
+        if hi < len(mu) and mu[hi - 1] - mu[hi] <= RESIDUAL_TOL * max(1.0, abs(mu[hi])):
+            continue
+        level = _canonical_basis(u[:, lo:hi]) if hi - lo > 1 else u[:, lo:hi]
+        coefficients += [fixed_phase(c) for c in level.T]
+        lo = hi
+    c = np.stack(coefficients, axis=1)
+    sizes = np.bincount(g.block_of, minlength=len(mu))
+    x = c[g.block_of] / np.sqrt(sizes[g.block_of])[:, None]
+    residual = np.linalg.norm(quo.aj @ c - x * mu, axis=0)
+    check_eigenpairs(mu, residual, "quotient state")
+    return mu, c, x, residual
+
+
+def emergent_quotient_state(g: BiasedGraph, quo: Quotient):
+    """The emergent level of an equitable g as (mu, coefficients,
+    degenerate): the state `extreme_state(quotient_states(g, quo)[1])`,
+    bit for bit, and whether the spectrum holds mu more than once within
+    the degeneracy window (its `multiplicity` > 1).
+
+    The levels, coefficients and residual gate are those of
+    `quotient_states`.  A level H_eff itself holds twice is degenerate with
+    no solve.  Otherwise, when the O(m) Gershgorin bounds on A, max_i(a_ii +
+    sum_j |a_ij|) above and min_i(a_ii - sum_j |a_ij|) below, meet mu to
+    within 1e-8 * max(1, |mu|), mu is the extreme of the spectrum, the
+    window is DEGENERACY_TOL * max(1, |mu|), and `level_is_simple` decides.
+    Any other level is read off `quotient_states`.
+    """
+    mu, c, x, _ = _quotient_levels(g, quo)
+    j = _extreme_index(mu)
+    window = DEGENERACY_TOL * max(1.0, float(np.abs(mu).max()))
+    if np.count_nonzero(np.abs(mu - mu[j]) <= window) > 1:
+        return float(mu[j]), c[:, j].astype(complex), True
+    spread = edge_operator(g.n, g.edges, np.abs(g.bias))(np.ones(g.n))
+    slack = RESIDUAL_TOL * max(1.0, abs(mu[j]))
+    top = mu[j] >= (g.diagonal + spread).max() - slack
+    if top or mu[j] <= (g.diagonal - spread).min() + slack:
+        simple = level_is_simple(g, mu[j], x[:, j], window, top)
+        return float(mu[j]), c[:, j].astype(complex), not simple
+    state = extreme_state(quotient_states(g, quo)[1])
+    return state.eigenvalue, state.coefficients, state.multiplicity > 1
 
 
 def _canonical_basis(level: np.ndarray) -> np.ndarray:

@@ -100,9 +100,11 @@ CROSS_PRODUCT = {"qlbits": [CROSS_BIT, {**CROSS_BIT, "connect_bias": "i"}], "mod
 
 # case: (experiment, params, solver calls at seed 5).  `spectrum` and
 # `cheeger` read eigenvalues alone; the three readers of the emergent state
-# solve its top pair alone; equitable graphs (cross-regular contracted
-# products and bits, Bloch-row bits) read their QL states off the block
-# quotient and need only the spectrum to rank them; the full eigensystem is left to the
+# solve its top pair alone, and so does a +1-bias budget bit, whose level a
+# Cholesky proves simple; a Bloch-row or cross-regular bit reads its level
+# off the block quotient and proves it the same way, with no solve; an
+# equitable contracted product reads its QL states off the quotient and
+# needs only the spectrum to rank them; the full eigensystem is left to the
 # graphs whose block partition is not equitable (budget policies here).
 ROUTES = {
     "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
@@ -113,9 +115,9 @@ ROUTES = {
     ),
     "kuramoto": ("kuramoto", {**KURAMOTO, "realizations": 2}, {"top_pair": 2}),
     "witness": ("witness", WITNESS, {"top_pair": 1}),
-    "qlbit": ("qlbit", QLBIT["params"], {"eigenvalues": 1, "top_pair": 1}),
-    "qlbit-table-row": ("qlbit", QLBIT_ROW, {"eigenvalues": 1}),
-    "qlbit-cross-regular": ("qlbit", CROSS_BIT, {"eigenvalues": 1}),
+    "qlbit": ("qlbit", QLBIT["params"], {"top_pair": 1}),
+    "qlbit-table-row": ("qlbit", QLBIT_ROW, {}),
+    "qlbit-cross-regular": ("qlbit", CROSS_BIT, {}),
     "product": ("product", {"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
     "product-cross-regular": ("product", {"product": CROSS_PRODUCT, "verify": True}, {"eigenvalues": 1}),
     "cheeger": ("cheeger", {"graph": {"kind": "cycle", "n": 6}}, {"eigenvalues": 1}),
@@ -145,6 +147,32 @@ def count_solves(monkeypatch):
 def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
     calls = count_solves(monkeypatch)
     experiment, params, expected = ROUTES[case]
+    assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "5") == 0
+    assert calls == expected
+
+
+Z_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "0"}}
+
+
+@pytest.mark.parametrize(
+    "experiment, params, expected",
+    [
+        ("qlbit", QLBIT["params"], {"cholesky": 1}),  # a budget bit: the top pair and one proof
+        ("qlbit", QLBIT_ROW, {"cholesky": 1}),  # the x+ row: its quotient and one proof
+        ("qlbit", Z_ROW, {}),  # a level H_eff holds twice is degenerate with no proof
+        ("product", {"product": CROSS_PRODUCT}, {"eigvalsh": 1}),  # the spectrum ranks every QL state
+    ],
+)
+def test_a_proved_qlbit_level_solves_no_eigenvalue(tmp_path, monkeypatch, experiment, params, expected):
+    calls = {}
+    for name in ("eigvalsh", "cholesky"):
+        kernel = getattr(np.linalg, name)
+
+        def counting(a, name=name, kernel=kernel):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(a)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     assert run_config(tmp_path, {"experiment": experiment, "params": params}, "--seed", "5") == 0
     assert calls == expected
 
@@ -872,6 +900,10 @@ KURAMOTO_SYNC = {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted
 # spectra, eigenvalues, labels and residuals kept their bytes, and each
 # state's coefficients are the old ones times exactly +1 or -1 (states 2
 # and 3 of `product-full` and state 1 of `product-contracted` flipped).
+# `qlbit` was recorded again when its +1-bias bits took their eigenvalue
+# from `top_pair`'s Rayleigh quotient in place of `eigvalsh`: its
+# `qlbit.csv` body kept its bytes, and `mean_eigenvalue` in
+# `qlbit_summary.json` moved by -8.9e-16 (2 ulps).
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted"}}},
@@ -881,7 +913,7 @@ GOLDEN = {
     "qlbit": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2}},
         ["qlbit.csv", "qlbit_summary.json"],
-        "1a7ca24c63a613b8c5cfe3fe8abc94fbb4d6b09d14ddb6fc2aa094693ad2ff5a",
+        "88176216d672e734f6651cd6c2c0c6f8df9db16c946bb2d588bf01400fa8e369",
     ),
     "qlbit-table-row": (
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2, "table_row": {"red": "-1", "blue": "-1", "conn": "i"}}},
@@ -1191,8 +1223,9 @@ def test_full_product_at_n_13824_is_proved_off_its_factors(tmp_path):
 
 def test_dense_path_bit_at_n_2000_stays_under_150_mb(tmp_path):
     # a budget bit of two 1000-vertex blocks is not equitable, so qlbit reads
-    # its emergent eigenpair off the whole graph: the values from eigvalsh,
-    # the one vector from top_pair, and no eigenvector matrix
+    # its emergent eigenpair off the whole graph: the pair from top_pair and
+    # its degeneracy from one Cholesky of the dense matrix, with no
+    # eigenvector matrix (136 MB here; 99 MB when eigvalsh gave the values)
     usage = run_child(tmp_path, "bit2000", {"experiment": "qlbit", "params": {"n": 1000, "d": 6, "realizations": 1}})
     assert usage.ru_maxrss / 1024 < 150
     assert len(read_rows(tmp_path / "bit2000" / "qlbit.csv")) == 1

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 import qllab.spectral
 from qllab.errors import NumericalError, QllabError
-from qllab.graph import BiasedGraph, add_diagonal_disorder, gen_cycle
+from qllab.graph import BiasedGraph, add_diagonal_disorder, gen_cycle, gen_d_regular_random
 from qllab.qlbit import (
     BLOCH_PROJECTIONS,
     CrossRegular,
     QLBitSpec,
     apply_bias_topology,
+    build_qlbit,
     build_regular_qlbit,
 )
 from qllab.qlproduct import (
@@ -31,6 +32,7 @@ from qllab.spectral import (
     DEGENERACY_TOL,
     EQUITABLE_TOL,
     eigendecompose,
+    emergent_quotient_state,
     emergent_state,
     extreme_state,
     quotient,
@@ -238,3 +240,67 @@ def test_bloch_row_ties_read_as_the_dense_path_reads_them(name):
     dense = emergent_state(g)
     assert abs(state.eigenvalue - dense.eigenvalue) <= 1e-12
     assert (state.multiplicity > 1) == dense.degenerate == (name[0] == "z")
+
+
+@st.composite
+def equitable_bits(draw):
+    """A Bloch-row bit, or a cross-regular bit with +-1 block biases and a
+    connecting bias of 1, -1, i or 0; blocks of 3 to 12 vertices."""
+    n = draw(st.integers(3, 12))
+    d = draw(st.integers(1, n - 1))
+    if n * d % 2:
+        d -= 1 if d > 1 else -1
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        cross = draw(st.integers(1, n))
+        row = BLOCH_PROJECTIONS[draw(st.sampled_from(sorted(BLOCH_PROJECTIONS)))]
+        return apply_bias_topology(build_regular_qlbit(n, d + cross, cross, seed), row)
+    return build_qlbit(
+        QLBitSpec(
+            n,
+            d,
+            policy=CrossRegular(draw(st.integers(0, n))),
+            connect_bias=draw(st.sampled_from([1.0, -1.0, 1j, 0.0])),
+            red_bias=draw(st.sampled_from([1.0, -1.0])),
+            blue_bias=draw(st.sampled_from([1.0, -1.0])),
+            seed=seed,
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(equitable_bits())
+def test_the_emergent_quotient_state_is_the_extreme_quotient_state(g):
+    # what `qlbit` reports for an equitable bit, bit for bit, and its
+    # `degenerate` column, whether the Cholesky proof or the spectrum read it
+    quo = quotient(g)
+    mu, coefficients, degenerate = emergent_quotient_state(g, quo)
+    state = extreme_state(quotient_states(g, quo)[1])
+    assert mu == state.eigenvalue
+    assert np.array_equal(coefficients, state.coefficients)
+    assert degenerate == (state.multiplicity > 1)
+
+
+def test_two_copies_of_one_regular_graph_read_degenerate():
+    one = gen_d_regular_random(10, 3, seed=4)
+    assert not emergent_state(one).degenerate
+    edges = np.concatenate([one.edges, one.edges + 10])
+    two = BiasedGraph.from_edges(20, edges, None, None, ("a1", "a2"), np.repeat([0, 1], 10))
+    state = emergent_state(two)  # the top pair and one Cholesky
+    assert state.eigenvalue == pytest.approx(3.0, abs=1e-12) and state.degenerate
+    mu, _, degenerate = emergent_quotient_state(two, quotient(two))  # a tied H_eff level
+    assert mu == 3.0 and degenerate
+
+
+def test_a_mixed_sign_cross_regular_bit_takes_the_fallback(monkeypatch):
+    # red -1 and blue +1 put the levels at +-sqrt(D^2 + c^2), inside the
+    # Gershgorin bound D + c, so the spectrum must place them
+    g = build_qlbit(QLBitSpec(8, 3, CrossRegular(1), red_bias=-1.0, blue_bias=1.0, seed=2))
+    solve = qllab.spectral.quotient_states
+    calls = []
+    monkeypatch.setattr(qllab.spectral, "quotient_states", lambda *a: calls.append(1) or solve(*a))
+    mu, coefficients, degenerate = emergent_quotient_state(g, quotient(g))
+    assert calls == [1]
+    assert mu == pytest.approx(np.sqrt(10.0), abs=1e-12)
+    state = extreme_state(solve(g, quotient(g))[1])
+    assert np.array_equal(coefficients, state.coefficients) and degenerate == (state.multiplicity > 1)
