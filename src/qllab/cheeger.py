@@ -5,10 +5,10 @@ subsets at once, as bitmasks ordered by their highest vertex: for each
 vertex k, the masks in [2^k, 2^(k+1)) are the masks below 2^k with k added,
 so boundary[2^k:2^(k+1)] = boundary[:2^k] + deg(k) - 2|N(k) & mask| and
 size[2^k:2^(k+1)] = size[:2^k] + 1.  That is n whole-array passes plus one
-strided pass per edge, with no Python loop over subsets.  No heuristic
-estimate is ever reported as the exact constant; larger graphs get the
-spectral lower bound of `cheeger_bounds`, which reads the degree off the
-graph itself, as a clearly flagged proxy.
+strided pass per edge, with no Python loop over subsets.  No bound or
+estimate is ever reported as h: larger graphs get h = NaN, flagged not
+exact, next to the spectral sandwich of `cheeger_bounds`, which reads the
+degree off the graph itself.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ class ProfileRow:
 def expansion_profile(specs) -> list:
     """Per-graph expansion table for eyeballing family boundedness.
 
-    Graphs small enough for enumeration get the exact h; larger ones
-    report the spectral lower bound as a proxy with is_exact False.  Every
-    row carries the bounds of `cheeger_bounds`, NaN where it gives none, so
+    Graphs small enough for enumeration get the exact h; larger ones get
+    h = NaN with is_exact False, since no bound stands in for h.  Every row
+    carries the bounds of `cheeger_bounds`, NaN where it gives none, so
     each graph is diagonalized once.  No asymptotic claim is made.
     """
     nan = float("nan")
@@ -134,6 +134,6 @@ def expansion_profile(specs) -> list:
         g = build_graph(spec)
         lower, upper = cheeger_bounds(g) or (nan, nan)
         exact = g.n <= _MAX_EXACT_N
-        h = isoperimetric_exact(g).h if exact else lower
+        h = isoperimetric_exact(g).h if exact else nan
         rows.append(ProfileRow(g.n, h, lower, upper, exact))
     return rows

@@ -418,7 +418,8 @@ def cmd_product(params, seed):
         quo = quotient(g)
         verify_contraction_law(spec, g, quo)  # checked, as every full product is
         if quo.equitable:
-            values, ql = quotient_states(g, quo)
+            values = eigenvalues(g)
+            ql = quotient_states(g, quo, values)
         else:
             spectrum = eigendecompose(g)
     if ql is not None:

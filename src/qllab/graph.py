@@ -16,6 +16,14 @@ an explicit seed and derive a private generator from it.
 The random samplers draw a pairing of vertex stubs and repair it round by
 round; they keep each edge as the integer key u * n + v in a set and
 return the sorted keys, which the generators split back into pairs.
+Stub repair does not draw the uniform law over simple regular graphs: it
+favours short cycles at small n.  On 6 vertices with d = 2, P(two
+triangles) was 0.312 in 60,000 draws, against 1/7 under the uniform law;
+on 4 + 4 vertices with d = 2, P(two 4-cycles) was 0.334 in 40,000 draws,
+against 0.200.  At n = 512, d = 6 the triangle count and lambda_2 of 60
+draws matched those of switch-chain-mixed graphs to within their noise.
+So theorems about uniform random regular graphs (Friedman, Kesten-McKay)
+are heuristics for these samplers, most of all at small n.
 
 `BiasedGraph.adjacency` builds the dense matrix, into a caller's array
 when given one (`spectral` keeps one for its full solves, `kuramoto`
@@ -447,8 +455,9 @@ def _sorted_keys(keys) -> np.ndarray:
 
 
 def _sample_regular_pairs(n, d, rng) -> np.ndarray:
-    """Ascending keys u * n + v (u < v) of the edges of a uniform-ish random
-    d-regular simple graph."""
+    """Ascending keys u * n + v (u < v) of the edges of a random d-regular
+    simple graph, by stub repair, whose law favours short cycles at small n
+    (see the module docstring)."""
     if d > (n - 1) // 2:
         # Dense regime: sample the complement (empty for d = n - 1) instead.
         u, v = np.triu_indices(n, 1)
@@ -467,8 +476,10 @@ def gen_d_regular_random(n, d, seed) -> BiasedGraph:
     """Random d-regular simple graph with all edge biases +1.
 
     Uses the configuration model with stub repair; for d > (n-1)/2 the
-    complement graph is sampled instead.  Identical (n, d, seed) inputs
-    reproduce the same edge set bit for bit.
+    complement graph is sampled instead.  The law is not uniform: it
+    favours short cycles at small n (two triangles on 6 vertices with d = 2
+    at 0.312 against 1/7; see the module docstring).  Identical (n, d,
+    seed) inputs reproduce the same edge set bit for bit.
     """
     _check_size("d_regular_random", n, d)
     rng = rng_from(seed, "d_regular", n, d)
@@ -522,7 +533,9 @@ def _bipartite_attempt(n, k, rng):
 
 def sample_biregular_pairs(n, k, rng) -> np.ndarray:
     """Ascending keys i * n + j of the pairs (i, j) of a random k-regular
-    bipartite graph on n+n vertices."""
+    bipartite graph on n+n vertices, by stub repair, whose law favours short
+    cycles at small n: two 4-cycles on 4 + 4 vertices with k = 2 at 0.334
+    against 0.200 under the uniform law (see the module docstring)."""
     if k > n // 2:
         # Sample the complement (empty for k = n) instead.
         removed = sample_biregular_pairs(n, n - k, rng)

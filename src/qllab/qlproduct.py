@@ -27,9 +27,10 @@ dense A, and three such bits (N = 13,824, where A and W would each take
 A contracted product has one n-vertex d-regular block per basis label, in
 the one shape (n, d) that all of its bits share; `ProductSpec` rejects bits
 of another shape.  Contracted products of cross-regular bits have
-equitable block partitions, so `product` reads their QL states off the
-block quotient (`spectral.quotient_states`) and their spectrum from
-`eigenvalues`; other contracted products go through `eigendecompose`.
+equitable block partitions, so `product` solves their spectrum with
+`eigenvalues` and reads their QL states off the block quotient
+(`spectral.quotient_states`), ranked in that spectrum; other contracted
+products go through `eigendecompose`.
 `verify_contraction_law` checks a contracted product against its spec.
 
 Every state the `product` experiment reports, on all three paths, goes

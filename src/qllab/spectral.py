@@ -13,8 +13,9 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
   residuals, with no operator on the product's N vertices.
 - `eigenvalues` returns the spectrum alone, from `eigvalsh`, and checks the
   trace and Frobenius-norm identities instead, with tr A and ||A||_F^2
-  read off the edge arrays.  `spectrum`, `cheeger` and `quotient_states`
-  use it, and so does the emergent state below when no proof places it.
+  read off the edge arrays.  `spectrum`, `cheeger` and the equitable
+  contracted `product` use it, the last to rank its quotient states, and
+  so does the emergent state below when no proof places it.
   At n = 512 (a random 6-regular graph with sigma = 0.2 disorder) it takes
   about 17-20 ms against 50-60 ms for `eigendecompose`.
 - `top_pair` returns only the top eigenvalue and one unit eigenvector, by
@@ -59,10 +60,10 @@ indicators is invariant, and A J = J H_eff with H_eff = J^H A J (Godsil
 and Royle, Algebraic Graph Theory, section 9.3).  `quotient` reads H_eff
 and the deviation from equitability off the edge arrays in O(m);
 `quotient_states` then gives the QL states J U exactly from the k x k
-H_eff, with the spectrum from `eigenvalues` to rank them.  On a contracted
-q = 3 product of 40-vertex blocks (320 vertices) that takes about 6 ms, of
-which the quotient is 0.2 ms, against 14.5 ms for `eigendecompose` and a
-projection.
+H_eff and ranks them in the spectrum its caller passes.  On a contracted
+q = 3 product of 40-vertex blocks (320 vertices) the states and their
+spectrum from `eigenvalues` take about 6 ms, of which the quotient is
+0.2 ms, against 14.5 ms for `eigendecompose` and a projection.
 
 A QL bit's emergent state is the level its block structure splits off the
 bulk: the top with positive block biases, the bottom with negative ones.
@@ -84,8 +85,8 @@ of the spectrum and `level_is_simple` flags it:
   against 1.1-1.3 s and 99 MB with the values from `eigenvalues`;
 - on an equitable bit whose level meets a Gershgorin bound of A,
   `emergent_quotient_state` reads the state off H_eff and the flag off one
-  Cholesky: every Bloch row, about 1.3 ms against 2.6 ms through
-  `quotient_states` on a 160-vertex y- row.
+  Cholesky: every Bloch row, about 1.3 ms against 2.6 ms for `eigenvalues`
+  and `quotient_states` on a 160-vertex y- row.
 The Cholesky alone takes 0.2 ms at n = 160.  `ensemble_spectrum`
 histograms the eigenvalues of many realizations; a QL state's distance to
 the bulk is the `gap` of `quotient_states`.  Graphs that reach these
@@ -526,29 +527,26 @@ class QuotientState:
     degenerate: bool
 
 
-def quotient_states(g: BiasedGraph, quo: Quotient):
-    """The spectrum of g and its QL states, from an equitable quotient.
+def quotient_states(g: BiasedGraph, quo: Quotient, values: np.ndarray) -> list[QuotientState]:
+    """The QL states of g from an equitable quotient, ranked in values, g's
+    spectrum in non-increasing order.
 
-    The spectrum comes from `eigenvalues`; the states are J U, with U the
-    eigenvectors of the k x k H_eff, in non-increasing order of mu.  On a
-    level of H_eff (values within 1e-8 * max(1, |mu|)) the basis is the
-    Gram-Schmidt orthonormalization of P e_0, P e_1, ... in block order,
-    with P the level's projector and remainders below DEGENERACY_TOL
-    skipped.  Each state takes the phase of `fixed_phase`.  These levels,
-    their coefficients and the residual gate below are read by
-    `_quotient_levels`, which `emergent_quotient_state` shares, so both
-    report one state bit for bit.
+    The states are J U, with U the eigenvectors of the k x k H_eff, in
+    non-increasing order of mu.  On a level of H_eff (values within 1e-8 *
+    max(1, |mu|)) the basis is the Gram-Schmidt orthonormalization of P
+    e_0, P e_1, ... in block order, with P the level's projector and
+    remainders below DEGENERACY_TOL skipped.  Each state takes the phase of
+    `fixed_phase`.  These levels, their coefficients and the residual gate
+    below are read by `_quotient_levels`, which `emergent_quotient_state`
+    shares, so both report one state bit for bit.
 
     Each state x must pass ||A x - mu x|| <= 1e-8 * max(1, |mu|); a unit
-    x with that residual proves an eigenvalue within it.  The spectrum
-    must hold every QL value within the degeneracy window DEGENERACY_TOL *
-    max(1, max |lambda|) as often as H_eff does.  Failure of either raises
-    NumericalError.  Returns (eigenvalues, list of QuotientState).  A
-    contracted `product` reads every state, so it solves the spectrum; a
-    `qlbit` run reads one, and comes here only when no bound places it.
+    x with that residual proves an eigenvalue within it.  values must hold
+    every QL value within the degeneracy window DEGENERACY_TOL * max(1,
+    max |lambda|) as often as H_eff does.  Failure of either raises
+    NumericalError.
     """
     mu, c, _, residual = _quotient_levels(g, quo)
-    values = eigenvalues(g)
     window = _degeneracy_window(values)
     near = np.abs(values[None, :] - mu[:, None]) <= window
     ties = np.abs(mu[None, :] - mu[:, None]) <= window
@@ -589,7 +587,7 @@ def quotient_states(g: BiasedGraph, quo: Quotient):
                 degenerate=bool(in_spectrum[j] > in_quotient[j]),
             )
         )
-    return values, states
+    return states
 
 
 def _quotient_levels(g: BiasedGraph, quo: Quotient):
@@ -618,9 +616,9 @@ def _quotient_levels(g: BiasedGraph, quo: Quotient):
 
 def emergent_quotient_state(g: BiasedGraph, quo: Quotient):
     """The emergent level of an equitable g as (mu, coefficients,
-    degenerate): the state `extreme_state(quotient_states(g, quo)[1])`,
-    bit for bit, and whether the spectrum holds mu more than once within
-    the degeneracy window (its `multiplicity` > 1).
+    degenerate): the `extreme_state` of `quotient_states`, bit for bit, and
+    whether the spectrum holds mu more than once within the degeneracy
+    window (its `multiplicity` > 1).
 
     The levels, coefficients and residual gate are those of
     `quotient_states`.  A level H_eff itself holds twice is degenerate with
@@ -628,7 +626,8 @@ def emergent_quotient_state(g: BiasedGraph, quo: Quotient):
     sum_j |a_ij|) above and min_i(a_ii - sum_j |a_ij|) below, meet mu to
     within 1e-8 * max(1, |mu|), mu is the extreme of the spectrum, the
     window is DEGENERACY_TOL * max(1, |mu|), and `level_is_simple` decides.
-    Any other level is read off `quotient_states`.
+    Any other level is read off `quotient_states` in the spectrum from
+    `eigenvalues`.
     """
     mu, c, x, _ = _quotient_levels(g, quo)
     j = _extreme_index(mu)
@@ -641,7 +640,7 @@ def emergent_quotient_state(g: BiasedGraph, quo: Quotient):
     if top or mu[j] <= (g.diagonal - spread).min() + slack:
         simple = level_is_simple(g, mu[j], x[:, j], window, top)
         return float(mu[j]), c[:, j].astype(complex), not simple
-    state = extreme_state(quotient_states(g, quo)[1])
+    state = extreme_state(quotient_states(g, quo, eigenvalues(g)))
     return state.eigenvalue, state.coefficients, state.multiplicity > 1
 
 

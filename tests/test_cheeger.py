@@ -79,7 +79,7 @@ def test_exact_stops_above_the_size_cap():
     with pytest.raises(TooLargeError):
         isoperimetric_exact(gen_cycle(23))
     (row,) = expansion_profile([GraphGenSpec("cycle", n=23)])
-    assert not row.is_exact and row.h == row.lower
+    assert not row.is_exact and math.isnan(row.h)
 
 
 def test_exact_rejects_a_single_vertex():
@@ -105,7 +105,7 @@ def test_expansion_profile_solves_each_graph_once(monkeypatch):
     exact = isoperimetric_exact(gen_cycle(8))
     assert solved == [8, 24]
     assert (small.h, small.lower, small.upper, small.is_exact) == (exact.h, *cheeger_bounds(gen_cycle(8)), True)
-    assert not large.is_exact and large.h == large.lower
+    assert not large.is_exact and math.isnan(large.h)
     assert large.lower == pytest.approx(12.0) and np.isfinite(large.upper)
 
 

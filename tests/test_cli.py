@@ -821,8 +821,8 @@ def test_realizations_derive_from_the_objects_own_seed(tmp_path, case):
 FULL_PRODUCT = {**WITNESS_PRODUCT, "mode": "full"}
 TREE_WITNESS = {"bit_index": 0, "strength": 3.0, "trials": 2}
 
-# case: (experiment, params); one per experiment that draws QL bits, in
-# each of its modes
+# case: (experiment, params); one per experiment that draws random numbers,
+# in each of its modes
 SEED_TREE = {
     "product-full": ("product", {"product": FULL_PRODUCT}),
     "product-contracted": ("product", {"product": WITNESS_PRODUCT}),
@@ -832,6 +832,15 @@ SEED_TREE = {
     "kuramoto-contracted": ("kuramoto", {**KURAMOTO, "realizations": 2}),
     "qlbit": ("qlbit", {**QLBIT["params"], "realizations": 2}),
     "qlbit-table-row": ("qlbit", {**QLBIT_ROW, "realizations": 2}),
+    "spectrum": (
+        "spectrum",
+        {"graph": {**SPECTRUM_GRAPH, "n": 12}, "product_depth": 2, "disorder_sigma": 0.1, "realizations": 3},
+    ),
+    "disorder-sweep": ("disorder-sweep", {"n": 12, "d": 3, "retentions": [1.0, 0.5], "realizations": 2}),
+    "cheeger-family": (
+        "cheeger",
+        {"family": [SPECTRUM_GRAPH, SPECTRUM_GRAPH, {"kind": "two_lift", "base": SPECTRUM_GRAPH}]},
+    ),
 }
 
 
@@ -971,7 +980,7 @@ def unphased_bit(params, seed):
     if "table_row" in params:
         row = BiasTopology(*(bias_from_token(params["table_row"][key]) for key in ("red", "blue", "conn")))
         g = apply_bias_topology(build_regular_qlbit(params["n"], params["d"], seed=bit_seed), row)
-        state = extreme_state(quotient_states(g, quotient(g))[1])
+        state = extreme_state(quotient_states(g, quotient(g), eigenvalues(g)))
         return state.eigenvalue, 0.0, state.coefficients
     g = build_qlbit(QLBitSpec(params["n"], params["d"], seed=bit_seed))
     state = emergent_state(g)
@@ -990,7 +999,7 @@ def unphased_product(params, seed):
         g = build_product(spec)
         quo = quotient(g)
         if quo.equitable:
-            return [(s.eigenvalue, list(g.blocks), 0.0, s.coefficients) for s in quotient_states(g, quo)[1][:n_top]]
+            return [(s.eigenvalue, list(g.blocks), 0.0, s.coefficients) for s in quotient_states(g, quo, eigenvalues(g))[:n_top]]
         spectrum = eigendecompose(g)
     states = project_blocks(g, g.blocks, spectrum.eigenvectors[:, :n_top])
     return [(v, list(g.blocks), eff.residual, eff.coefficients) for v, eff in zip(spectrum.eigenvalues, states)]

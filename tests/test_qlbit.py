@@ -20,7 +20,7 @@ from qllab.qlbit import (
     project_two_state,
     regular_qlbit_spec,
 )
-from qllab.spectral import eigendecompose, emergent_state, extreme_state, quotient, quotient_states
+from qllab.spectral import eigendecompose, eigenvalues, emergent_state, extreme_state, quotient, quotient_states
 
 
 def cross_edges(g, names=("a1", "a2")):
@@ -234,7 +234,7 @@ class TestBiasTopology:
         # the quotient reports the target itself, phase included
         quo = quotient(g)
         assert quo.equitable
-        ql = extreme_state(quotient_states(g, quo)[1])
+        ql = extreme_state(quotient_states(g, quo, eigenvalues(g)))
         assert ql.eigenvalue == pytest.approx(sign * expected, abs=1e-12)
         assert np.abs(ql.coefficients - target).max() <= 1e-12
         assert not ql.degenerate

@@ -40,7 +40,7 @@ from qllab.qlproduct import (
     verify_contraction_law,
     verify_spectrum_composition,
 )
-from qllab.spectral import eigendecompose, quotient, quotient_states
+from qllab.spectral import eigendecompose, eigenvalues, quotient, quotient_states
 from qllab.states import concurrence
 
 # The four equal-weight 2-bit sign patterns in basis order a1b1, a2b1, a1b2,
@@ -649,7 +649,7 @@ class TestDetuning:
         detuned = apply_alignment_detuning(g, omega, omega)
         quo = quotient(detuned)
         assert quo.equitable
-        top = quotient_states(detuned, quo)[1][0]
+        top = quotient_states(detuned, quo, eigenvalues(detuned))[0]
         e = (omega + math.sqrt(omega**2 + 16 * c**2)) / 2
         assert abs(top.eigenvalue - (d + e)) <= 1e-12
         assert abs(concurrence(top.coefficients) - e * omega / (e * omega + 8 * c**2)) <= 1e-12

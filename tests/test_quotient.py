@@ -32,6 +32,7 @@ from qllab.spectral import (
     DEGENERACY_TOL,
     EQUITABLE_TOL,
     eigendecompose,
+    eigenvalues,
     emergent_quotient_state,
     emergent_state,
     extreme_state,
@@ -74,7 +75,7 @@ class TestQuotient:
         j = dense_indicators(g)
         assert np.abs(quo.h - j.T @ g.adjacency() @ j).max() <= 1e-14
         with pytest.raises(QllabError, match="not equitable"):
-            quotient_states(g, quo)
+            quotient_states(g, quo, eigenvalues(g))
 
     def test_diagonal_disorder_breaks_equitability(self):
         bit = QLBitSpec(10, 3, policy=CrossRegular(1), seed=2)
@@ -129,7 +130,8 @@ def test_quotient_states_match_the_dense_eigensystem(spec):
     assert quo.equitable
     verify_contraction_law(spec, g, quo)
     assert np.array_equal(quo.h, contraction_quotient(spec))
-    values, states = quotient_states(g, quo)
+    values = eigenvalues(g)
+    states = quotient_states(g, quo, values)
     dense = eigendecompose(g)
     scale = max(1.0, float(np.abs(dense.eigenvalues).max()))
     assert np.abs(values - dense.eigenvalues).max() <= 1e-10 * scale
@@ -160,7 +162,8 @@ def test_quotient_states_match_the_dense_eigensystem(spec):
 
 def test_a_bulk_value_inside_the_window_stays_in_the_bulk():
     g = build_contracted_product(BULK_IN_WINDOW)
-    values, states = quotient_states(g, quotient(g))
+    values = eigenvalues(g)
+    states = quotient_states(g, quotient(g), values)
     state = states[2]
     assert state.eigenvalue == pytest.approx(-1.2360680, abs=1e-7)
     bulk = values[state.rank - 1]  # the bulk value just above it
@@ -179,7 +182,8 @@ class TestCanonicalBasis:
     def test_hypercube_levels_in_the_canonical_basis(self):
         # q = 3, d = 3, c = 1: levels 6, 4 (x3), 2 (x3), 0
         g = self.product(3)
-        values, states = quotient_states(g, quotient(g))
+        values = eigenvalues(g)
+        states = quotient_states(g, quotient(g), values)
         mu = [s.eigenvalue for s in states]
         assert np.allclose(mu, [6, 4, 4, 4, 2, 2, 2, 0], atol=1e-12)
         level = np.stack([s.coefficients for s in states[1:4]], axis=1)
@@ -201,25 +205,24 @@ class TestCanonicalBasis:
     def test_same_basis_on_every_realization(self):
         def coefficients(seed):
             g = self.product(2, 1j, seed=seed)
-            return np.array([s.coefficients for s in quotient_states(g, quotient(g))[1]])
+            return np.array([s.coefficients for s in quotient_states(g, quotient(g), eigenvalues(g))])
 
         first = coefficients(1)
         for seed in (2, 3, 4):
             assert np.array_equal(coefficients(seed), first)
 
-    def test_a_missing_level_is_a_numerical_error(self, monkeypatch):
+    def test_a_missing_level_is_a_numerical_error(self):
         g = self.product(1)
-        quo = quotient(g)
-        monkeypatch.setattr(qllab.spectral, "eigenvalues", lambda g: np.linspace(-3, 3.5, g.n)[::-1])
+        wrong = np.linspace(-3, 3.5, g.n)[::-1]
         with pytest.raises(NumericalError, match="misses quotient eigenvalue"):
-            quotient_states(g, quo)
+            quotient_states(g, quotient(g), wrong)
 
     def test_a_wrong_quotient_fails_the_residual_gate(self):
         g = self.product(1)
         quo = quotient(g)
         quo.h = quo.h + np.diag([1e-6, 0.0])
         with pytest.raises(NumericalError, match="residual"):
-            quotient_states(g, quo)
+            quotient_states(g, quo, eigenvalues(g))
 
 
 def test_extreme_state_breaks_ties_toward_the_top_and_the_first_member():
@@ -236,7 +239,7 @@ def test_bloch_row_ties_read_as_the_dense_path_reads_them(name):
     # qlbit.csv writes multiplicity > 1 as `degenerate` for a table row:
     # it must agree with emergent_state's flag on the same graph
     g = apply_bias_topology(build_regular_qlbit(16, 6, seed=5), BLOCH_PROJECTIONS[name])
-    state = extreme_state(quotient_states(g, quotient(g))[1])
+    state = extreme_state(quotient_states(g, quotient(g), eigenvalues(g)))
     dense = emergent_state(g)
     assert abs(state.eigenvalue - dense.eigenvalue) <= 1e-12
     assert (state.multiplicity > 1) == dense.degenerate == (name[0] == "z")
@@ -275,7 +278,7 @@ def test_the_emergent_quotient_state_is_the_extreme_quotient_state(g):
     # `degenerate` column, whether the Cholesky proof or the spectrum read it
     quo = quotient(g)
     mu, coefficients, degenerate = emergent_quotient_state(g, quo)
-    state = extreme_state(quotient_states(g, quo)[1])
+    state = extreme_state(quotient_states(g, quo, eigenvalues(g)))
     assert mu == state.eigenvalue
     assert np.array_equal(coefficients, state.coefficients)
     assert degenerate == (state.multiplicity > 1)
@@ -302,5 +305,5 @@ def test_a_mixed_sign_cross_regular_bit_takes_the_fallback(monkeypatch):
     mu, coefficients, degenerate = emergent_quotient_state(g, quotient(g))
     assert calls == [1]
     assert mu == pytest.approx(np.sqrt(10.0), abs=1e-12)
-    state = extreme_state(solve(g, quotient(g))[1])
+    state = extreme_state(solve(g, quotient(g), eigenvalues(g)))
     assert np.array_equal(coefficients, state.coefficients) and degenerate == (state.multiplicity > 1)
