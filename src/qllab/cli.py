@@ -60,7 +60,7 @@ from .graph import (
     gen_d_regular_random,
 )
 from .spectral import eigendecompose, eigenvalues, emergent_state, ensemble_spectrum, top_pair
-from .spectral import emergent_quotient_state, fixed_phase, quotient, quotient_states
+from .spectral import fixed_phase, quotient, quotient_states
 from .states import mixture_purity
 
 
@@ -334,7 +334,7 @@ def cmd_disorder_sweep(params, seed):
 
 
 def cmd_qlbit(params, seed):
-    from .qlbit import QLBitSpec, build_qlbit, project_two_state, regular_qlbit_spec
+    from .qlbit import QLBitSpec, build_qlbit, regular_qlbit_spec
 
     n, d, *bit, realizations, table_row, cross_degree = _read(
         params,
@@ -361,25 +361,12 @@ def cmd_qlbit(params, seed):
     rows = []
     for i in range(realizations):
         g = build_qlbit(replace(bit, seed=derive_seed(seed, "bit", i)))
-        quo = quotient(g)
         # an equitable bit (a table row, cross-regular or unconnected cross
-        # edges) reports its canonical extreme QL state, x = J u, whose
-        # projection residual is 0; degenerate flags any tie at the level on
-        # both paths.  Neither path solves an eigenvalue when one Cholesky
-        # proves the level simple: a Bloch row, or a bit whose biases are
-        # all +1.
-        if quo.equitable:
-            eigenvalue, coefficients, degenerate = emergent_quotient_state(g, quo)
-            residual = 0.0
-        else:
-            state = emergent_state(g)
-            eff = project_two_state(g, state.eigenvector)
-            eigenvalue, coefficients, residual, degenerate = (
-                state.eigenvalue, eff.coefficients, eff.residual, state.degenerate
-            )
-        alpha, beta = fixed_phase(coefficients)  # one phase on both paths
-        row = (alpha.real, alpha.imag, beta.real, beta.imag, residual, degenerate)
-        rows.append((i, eigenvalue, *row))
+        # edges) reports its exact QL state, with projection residual 0
+        level = emergent_state(g)
+        alpha, beta = fixed_phase(level.state.coefficients)
+        row = (alpha.real, alpha.imag, beta.real, beta.imag, level.state.residual, level.degenerate)
+        rows.append((i, level.eigenvalue, *row))
     arr = np.array(rows)
     summary = {
         "mean_eigenvalue": float(arr[:, 1].mean()),

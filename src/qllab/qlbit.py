@@ -6,20 +6,20 @@ its sizes, connect policy and biases when it is made, so a spec that
 exists can be built.  The block structure splits two hybridized levels off
 the bulk, at its top with +1 block biases and at its bottom with -1 ones;
 they behave as an effective two-level system, and the emergent state is
-the one of largest |lambda|.  A Bloch-row bit is cross-regular, so its two
-blocks form an equitable partition, and `qlbit` reads its emergent state
-off the 2 x 2 block quotient (`spectral.emergent_quotient_state`).  A
-budget or pair-probability bit is not equitable: `qlbit` reads its one
-emergent eigenpair by the same rule (`spectral.emergent_state`), and
-`project_two_state` reads the level amplitudes (alpha, beta) off that
-eigenvector through `graph.project_blocks`, the one projection onto unit
-block indicators, as a product's projection does.  Both paths report
-(alpha, beta) in the phase of `spectral.fixed_phase`, and neither solves
-an eigenvalue when one Cholesky proves the level simple
+the one of largest |lambda|.  `spectral.emergent_state` is its one
+reader: it reads a Bloch-row or other cross-regular bit, whose two blocks
+form an equitable partition, off the 2 x 2 block quotient, and a budget or
+pair-probability bit off one eigenvector projected through
+`graph.project_blocks`, the one projection onto unit block indicators, as
+a product's projection is.  Either way `qlbit` reports the level
+amplitudes (alpha, beta) in the phase of `spectral.fixed_phase`, and the
+reader solves no eigenvalue when one Cholesky proves the level simple
 (`spectral.level_is_simple`): every Bloch row and every bit with +1
 biases, where a Gershgorin or Perron-Frobenius bound puts the level at the
-end of the spectrum.  A bit's one seed draws both blocks and the
-cross edges, so the same bit with another seed is a fresh copy of it.
+end of the spectrum.  `project_two_state` projects any other vector onto a
+bit's two blocks, as the witness readout does.  A bit's one seed draws
+both blocks and the cross edges, so the same bit with another seed is a
+fresh copy of it.
 
 Cross-edge orientation convention: the adjacency entry from an a1 (blue)
 vertex to an a2 (red) vertex equals the connecting bias, so a connecting

@@ -34,11 +34,11 @@ an imaginary part; `top_pair` reads the graph through its edge arrays,
   tridiagonal Ritz problem.  At n = 4096 and r = 0.7 it takes about 50 ms
   with a 5 MB peak, where one dense n x n array takes 134 MB.  The
   emergent state below reads its one vector through it.
-- `level_is_simple` proves an extreme eigenvalue with a known eigenvector
-  x simple by one Cholesky factorization of (lambda - window) I - A +
-  c x x^H (or its mirror for a bottom level), with no eigenvalue solved: it
-  generalizes `top_pair`'s Cholesky proof, and both QL-bit readings of the
-  emergent state below use it.
+- `level_is_simple` proves a top eigenvalue with a known eigenvector x
+  simple by one Cholesky factorization of (lambda - window) I - A +
+  c x x^H, with no eigenvalue solved; a bottom level is the top of -g.  It
+  generalizes `top_pair`'s Cholesky proof, and the emergent state below
+  uses it.
 
 Times are for one x86 core and one BLAS thread.
 
@@ -68,25 +68,20 @@ spectrum from `eigenvalues` take about 6 ms, of which the quotient is
 A QL bit's emergent state is the level its block structure splits off the
 bulk: the top with positive block biases, the bottom with negative ones.
 One rule picks it, the extreme value of largest |lambda| with ties sent to
-the top: `emergent_state` applies it to a graph (`qlbit` reaches it with
-budget and pair-probability bits, which the quotient cannot read),
-`extreme_state` to quotient states, and `emergent_quotient_state` to the
-levels of an equitable bit.  All read degeneracy in one window,
-DEGENERACY_TOL * max(1, max |lambda|).  None solves the eigensystem, and
-none solves a single eigenvalue where a bound places the level at the end
-of the spectrum and `level_is_simple` flags it:
-- on a graph with real nonnegative entries and diagonal (Perron-Frobenius
-  puts the level at the top), `emergent_state` takes the pair from
-  `top_pair` and one Cholesky.  On a 160-vertex budget bit that takes
-  about 1.7 ms, against 2.6 ms for the values from `eigenvalues` and the
-  pair from `top_pair` (the path of any other graph) and 3.7 ms for
-  `eigendecompose`.  A `qlbit` run on a 2000-vertex one takes 0.35-0.55 s
-  and 136 MB max RSS (the factor and numpy's work copy of the operand),
-  against 1.1-1.3 s and 99 MB with the values from `eigenvalues`;
-- on an equitable bit whose level meets a Gershgorin bound of A,
-  `emergent_quotient_state` reads the state off H_eff and the flag off one
-  Cholesky: every Bloch row, about 1.3 ms against 2.6 ms for `eigenvalues`
-  and `quotient_states` on a 160-vertex y- row.
+the top (`_extreme_index`), and one window flags a tie,
+DEGENERACY_TOL * max(1, max |lambda|) (`_degeneracy_window`).
+`emergent_state` is the one reader of a labeled bit, and `extreme_state`
+applies the rule to quotient states.  It takes its candidate off H_eff on
+an equitable bit and from `top_pair` on a real nonnegative one.  It solves
+no eigenvalue where a bound puts the candidate at the end of the spectrum
+and one `level_is_simple` Cholesky flags it: every Bloch row and every bit
+with +1 biases.  A 160-vertex budget bit takes about 1.7 ms that way,
+against 2.6 ms for the values from `eigenvalues` and the pair from
+`top_pair` (the path of any other graph) and 3.7 ms for `eigendecompose`;
+a 160-vertex y- row takes about 1.3 ms, against 2.6 ms for `eigenvalues`
+and `quotient_states`.  A `qlbit` run on a 2000-vertex budget bit takes
+0.35-0.55 s and 136 MB max RSS (the factor and numpy's work copy of the
+operand), against 1.1-1.3 s and 99 MB with the values from `eigenvalues`.
 The Cholesky alone takes 0.2 ms at n = 160.  `ensemble_spectrum`
 histograms the eigenvalues of many realizations; a QL state's distance to
 the bulk is the `gap` of `quotient_states`.  Graphs that reach these
@@ -111,7 +106,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MissingLabelsError, NumericalError, QllabError
-from .graph import BiasedGraph, edge_operator
+from .graph import BiasedGraph, EffectiveState, edge_operator, project_blocks
 
 # Eigenvalues closer than this (times max(1, max |lambda|)) count as degenerate.
 DEGENERACY_TOL = 1e-6
@@ -311,25 +306,21 @@ def _scaled_gershgorin(g: BiasedGraph, x: np.ndarray) -> float:
     return float((g.diagonal + edge_operator(g.n, g.edges, np.abs(g.bias))(y) / y).max())
 
 
-def level_is_simple(g: BiasedGraph, value: float, x: np.ndarray, window: float, top: bool) -> bool:
-    """Whether the extreme eigenvalue `value` of g's adjacency A, with its
-    known unit eigenvector x, is the only eigenvalue within `window` of it;
-    proved by one Cholesky factorization.
+def level_is_simple(g: BiasedGraph, value: float, x: np.ndarray, window: float) -> bool:
+    """Whether the top eigenvalue `value` of g's adjacency A, with its known
+    unit eigenvector x, is the only eigenvalue within `window` of it; proved
+    by one Cholesky factorization of (value - window) I - A + c x x^H, with
+    c = max(1, |value|).
 
-    For a top level (top=True) the factorized matrix is
-    (value - window) I - A + c x x^H, with c = max(1, |value|); for a
-    bottom one, A - (value + window) I + c x x^H.  On x it reads
-    c - window > 0, so it is positive definite exactly when every other
-    eigenvalue lies more than window inside the level.  The caller must
-    know that none lies beyond value (by more than a rounding of it): then
-    a failed factorization puts another eigenvalue within window of the
-    level.  The matrix is formed in the kept dense operand, with one n x n
-    temporary for the outer product.
+    On x the matrix reads c - window > 0, so it is positive definite exactly
+    when every other eigenvalue lies more than window below value.  The
+    caller must know that none lies above value (by more than a rounding of
+    it): then a failed factorization puts another eigenvalue within window
+    of the level.  A bottom level of g is the top of -g (biases and diagonal
+    negated), with the same eigenvector.  The matrix is formed in the kept
+    dense operand, with one n x n temporary for the outer product.
     """
     a = _dense(g)
-    if not top:
-        np.negative(a, out=a)
-        value = -value
     a -= np.outer(max(1.0, abs(value)) * x, x.conj())
     return _all_below(a, value - window)
 
@@ -400,42 +391,6 @@ def _steps_to(target, current, previous) -> int:
     if rate <= 0:
         return _MAX_STRIDE
     return min(_MAX_STRIDE, max(1, math.ceil(math.log(estimate / target) / rate)))
-
-
-@dataclass
-class EmergentState:
-    eigenvalue: float
-    eigenvector: np.ndarray
-    degenerate: bool
-
-
-def emergent_state(g: BiasedGraph) -> EmergentState:
-    """The emergent eigenpair of g: that of the extreme value of largest
-    |lambda| (`_extreme_index`), flagged degenerate when any other
-    eigenvalue falls inside the degeneracy window.
-
-    On a graph whose entries and diagonal are real and nonnegative the
-    level is the top (Perron-Frobenius: lambda_max is the spectral radius),
-    and the window is DEGENERACY_TOL * max(1, theta).  The pair (theta, x)
-    comes from `top_pair`, which proves lambda_max <= theta + 1e-8 * max(1,
-    theta), and `level_is_simple` flags the level: no eigenvalue is solved.
-    On any other graph the values come from `eigenvalues`, which pick and
-    flag the level, and the one vector from `top_pair` on g for a top level
-    and on -g (biases and diagonal negated) for a bottom one.  Either way
-    the vector passed `top_pair`'s residual gate and proof, or is its
-    `eigendecompose` fallback's; on a tied level it is `top_pair`'s fixed
-    member."""
-    if not np.iscomplexobj(g.entries) and (g.entries >= 0).all() and (g.diagonal >= 0).all():
-        theta, x = top_pair(g)
-        window = DEGENERACY_TOL * max(1.0, theta)
-        simple = level_is_simple(g, theta, x, window, top=True)
-        return EmergentState(eigenvalue=theta, eigenvector=x, degenerate=not simple)
-    vals = eigenvalues(g)
-    idx = _extreme_index(vals)
-    others = np.delete(vals, idx)
-    degenerate = bool(np.any(np.abs(others - vals[idx]) <= _degeneracy_window(vals)))
-    _, x = top_pair(g if idx == 0 else replace(g, bias=-g.bias, diagonal=-g.diagonal))
-    return EmergentState(eigenvalue=float(vals[idx]), eigenvector=x, degenerate=degenerate)
 
 
 def _extreme_index(values) -> int:
@@ -537,8 +492,8 @@ def quotient_states(g: BiasedGraph, quo: Quotient, values: np.ndarray) -> list[Q
     e_0, P e_1, ... in block order, with P the level's projector and
     remainders below DEGENERACY_TOL skipped.  Each state takes the phase of
     `fixed_phase`.  These levels, their coefficients and the residual gate
-    below are read by `_quotient_levels`, which `emergent_quotient_state`
-    shares, so both report one state bit for bit.
+    below are read by `_quotient_levels`, which `emergent_state` shares, so
+    both report one state bit for bit.
 
     Each state x must pass ||A x - mu x|| <= 1e-8 * max(1, |mu|); a unit
     x with that residual proves an eigenvalue within it.  values must hold
@@ -614,34 +569,67 @@ def _quotient_levels(g: BiasedGraph, quo: Quotient):
     return mu, c, x, residual
 
 
-def emergent_quotient_state(g: BiasedGraph, quo: Quotient):
-    """The emergent level of an equitable g as (mu, coefficients,
-    degenerate): the `extreme_state` of `quotient_states`, bit for bit, and
-    whether the spectrum holds mu more than once within the degeneracy
-    window (its `multiplicity` > 1).
+@dataclass
+class EmergentState:
+    """A bit's emergent level: its eigenvalue, its state on the bit's blocks,
+    and whether another eigenvalue lies in its degeneracy window."""
 
-    The levels, coefficients and residual gate are those of
-    `quotient_states`.  A level H_eff itself holds twice is degenerate with
-    no solve.  Otherwise, when the O(m) Gershgorin bounds on A, max_i(a_ii +
-    sum_j |a_ij|) above and min_i(a_ii - sum_j |a_ij|) below, meet mu to
-    within 1e-8 * max(1, |mu|), mu is the extreme of the spectrum, the
-    window is DEGENERACY_TOL * max(1, |mu|), and `level_is_simple` decides.
-    Any other level is read off `quotient_states` in the spectrum from
-    `eigenvalues`.
+    eigenvalue: float
+    state: EffectiveState
+    degenerate: bool
+
+
+def emergent_state(g: BiasedGraph) -> EmergentState:
+    """The emergent level of the labeled g: the extreme value of largest
+    |lambda| (`_extreme_index`) among the levels of H_eff on an equitable
+    partition and in the spectrum otherwise, degenerate when another
+    eigenvalue lies in its `_degeneracy_window`, and its state on g's blocks.
+
+    On an equitable partition the candidate is read as `quotient_states`
+    reads it (`_quotient_levels`), with the exact state (u, 0.0); a level
+    H_eff holds twice is degenerate with no solve.
+    On any other graph with real nonnegative entries and diagonal it is
+    `top_pair`'s, whose state is its vector's `project_blocks`.  Where a
+    bound puts the candidate at the end of the spectrum, one
+    `level_is_simple` Cholesky flags it and no eigenvalue is solved:
+    Perron-Frobenius at the top of a nonnegative graph, and on an equitable
+    one the O(m) Gershgorin bounds max_i(a_ii + sum_j |a_ij|) and
+    min_i(a_ii - sum_j |a_ij|), met to within 1e-8 * max(1, |mu|).
+    Otherwise `eigenvalues` places the level once: an equitable one is the
+    `extreme_state` of `quotient_states`, which checks that the spectrum
+    holds it, and any other takes the vector of `top_pair` on g for a top
+    level and on -g for a bottom one (on a tied level, its fixed member).
     """
-    mu, c, x, _ = _quotient_levels(g, quo)
-    j = _extreme_index(mu)
-    window = DEGENERACY_TOL * max(1.0, float(np.abs(mu).max()))
-    if np.count_nonzero(np.abs(mu - mu[j]) <= window) > 1:
-        return float(mu[j]), c[:, j].astype(complex), True
-    spread = edge_operator(g.n, g.edges, np.abs(g.bias))(np.ones(g.n))
-    slack = RESIDUAL_TOL * max(1.0, abs(mu[j]))
-    top = mu[j] >= (g.diagonal + spread).max() - slack
-    if top or mu[j] <= (g.diagonal - spread).min() + slack:
-        simple = level_is_simple(g, mu[j], x[:, j], window, top)
-        return float(mu[j]), c[:, j].astype(complex), not simple
-    state = extreme_state(quotient_states(g, quo, eigenvalues(g)))
-    return state.eigenvalue, state.coefficients, state.multiplicity > 1
+    quo = quotient(g)
+    if quo.equitable:
+        mu, c, x, _ = _quotient_levels(g, quo)
+        j = _extreme_index(mu)
+        value, x, window = float(mu[j]), x[:, j], _degeneracy_window(mu)
+        state = EffectiveState(c[:, j].astype(complex), 0.0)
+        if np.count_nonzero(np.abs(mu - value) <= window) > 1:
+            return EmergentState(value, state, True)
+        spread = edge_operator(g.n, g.edges, np.abs(g.bias))(np.ones(g.n))
+        slack = RESIDUAL_TOL * max(1.0, abs(value))
+        top = value >= (g.diagonal + spread).max() - slack
+        if not (top or value <= (g.diagonal - spread).min() + slack):
+            ql = extreme_state(quotient_states(g, quo, eigenvalues(g)))
+            return EmergentState(ql.eigenvalue, EffectiveState(ql.coefficients, 0.0), ql.multiplicity > 1)
+    elif not np.iscomplexobj(g.entries) and (g.entries >= 0).all() and (g.diagonal >= 0).all():
+        value, x = top_pair(g)
+        top, window, state = True, _degeneracy_window([value]), project_blocks(g, g.blocks, x)
+    else:
+        vals = eigenvalues(g)
+        i = _extreme_index(vals)
+        degenerate = np.count_nonzero(np.abs(vals - vals[i]) <= _degeneracy_window(vals)) > 1
+        _, x = top_pair(g if i == 0 else _negated(g))
+        return EmergentState(float(vals[i]), project_blocks(g, g.blocks, x), bool(degenerate))
+    simple = level_is_simple(g, value, x, window) if top else level_is_simple(_negated(g), -value, x, window)
+    return EmergentState(value, state, not simple)
+
+
+def _negated(g: BiasedGraph) -> BiasedGraph:
+    """-g, biases and diagonal negated: its top level is g's bottom one."""
+    return replace(g, bias=-g.bias, diagonal=-g.diagonal)
 
 
 def _canonical_basis(level: np.ndarray) -> np.ndarray:

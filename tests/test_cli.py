@@ -33,7 +33,6 @@ from qllab.qlbit import (
     bias_from_token,
     build_qlbit,
     build_regular_qlbit,
-    project_two_state,
 )
 from qllab.qlproduct import build_product, full_product_factors, label_adjacency, verify_spectrum_composition
 from qllab.spectral import (
@@ -105,7 +104,10 @@ CROSS_PRODUCT = {"qlbits": [CROSS_BIT, {**CROSS_BIT, "connect_bias": "i"}], "mod
 # off the block quotient and proves it the same way, with no solve; an
 # equitable contracted product reads its QL states off the quotient and
 # needs only the spectrum to rank them; the full eigensystem is left to the
-# graphs whose block partition is not equitable (budget policies here).
+# graphs whose block partition is not equitable (budget policies here).  No
+# bound places a mixed-sign cross-regular bit's level, so the spectrum
+# places it, and a -1-bias budget bit reads its values off the spectrum
+# and its vector off the top pair of -g.
 ROUTES = {
     "spectrum": ("spectrum", {"graph": SPECTRUM_GRAPH, "realizations": 2}, {"eigenvalues": 2}),
     "disorder-sweep": (
@@ -118,6 +120,8 @@ ROUTES = {
     "qlbit": ("qlbit", QLBIT["params"], {"top_pair": 1}),
     "qlbit-table-row": ("qlbit", QLBIT_ROW, {}),
     "qlbit-cross-regular": ("qlbit", CROSS_BIT, {}),
+    "qlbit-mixed-sign": ("qlbit", {**CROSS_BIT, "red_bias": -1}, {"eigenvalues": 1}),
+    "qlbit-minus-budget": ("qlbit", {**QLBIT["params"], "red_bias": -1, "blue_bias": -1}, {"eigenvalues": 1, "top_pair": 1}),
     "product": ("product", {"product": WITNESS_PRODUCT}, {"eigendecompose": 1}),
     "product-cross-regular": ("product", {"product": CROSS_PRODUCT, "verify": True}, {"eigenvalues": 1}),
     "cheeger": ("cheeger", {"graph": {"kind": "cycle", "n": 6}}, {"eigenvalues": 1}),
@@ -152,6 +156,7 @@ def test_each_experiment_uses_the_least_solver(tmp_path, monkeypatch, case):
 
 
 Z_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "0"}}
+X_MINUS_ROW = {**QLBIT["params"], "table_row": {"red": "-1", "blue": "-1", "conn": "+1"}}
 
 
 @pytest.mark.parametrize(
@@ -161,6 +166,7 @@ Z_ROW = {**QLBIT["params"], "table_row": {"red": "+1", "blue": "+1", "conn": "0"
         ("qlbit", QLBIT_ROW, {"cholesky": 1}),  # the x+ row: its quotient and one proof
         ("qlbit", Z_ROW, {}),  # a level H_eff holds twice is degenerate with no proof
         ("product", {"product": CROSS_PRODUCT}, {"eigvalsh": 1}),  # the spectrum ranks every QL state
+        ("qlbit", X_MINUS_ROW, {"cholesky": 1}),  # the x- row: one proof of the top of -g
     ],
 )
 def test_a_proved_qlbit_level_solves_no_eigenvalue(tmp_path, monkeypatch, experiment, params, expected):
@@ -912,7 +918,10 @@ KURAMOTO_SYNC = {"product": {"qlbits": [SYNC_BIT, SYNC_BIT], "mode": "contracted
 # `qlbit` was recorded again when its +1-bias bits took their eigenvalue
 # from `top_pair`'s Rayleigh quotient in place of `eigvalsh`: its
 # `qlbit.csv` body kept its bytes, and `mean_eigenvalue` in
-# `qlbit_summary.json` moved by -8.9e-16 (2 ulps).
+# `qlbit_summary.json` moved by -8.9e-16 (2 ulps).  `qlbit-mixed-sign` and
+# `qlbit-minus-budget` were recorded when the quotient and graph readers of
+# a bit became one: they pin the two fallbacks that read the spectrum, an
+# equitable level no bound places and a budget bit's bottom level.
 GOLDEN = {
     "product-contracted": (
         {"experiment": "product", "params": {"product": {"qlbits": CONTRACTED_BITS, "mode": "contracted"}}},
@@ -928,6 +937,16 @@ GOLDEN = {
         {"experiment": "qlbit", "params": {"n": 10, "d": 3, "realizations": 2, "table_row": {"red": "-1", "blue": "-1", "conn": "i"}}},
         ["qlbit.csv", "qlbit_summary.json"],
         "a9351378131bfa5f9023f7852b00629f78acaea0c4de7ba99827150139812d02",
+    ),
+    "qlbit-mixed-sign": (
+        {"experiment": "qlbit", "params": {**CROSS_BIT, "red_bias": -1, "realizations": 2}},
+        ["qlbit.csv", "qlbit_summary.json"],
+        "4f45146a7a314de7f9d46c64e05a41b01351798c86fa215af1c5d36661bf54c7",
+    ),
+    "qlbit-minus-budget": (
+        {"experiment": "qlbit", "params": {"n": 10, "d": 3, "red_bias": -1, "blue_bias": -1, "realizations": 2}},
+        ["qlbit.csv", "qlbit_summary.json"],
+        "2dce985fb8e7488101bcf15560b15576847202f3a8cafb55f19ed45427efb296",
     ),
     "product-full": (
         {"experiment": "product", "params": {"product": {"mode": "full", "qlbits": [{"n": 4, "d": 2}, {"n": 5, "d": 2}]}, "verify": True}},
@@ -984,8 +1003,7 @@ def unphased_bit(params, seed):
         return state.eigenvalue, 0.0, state.coefficients
     g = build_qlbit(QLBitSpec(params["n"], params["d"], seed=bit_seed))
     state = emergent_state(g)
-    eff = project_two_state(g, state.eigenvector)
-    return state.eigenvalue, eff.residual, eff.coefficients
+    return state.eigenvalue, state.state.residual, state.state.coefficients
 
 
 def unphased_product(params, seed):

@@ -20,7 +20,15 @@ from qllab.qlbit import (
     project_two_state,
     regular_qlbit_spec,
 )
-from qllab.spectral import eigendecompose, eigenvalues, emergent_state, extreme_state, quotient, quotient_states
+from qllab.spectral import (
+    eigendecompose,
+    eigenvalues,
+    emergent_state,
+    extreme_state,
+    quotient,
+    quotient_states,
+    top_pair,
+)
 
 
 def cross_edges(g, names=("a1", "a2")):
@@ -106,8 +114,7 @@ class TestBuildQLBit:
         alphas, betas = [], []
         for seed in range(25):
             g = build_qlbit(QLBitSpec(50, 10, connect_bias=1.0, seed=seed))
-            state = emergent_state(g)
-            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            alpha, beta = emergent_state(g).state.coefficients
             alphas.append(abs(alpha))
             betas.append(abs(beta))
             assert (alpha.conjugate() * beta).real > 0  # in-phase
@@ -118,13 +125,12 @@ class TestBuildQLBit:
     def test_negative_bias_flips_ordering(self):
         for seed in range(10):
             g = build_qlbit(QLBitSpec(50, 10, connect_bias=-1.0, seed=seed))
-            state = emergent_state(g)
-            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            alpha, beta = emergent_state(g).state.coefficients
             assert (alpha.conjugate() * beta).real < 0  # out-of-phase on top
 
     def test_pair_probability_fig_caption_form(self):
         g = build_qlbit(QLBitSpec(50, 10, policy=PairProbability(0.2), connect_bias=1.0, seed=4))
-        alpha, beta = project_two_state(g, emergent_state(g).eigenvector).coefficients
+        alpha, beta = emergent_state(g).state.coefficients
         assert abs(abs(alpha) - 1 / np.sqrt(2)) <= 0.08
         assert (alpha.conjugate() * beta).real > 0
 
@@ -238,13 +244,15 @@ class TestBiasTopology:
         assert ql.eigenvalue == pytest.approx(sign * expected, abs=1e-12)
         assert np.abs(ql.coefficients - target).max() <= 1e-12
         assert not ql.degenerate
+        assert np.array_equal(state.state.coefficients, ql.coefficients)
         window = spec.degeneracy_window()
         members = np.flatnonzero(np.abs(spec.eigenvalues - state.eigenvalue) <= window)
-        # the dense path's one vector lies in that level, also on the x- row,
-        # whose level is orthogonal to the Lanczos start 1/sqrt(n), so that
-        # top_pair falls back to the full solve
+        # top_pair's one vector of the level (on -g for a bottom one) lies in
+        # it, also on the x- row, whose level is orthogonal to the Lanczos
+        # start 1/sqrt(n), so that top_pair falls back to the full solve
+        _, x = top_pair(g if sign > 0 else replace(g, bias=-g.bias, diagonal=-g.diagonal))
         level = spec.eigenvectors[:, members]
-        assert np.linalg.norm(level.conj().T @ state.eigenvector) >= 1 - 1e-10
+        assert np.linalg.norm(level.conj().T @ x) >= 1 - 1e-10
         projected = []
         for i in members:
             projected.append(project_two_state(g, spec.eigenvectors[:, i]).coefficients)
@@ -274,7 +282,7 @@ class TestBiasTopology:
         # connecting bias i must put the +i on the a1 (blue) amplitude
         base = build_regular_qlbit(24, 16, cross_degree=2, seed=9)
         g = apply_bias_topology(base, BLOCH_PROJECTIONS["y+"])
-        alpha, beta = project_two_state(g, emergent_state(g).eigenvector).coefficients
+        alpha, beta = emergent_state(g).state.coefficients
         assert alpha / beta == pytest.approx(1j, abs=1e-8)
 
     def test_conn_zero_removes_cross_edges(self):
@@ -298,7 +306,7 @@ class TestBiasTopology:
             g = apply_bias_topology(base, row)
             state = emergent_state(g)
             assert abs(state.eigenvalue - d) <= 1e-6
-            alpha, beta = project_two_state(g, state.eigenvector).coefficients
+            alpha, beta = state.state.coefficients
             delta = np.angle(alpha / beta) - phi
             delta = (delta + np.pi) % (2 * np.pi) - np.pi
             assert abs(delta) <= 0.05

@@ -33,7 +33,6 @@ from qllab.spectral import (
     EQUITABLE_TOL,
     eigendecompose,
     eigenvalues,
-    emergent_quotient_state,
     emergent_state,
     extreme_state,
     quotient,
@@ -237,12 +236,13 @@ def test_extreme_state_breaks_ties_toward_the_top_and_the_first_member():
 @pytest.mark.parametrize("name", sorted(BLOCH_PROJECTIONS))
 def test_bloch_row_ties_read_as_the_dense_path_reads_them(name):
     # qlbit.csv writes multiplicity > 1 as `degenerate` for a table row:
-    # it must agree with emergent_state's flag on the same graph
+    # it must agree with a tie in the dense spectrum of the same graph
     g = apply_bias_topology(build_regular_qlbit(16, 6, seed=5), BLOCH_PROJECTIONS[name])
     state = extreme_state(quotient_states(g, quotient(g), eigenvalues(g)))
-    dense = emergent_state(g)
-    assert abs(state.eigenvalue - dense.eigenvalue) <= 1e-12
-    assert (state.multiplicity > 1) == dense.degenerate == (name[0] == "z")
+    dense = eigendecompose(g)
+    tied = np.count_nonzero(np.abs(dense.eigenvalues - state.eigenvalue) <= dense.degeneracy_window()) > 1
+    assert np.abs(dense.eigenvalues - state.eigenvalue).min() <= 1e-12
+    assert (state.multiplicity > 1) == emergent_state(g).degenerate == tied == (name[0] == "z")
 
 
 @st.composite
@@ -276,23 +276,26 @@ def equitable_bits(draw):
 def test_the_emergent_quotient_state_is_the_extreme_quotient_state(g):
     # what `qlbit` reports for an equitable bit, bit for bit, and its
     # `degenerate` column, whether the Cholesky proof or the spectrum read it
-    quo = quotient(g)
-    mu, coefficients, degenerate = emergent_quotient_state(g, quo)
-    state = extreme_state(quotient_states(g, quo, eigenvalues(g)))
-    assert mu == state.eigenvalue
-    assert np.array_equal(coefficients, state.coefficients)
-    assert degenerate == (state.multiplicity > 1)
+    level = emergent_state(g)
+    state = extreme_state(quotient_states(g, quotient(g), eigenvalues(g)))
+    assert level.eigenvalue == state.eigenvalue
+    assert np.array_equal(level.state.coefficients, state.coefficients) and level.state.residual == 0.0
+    assert level.degenerate == (state.multiplicity > 1)
 
 
 def test_two_copies_of_one_regular_graph_read_degenerate():
     one = gen_d_regular_random(10, 3, seed=4)
+    one = BiasedGraph(one.n, one.edges, one.bias, None, ("a",), np.zeros(10, dtype=int))
     assert not emergent_state(one).degenerate
     edges = np.concatenate([one.edges, one.edges + 10])
     two = BiasedGraph.from_edges(20, edges, None, None, ("a1", "a2"), np.repeat([0, 1], 10))
-    state = emergent_state(two)  # the top pair and one Cholesky
+    # blocks of 7 and 13 vertices are not equitable: the top pair and one Cholesky
+    uneven = BiasedGraph.from_edges(20, edges, None, None, ("a1", "a2"), np.repeat([0, 1], [7, 13]))
+    assert not quotient(uneven).equitable
+    state = emergent_state(uneven)
     assert state.eigenvalue == pytest.approx(3.0, abs=1e-12) and state.degenerate
-    mu, _, degenerate = emergent_quotient_state(two, quotient(two))  # a tied H_eff level
-    assert mu == 3.0 and degenerate
+    state = emergent_state(two)  # a tied H_eff level
+    assert state.eigenvalue == 3.0 and state.degenerate
 
 
 def test_a_mixed_sign_cross_regular_bit_takes_the_fallback(monkeypatch):
@@ -302,8 +305,9 @@ def test_a_mixed_sign_cross_regular_bit_takes_the_fallback(monkeypatch):
     solve = qllab.spectral.quotient_states
     calls = []
     monkeypatch.setattr(qllab.spectral, "quotient_states", lambda *a: calls.append(1) or solve(*a))
-    mu, coefficients, degenerate = emergent_quotient_state(g, quotient(g))
+    level = emergent_state(g)
     assert calls == [1]
-    assert mu == pytest.approx(np.sqrt(10.0), abs=1e-12)
+    assert level.eigenvalue == pytest.approx(np.sqrt(10.0), abs=1e-12)
     state = extreme_state(solve(g, quotient(g), eigenvalues(g)))
-    assert np.array_equal(coefficients, state.coefficients) and degenerate == (state.multiplicity > 1)
+    assert np.array_equal(level.state.coefficients, state.coefficients)
+    assert level.degenerate == (state.multiplicity > 1)

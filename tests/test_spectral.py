@@ -11,6 +11,7 @@ from qllab.errors import NumericalError, QllabError
 from qllab.graph import (
     BiasedGraph,
     add_diagonal_disorder,
+    block_basis,
     delete_random_edges,
     disjoint_union,
     gen_complete,
@@ -27,6 +28,7 @@ from qllab.spectral import (
     emergent_state,
     ensemble_spectrum,
     fixed_phase,
+    quotient,
     top_pair,
 )
 from qllab.witness import attach_witness
@@ -449,78 +451,108 @@ class TestKeptOperand:
         assert qllab.spectral._operand.shape == (9, 9) and qllab.spectral._operand.dtype == complex
 
 
+def labeled(g, *sizes):
+    """g with its vertices split into consecutive blocks of these sizes."""
+    names = tuple(f"b{k}" for k in range(len(sizes)))
+    return replace(g, blocks=names, block_of=np.repeat(np.arange(len(sizes)), sizes))
+
+
 class TestEmergentState:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(3, 12),
         st.integers(2, 5),
-        st.sampled_from(["budget", "pair_probability"]),
+        st.sampled_from(["budget", "pair_probability", "cross_regular"]),
         st.floats(0.05, 0.6),
+        st.integers(0, 3),
         st.sampled_from([1.0, -1.0]),
         st.sampled_from([1.0, -1.0]),
-        st.sampled_from([1.0, -1.0, 1j]),
+        st.sampled_from([1.0, -1.0, 1j, 0.0]),
         st.integers(0, 2**32),
     )
-    def test_matches_the_full_solve_on_dense_path_bits(self, half, d, kind, x, red, blue, conn, seed):
-        # the bits the dense `qlbit` path reads: budget and pair-probability
-        # policies, whose block partitions are not equitable
-        policy = EdgeBudgetFraction(x) if kind == "budget" else PairProbability(x)
+    def test_matches_the_full_solve_on_dense_path_bits(self, half, d, kind, x, degree, red, blue, conn, seed):
+        # every bit kind `qlbit` reads, against the dense eigensystem: budget
+        # and pair-probability policies, whose block partitions are not
+        # equitable unless unconnected, and cross-regular ones, which are
+        if kind == "cross_regular":
+            policy = CrossRegular(degree)
+        else:
+            policy = EdgeBudgetFraction(x) if kind == "budget" else PairProbability(x)
         g = build_qlbit(QLBitSpec(2 * half, d, policy, conn, red, blue, seed))
-        state = emergent_state(g)
+        level = emergent_state(g)
         spec = eigendecompose(g)
         vals = spec.eigenvalues
-        i = qllab.spectral._extreme_index(vals)
-        assert abs(state.eigenvalue - vals[i]) <= 1e-12 * max(1.0, abs(vals[i]))
-        window = np.abs(vals - vals[i]) <= spec.degeneracy_window()
-        assert state.degenerate == (window.sum() > 1)
-        # |<x, v>| for a level of one value; the weight of x in the level
+        nearest = int(np.argmin(np.abs(vals - level.eigenvalue)))
+        assert abs(level.eigenvalue - vals[nearest]) <= 1e-10 * max(1.0, abs(vals[nearest]))
+        if not quotient(g).equitable:
+            i = qllab.spectral._extreme_index(vals)
+            assert abs(level.eigenvalue - vals[i]) <= 1e-12 * max(1.0, abs(vals[i]))
+        window = np.abs(vals - level.eigenvalue) <= spec.degeneracy_window()
+        assert level.degenerate == (window.sum() > 1)
+        c = level.state.coefficients
+        assert abs(np.vdot(c, c).real + level.state.residual**2 - 1) <= 1e-12
+        # J^H v for a level of one value, up to phase; in J^H of the level
         # (each member equally valid) for a tied one
-        overlap = np.linalg.norm(spec.eigenvectors[:, window].conj().T @ state.eigenvector)
-        assert overlap >= 1 - 1e-10
+        jv = block_basis(g, g.blocks).T @ spec.eigenvectors[:, window]
+        if window.sum() == 1:
+            overlap = np.vdot(jv[:, 0], c)
+            phase = overlap / abs(overlap) if overlap else 1.0
+            assert np.abs(c - phase * jv[:, 0]).max() <= 1e-8
+        else:
+            u, sigma, _ = np.linalg.svd(jv)
+            span = u[:, sigma > 1e-9]
+            assert np.linalg.norm(c - span @ (span.conj().T @ c)) <= 1e-8
 
     def test_highest_policy(self):
-        g = gen_d_regular_random(30, 5, seed=3)
+        g = labeled(gen_d_regular_random(30, 5, seed=3), 15, 15)
         state = emergent_state(g)
         assert state.eigenvalue == pytest.approx(5.0, abs=1e-9)
-        assert np.allclose(np.abs(state.eigenvector), 1 / np.sqrt(30), atol=1e-7)
+        # the uniform Perron vector: in span(J), equally on both halves
+        assert np.allclose(state.state.coefficients, 1 / np.sqrt(2), atol=1e-7)
+        assert state.state.residual <= 1e-7
         assert not state.degenerate
 
     def test_highest_magnitude_prefers_extreme(self):
         k4 = gen_complete(4)
         minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
-        state = emergent_state(minus_k4)
+        state = emergent_state(labeled(minus_k4, 2, 2))  # levels -3 and 1
         assert state.eigenvalue == pytest.approx(-3.0)
 
     def test_tie_breaks_positive(self):
-        state = emergent_state(gen_complete(2))
+        state = emergent_state(labeled(gen_complete(2), 1, 1))  # levels 1 and -1
         assert state.eigenvalue == pytest.approx(1.0)
 
     def test_empty_graph_flagged_degenerate(self):
-        g = BiasedGraph(n=3)
-        state = emergent_state(g)
+        state = emergent_state(labeled(BiasedGraph(n=3), 3))
         assert state.eigenvalue == 0.0
         assert state.degenerate
 
     def test_a_tied_bottom_level_gives_one_fixed_member(self):
-        # top_pair's member of the level: the projection of 1/sqrt(n) onto it
+        # top_pair's member of the top level of -g, which is g's bottom: the
+        # projection of 1/sqrt(n) onto it
         k4 = gen_complete(4)
         minus_k4 = BiasedGraph.from_edges(4, k4.edges, -k4.bias)
         two = disjoint_union(minus_k4, minus_k4)
         spec = eigendecompose(two)
-        state = emergent_state(two)
-        assert state.eigenvalue == pytest.approx(-3.0)
-        assert state.degenerate
+        _, x = top_pair(replace(two, bias=-two.bias))
         level = spec.eigenvectors[:, np.abs(spec.eigenvalues + 3.0) <= 1e-9]
         member = level @ (level.T @ np.full(8, 1 / np.sqrt(8)))
         member /= np.linalg.norm(member)
-        assert abs(np.vdot(member, state.eigenvector)) >= 1 - 1e-12
+        assert abs(np.vdot(member, x)) >= 1 - 1e-12
+        # the reader reads that member on a partition that is not equitable
+        g = labeled(two, 3, 5)
+        assert not quotient(g).equitable
+        state = emergent_state(g)
+        assert state.eigenvalue == pytest.approx(-3.0)
+        assert state.degenerate
+        assert np.array_equal(state.state.coefficients, block_basis(g, g.blocks).T @ x)
 
     def test_window_scales_by_the_largest_magnitude(self):
         # a bottom of -100 sets the window, 1e-4, not the top's max(1, 1)
         vals = np.array([1.0, -100.0 + 5e-5, -100.0])
         spec = Spectrum(eigenvalues=vals, eigenvectors=np.eye(3), residuals=np.zeros(3))
         assert spec.degeneracy_window() == pytest.approx(1e-4)
-        state = emergent_state(BiasedGraph(n=3, diagonal=vals))
+        state = emergent_state(labeled(BiasedGraph(n=3, diagonal=vals), 3))
         assert state.eigenvalue == -100.0
         assert state.degenerate
 
